@@ -14,6 +14,9 @@ from pathlib import Path
 import click
 
 from ..encoding import JW, VARIANTS
+from ..mitigation import SignInconsistent
+from ..simulator import ZeroOverlap
+from ..spectra import DegenerateSubspace
 from ..vqe import (
     GRADIENT_DESCENT,
     NELDER_MEAD,
@@ -42,6 +45,8 @@ from .pipeline import (
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
+# Numerical failures that subclass ValueError; they still exit 3.
+_NUMERICAL_ERRORS = (SignInconsistent, ZeroOverlap, DegenerateSubspace)
 _CONFIG_ERRORS = (ParseError, SymmetryViolation, ValueError, KeyError,
                   FileNotFoundError, TypeError)
 
@@ -204,7 +209,8 @@ def exit_code_for(error: Exception) -> int:
     """Configuration and parse problems exit 2, numerical failures exit 3."""
     if isinstance(error, StageFailure):
         return exit_code_for(error.error)
-    if isinstance(error, _CONFIG_ERRORS):
+    if isinstance(error, _CONFIG_ERRORS) and \
+            not isinstance(error, _NUMERICAL_ERRORS):
         return USAGE_EXIT
     return NUMERICAL_EXIT
 

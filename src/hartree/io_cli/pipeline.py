@@ -239,7 +239,8 @@ def _solve_vqe(config: RunConfig, ints: MolecularIntegrals,
     record("ansatz", family=config.ansatz, parameters=ansatz.n_params,
            gates=len(ansatz.combined().gates))
     result = optimize(ansatz, h, config.optimizer, shots=config.shots,
-                      noise=config.noise_model(), rng=make_rng(config.seed))
+                      noise=config.noise_model(), rng=make_rng(config.seed),
+                      trajectories=config.trajectories)
     oracle = float(exact_eigensolve(h, k=1, n_qubits=n)[0])
     return {"method": VQE,
             "family": config.ansatz,

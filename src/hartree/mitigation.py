@@ -33,8 +33,10 @@ from .simulator import (
     ShotEstimate,
     StateVector,
     apply_gate,
-    run_noisy_trajectory,
+    noisy_states,
+    sample_expectation,
     split_rng,
+    trajectory_states,
 )
 
 MATCH_TOLERANCE = 1e-12
@@ -93,15 +95,21 @@ def scaled_noise(noise: NoiseModel, lam: float) -> NoiseModel:
 def noisy_expectation(circuit: Circuit, theta: Sequence[float] | None,
                       h: PauliSum, noise: NoiseModel,
                       rng: np.random.Generator,
-                      trajectories: int = DEFAULT_TRAJECTORIES) -> ShotEstimate:
-    """Trajectory-averaged expectation with its empirical standard error."""
+                      trajectories: int = DEFAULT_TRAJECTORIES,
+                      shots: int | None = None) -> ShotEstimate:
+    """Trajectory-averaged expectation with its empirical standard error;
+    ``shots`` samples each trajectory's terms on its own stream instead."""
+    streams = split_rng(rng, trajectories)
     means = np.empty(trajectories)
-    for k, stream in enumerate(split_rng(rng, trajectories)):
-        psi = run_noisy_trajectory(circuit, theta, noise, stream)
-        means[k] = psi.expectation(h)
+    for members, psi in noisy_states(circuit, theta, noise, streams):
+        if shots is None:
+            means[members] = psi.expectation(h)
+        else:
+            for k in members:
+                means[k] = sample_expectation(psi, h, shots, streams[k]).mean
     spread = float(means.std(ddof=1)) if trajectories > 1 else 0.0
     return ShotEstimate(float(means.mean()), spread / math.sqrt(trajectories),
-                        trajectories)
+                        shots if shots is not None else trajectories)
 
 
 def noise_scaled_series(circuit: Circuit, theta: Sequence[float] | None,
@@ -238,9 +246,9 @@ def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    gate_arities = [len(g.support()) for g in circuit.gates]
+    supports = [g.support() for g in circuit.gates]
     gamma_total = 1.0
-    for arity in gate_arities:
+    for arity in map(len, supports):
         if arity == 0:
             continue
         if arity > 2:
@@ -256,30 +264,30 @@ def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
     probabilities = {a: np.array([prob for _, prob, _ in d.entries])
                      for a, d in decompositions.items()}
 
-    values = np.empty(samples)
-    for k, stream in enumerate(split_rng(rng, samples)):
-        psi = StateVector.zero(circuit.n_qubits)
-        parity = 1
-        for gate, arity in zip(circuit.gates, gate_arities):
-            psi = apply_gate(psi, gate, theta)
+    def draw(stream: np.random.Generator):
+        kicks, parity = [], 1
+        for index, support in enumerate(supports):
+            arity = len(support)
             if arity == 0:
                 continue
-            support = gate.support()
             rate = noise.rate_for(arity)
             for q in support:
                 if rate > 0.0 and stream.random() < rate:
                     letter = _LETTERS[1 + stream.integers(3)]
-                    psi = StateVector(
-                        PauliString.single(letter, q).apply(psi.amplitudes),
-                        psi.n)
+                    kicks.append((index, PauliString.single(letter, q)))
             decomp = decompositions[arity]
-            index = stream.choice(len(decomp.entries), p=probabilities[arity])
-            letters, _, entry_parity = decomp.entries[index]
+            choice = stream.choice(len(decomp.entries), p=probabilities[arity])
+            letters, _, entry_parity = decomp.entries[choice]
             insertion = _insertion_string(letters, support)
             if insertion is not None:
-                psi = StateVector(insertion.apply(psi.amplitudes), psi.n)
+                kicks.append((index, insertion))
             parity *= entry_parity
-        values[k] = parity * psi.expectation(observable)
+        return kicks, parity
+
+    kicks, parities = zip(*map(draw, split_rng(rng, samples)))
+    values = np.array(parities, dtype=float)
+    for members, psi in trajectory_states(circuit, theta, kicks):
+        values[members] *= psi.expectation(observable)
     spread = float(values.std(ddof=1)) if samples > 1 else 0.0
     return ShotEstimate(gamma_total * float(values.mean()),
                         gamma_total * spread / math.sqrt(samples), samples)
@@ -343,9 +351,10 @@ def stabiliser_postselect(circuit: Circuit, theta: Sequence[float] | None,
             raise ValueError("check touches a qubit outside the register")
     target = sum(check.expected << k for k, check in enumerate(checks))
     dim_s = 1 << n
-    kept: list[float] = []
-    for stream in split_rng(rng, shots):
-        psi = run_noisy_trajectory(circuit, theta, noise, stream)
+    streams = split_rng(rng, shots)
+    values = np.empty(shots)
+    accepted = np.zeros(shots, dtype=bool)
+    for members, psi in noisy_states(circuit, theta, noise, streams):
         joint = np.zeros((1 << ancillas) * dim_s, dtype=complex)
         joint[:dim_s] = psi.amplitudes
         state = StateVector(joint, n + ancillas)
@@ -354,15 +363,17 @@ def stabiliser_postselect(circuit: Circuit, theta: Sequence[float] | None,
                 state = apply_gate(state, Gate("cnot", (q, n + k)))
         blocks = state.amplitudes.reshape(1 << ancillas, dim_s)
         weights = np.sum(np.abs(blocks) ** 2, axis=1)
-        outcome = stream.choice(1 << ancillas, p=weights / weights.sum())
-        if outcome != target:
-            continue
-        collapsed = blocks[outcome] / math.sqrt(weights[outcome])
-        kept.append(StateVector(collapsed, n).expectation(h))
-    if not kept:
+        probabilities = weights / weights.sum()
+        passed = [k for k in members if target ==
+                  streams[k].choice(1 << ancillas, p=probabilities)]
+        if passed:
+            collapsed = blocks[target] / math.sqrt(weights[target])
+            values[passed] = StateVector(collapsed, n).expectation(h)
+            accepted[passed] = True
+    kept = values[accepted]
+    if not kept.size:
         raise AllShotsRejected(f"all {shots} shots failed the parity checks")
-    retained = np.array(kept)
-    spread = float(retained.std(ddof=1)) if len(kept) > 1 else 0.0
-    estimate = ShotEstimate(float(retained.mean()),
+    spread = float(kept.std(ddof=1)) if len(kept) > 1 else 0.0
+    estimate = ShotEstimate(float(kept.mean()),
                             spread / math.sqrt(len(kept)), len(kept))
     return estimate, len(kept) / shots

@@ -295,12 +295,13 @@ def to_matrix(s: PauliSum, n: int | None = None) -> np.ndarray:
 
 
 def expectation(s: PauliSum, psi: np.ndarray) -> float:
-    """Exact <psi|S|psi> for Hermitian S; the imaginary residue is asserted away."""
+    """Exact <psi|S|psi> for Hermitian S; an imaginary residue above 1e-10 raises."""
     if not s.is_hermitian():
         raise NonHermitian("expectation requires a Hermitian sum")
     if psi.shape[0] < (1 << s.n_qubits):
         raise DimensionMismatch(
             f"state has {psi.shape[0]} amplitudes, sum needs {1 << s.n_qubits}")
     value = np.vdot(psi, apply_to_statevector(s, psi))
-    assert abs(value.imag) < 1e-10, value
+    if not abs(value.imag) < 1e-10:
+        raise ArithmeticError(f"expectation {value} is not real")
     return float(value.real)

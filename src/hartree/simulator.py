@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -455,11 +455,8 @@ class NoiseModel:
         return self.p1 if arity == 1 else self.p2
 
 
-def _random_error_string(support: tuple[int, ...],
-                         rng: np.random.Generator) -> PauliString:
-    """Uniform draw over the 4^k - 1 non-identity Paulis on ``support``."""
-    k = len(support)
-    code = int(rng.integers(1, 4 ** k))
+def _error_string(support: tuple[int, ...], code: int) -> PauliString:
+    """Pauli number ``code`` of the 4^k on ``support``, two bits a qubit."""
     x = z = 0
     for q in support:
         digit = code & 3
@@ -471,19 +468,64 @@ def _random_error_string(support: tuple[int, ...],
     return PauliString(x, z)
 
 
+def trajectory_states(circuit: Circuit, theta: Sequence[float] | None,
+                      kicks: Sequence[Sequence[tuple[int, PauliString]]],
+                      psi0: StateVector | None = None
+                      ) -> Iterator[tuple[list[int], StateVector]]:
+    """Final state of every trajectory, given its kicks in circuit order.
+
+    A kick (g, P) applies the Pauli P right after gate g. One noiseless
+    sweep runs the circuit; a trajectory branches off it at the gate of its
+    first kick and runs the rest of the circuit on its own, and all
+    error-free trajectories share the sweep's final state. Yields
+    (trajectory indices, state) once per distinct final state.
+    """
+    branching: dict[int | None, list[int]] = {}
+    for k, events in enumerate(kicks):
+        branching.setdefault(events[0][0] if events else None, []).append(k)
+    gates = circuit.gates
+    psi = StateVector.zero(circuit.n_qubits) if psi0 is None else psi0
+    for first, gate in enumerate(gates):
+        psi = apply_gate(psi, gate, theta)
+        for k in branching.get(first, ()):
+            branch, at = psi, first
+            for index, error in kicks[k]:
+                for later in gates[at + 1:index + 1]:
+                    branch = apply_gate(branch, later, theta)
+                at = index
+                branch = StateVector(error.apply(branch.amplitudes), psi.n)
+            for later in gates[at + 1:]:
+                branch = apply_gate(branch, later, theta)
+            yield [k], branch
+    if None in branching:
+        yield branching[None], psi
+
+
+def noisy_states(circuit: Circuit, theta: Sequence[float] | None,
+                 noise: NoiseModel, streams: Sequence[np.random.Generator],
+                 psi0: StateVector | None = None
+                 ) -> Iterator[tuple[list[int], StateVector]]:
+    """Depolarized trajectories, one per stream, with normalized final states.
+
+    Per noisy gate a stream draws a uniform number and, on a hit, one of the
+    4^k - 1 non-identity Paulis on the gate's k support qubits.
+    """
+    noisy = [(index, support, rate) for index, gate in enumerate(circuit.gates)
+             if (rate := noise.rate_for(len(support := gate.support()))) > 0]
+    kicks = [[(index, _error_string(support,
+                                    int(rng.integers(1, 4 ** len(support)))))
+              for index, support, rate in noisy if rng.random() < rate]
+             for rng in streams]
+    for members, psi in trajectory_states(circuit, theta, kicks, psi0):
+        yield members, psi.renormalized()
+
+
 def run_noisy_trajectory(circuit: Circuit, theta: Sequence[float] | None,
                          noise: NoiseModel, rng: np.random.Generator,
                          psi0: StateVector | None = None) -> StateVector:
     """One stochastic-unravelling sample of the depolarized circuit."""
-    psi = StateVector.zero(circuit.n_qubits) if psi0 is None else psi0.copy()
-    for gate in circuit.gates:
-        psi = apply_gate(psi, gate, theta)
-        support = gate.support()
-        rate = noise.rate_for(len(support))
-        if rate > 0.0 and rng.random() < rate:
-            error = _random_error_string(support, rng)
-            psi = StateVector(error.apply(psi.amplitudes), psi.n)
-    return psi.renormalized()
+    ((_, psi),) = noisy_states(circuit, theta, noise, [rng], psi0)
+    return psi
 
 
 def density_matrix_reference(circuit: Circuit,
@@ -497,7 +539,6 @@ def density_matrix_reference(circuit: Circuit,
             f"{n} qubits exceeds the density-matrix limit of {DENSITY_QUBIT_LIMIT}")
     start = StateVector.zero(n) if psi0 is None else psi0
     rho = np.outer(start.amplitudes, start.amplitudes.conj())
-    dim = 1 << n
     for gate in circuit.gates:
         u = gate_unitary(gate, n, theta)
         rho = u @ rho @ u.conj().T
@@ -507,28 +548,11 @@ def density_matrix_reference(circuit: Circuit,
             kicked = np.zeros_like(rho)
             count = 4 ** len(support) - 1
             for code in range(1, count + 1):
-                x = z = 0
-                bits = code
-                for q in support:
-                    digit = bits & 3
-                    bits >>= 2
-                    if digit in (1, 3):
-                        x |= 1 << q
-                    if digit in (2, 3):
-                        z |= 1 << q
-                p_mat = _dense_string(PauliString(x, z), dim)
+                string = PauliSum({_error_string(support, code): 1.0})
+                p_mat = to_matrix(string, n)
                 kicked += p_mat @ rho @ p_mat.conj().T
             rho = (1.0 - rate) * rho + (rate / count) * kicked
     return rho
-
-
-def _dense_string(string: PauliString, dim: int) -> np.ndarray:
-    out = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        column = np.zeros(dim, dtype=complex)
-        column[j] = 1.0
-        out[:, j] = string.apply(column)
-    return out
 
 
 def expectation_from_density(rho: np.ndarray, h: PauliSum) -> float:

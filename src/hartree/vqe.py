@@ -23,6 +23,7 @@ import numpy as np
 
 from .encoding import EncodingScheme, encode_operator, encode_state
 from .fermion import FermionSum, OccupationVector, normal_order
+from .mitigation import noisy_expectation
 from .pauli import PauliString, PauliSum, apply_to_statevector, canonicalize
 from .simulator import (
     Circuit,
@@ -33,7 +34,6 @@ from .simulator import (
     apply_gate,
     make_rng,
     run_circuit,
-    run_noisy_trajectory,
     sample_expectation,
     split_rng,
 )
@@ -313,17 +313,8 @@ def estimate_energy(ansatz: Ansatz, theta: Sequence[float], h: PauliSum,
         return sample_expectation(psi, h, shots, rng)
     if rng is None:
         rng = make_rng(noise.seed)
-    circuit = ansatz.combined()
-    means = np.empty(trajectories)
-    for k, stream in enumerate(split_rng(rng, trajectories)):
-        psi = run_noisy_trajectory(circuit, theta, noise, stream)
-        if shots is None:
-            means[k] = psi.expectation(h)
-        else:
-            means[k] = sample_expectation(psi, h, shots, stream).mean
-    spread = float(means.std(ddof=1)) if trajectories > 1 else 0.0
-    return ShotEstimate(float(means.mean()), spread / math.sqrt(trajectories),
-                        shots if shots is not None else trajectories)
+    return noisy_expectation(ansatz.combined(), theta, h, noise, rng,
+                             trajectories, shots)
 
 
 _ROTATION_LETTERS = {"rx": "X", "ry": "Y", "rz": "Z"}
@@ -435,9 +426,10 @@ class _Objective:
 
     def __init__(self, ansatz: Ansatz, h: PauliSum, shots: int | None,
                  noise: NoiseModel | None, rng: np.random.Generator | None,
-                 config: OptimizerConfig):
+                 config: OptimizerConfig, trajectories: int):
         self.ansatz, self.h = ansatz, h
         self.shots, self.noise, self.rng = shots, noise, rng
+        self.trajectories = trajectories
         self.max_evals = config.max_evals
         self.tolerance = config.tolerance
         self.terms = len(list(h.items()))
@@ -453,7 +445,8 @@ class _Objective:
     def __call__(self, theta: np.ndarray) -> float:
         estimate = estimate_energy(self.ansatz, theta, self.h,
                                    shots=self.shots, noise=self.noise,
-                                   rng=self.rng)
+                                   rng=self.rng,
+                                   trajectories=self.trajectories)
         self.evals += 1
         if self.shots is not None:
             self.shots_used += self.shots * self.terms
@@ -476,12 +469,14 @@ class _Objective:
 def optimize(ansatz: Ansatz, h: PauliSum, config: OptimizerConfig,
              shots: int | None = None, noise: NoiseModel | None = None,
              rng: np.random.Generator | None = None,
-             initial: Sequence[float] | None = None) -> VqeResult:
+             initial: Sequence[float] | None = None,
+             trajectories: int = DEFAULT_TRAJECTORIES) -> VqeResult:
     """Minimize the ansatz energy with the configured classical method.
 
     Exhausting max_evals is soft: the best point seen so far is returned
     with converged set to False. Identical configuration and seed reproduce
-    the result exactly when no external generator is passed.
+    the result exactly when no external generator is passed. With a noise
+    model every evaluation averages ``trajectories`` noisy trajectories.
     """
     master = make_rng(config.seed) if rng is None else rng
     init_rng, sample_rng, search_rng = split_rng(master, 3)
@@ -489,7 +484,7 @@ def optimize(ansatz: Ansatz, h: PauliSum, config: OptimizerConfig,
         initial_parameters(ansatz, seed=int(init_rng.integers(2 ** 31)))
     objective = _Objective(ansatz, h, shots, noise,
                            sample_rng if (shots is not None or noise is not None)
-                           else None, config)
+                           else None, config, trajectories)
 
     if config.method == NELDER_MEAD:
         _nelder_mead(objective, theta0, config)

@@ -32,7 +32,10 @@ from hartree.io_cli import (
     run_pipeline,
 )
 from hartree.io_cli.cli import exit_code_for, main
+from hartree.mitigation import SignInconsistent
 from hartree.pauli import PauliSum, TooLarge
+from hartree.simulator import ZeroOverlap
+from hartree.spectra import DegenerateSubspace
 from hartree.vqe import SPSA, OptimizerConfig
 
 # Golden values from the dense oracle on the shipped fixtures, frozen after
@@ -276,6 +279,19 @@ class TestPipeline:
         assert len(result["parameters"]) == 3
         assert min(e for e, _ in result["trace"]) == result["energy"]
 
+    def test_noisy_vqe_honours_trajectories(self):
+        def run(trajectories: int) -> str:
+            config = RunConfig(fixture=H2_EQUILIBRIUM, method="vqe",
+                               noise_p1=1e-3, noise_p2=1e-3,
+                               trajectories=trajectories, seed=5,
+                               optimizer=OptimizerConfig(max_evals=3, seed=5))
+            return document_json(run_pipeline(config))
+
+        default, fewer = run(512), run(64)
+        assert json.loads(default)["result"]["trace"] != \
+            json.loads(fewer)["result"]["trace"]
+        assert default == run(512)
+
     def test_spectrum_subspace_matches_exact(self):
         document = run_pipeline(RunConfig(fixture=H2_EQUILIBRIUM,
                                           encoding="parity", taper=True,
@@ -484,3 +500,7 @@ class TestCli:
         assert exit_code_for(StageFailure("ingest", ParseError("x"))) == 2
         assert exit_code_for(RuntimeError("x")) == 3
         assert exit_code_for(StageFailure("solve", RuntimeError("x"))) == 3
+        assert exit_code_for(SignInconsistent("x")) == 3
+        assert exit_code_for(ZeroOverlap("x")) == 3
+        assert exit_code_for(DegenerateSubspace("x")) == 3
+        assert exit_code_for(StageFailure("solve", SignInconsistent("x"))) == 3

@@ -158,6 +158,13 @@ class TestExpectation:
         with pytest.raises(DimensionMismatch):
             expectation(PauliSum.from_text({"Z3": 1.0}), np.array([1.0, 0.0]))
 
+    def test_imaginary_residue_raises(self):
+        # 5e-11 passes the Hermiticity tolerance; a norm of 10 lifts the
+        # residue of <psi|S|psi> to 5e-9, past the realness bound.
+        s = PauliSum.from_text({"Z0": 1.0 + 5e-11j})
+        with pytest.raises(ArithmeticError):
+            expectation(s, np.array([10.0, 0.0]))
+
     def test_matches_dense_oracle(self, rng):
         for n in (2, 5, 8):
             s = PauliSum({random_pauli_string(rng, n): rng.normal() for _ in range(6)})

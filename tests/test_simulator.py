@@ -31,12 +31,14 @@ from hartree.simulator import (
     gate_unitary,
     imaginary_time_evolve,
     make_rng,
+    noisy_states,
     qpe_distribution,
     qpe_sample,
     run_circuit,
     run_noisy_trajectory,
     sample_expectation,
     split_rng,
+    trajectory_states,
     trotter_evolve,
 )
 
@@ -408,6 +410,92 @@ def test_fixed_seed_reproduces_everything():
     psi = run_circuit(circuit)
     assert sample_expectation(psi, h, 300, make_rng(4)) == \
         sample_expectation(psi, h, 300, make_rng(4))
+
+
+def per_gate_trajectory(circuit, theta, noise, rng, psi0=None):
+    """Reference: evolve gate by gate, drawing each gate's error as it runs."""
+    psi = StateVector.zero(circuit.n_qubits) if psi0 is None else psi0.copy()
+    for gate in circuit.gates:
+        psi = apply_gate(psi, gate, theta)
+        support = gate.support()
+        rate = noise.rate_for(len(support))
+        if rate > 0.0 and rng.random() < rate:
+            code = int(rng.integers(1, 4 ** len(support)))
+            x = z = 0
+            for q in support:
+                digit, code = code & 3, code >> 2
+                x |= (digit in (1, 3)) << q
+                z |= (digit in (2, 3)) << q
+            psi = StateVector(PauliString(x, z).apply(psi.amplitudes), psi.n)
+    return psi.renormalized()
+
+
+def mixed_circuit() -> Circuit:
+    return (Circuit(3).h(0).cnot(0, 1).rx(2, slot=0).t(1)
+            .exp(PauliString.from_text("X0 Y1 Z2"), slot=1).cz(1, 2)
+            .cexp(2, PauliString.from_text("Y0"), angle=0.4).ry(0, angle=-0.9))
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.3, 1.0])
+@pytest.mark.parametrize("start", [None, "random"])
+def test_trajectory_engine_matches_per_gate_loop_bit_for_bit(p, start):
+    circuit, theta = mixed_circuit(), [0.3, -0.7]
+    noise = NoiseModel(p1=p, p2=p)
+    psi0 = None if start is None else \
+        StateVector(random_state(make_rng(99), 3), 3)
+    for seed in (1, 2, 3):
+        streams = split_rng(make_rng(seed), 40)
+        finals = {}
+        for members, psi in noisy_states(circuit, theta, noise, streams, psi0):
+            finals.update(dict.fromkeys(members, psi.amplitudes))
+        assert sorted(finals) == list(range(40))
+        for k, reference in enumerate(split_rng(make_rng(seed), 40)):
+            expected = per_gate_trajectory(circuit, theta, noise, reference,
+                                           psi0)
+            assert np.array_equal(finals[k], expected.amplitudes)
+            # Later draws from the stream, as reductions make, match too.
+            assert streams[k].bit_generator.state == \
+                reference.bit_generator.state
+        single = run_noisy_trajectory(circuit, theta, noise,
+                                      make_rng(seed), psi0)
+        expected = per_gate_trajectory(circuit, theta, noise, make_rng(seed),
+                                       psi0)
+        assert np.array_equal(single.amplitudes, expected.amplitudes)
+
+
+def test_trajectory_engine_applies_kicks_in_order():
+    circuit, theta = mixed_circuit(), [0.3, -0.7]
+    kicks = [(1, PauliString.from_text("X0")), (1, PauliString.from_text("Z1")),
+             (4, PauliString.from_text("Y2")), (7, PauliString.from_text("X1"))]
+    psi = StateVector.zero(3)
+    for index, gate in enumerate(circuit.gates):
+        psi = apply_gate(psi, gate, theta)
+        for at, error in kicks:
+            if at == index:
+                psi = StateVector(error.apply(psi.amplitudes), 3)
+    groups = list(trajectory_states(circuit, theta, [kicks, []]))
+    assert [members for members, _ in groups] == [[0], [1]]
+    assert np.array_equal(groups[0][1].amplitudes, psi.amplitudes)
+    assert np.array_equal(groups[1][1].amplitudes,
+                          run_circuit(circuit, theta).amplitudes)
+
+
+def test_error_free_share_is_binomial():
+    circuit, theta = mixed_circuit(), [0.3, -0.7]
+    noise = NoiseModel(p1=0.02, p2=0.05)
+    trials = 4000
+    groups = list(noisy_states(circuit, theta, noise,
+                               split_rng(make_rng(20261018), trials)))
+    assert sorted(k for members, _ in groups for k in members) == \
+        list(range(trials))
+    # Every trajectory with an error ends in a state of its own; the
+    # error-free ones share the last.
+    assert all(len(members) == 1 for members, _ in groups[:-1])
+    error_free = len(groups[-1][0])
+    p_free = math.prod(1.0 - noise.rate_for(len(g.support()))
+                       for g in circuit.gates)
+    sigma = math.sqrt(trials * p_free * (1.0 - p_free))
+    assert abs(error_free - trials * p_free) < 4.0 * sigma
 
 
 def test_noise_model_validation():
