@@ -15,6 +15,7 @@ from ..pauli import (
 )
 
 SPARSE_QUBIT_LIMIT = 24
+LANCZOS_SEED = 20180830
 
 
 def exact_eigensolve(h: PauliSum,
@@ -23,8 +24,9 @@ def exact_eigensolve(h: PauliSum,
                      with_vectors: bool = False):
     """k lowest eigenvalues of h, ascending; dense up to 14 qubits, else Lanczos.
 
-    Returns the eigenvalue array, or (values, vectors-as-columns) when
-    ``with_vectors`` is set.
+    Lanczos starts from a fixed seeded vector, so repeated calls return the
+    same bits. Returns the eigenvalue array, or (values, vectors-as-columns)
+    when ``with_vectors`` is set.
     """
     if not h.is_hermitian():
         raise NonHermitian("eigensolve requires a Hermitian sum")
@@ -39,7 +41,9 @@ def exact_eigensolve(h: PauliSum,
         dim = 1 << n
         op = scipy.sparse.linalg.LinearOperator(
             (dim, dim), matvec=lambda v: apply_to_statevector(h, v), dtype=complex)
-        values, vectors = scipy.sparse.linalg.eigsh(op, k=k, which="SA")
+        start = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+        values, vectors = scipy.sparse.linalg.eigsh(op, k=k, which="SA",
+                                                    v0=start)
         order = np.argsort(values)
         values, vectors = values[order], vectors[:, order]
     else:

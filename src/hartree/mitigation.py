@@ -19,6 +19,7 @@ expected eigenvalue, and averages the retained trajectories.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -28,15 +29,13 @@ import numpy as np
 from .pauli import PauliString, PauliSum
 from .simulator import (
     Circuit,
-    Gate,
     NoiseModel,
     ShotEstimate,
     StateVector,
-    apply_gate,
+    compile_circuit,
     noisy_states,
     sample_expectation,
     split_rng,
-    trajectory_states,
 )
 
 MATCH_TOLERANCE = 1e-12
@@ -232,6 +231,14 @@ def _insertion_string(letters: str, support: Sequence[int]) -> PauliString | Non
     return PauliString.from_text(" ".join(terms))
 
 
+def _choice_cdf(probabilities: np.ndarray) -> list[float]:
+    """The table Generator.choice(n, p=probabilities) inverts one random()
+    against: bisect_right(cdf, stream.random()) is its draw, stream and all."""
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
                  observable: PauliSum, noise: NoiseModel,
                  decompositions: dict[int, QuasiProbDecomposition],
@@ -246,7 +253,8 @@ def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    supports = [g.support() for g in circuit.gates]
+    compiled = compile_circuit(circuit)
+    supports = compiled.supports
     gamma_total = 1.0
     for arity in map(len, supports):
         if arity == 0:
@@ -261,8 +269,8 @@ def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
                 f"decomposition strength {decompositions[arity].p} does not "
                 f"match the noise model (expected {expected})")
         gamma_total *= decompositions[arity].gamma
-    probabilities = {a: np.array([prob for _, prob, _ in d.entries])
-                     for a, d in decompositions.items()}
+    cdfs = {a: _choice_cdf(np.array([prob for _, prob, _ in d.entries]))
+            for a, d in decompositions.items()}
 
     def draw(stream: np.random.Generator):
         kicks, parity = [], 1
@@ -275,9 +283,8 @@ def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
                 if rate > 0.0 and stream.random() < rate:
                     letter = _LETTERS[1 + stream.integers(3)]
                     kicks.append((index, PauliString.single(letter, q)))
-            decomp = decompositions[arity]
-            choice = stream.choice(len(decomp.entries), p=probabilities[arity])
-            letters, _, entry_parity = decomp.entries[choice]
+            choice = bisect_right(cdfs[arity], stream.random())
+            letters, _, entry_parity = decompositions[arity].entries[choice]
             insertion = _insertion_string(letters, support)
             if insertion is not None:
                 kicks.append((index, insertion))
@@ -286,7 +293,7 @@ def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
 
     kicks, parities = zip(*map(draw, split_rng(rng, samples)))
     values = np.array(parities, dtype=float)
-    for members, psi in trajectory_states(circuit, theta, kicks):
+    for members, psi in compiled.trajectories(theta, kicks):
         values[members] *= psi.expectation(observable)
     spread = float(values.std(ddof=1)) if samples > 1 else 0.0
     return ShotEstimate(gamma_total * float(values.mean()),
@@ -351,6 +358,11 @@ def stabiliser_postselect(circuit: Circuit, theta: Sequence[float] | None,
             raise ValueError("check touches a qubit outside the register")
     target = sum(check.expected << k for k, check in enumerate(checks))
     dim_s = 1 << n
+    fan = Circuit(n + ancillas)
+    for k, check in enumerate(checks):
+        for q in check.parity_qubits:
+            fan.cnot(q, n + k)
+    fan = compile_circuit(fan)
     streams = split_rng(rng, shots)
     values = np.empty(shots)
     accepted = np.zeros(shots, dtype=bool)
@@ -358,10 +370,7 @@ def stabiliser_postselect(circuit: Circuit, theta: Sequence[float] | None,
         joint = np.zeros((1 << ancillas) * dim_s, dtype=complex)
         joint[:dim_s] = psi.amplitudes
         state = StateVector(joint, n + ancillas)
-        for k, check in enumerate(checks):
-            for q in check.parity_qubits:
-                state = apply_gate(state, Gate("cnot", (q, n + k)))
-        blocks = state.amplitudes.reshape(1 << ancillas, dim_s)
+        blocks = fan.run(None, state.amplitudes).reshape(1 << ancillas, dim_s)
         weights = np.sum(np.abs(blocks) ** 2, axis=1)
         probabilities = weights / weights.sum()
         passed = [k for k in members if target ==

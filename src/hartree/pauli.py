@@ -5,10 +5,18 @@ the letter on qubit q contains an X factor, bit q of ``z`` a Z factor, both set
 mean Y. Qubit 0 is the rightmost / least-significant position throughout.
 Multiplication, commutation and state application then reduce to integer
 bit operations with an i^k phase bookkeeping.
+
+Applying a string to a register of ``dim`` amplitudes is a gather: output
+amplitude i reads input amplitude i ^ x and picks up a sign from the parity of
+(i ^ x) & z. The gather index and sign vector of a string are computed once
+per register width and kept in one shared cache of at most ``TABLE_BYTES``;
+a sum keeps the stacked tables of all its terms on itself when they fit
+under the same ceiling. Tables larger than the ceiling are computed per call.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -16,6 +24,9 @@ import numpy as np
 
 DROP_TOLERANCE = 1e-12
 DENSE_QUBIT_LIMIT = 14
+TABLE_BYTES = 8 << 20
+# One gather index and one complex sign per amplitude.
+TABLE_ITEM_BYTES = np.dtype(np.intp).itemsize + np.dtype(complex).itemsize
 
 _PHASES = np.array([1, 1j, -1, -1j])
 
@@ -34,6 +45,50 @@ class NonHermitian(ValueError):
 
 def _popcount(n: int) -> int:
     return bin(n).count("1")
+
+
+def _tables(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index i ^ x and the sign (-1)^|(i ^ x) & z| of output amplitude i."""
+    idx = np.arange(dim) ^ x
+    return idx, _PHASES[2 * (np.bitwise_count(idx & z) & 1)]
+
+
+class _TableCache:
+    """Gather index and phased sign vector per (x, z, width), holding at most
+    ``limit`` bytes of tables; the oldest entries make room for new ones."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self._entries: dict[tuple[int, int, int],
+                            tuple[np.ndarray, np.ndarray]] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        key = (x, z, dim)
+        tables = self._entries.get(key)
+        if tables is not None:
+            return tables
+        idx, signs = _tables(x, z, dim)
+        tables = idx, (1j ** _popcount(x & z)) * signs
+        cost = dim * TABLE_ITEM_BYTES
+        if cost > self.limit:
+            return tables
+        with self._lock:
+            if key not in self._entries:
+                while self.nbytes + cost > self.limit:
+                    oldest = next(iter(self._entries))
+                    self._entries.pop(oldest)
+                    self.nbytes -= oldest[2] * TABLE_ITEM_BYTES
+                self._entries[key] = tables
+                self.nbytes += cost
+        return tables
+
+
+STRING_TABLES = _TableCache(TABLE_BYTES)
 
 
 class PauliString:
@@ -89,15 +144,16 @@ class PauliString:
         support = self.x | self.z
         return [q for q in range(support.bit_length()) if support >> q & 1]
 
+    def tables(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """(gather index, i^k-phased signs) on ``dim`` amplitudes, shared."""
+        if (self.x | self.z) >= dim:
+            raise DimensionMismatch(f"{self} exceeds {dim}-dim state")
+        return STRING_TABLES.get(self.x, self.z, dim)
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Return P|psi> for a statevector of matching dimension."""
-        if (self.x | self.z) >= psi.shape[0]:
-            raise DimensionMismatch(f"{self} exceeds {psi.shape[0]}-dim state")
-        cols = np.arange(psi.shape[0], dtype=np.uint64)
-        signs = _PHASES[2 * (np.bitwise_count(cols & np.uint64(self.z)) & 1)]
-        out = np.empty_like(psi, dtype=complex)
-        out[cols ^ np.uint64(self.x)] = (1j ** _popcount(self.x & self.z)) * signs * psi
-        return out
+        idx, phased = self.tables(psi.shape[0])
+        return phased * psi[idx]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PauliString) and self.x == other.x and self.z == other.z
@@ -149,10 +205,11 @@ class PauliSum:
 
     Construction merges duplicates, drops |coeff| < tol and fixes a
     deterministic term order (lexicographic on the textual string form).
-    Instances are immutable; arithmetic returns new sums.
+    Instances are immutable; arithmetic returns new sums. Each instance keeps
+    the stacked tables of its H*psi per register width it was applied to.
     """
 
-    __slots__ = ("_terms", "_n_qubits")
+    __slots__ = ("_terms", "_n_qubits", "_tables")
 
     def __init__(self,
                  terms: Mapping[PauliString, complex] | Iterable[PauliTerm] | None = None,
@@ -174,6 +231,7 @@ class PauliSum:
         if n_qubits is not None and n_qubits < inferred:
             raise DimensionMismatch(f"declared {n_qubits} qubits, terms need {inferred}")
         object.__setattr__(self, "_n_qubits", n_qubits if n_qubits is not None else inferred)
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, *_):
         raise AttributeError("PauliSum is immutable")
@@ -261,19 +319,51 @@ def canonicalize(s: PauliSum, tol: float = DROP_TOLERANCE) -> PauliSum:
     return PauliSum(dict(s.items()), n_qubits=s.n_qubits or None, tol=tol)
 
 
-def apply_to_statevector(s: PauliSum, psi: np.ndarray) -> np.ndarray:
-    """S|psi> computed term-wise in O(terms * 2^n)."""
-    dim = psi.shape[0]
-    cols = np.arange(dim, dtype=np.uint64)
-    out = np.zeros(dim, dtype=complex)
+def _weighted_terms(s: PauliSum, dim: int
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(gather index, coeff * i^k * signs) per term, in term order."""
     for string, coeff in s.items():
         if (string.x | string.z) >= dim:
             raise DimensionMismatch(f"term {string} exceeds {dim}-dim state")
-        signs = _PHASES[2 * (np.bitwise_count(cols & np.uint64(string.z)) & 1)]
-        phase = coeff * 1j ** _popcount(string.x & string.z)
-        # XOR with a fixed mask is a bijection, so indices never collide
-        out[cols ^ np.uint64(string.x)] += phase * signs * psi
-    return out
+        idx, signs = _tables(string.x, string.z, dim)
+        yield idx, (coeff * 1j ** _popcount(string.x & string.z)) * signs
+
+
+def _sum_tables(s: PauliSum, dim: int
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Stacked (terms, dim) gather indices and weights, kept on the instance;
+    None when they would exceed TABLE_BYTES."""
+    kept = s._tables
+    if dim in kept:
+        return kept[dim]
+    if len(s) * dim * TABLE_ITEM_BYTES > TABLE_BYTES:
+        return None
+    index = np.empty((len(s), dim), dtype=np.intp)
+    weights = np.empty((len(s), dim), dtype=complex)
+    for t, (idx, w) in enumerate(_weighted_terms(s, dim)):
+        index[t], weights[t] = idx, w
+    kept[dim] = index, weights
+    return kept[dim]
+
+
+def apply_to_statevector(s: PauliSum, psi: np.ndarray) -> np.ndarray:
+    """S|psi> computed term-wise in O(terms * 2^n).
+
+    Term t adds w_t[i] * psi[i ^ x_t] to amplitude i, in term order from
+    zero. Below TABLE_BYTES the terms are gathered as one (terms, dim) block
+    whose rows are summed in order; above it each term is formed per call.
+    """
+    dim = psi.shape[0]
+    tables = _sum_tables(s, dim)
+    if tables is None:
+        out = np.zeros(dim, dtype=complex)
+        for idx, weights in _weighted_terms(s, dim):
+            out += weights * psi[idx]
+        return out
+    index, weights = tables
+    # Reducing over the leading axis of a C-ordered block adds whole rows one
+    # after another, the same additions as the per-term loop above.
+    return np.add.reduce(weights * psi[index], axis=0, initial=0j)
 
 
 def to_matrix(s: PauliSum, n: int | None = None) -> np.ndarray:
@@ -285,12 +375,10 @@ def to_matrix(s: PauliSum, n: int | None = None) -> np.ndarray:
     if n < s.n_qubits:
         raise DimensionMismatch(f"sum acts on {s.n_qubits} qubits, asked for {n}")
     dim = 1 << n
-    cols = np.arange(dim, dtype=np.uint64)
+    rows = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for string, coeff in s.items():
-        signs = _PHASES[2 * (np.bitwise_count(cols & np.uint64(string.z)) & 1)]
-        phase = coeff * 1j ** _popcount(string.x & string.z)
-        out[cols ^ np.uint64(string.x), cols] += phase * signs
+    for idx, weights in _weighted_terms(s, dim):
+        out[rows, idx] += weights
     return out
 
 

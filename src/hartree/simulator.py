@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -50,6 +50,7 @@ ROTATION_AXES = {"rx": FIXED_SINGLE["x"], "ry": FIXED_SINGLE["y"], "rz": FIXED_S
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
+PAIR_MATRICES = {"cnot": CNOT_MATRIX, "cz": CZ_MATRIX}
 
 
 class BadTarget(ValueError):
@@ -163,6 +164,20 @@ class Gate:
         return tuple(sorted(touched))
 
 
+def _checked_support(gate: Gate, n: int) -> tuple[int, ...]:
+    """The gate's support, once its targets are checked against n qubits."""
+    if len(set(gate.targets)) != len(gate.targets):
+        raise BadTarget(f"repeated target in {gate.targets}")
+    support = gate.support()
+    for q in support:
+        if not 0 <= q < n:
+            raise BadTarget(f"target {q} outside register of {n}")
+    if gate.kind == "cexp" and gate.string is not None:
+        if gate.targets[0] in gate.string.indices():
+            raise BadTarget("control qubit overlaps the exponential's support")
+    return support
+
+
 @dataclass
 class Circuit:
     """Ordered gate list over a fixed-width register."""
@@ -171,14 +186,7 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def add(self, gate: Gate) -> "Circuit":
-        if len(set(gate.targets)) != len(gate.targets):
-            raise BadTarget(f"repeated target in {gate.targets}")
-        for q in gate.support():
-            if not 0 <= q < self.n_qubits:
-                raise BadTarget(f"target {q} outside register of {self.n_qubits}")
-        if gate.kind == "cexp" and gate.string is not None:
-            if gate.targets[0] in gate.string.indices():
-                raise BadTarget("control qubit overlaps the exponential's support")
+        _checked_support(gate, self.n_qubits)
         self.gates.append(gate)
         return self
 
@@ -233,73 +241,170 @@ class Circuit:
         return max(slots) + 1
 
 
-# ------------------------------------------------------------ raw kernel moves
+# ---------------------------------------------------------- compiled circuits
 
 
-def _apply_single(amps: np.ndarray, n: int, q: int, u: np.ndarray) -> np.ndarray:
-    axis = n - 1 - q
-    moved = np.moveaxis(amps.reshape((2,) * n), axis, 0)
-    out = (u @ moved.reshape(2, -1)).reshape(moved.shape)
-    return np.moveaxis(out, 0, axis).reshape(-1)
+EYE2 = np.eye(2)
+
+Kernel = Callable[[np.ndarray, "float | None"], np.ndarray]
 
 
-def _apply_pair(amps: np.ndarray, n: int, q_hi: int, q_lo: int,
-                u: np.ndarray) -> np.ndarray:
-    """4x4 unitary on (q_hi, q_lo) in the basis |b_hi b_lo> = 00,01,10,11."""
-    hi, lo = n - 1 - q_hi, n - 1 - q_lo
-    moved = np.moveaxis(amps.reshape((2,) * n), (hi, lo), (0, 1))
-    out = (u @ moved.reshape(4, -1)).reshape(moved.shape)
-    return np.moveaxis(out, (0, 1), (hi, lo)).reshape(-1)
+def _moveaxis_order(ndim: int, source: tuple[int, ...],
+                    destination: tuple[int, ...]) -> tuple[int, ...]:
+    """The axis permutation np.moveaxis(a, source, destination) transposes by."""
+    order = [axis for axis in range(ndim) if axis not in source]
+    for dest, src in sorted(zip(destination, source)):
+        order.insert(dest, src)
+    return tuple(order)
 
 
-def _pauli_exp_amps(amps: np.ndarray, string: PauliString, phi: float) -> np.ndarray:
-    if string.is_identity:
-        return np.exp(1j * phi) * amps
-    return math.cos(phi) * amps + 1j * math.sin(phi) * string.apply(amps)
+def _matrix_kernel(n: int, qubits: tuple[int, ...]
+                   ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """u acting on ``qubits``, the first the most significant basis bit.
 
+    The qubits' axes are moved to the front, the rest flattened, and the
+    product u @ block moved back: the same transposes and copies as
+    np.moveaxis, with the axis orders fixed once.
+    """
+    axes = tuple(n - 1 - q for q in qubits)
+    front = tuple(range(len(axes)))
+    forward, back = _moveaxis_order(n, axes, front), _moveaxis_order(n, front, axes)
+    shape, rows = (2,) * n, 1 << len(axes)
 
-def _control_mask(n: int, control: int) -> np.ndarray:
-    return (np.arange(1 << n) >> control) & 1 == 1
+    def apply(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
+        moved = amps.reshape(shape).transpose(forward)
+        out = (u @ moved.reshape(rows, -1)).reshape(moved.shape)
+        return out.transpose(back).reshape(-1)
+    return apply
 
 
 def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     half = angle / 2.0
-    return math.cos(half) * np.eye(2) - 1j * math.sin(half) * axis
+    return math.cos(half) * EYE2 - 1j * math.sin(half) * axis
+
+
+def _exp_kernel(string: PauliString, dim: int) -> Kernel:
+    """exp(i phi P) = cos(phi) I + i sin(phi) P on ``dim`` amplitudes."""
+    if string.is_identity:
+        return lambda amps, phi: np.exp(1j * phi) * amps
+
+    def apply(amps: np.ndarray, phi: float) -> np.ndarray:
+        idx, phased = string.tables(dim)
+        return math.cos(phi) * amps + 1j * math.sin(phi) * (phased * amps[idx])
+    return apply
+
+
+def _compile_gate(gate: Gate, n: int
+                  ) -> tuple[tuple[int, ...], Kernel, Kernel, Callable | None]:
+    """(support, kernel, inverse kernel, angle resolver or None).
+
+    Kernels take the resolved angle; the inverse of T is Rz(-pi/4), which
+    differs from it by a global phase.
+    """
+    support = _checked_support(gate, n)
+    kind = gate.kind
+    if kind in PAIR_MATRICES:
+        move, u = _matrix_kernel(n, gate.targets), PAIR_MATRICES[kind]
+        kernel = lambda amps, phi: move(amps, u)
+        return support, kernel, kernel, None
+    if kind in FIXED_SINGLE:
+        move, u = _matrix_kernel(n, gate.targets[:1]), FIXED_SINGLE[kind]
+        kernel = lambda amps, phi: move(amps, u)
+        if kind != "t":
+            return support, kernel, kernel, None
+        undo = _rotation(ROTATION_AXES["rz"], -math.pi / 4)
+        return support, kernel, lambda amps, phi: move(amps, undo), None
+    if kind in ROTATION_AXES:
+        move, axis = _matrix_kernel(n, gate.targets[:1]), ROTATION_AXES[kind]
+        kernel = lambda amps, phi: move(amps, _rotation(axis, phi))
+    elif kind == "exp":
+        kernel = _exp_kernel(gate.string, 1 << n)
+    elif kind == "cexp":
+        evolve = _exp_kernel(gate.string, 1 << n)
+        mask = (np.arange(1 << n) >> gate.targets[0]) & 1 == 1
+        kernel = lambda amps, phi: np.where(mask, evolve(amps, phi), amps)
+    else:
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return support, kernel, lambda amps, phi: kernel(amps, -phi), gate.resolve_angle
+
+
+class CompiledCircuit:
+    """Gates resolved once into kernels over an n-qubit register.
+
+    Compiling validates every target and fixes each gate's support, the axis
+    orders of its matrix product and the control mask of a controlled
+    exponential; running resolves the angles against ``theta`` and calls the
+    kernels, which read Pauli tables from the shared ``STRING_TABLES``. No
+    kernel modifies its input array.
+    """
+
+    def __init__(self, gates: Sequence[Gate], n: int):
+        self.gates = tuple(gates)
+        self.n = n
+        compiled = [_compile_gate(gate, n) for gate in self.gates]
+        self.supports = tuple(support for support, *_ in compiled)
+        self._kernels = [(kernel, resolve) for _, kernel, _, resolve in compiled]
+        self._inverses = [inverse for _, _, inverse, _ in compiled]
+
+    def run(self, theta: Sequence[float] | None, amps: np.ndarray,
+            start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Amplitudes after gates start..stop-1, starting from ``amps``."""
+        for kernel, resolve in self._kernels[start:stop]:
+            amps = kernel(amps, resolve and resolve(theta))
+        return amps
+
+    def sweep(self, theta: Sequence[float] | None,
+              amps: np.ndarray) -> Iterator[np.ndarray]:
+        """The amplitudes after each gate in turn."""
+        for kernel, resolve in self._kernels:
+            amps = kernel(amps, resolve and resolve(theta))
+            yield amps
+
+    def undo(self, index: int, theta: Sequence[float] | None,
+             amps: np.ndarray) -> np.ndarray:
+        """Amplitudes after the inverse of gate ``index`` (up to a global
+        phase for T)."""
+        resolve = self._kernels[index][1]
+        return self._inverses[index](amps, resolve and resolve(theta))
+
+    def trajectories(self, theta: Sequence[float] | None,
+                     kicks: Sequence[Sequence[tuple[int, PauliString]]],
+                     psi0: StateVector | None = None
+                     ) -> Iterator[tuple[list[int], StateVector]]:
+        """Final state of every trajectory, given its kicks in circuit order.
+
+        A kick (g, P) applies the Pauli P right after gate g. One noiseless
+        sweep runs the circuit; a trajectory branches off it at the gate of
+        its first kick and runs the rest of the circuit on its own, and all
+        error-free trajectories share the sweep's final state. Yields
+        (trajectory indices, state) once per distinct final state.
+        """
+        branching: dict[int | None, list[int]] = {}
+        for k, events in enumerate(kicks):
+            branching.setdefault(events[0][0] if events else None, []).append(k)
+        amps = StateVector.zero(self.n).amplitudes if psi0 is None \
+            else psi0.amplitudes
+        for first, amps in enumerate(self.sweep(theta, amps)):
+            for k in branching.get(first, ()):
+                branch, at = amps, first
+                for index, error in kicks[k]:
+                    branch = error.apply(self.run(theta, branch, at + 1, index + 1))
+                    at = index
+                yield [k], StateVector(self.run(theta, branch, at + 1), self.n)
+        if None in branching:
+            yield branching[None], StateVector(amps, self.n)
+
+
+def compile_circuit(circuit: Circuit, n: int | None = None) -> CompiledCircuit:
+    """Compile for an n-qubit register, by default the circuit's own."""
+    return CompiledCircuit(circuit.gates, circuit.n_qubits if n is None else n)
 
 
 def apply_gate(psi: StateVector, gate: Gate,
                theta: Sequence[float] | None = None) -> StateVector:
     """Return the state after one gate; ``psi`` is not modified."""
-    for q in gate.support():
-        if not 0 <= q < psi.n:
-            raise BadTarget(f"target {q} outside register of {psi.n}")
-    amps, n = psi.amplitudes, psi.n
-    if gate.kind in FIXED_SINGLE:
-        out = _apply_single(amps, n, gate.targets[0], FIXED_SINGLE[gate.kind])
-    elif gate.kind in ROTATION_AXES:
-        u = _rotation(ROTATION_AXES[gate.kind], gate.resolve_angle(theta))
-        out = _apply_single(amps, n, gate.targets[0], u)
-    elif gate.kind == "cnot":
-        control, target = gate.targets
-        if control == target:
-            raise BadTarget("control equals target")
-        out = _apply_pair(amps, n, control, target, CNOT_MATRIX)
-    elif gate.kind == "cz":
-        control, target = gate.targets
-        if control == target:
-            raise BadTarget("control equals target")
-        out = _apply_pair(amps, n, control, target, CZ_MATRIX)
-    elif gate.kind == "exp":
-        out = _pauli_exp_amps(amps, gate.string, gate.resolve_angle(theta))
-    elif gate.kind == "cexp":
-        control = gate.targets[0]
-        if control in gate.string.indices():
-            raise BadTarget("control qubit overlaps the exponential's support")
-        evolved = _pauli_exp_amps(amps, gate.string, gate.resolve_angle(theta))
-        out = np.where(_control_mask(n, control), evolved, amps)
-    else:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
-    return StateVector(out, n)
+    return StateVector(CompiledCircuit([gate], psi.n).run(theta, psi.amplitudes),
+                       psi.n)
 
 
 def apply_pauli_exponential(psi: StateVector, string: PauliString,
@@ -307,16 +412,15 @@ def apply_pauli_exponential(psi: StateVector, string: PauliString,
     """exp(i phi P)|psi>, exact: cos(phi) I + i sin(phi) P."""
     if string.n_qubits > psi.n:
         raise BadTarget(f"{string} exceeds register of {psi.n}")
-    return StateVector(_pauli_exp_amps(psi.amplitudes, string, phi), psi.n)
+    return StateVector(_exp_kernel(string, 1 << psi.n)(psi.amplitudes, phi), psi.n)
 
 
 def run_circuit(circuit: Circuit, theta: Sequence[float] | None = None,
                 psi0: StateVector | None = None) -> StateVector:
     """Noiseless execution starting from |0...0> or a supplied state."""
     psi = StateVector.zero(circuit.n_qubits) if psi0 is None else psi0.copy()
-    for gate in circuit.gates:
-        psi = apply_gate(psi, gate, theta)
-    return psi
+    return StateVector(compile_circuit(circuit, psi.n).run(theta, psi.amplitudes),
+                       psi.n)
 
 
 def gate_unitary(gate: Gate, n: int,
@@ -324,10 +428,11 @@ def gate_unitary(gate: Gate, n: int,
     """Dense 2^n x 2^n realisation, column by column. Oracle-scale widths only."""
     if n > DENSE_QUBIT_LIMIT:
         raise TooManyQubits(f"{n} qubits exceeds the dense limit")
+    compiled = CompiledCircuit([gate], n)
     dim = 1 << n
     out = np.empty((dim, dim), dtype=complex)
     for j in range(dim):
-        out[:, j] = apply_gate(StateVector.basis(n, j), gate, theta).amplitudes
+        out[:, j] = compiled.run(theta, StateVector.basis(n, j).amplitudes)
     return out
 
 
@@ -345,10 +450,11 @@ def trotter_evolve(psi: StateVector, h: PauliSum, t: float,
         raise BadTarget(f"generator acts on {h.n_qubits} qubits, state has {psi.n}")
     dt = t / steps
     amps = psi.amplitudes
-    terms = list(h.items())
+    terms = [(_exp_kernel(string, 1 << psi.n), -coeff.real * dt)
+             for string, coeff in h.items()]
     for _ in range(steps):
-        for string, coeff in terms:
-            amps = _pauli_exp_amps(amps, string, -coeff.real * dt)
+        for kernel, phi in terms:
+            amps = kernel(amps, phi)
     return StateVector(amps, psi.n)
 
 
@@ -472,33 +578,9 @@ def trajectory_states(circuit: Circuit, theta: Sequence[float] | None,
                       kicks: Sequence[Sequence[tuple[int, PauliString]]],
                       psi0: StateVector | None = None
                       ) -> Iterator[tuple[list[int], StateVector]]:
-    """Final state of every trajectory, given its kicks in circuit order.
-
-    A kick (g, P) applies the Pauli P right after gate g. One noiseless
-    sweep runs the circuit; a trajectory branches off it at the gate of its
-    first kick and runs the rest of the circuit on its own, and all
-    error-free trajectories share the sweep's final state. Yields
-    (trajectory indices, state) once per distinct final state.
-    """
-    branching: dict[int | None, list[int]] = {}
-    for k, events in enumerate(kicks):
-        branching.setdefault(events[0][0] if events else None, []).append(k)
-    gates = circuit.gates
-    psi = StateVector.zero(circuit.n_qubits) if psi0 is None else psi0
-    for first, gate in enumerate(gates):
-        psi = apply_gate(psi, gate, theta)
-        for k in branching.get(first, ()):
-            branch, at = psi, first
-            for index, error in kicks[k]:
-                for later in gates[at + 1:index + 1]:
-                    branch = apply_gate(branch, later, theta)
-                at = index
-                branch = StateVector(error.apply(branch.amplitudes), psi.n)
-            for later in gates[at + 1:]:
-                branch = apply_gate(branch, later, theta)
-            yield [k], branch
-    if None in branching:
-        yield branching[None], psi
+    """``CompiledCircuit.trajectories`` of the circuit compiled for psi0."""
+    compiled = compile_circuit(circuit, None if psi0 is None else psi0.n)
+    return compiled.trajectories(theta, kicks, psi0)
 
 
 def noisy_states(circuit: Circuit, theta: Sequence[float] | None,
@@ -510,13 +592,15 @@ def noisy_states(circuit: Circuit, theta: Sequence[float] | None,
     Per noisy gate a stream draws a uniform number and, on a hit, one of the
     4^k - 1 non-identity Paulis on the gate's k support qubits.
     """
-    noisy = [(index, support, rate) for index, gate in enumerate(circuit.gates)
-             if (rate := noise.rate_for(len(support := gate.support()))) > 0]
+    compiled = compile_circuit(circuit, None if psi0 is None else psi0.n)
+    noisy = [(index, support, rate)
+             for index, support in enumerate(compiled.supports)
+             if (rate := noise.rate_for(len(support))) > 0]
     kicks = [[(index, _error_string(support,
                                     int(rng.integers(1, 4 ** len(support)))))
               for index, support, rate in noisy if rng.random() < rate]
              for rng in streams]
-    for members, psi in trajectory_states(circuit, theta, kicks, psi0):
+    for members, psi in compiled.trajectories(theta, kicks, psi0):
         yield members, psi.renormalized()
 
 
@@ -630,16 +714,17 @@ def qpe_distribution(psi: StateVector, h: PauliSum, n_ancilla: int,
             selected = (row_bits >> k) & 1 == 1
             joint[selected] = joint[selected] @ power.T
     else:
-        terms = list(scaled.items())
+        # Low-bit Pauli masks act identically on every ancilla row, so the
+        # selected half of the rows evolves as one flat array.
+        terms = [(_exp_kernel(string, dim_a // 2 * dim_s), coeff.real)
+                 for string, coeff in scaled.items()]
         for k in range(n_ancilla):
             selected = (row_bits >> k) & 1 == 1
             angle_scale = -2.0 * math.pi * (1 << k) / trotter_steps
-            # Low-bit Pauli masks act identically on every ancilla row, so the
-            # selected block evolves as one flat array.
             flat = joint[selected].reshape(-1)
             for _ in range(trotter_steps):
-                for string, coeff in terms:
-                    flat = _pauli_exp_amps(flat, string, angle_scale * coeff.real)
+                for kernel, weight in terms:
+                    flat = kernel(flat, angle_scale * weight)
             joint[selected] = flat.reshape(-1, dim_s)
 
     x = np.arange(dim_a)

@@ -16,7 +16,7 @@ that evaluates two modified-circuit inner products per parametrized gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,13 +27,12 @@ from .mitigation import noisy_expectation
 from .pauli import PauliString, PauliSum, apply_to_statevector, canonicalize
 from .simulator import (
     Circuit,
+    CompiledCircuit,
     Gate,
     NoiseModel,
     ShotEstimate,
     StateVector,
-    apply_gate,
     make_rng,
-    run_circuit,
     sample_expectation,
     split_rng,
 )
@@ -76,6 +75,8 @@ class Ansatz:
     circuit: Circuit
     reference_prep: list[Gate]
     family: str
+    _compiled: CompiledCircuit | None = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self):
         for gate in self.reference_prep:
@@ -93,10 +94,20 @@ class Ansatz:
     def combined(self) -> Circuit:
         return Circuit(self.n_qubits, list(self.reference_prep) + self.circuit.gates)
 
+    def compiled(self) -> CompiledCircuit:
+        """The combined circuit, compiled on first use and again only if
+        its gates or width have changed since."""
+        gates = (*self.reference_prep, *self.circuit.gates)
+        if (self._compiled is None or self._compiled.n != self.n_qubits
+                or self._compiled.gates != gates):
+            self._compiled = CompiledCircuit(gates, self.n_qubits)
+        return self._compiled
+
     def state(self, theta: Sequence[float]) -> StateVector:
         if len(theta) != self.n_params:
             raise ValueError(f"expected {self.n_params} parameters, got {len(theta)}")
-        return run_circuit(self.combined(), theta)
+        zero = StateVector.zero(self.n_qubits)
+        return StateVector(self.compiled().run(theta, zero.amplitudes), zero.n)
 
 
 def preparation_gates(occupation: OccupationVector,
@@ -330,18 +341,6 @@ def _gate_generator(gate: Gate) -> tuple[float, PauliString]:
     raise UnsupportedGate(f"cannot differentiate a parametrized {gate.kind} gate")
 
 
-def _inverse_gate(gate: Gate, theta: Sequence[float] | None) -> Gate:
-    if gate.kind in ("x", "y", "z", "h", "cnot", "cz"):
-        return gate
-    if gate.kind == "t":
-        # T and Rz(pi/4) differ by a global phase shared by both sweep states
-        return Gate("rz", gate.targets, angle=-math.pi / 4)
-    if gate.kind in ("rx", "ry", "rz", "exp", "cexp"):
-        return Gate(gate.kind, gate.targets, angle=-gate.resolve_angle(theta),
-                    string=gate.string)
-    raise UnsupportedGate(f"cannot invert gate kind {gate.kind!r}")
-
-
 def analytic_gradient(ansatz: Ansatz, theta: Sequence[float],
                       h: PauliSum) -> np.ndarray:
     """Exact dE/dtheta by a reverse sweep over the circuit.
@@ -351,23 +350,18 @@ def analytic_gradient(ansatz: Ansatz, theta: Sequence[float],
     2 Re <lambda| i w_g P_g |psi_g> at each parametrized gate. Occurrences
     sharing a parameter slot accumulate into one derivative entry.
     """
-    gates = ansatz.combined().gates
-    psi = StateVector.zero(ansatz.n_qubits)
-    states = [psi]
-    for gate in gates:
-        psi = apply_gate(psi, gate, theta)
-        states.append(psi)
+    compiled = ansatz.compiled()
+    states = [StateVector.zero(ansatz.n_qubits).amplitudes]
+    states.extend(compiled.sweep(theta, states[0]))
     gradient = np.zeros(ansatz.n_params)
-    lam = StateVector(apply_to_statevector(h, states[-1].amplitudes),
-                      ansatz.n_qubits)
-    for position in range(len(gates) - 1, -1, -1):
-        gate = gates[position]
+    lam = apply_to_statevector(h, states[-1])
+    for position in range(len(compiled.gates) - 1, -1, -1):
+        gate = compiled.gates[position]
         if gate.slot is not None:
             weight, string = _gate_generator(gate)
-            bracket = np.vdot(lam.amplitudes,
-                              string.apply(states[position + 1].amplitudes))
+            bracket = np.vdot(lam, string.apply(states[position + 1]))
             gradient[gate.slot] += 2.0 * (1j * weight * bracket).real
-        lam = apply_gate(lam, _inverse_gate(gate, theta), None)
+        lam = compiled.undo(position, theta, lam)
     return gradient
 
 

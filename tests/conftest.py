@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -83,3 +84,119 @@ def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260816)
+
+
+# ------------------------------------------- per-gate kernels, kept as oracles
+#
+# The statevector kernels as they ran before circuits were compiled: every
+# call re-derives the moved axes, the Pauli index and sign vector, and
+# scatters rather than gathers. The compiled kernels must match them bit for
+# bit.
+
+_PHASES = np.array([1, 1j, -1, -1j])
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+_FIXED = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "h": np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
+                  dtype=complex),
+    "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
+}
+_AXES = {"rx": _FIXED["x"], "ry": _FIXED["y"], "rz": _FIXED["z"]}
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                 dtype=complex)
+_CZ = np.diag([1, 1, 1, -1]).astype(complex)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape and identical IEEE bits, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def scatter_apply(string: PauliString, psi: np.ndarray) -> np.ndarray:
+    cols = np.arange(psi.shape[0], dtype=np.uint64)
+    signs = _PHASES[2 * (np.bitwise_count(cols & np.uint64(string.z)) & 1)]
+    out = np.empty_like(psi, dtype=complex)
+    out[cols ^ np.uint64(string.x)] = \
+        (1j ** bin(string.x & string.z).count("1")) * signs * psi
+    return out
+
+
+def scatter_apply_sum(s: PauliSum, psi: np.ndarray) -> np.ndarray:
+    dim = psi.shape[0]
+    cols = np.arange(dim, dtype=np.uint64)
+    out = np.zeros(dim, dtype=complex)
+    for string, coeff in s.items():
+        signs = _PHASES[2 * (np.bitwise_count(cols & np.uint64(string.z)) & 1)]
+        phase = coeff * 1j ** bin(string.x & string.z).count("1")
+        out[cols ^ np.uint64(string.x)] += phase * signs * psi
+    return out
+
+
+def scatter_to_matrix(s: PauliSum, n: int) -> np.ndarray:
+    dim = 1 << n
+    cols = np.arange(dim, dtype=np.uint64)
+    out = np.zeros((dim, dim), dtype=complex)
+    for string, coeff in s.items():
+        signs = _PHASES[2 * (np.bitwise_count(cols & np.uint64(string.z)) & 1)]
+        phase = coeff * 1j ** bin(string.x & string.z).count("1")
+        out[cols ^ np.uint64(string.x), cols] += phase * signs
+    return out
+
+
+def _apply_single(amps, n, q, u):
+    axis = n - 1 - q
+    moved = np.moveaxis(amps.reshape((2,) * n), axis, 0)
+    out = (u @ moved.reshape(2, -1)).reshape(moved.shape)
+    return np.moveaxis(out, 0, axis).reshape(-1)
+
+
+def _apply_pair(amps, n, q_hi, q_lo, u):
+    hi, lo = n - 1 - q_hi, n - 1 - q_lo
+    moved = np.moveaxis(amps.reshape((2,) * n), (hi, lo), (0, 1))
+    out = (u @ moved.reshape(4, -1)).reshape(moved.shape)
+    return np.moveaxis(out, (0, 1), (hi, lo)).reshape(-1)
+
+
+def pauli_exp_amps(amps, string: PauliString, phi: float) -> np.ndarray:
+    if string.is_identity:
+        return np.exp(1j * phi) * amps
+    return math.cos(phi) * amps + 1j * math.sin(phi) * scatter_apply(string, amps)
+
+
+def _rotation(axis, angle):
+    half = angle / 2.0
+    return math.cos(half) * np.eye(2) - 1j * math.sin(half) * axis
+
+
+def per_gate_apply(amps: np.ndarray, n: int, gate, theta=None) -> np.ndarray:
+    """One gate on raw amplitudes by the per-call kernels."""
+    if gate.kind in _FIXED:
+        return _apply_single(amps, n, gate.targets[0], _FIXED[gate.kind])
+    if gate.kind in _AXES:
+        u = _rotation(_AXES[gate.kind], gate.resolve_angle(theta))
+        return _apply_single(amps, n, gate.targets[0], u)
+    if gate.kind in ("cnot", "cz"):
+        control, target = gate.targets
+        return _apply_pair(amps, n, control, target,
+                           _CNOT if gate.kind == "cnot" else _CZ)
+    evolved = pauli_exp_amps(amps, gate.string, gate.resolve_angle(theta))
+    if gate.kind == "exp":
+        return evolved
+    mask = (np.arange(1 << n) >> gate.targets[0]) & 1 == 1
+    return np.where(mask, evolved, amps)
+
+
+def per_gate_inverse(gate, theta):
+    """The gate undoing ``gate`` at ``theta``, as the gradient sweep built it."""
+    from hartree.simulator import Gate
+
+    if gate.kind in ("x", "y", "z", "h", "cnot", "cz"):
+        return gate
+    if gate.kind == "t":
+        return Gate("rz", gate.targets, angle=-math.pi / 4)
+    return Gate(gate.kind, gate.targets, angle=-gate.resolve_angle(theta),
+                string=gate.string)

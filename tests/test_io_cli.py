@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from hartree.encoding import EncodingScheme, encode_operator
 from hartree.fermion import build_molecular_hamiltonian
@@ -156,6 +158,17 @@ class TestOracle:
     def test_sparse_path_above_the_dense_limit(self):
         h = PauliSum.from_text({f"Z{q}": 1.0 for q in range(15)}, n_qubits=15)
         assert abs(exact_eigensolve(h, k=1)[0] - (-15.0)) < 1e-8
+
+    def test_lanczos_start_is_fixed(self):
+        h = PauliSum.from_text({"Z0 Z1": 1.0, "X0": 0.6, "Y13 Y14": 0.3,
+                                "Z14": -0.4, "X7 X8": 0.2}, n_qubits=15)
+        first = exact_eigensolve(h, k=2)
+        # ARPACK's own start vector comes from a generator that every call
+        # without one advances.
+        other = scipy.sparse.random(300, 300, density=0.05, random_state=1)
+        scipy.sparse.linalg.eigsh(other + other.T, k=2, which="SA")
+        second = exact_eigensolve(h, k=2)
+        assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
 
     def test_too_many_qubits_rejected(self):
         h = PauliSum.from_text({"Z0": 1.0}, n_qubits=25)
@@ -446,6 +459,20 @@ class TestCli:
         document = json.loads(capsys.readouterr().out)
         assert document["config"]["optimizer"]["seed"] == 7
         assert abs(document["result"]["error_to_oracle"]) < 1e-6
+
+    @pytest.mark.parametrize("extra", [[], ["--shots", "100"]],
+                             ids=["exact", "shots"])
+    def test_vqe_repeats_byte_for_byte_in_one_process(self, tmp_path, extra):
+        # The document echoes --out, so both runs write the same path.
+        out = tmp_path / "vqe.json"
+        argv = ["vqe", "--fixture", H2_EQUILIBRIUM, *extra, "--seed", "7",
+                "--out", str(out)]
+        texts = []
+        for _ in range(2):
+            assert main(argv) == 0
+            texts.append(out.read_bytes())
+            out.unlink()
+        assert texts[0] == texts[1]
 
     def test_out_silences_stdout(self, capsys, tmp_path):
         out = tmp_path / "doc.json"

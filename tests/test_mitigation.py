@@ -1,6 +1,7 @@
 """Extrapolation, probabilistic cancellation, and stabiliser post-selection."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hartree.mitigation import (
     QuasiProbDecomposition,
     SignInconsistent,
     StabiliserCheck,
+    _choice_cdf,
     decomposition_for_noise,
     extrapolate_exponential,
     extrapolate_linear,
@@ -306,6 +308,20 @@ class TestPecDecomposition:
         assert set(decomps) == {1, 2}
         assert decomps[1].p == pytest.approx(0.04, abs=1e-15)
         assert decomps[2].p == pytest.approx(0.08, abs=1e-15)
+
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    @pytest.mark.parametrize("p", [0.004, 0.3])
+    def test_cdf_draws_replay_generator_choice(self, p, arity):
+        probabilities = np.array(
+            [prob for _, prob, _ in pec_decompose_depolarizing(p, arity).entries])
+        cdf = _choice_cdf(probabilities)
+        for seed in range(200):
+            ours, oracle = make_rng(seed), make_rng(seed)
+            for _ in range(50):
+                assert bisect_right(cdf, ours.random()) == \
+                    oracle.choice(len(probabilities), p=probabilities)
+            assert ours.bit_generator.state == oracle.bit_generator.state
 
 
 class TestPecEstimate:

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hartree import pauli
 from hartree.pauli import (
+    STRING_TABLES,
+    TABLE_BYTES,
+    TABLE_ITEM_BYTES,
     DimensionMismatch,
     NonHermitian,
     PauliString,
@@ -21,7 +25,16 @@ from hartree.pauli import (
     to_matrix,
 )
 
-from conftest import kron_string_matrix, kron_sum_matrix, random_pauli_string, random_state
+from conftest import (
+    kron_string_matrix,
+    kron_sum_matrix,
+    random_pauli_string,
+    random_state,
+    same_bits,
+    scatter_apply,
+    scatter_apply_sum,
+    scatter_to_matrix,
+)
 
 
 def term(text: str, coeff: complex = 1.0) -> PauliTerm:
@@ -203,6 +216,75 @@ def test_commutes_symmetric_property(pair):
     phase_ba, s_ba = mul_strings(b, a)
     assert s_ab == s_ba
     assert (phase_ab == phase_ba) == commutes(a, b)
+
+
+@given(st.dictionaries(pauli_text, st.complex_numbers(max_magnitude=10, allow_nan=False),
+                       max_size=8),
+       st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_apply_matches_the_scatter_loop_bit_for_bit(entries, extra, seed):
+    s = PauliSum.from_text(entries)
+    n = max(s.n_qubits, 1) + extra  # a register wider than the sum needs
+    parts = np.random.default_rng(seed).normal(size=(2, 1 << n))
+    psi = parts[0] + 1j * parts[1]
+    assert same_bits(apply_to_statevector(s, psi), scatter_apply_sum(s, psi))
+    for string in s.strings():
+        assert same_bits(string.apply(psi), scatter_apply(string, psi))
+    assert same_bits(to_matrix(s, n), scatter_to_matrix(s, n))
+
+
+class TestTables:
+    def test_warm_tables_give_the_cold_bits(self, rng):
+        entries = {"X0 Y2": 0.3 - 0.1j, "Z1": -1.2, "Y0 X1 Z3": 0.25j, "I": 0.7}
+        psi = random_state(rng, 4)
+        cold = apply_to_statevector(PauliSum.from_text(entries), psi)
+        s = PauliSum.from_text(entries)
+        first, warm = apply_to_statevector(s, psi), apply_to_statevector(s, psi)
+        assert same_bits(first, cold) and same_bits(warm, cold)
+        assert same_bits(cold, scatter_apply_sum(s, psi))
+
+    def test_per_call_path_gives_the_tabled_bits(self, rng, monkeypatch):
+        s = PauliSum.from_text({"X0 Y2": 0.3 - 0.1j, "Z1 X3": -1.2, "I": 0.7})
+        psi = random_state(rng, 5)
+        tabled = apply_to_statevector(s, psi)
+        monkeypatch.setattr(pauli, "TABLE_BYTES", 0)
+        fresh = PauliSum.from_text({"X0 Y2": 0.3 - 0.1j, "Z1 X3": -1.2, "I": 0.7})
+        assert same_bits(apply_to_statevector(fresh, psi), tabled)
+        assert fresh._tables == {}
+
+    def test_register_above_the_ceiling_is_computed_per_call(self, rng):
+        n = 16
+        s = PauliSum.from_text({f"X{q} Z{q + 1}": 0.1 * (q + 1) for q in range(6)},
+                               n_qubits=n)
+        assert len(s) * (1 << n) * TABLE_ITEM_BYTES > TABLE_BYTES
+        psi = random_state(rng, n)
+        cached, nbytes = len(STRING_TABLES), STRING_TABLES.nbytes
+        got = apply_to_statevector(s, psi)
+        assert s._tables == {}
+        assert (len(STRING_TABLES), STRING_TABLES.nbytes) == (cached, nbytes)
+        assert same_bits(got, scatter_apply_sum(s, psi))
+
+    def test_tables_below_the_ceiling_are_kept(self, rng):
+        s = PauliSum.from_text({"X0 Z1": 0.5, "Y1": -0.25})
+        apply_to_statevector(s, random_state(rng, 3))
+        index, weights = s._tables[8]
+        assert index.shape == weights.shape == (2, 8)
+
+    def test_string_cache_evicts_the_oldest_under_its_limit(self):
+        cache = pauli._TableCache(limit=3 * 16 * TABLE_ITEM_BYTES)
+        for q in range(4):
+            cache.get(1 << q, 0, 16)
+        assert len(cache) == 3 and cache.nbytes == cache.limit
+        assert [key[0] for key in cache._entries] == [2, 4, 8]
+        idx, phased = cache.get(1, 1, 1 << 10)
+        assert idx.shape == phased.shape == (1 << 10,)
+        assert len(cache) == 3 and cache.nbytes == cache.limit
+        assert same_bits(phased * np.arange(1024.0)[idx],
+                         scatter_apply(PauliString(1, 1), np.arange(1024.0)))
+
+    def test_string_tables_reject_a_narrow_register(self):
+        with pytest.raises(DimensionMismatch):
+            PauliString.from_text("X3").apply(np.ones(8))
 
 
 def test_textual_round_trip():

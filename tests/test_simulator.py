@@ -7,7 +7,13 @@ import pytest
 import scipy.linalg
 from scipy.optimize import minimize_scalar
 
-from conftest import random_state
+from conftest import (
+    per_gate_apply,
+    per_gate_inverse,
+    random_state,
+    same_bits,
+    scatter_apply,
+)
 from hartree.encoding import JW, PARITY, EncodingScheme, encode_operator
 from hartree.fermion import build_molecular_hamiltonian
 from hartree.io_cli import load_fixture
@@ -16,6 +22,7 @@ from hartree.reduction import sector_for, taper_two_qubits
 from hartree.simulator import (
     BadTarget,
     Circuit,
+    CompiledCircuit,
     EnergyWindow,
     Gate,
     NoiseModel,
@@ -25,6 +32,7 @@ from hartree.simulator import (
     adiabatic_prepare,
     apply_gate,
     apply_pauli_exponential,
+    compile_circuit,
     default_window,
     density_matrix_reference,
     expectation_from_density,
@@ -136,6 +144,114 @@ def test_bad_targets_rejected():
         apply_gate(StateVector.zero(1), Gate("h", (3,)))
     with pytest.raises(BadTarget):
         Circuit(3).cexp(0, PauliString.from_text("X0 Z1"))
+
+
+# ------------------------------------------------------ compiled vs per-gate
+
+
+def every_gate(n: int, rng: np.random.Generator) -> list[Gate]:
+    """Every gate kind on every target position of an n-qubit register."""
+    gates = []
+    for q in range(n):
+        gates += [Gate(kind, (q,)) for kind in ("x", "y", "z", "h", "t")]
+        for kind in ("rx", "ry", "rz"):
+            gates += [Gate(kind, (q,), slot=0, scale=-0.7),
+                      Gate(kind, (q,), angle=float(rng.uniform(-3, 3)))]
+    for a in range(n):
+        gates += [Gate(kind, (a, b)) for b in range(n) if b != a
+                  for kind in ("cnot", "cz")]
+    gates.append(Gate("exp", (), angle=0.37, string=PauliString()))
+    for _ in range(4):
+        string = PauliString(int(rng.integers(1, 1 << n)),
+                             int(rng.integers(0, 1 << n)))
+        gates.append(Gate("exp", (), slot=0, scale=1.3, string=string))
+    for control in range(n):
+        others = ((1 << n) - 1) ^ (1 << control)
+        string = PauliString(int(rng.integers(0, 1 << n)) & others,
+                             int(rng.integers(0, 1 << n)) & others)
+        gates.append(Gate("cexp", (control,), slot=0, scale=0.6, string=string))
+    return gates
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_compiled_gates_match_per_gate_kernels_bit_for_bit(n):
+    rng = make_rng(700 + n)
+    psi = random_state(rng, n)
+    before = psi.copy()
+    theta = [0.83]
+    for gate in every_gate(n, rng):
+        want = per_gate_apply(psi, n, gate, theta)
+        assert same_bits(apply_gate(StateVector(psi, n), gate, theta).amplitudes,
+                         want), gate
+        compiled = CompiledCircuit([gate], n)
+        assert same_bits(compiled.run(theta, psi), want), gate
+        undone = per_gate_apply(psi, n, per_gate_inverse(gate, theta))
+        assert same_bits(compiled.undo(0, theta, psi), undone), gate
+    assert same_bits(psi, before)
+
+
+def test_gate_unitary_columns_are_the_per_gate_images():
+    rng = make_rng(41)
+    for gate in every_gate(3, rng)[::5]:
+        unitary = gate_unitary(gate, 3, [0.4])
+        for j in range(8):
+            column = per_gate_apply(StateVector.basis(3, j).amplitudes, 3,
+                                    gate, [0.4])
+            assert same_bits(unitary[:, j], column), gate
+
+
+def test_compiled_trajectories_match_per_gate_kernels_bit_for_bit():
+    circuit, theta = mixed_circuit(), [0.3, -0.7]
+    rng = make_rng(8)
+    kicks = []
+    for _ in range(40):
+        at = sorted(int(g) for g in rng.integers(0, len(circuit.gates),
+                                                  size=rng.integers(0, 4)))
+        kicks.append([(g, PauliString(int(rng.integers(0, 8)),
+                                      int(rng.integers(0, 8)))) for g in at])
+    psi0 = random_state(make_rng(99), 3)
+    finals = {}
+    for members, psi in trajectory_states(circuit, theta, kicks,
+                                          StateVector(psi0, 3)):
+        finals.update(dict.fromkeys(members, psi.amplitudes))
+    for k, events in enumerate(kicks):
+        amps = psi0
+        for index, gate in enumerate(circuit.gates):
+            amps = per_gate_apply(amps, 3, gate, theta)
+            for at, error in events:
+                if at == index:
+                    amps = scatter_apply(error, amps)
+        assert same_bits(finals[k], amps), k
+
+
+def test_circuit_run_matches_per_gate_loop_bit_for_bit():
+    circuit, theta = mixed_circuit(), [0.3, -0.7]
+    amps = StateVector.zero(3).amplitudes
+    for gate in circuit.gates:
+        amps = per_gate_apply(amps, 3, gate, theta)
+    assert same_bits(run_circuit(circuit, theta).amplitudes, amps)
+    compiled = compile_circuit(circuit)
+    assert compiled.supports == tuple(g.support() for g in circuit.gates)
+    assert same_bits(compiled.run(theta, StateVector.zero(3).amplitudes), amps)
+
+
+@pytest.mark.parametrize("gate", [
+    Gate("h", (3,)),
+    Gate("rx", (-1,), angle=0.2),
+    Gate("cnot", (1, 1)),
+    Gate("cz", (0, 5)),
+    Gate("exp", (), angle=0.1, string=PauliString.from_text("X0 Y4")),
+    Gate("cexp", (1,), angle=0.1, string=PauliString.from_text("X0 Z1")),
+], ids=["outside", "negative", "repeated", "pair-outside", "exp-outside",
+        "control-in-support"])
+def test_compile_rejects_bad_targets(gate):
+    with pytest.raises(BadTarget):
+        CompiledCircuit([Gate("h", (0,)), gate], 3)
+
+
+def test_compile_rejects_unknown_kinds():
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        CompiledCircuit([Gate("swap", (0, 1))], 2)
 
 
 # --------------------------------------------------------- Pauli exponentials

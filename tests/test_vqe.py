@@ -3,6 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import (
+    per_gate_apply,
+    per_gate_inverse,
+    same_bits,
+    scatter_apply,
+    scatter_apply_sum,
+)
 from hartree.encoding import JW, PARITY, EncodingScheme, encode_operator, encode_state
 from hartree.fermion import (
     FermionSum,
@@ -15,7 +22,7 @@ from hartree.fermion import (
 from hartree.io_cli import load_fixture
 from hartree.pauli import PauliString, PauliSum, canonicalize, to_matrix
 from hartree.reduction import sector_for, taper_two_qubits
-from hartree.simulator import Circuit, Gate, NoiseModel, make_rng
+from hartree.simulator import Circuit, Gate, NoiseModel, StateVector, make_rng
 from hartree.vqe import (
     GRADIENT_DESCENT,
     HAMILTONIAN_VARIATIONAL,
@@ -361,6 +368,74 @@ class TestGradient:
 
 
 # -------------------------------------------------------------------- penalty
+
+
+def all_families(h2) -> list[Ansatz]:
+    ints, scheme, ferm, _, _ = h2
+    hf = hf_occupation(ints)
+    occupied = hf.occupied()
+    virtual = [p for p in range(4) if p not in occupied]
+    prep = preparation_gates(hf, scheme)
+    return [build_uccsd(uccsd_generators(4, occupied, virtual), scheme, hf),
+            build_hardware_efficient(4, 2),
+            build_hardware_efficient(3, 1, entangler="cz"),
+            build_hamiltonian_variational(
+                HamiltonianParts.from_fermion(ferm, scheme), 2, prep),
+            build_ldca(4, 1)]
+
+
+def per_gate_gradient(ansatz: Ansatz, theta, h: PauliSum) -> np.ndarray:
+    """The reverse sweep gate by gate with the per-call kernels."""
+    n, gates = ansatz.n_qubits, ansatz.combined().gates
+    states = [StateVector.zero(n).amplitudes]
+    for gate in gates:
+        states.append(per_gate_apply(states[-1], n, gate, theta))
+    gradient = np.zeros(ansatz.n_params)
+    lam = scatter_apply_sum(h, states[-1])
+    for position in range(len(gates) - 1, -1, -1):
+        gate = gates[position]
+        if gate.slot is not None:
+            if gate.kind == "exp":
+                weight, string = gate.scale, gate.string
+            else:
+                weight = -gate.scale / 2.0
+                string = PauliString.single(gate.kind[1].upper(), gate.targets[0])
+            bracket = np.vdot(lam, scatter_apply(string, states[position + 1]))
+            gradient[gate.slot] += 2.0 * (1j * weight * bracket).real
+        lam = per_gate_apply(lam, n, per_gate_inverse(gate, theta))
+    return gradient
+
+
+class TestCompiledAnsatz:
+    def test_states_match_the_per_gate_loop_bit_for_bit(self, h2):
+        for ansatz in all_families(h2):
+            theta = make_rng(3).uniform(-1, 1, size=ansatz.n_params)
+            amps = StateVector.zero(ansatz.n_qubits).amplitudes
+            for gate in ansatz.combined().gates:
+                amps = per_gate_apply(amps, ansatz.n_qubits, gate, theta)
+            assert same_bits(ansatz.state(theta).amplitudes, amps), ansatz.family
+
+    def test_gradients_match_the_per_gate_sweep_bit_for_bit(self, h2):
+        _, _, _, h, _ = h2
+        for ansatz in all_families(h2):
+            theta = make_rng(4).uniform(-1, 1, size=ansatz.n_params)
+            # the three-qubit ansatz is scored on the terms that fit it
+            n = ansatz.n_qubits
+            sub = PauliSum({s: c for s, c in h.items() if s.n_qubits <= n})
+            assert same_bits(analytic_gradient(ansatz, theta, sub),
+                             per_gate_gradient(ansatz, theta, sub)), ansatz.family
+
+    def test_compiled_once_and_again_after_a_change(self):
+        ansatz = toy_rx_ansatz()
+        compiled = ansatz.compiled()
+        ansatz.state([0.2])
+        assert ansatz.compiled() is compiled
+        ansatz.circuit.rz(0, angle=0.5)
+        assert ansatz.compiled() is not compiled
+        amps = StateVector.zero(1).amplitudes
+        for gate in ansatz.circuit.gates:
+            amps = per_gate_apply(amps, 1, gate, [0.2])
+        assert same_bits(ansatz.state([0.2]).amplitudes, amps)
 
 
 class TestPenalty:
