@@ -1,8 +1,12 @@
 """Fermion-to-qubit maps: Jordan-Wigner, parity, Bravyi-Kitaev and BK-tree.
 
 Every scheme here is linear over GF(2): the qubit register holds q = beta f
-(mod 2) for occupation bits f. Ladder operators follow from three index sets
-per mode j:
+(mod 2) for occupation bits f, and every map is derived from its beta alone.
+Jordan-Wigner is the identity map, parity the running-sum map, Bravyi-Kitaev
+the doubling-block recursive matrix, and BK-tree the Fenwick tree map whose
+root aggregates the whole register at any register size. Encoded states are
+beta f; ladder operators follow from three index sets per mode j, read off
+beta and its inverse:
 
   update set U(j): qubits above j storing partial sums that include n_j,
   flip set   F(j): qubits below j whose XOR with q_j recovers n_j,
@@ -10,10 +14,7 @@ per mode j:
 
 With c_j carrying X on U(j) and j and Z on P(j), and d_j carrying Y on j
 instead plus Z on the symmetric difference of P(j) and F(j), the annihilator
-is (c_j + i d_j)/2 and the creator (c_j - i d_j)/2. Jordan-Wigner is the
-identity map, parity the running-sum map, Bravyi-Kitaev the doubling-block
-recursive matrix, and BK-tree the Fenwick tree map whose root aggregates the
-whole register at any register size.
+is (c_j + i d_j)/2 and the creator (c_j - i d_j)/2.
 """
 
 from __future__ import annotations
@@ -89,28 +90,6 @@ class FenwickTree:
     children: tuple[tuple[int, ...], ...]
     low: tuple[int, ...]
 
-    def update_set(self, j: int) -> tuple[int, ...]:
-        """Ancestors of j: the qubits whose stored sums include mode j."""
-        out = []
-        node = self.parent[j]
-        while node is not None:
-            out.append(node)
-            node = self.parent[node]
-        return tuple(out)
-
-    def flip_set(self, j: int) -> tuple[int, ...]:
-        """Children of j: their stored sums XOR q_j back to n_j."""
-        return self.children[j]
-
-    def parity_set(self, j: int) -> tuple[int, ...]:
-        """Stored sums covering modes 0..j-1, by the usual prefix descent."""
-        out = []
-        t = j - 1
-        while t >= 0:
-            out.append(t)
-            t = self.low[t] - 1
-        return tuple(out)
-
 
 @lru_cache(maxsize=None)
 def fenwick_tree(m: int) -> FenwickTree:
@@ -164,26 +143,6 @@ def _gf2_inverse_unitriangular(beta: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(aug[:, m:])
 
 
-def _index_sets(scheme: EncodingScheme) -> list[tuple[tuple[int, ...], ...]]:
-    """(update, flip, parity) per mode, from the tree or the GF(2) matrix."""
-    m = scheme.m
-    if scheme.variant == BKTREE:
-        tree = fenwick_tree(m)
-        return [(tree.update_set(j), tree.flip_set(j), tree.parity_set(j))
-                for j in range(m)]
-    beta = _encoding_matrix(scheme)
-    inverse = _gf2_inverse_unitriangular(beta)
-    prefix = np.tril(np.ones((m, m), dtype=np.uint8), k=-1)
-    parity_rows = (prefix @ inverse) % 2
-    out = []
-    for j in range(m):
-        update = tuple(int(k) for k in range(j + 1, m) if beta[k, j])
-        flip = tuple(int(k) for k in range(j) if inverse[j, k])
-        parity = tuple(int(k) for k in np.flatnonzero(parity_rows[j]))
-        out.append((update, flip, parity))
-    return out
-
-
 def _mask(indices: Iterable[int]) -> int:
     out = 0
     for k in indices:
@@ -193,13 +152,20 @@ def _mask(indices: Iterable[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _mode_images(variant: str, m: int) -> tuple[tuple[PauliSum, PauliSum], ...]:
-    """Per mode: (annihilator, creator) as two-string PauliSums."""
-    scheme = EncodingScheme(variant, m)
+    """Per mode: (annihilator, creator) as two-string PauliSums, built from
+    the update, flip and parity sets read off beta and its GF(2) inverse."""
+    beta = _encoding_matrix(EncodingScheme(variant, m))
+    inverse = _gf2_inverse_unitriangular(beta)
+    prefix = np.tril(np.ones((m, m), dtype=np.uint8), k=-1)
+    parity_rows = (prefix @ inverse) % 2
     images = []
-    for j, (update, flip, parity) in enumerate(_index_sets(scheme)):
-        x_mask = 1 << j | _mask(update)
-        c = PauliString(x_mask, _mask(parity))
-        d = PauliString(x_mask, _mask(parity) ^ _mask(flip) ^ 1 << j)
+    for j in range(m):
+        update = _mask(k for k in range(j + 1, m) if beta[k, j])
+        flip = _mask(k for k in range(j) if inverse[j, k])
+        parity = _mask(int(k) for k in np.flatnonzero(parity_rows[j]))
+        x_mask = 1 << j | update
+        c = PauliString(x_mask, parity)
+        d = PauliString(x_mask, parity ^ flip ^ 1 << j)
         lower = PauliSum({c: 0.5, d: 0.5j}, n_qubits=m)
         raiser = PauliSum({c: 0.5, d: -0.5j}, n_qubits=m)
         images.append((lower, raiser))
@@ -226,17 +192,6 @@ def encode_state(f: OccupationVector, scheme: EncodingScheme) -> OccupationVecto
     """Computational basis label of the encoded occupation vector."""
     if f.m != scheme.m:
         raise DimensionMismatch(f"state has {f.m} modes, scheme expects {scheme.m}")
-    if scheme.variant == JW:
-        return OccupationVector(scheme.m, f.mask)
-    if scheme.variant == BKTREE:
-        tree = fenwick_tree(scheme.m)
-        bits = [0] * scheme.m
-        for j in range(scheme.m):  # children precede their parent
-            q = f.bit(j)
-            for c in tree.children[j]:
-                q ^= bits[c]
-            bits[j] = q
-        return OccupationVector(scheme.m, _mask(j for j in range(scheme.m) if bits[j]))
     beta = _encoding_matrix(scheme)
     f_vec = np.array([f.bit(q) for q in range(scheme.m)], dtype=np.uint8)
     q_vec = (beta @ f_vec) % 2

@@ -18,6 +18,7 @@ from ..mitigation import SignInconsistent
 from ..simulator import ZeroOverlap
 from ..spectra import DegenerateSubspace
 from ..vqe import (
+    DEFAULT_TRAJECTORIES,
     GRADIENT_DESCENT,
     NELDER_MEAD,
     SPSA,
@@ -125,7 +126,8 @@ def exact(k, **common):
               help="Samples per Hamiltonian term; omit for exact mode.")
 @click.option("--noise-p1", type=float, default=0.0, show_default=True)
 @click.option("--noise-p2", type=float, default=0.0, show_default=True)
-@click.option("--trajectories", type=int, default=512, show_default=True)
+@click.option("--trajectories", type=int, default=DEFAULT_TRAJECTORIES,
+              show_default=True)
 def vqe(ansatz, layers, opt_method, max_evals, tolerance, shots, noise_p1,
         noise_p2, trajectories, **common):
     """Variational ground-state search."""
@@ -170,7 +172,8 @@ def spectrum(k, **common):
               help="Comma-separated noise-scale factors.")
 @click.option("--noise-p1", type=float, default=1e-3, show_default=True)
 @click.option("--noise-p2", type=float, default=1e-3, show_default=True)
-@click.option("--trajectories", type=int, default=512, show_default=True)
+@click.option("--trajectories", type=int, default=DEFAULT_TRAJECTORIES,
+              show_default=True)
 @click.option("--samples", type=int, default=2000, show_default=True,
               help="Cancellation samples or post-selection shots.")
 def mitigate(technique, ansatz, layers, scales, noise_p1, noise_p2,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fermion import BLOCKED, INTERLEAVED, MolecularIntegrals
+from ..fermion import BLOCKED, MolecularIntegrals, spatial_of, spin_of
 
 
 class ParseError(ValueError):
@@ -104,16 +104,9 @@ def to_spin_orbitals(spatial: SpatialIntegrals, ordering: str = BLOCKED) -> Mole
     (P S|Q R) delta(spin_p, spin_s) delta(spin_q, spin_r) with capital letters
     the spatial parts.
     """
-    n = spatial.norb
-    m = 2 * n
-    if ordering == BLOCKED:
-        spatial_idx = np.array([p % n for p in range(m)])
-        spin_idx = np.array([0 if p < n else 1 for p in range(m)])
-    elif ordering == INTERLEAVED:
-        spatial_idx = np.array([p // 2 for p in range(m)])
-        spin_idx = np.array([p % 2 for p in range(m)])
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
+    m = 2 * spatial.norb
+    spin_idx = np.array([spin_of(p, m, ordering) for p in range(m)])
+    spatial_idx = np.array([spatial_of(p, m, ordering) for p in range(m)])
 
     same_spin = spin_idx[:, None] == spin_idx[None, :]
     h_one = spatial.t[np.ix_(spatial_idx, spatial_idx)] * same_spin

@@ -56,6 +56,7 @@ from ..simulator import (
 )
 from ..spectra import qse_solve
 from ..vqe import (
+    DEFAULT_TRAJECTORIES,
     HAMILTONIAN_VARIATIONAL,
     HARDWARE_EFFICIENT,
     LDCA,
@@ -118,7 +119,7 @@ class RunConfig:
     shots: int | None = None
     noise_p1: float = 0.0
     noise_p2: float = 0.0
-    trajectories: int = 512
+    trajectories: int = DEFAULT_TRAJECTORIES
     n_ancilla: int = 8
     qpe_trotter: int = 0
     qpe_samples: int = 0
@@ -201,6 +202,16 @@ def _estimate_document(estimate: ShotEstimate) -> dict:
             "shots": int(estimate.shots)}
 
 
+def _uccsd_ansatz(ints: MolecularIntegrals, scheme: EncodingScheme,
+                  layers: int = 1) -> Ansatz:
+    """UCCSD over every excitation out of the Hartree-Fock reference."""
+    reference = hf_occupation(ints)
+    occupied = reference.occupied()
+    virtual = [p for p in range(ints.m) if p not in occupied]
+    return build_uccsd(uccsd_generators(ints.m, occupied, virtual), scheme,
+                       reference, trotter_steps=layers)
+
+
 def _build_ansatz(config: RunConfig, ints: MolecularIntegrals,
                   scheme: EncodingScheme, ferm: FermionSum,
                   n_solve: int) -> Ansatz:
@@ -209,12 +220,7 @@ def _build_ansatz(config: RunConfig, ints: MolecularIntegrals,
                          "family only; rerun without --taper or with "
                          f"ansatz={HARDWARE_EFFICIENT!r}")
     if config.ansatz == UCCSD:
-        reference = hf_occupation(ints)
-        occupied = reference.occupied()
-        virtual = [p for p in range(ints.m) if p not in occupied]
-        generators = uccsd_generators(ints.m, occupied, virtual)
-        return build_uccsd(generators, scheme, reference,
-                           trotter_steps=config.layers)
+        return _uccsd_ansatz(ints, scheme, config.layers)
     if config.ansatz == HARDWARE_EFFICIENT:
         return build_hardware_efficient(n_solve, config.layers)
     if config.ansatz == HAMILTONIAN_VARIATIONAL:
@@ -289,9 +295,9 @@ def _per_qubit_expansion(n: int) -> list[PauliString]:
 
 def _solve_spectrum(config: RunConfig, h: PauliSum, n: int) -> dict:
     k = min(config.k, 1 << n)
-    exact = exact_eigensolve(h, k=k, n_qubits=n)
-    _, vector = ground_state(h, n_qubits=n)
-    subspace = qse_solve(StateVector(vector, n), h, _per_qubit_expansion(n))
+    exact, vectors = exact_eigensolve(h, k=k, n_qubits=n, with_vectors=True)
+    subspace = qse_solve(StateVector(vectors[:, 0], n), h,
+                         _per_qubit_expansion(n))
     return {"method": SPECTRUM,
             "exact": [float(v) for v in exact],
             "subspace": [float(v) for v in subspace[:k]],
@@ -333,9 +339,8 @@ def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
                                      trajectories=config.trajectories)
         fit = (extrapolate_linear if config.technique == LINEAR
                else extrapolate_exponential)
+        raw, mitigated = series.points[0][1], fit(series)
         document["scales"] = list(config.scales)
-        document["raw"] = _estimate_document(series.points[0][1])
-        document["mitigated"] = _estimate_document(fit(series))
     elif config.technique == PEC:
         raw = noisy_expectation(circuit, theta, h, noise, raw_rng,
                                 trajectories=config.trajectories)
@@ -344,8 +349,6 @@ def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
         decompositions = decomposition_for_noise(noise, arities)
         mitigated = pec_estimate(circuit, theta, h, noise, decompositions,
                                  config.samples, technique_rng)
-        document["raw"] = _estimate_document(raw)
-        document["mitigated"] = _estimate_document(mitigated)
         document["gamma"] = {str(a): float(d.gamma)
                              for a, d in sorted(decompositions.items())}
     else:
@@ -354,11 +357,11 @@ def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
         checks = occupation_checks(ints.m, ints.n_electrons, ints.n_up)
         mitigated, retained = stabiliser_postselect(
             circuit, theta, h, checks, noise, config.samples, technique_rng)
-        document["raw"] = _estimate_document(raw)
-        document["mitigated"] = _estimate_document(mitigated)
         document["retained_fraction"] = float(retained)
         document["checks"] = [{"kind": c.kind, "qubits": list(c.parity_qubits),
                                "expected": c.expected} for c in checks]
+    document["raw"] = _estimate_document(raw)
+    document["mitigated"] = _estimate_document(mitigated)
     document["raw_error"] = abs(document["raw"]["mean"] - oracle)
     document["mitigated_error"] = abs(document["mitigated"]["mean"] - oracle)
     return document
@@ -495,14 +498,8 @@ def dissociation_curve(methods: Sequence[str] = ("hf", "fci"),
                     energy = float(exact_eigensolve(h, k=1,
                                                     n_qubits=scheme.m)[0])
                 else:
-                    occupied = hf_occupation(ints).occupied()
-                    virtual = [p for p in range(ints.m)
-                               if p not in occupied]
-                    ansatz = build_uccsd(
-                        uccsd_generators(ints.m, occupied, virtual), scheme,
-                        hf_occupation(ints))
-                    result = optimize(ansatz, h, optimizer,
-                                      rng=make_rng(seed))
+                    result = optimize(_uccsd_ansatz(ints, scheme), h,
+                                      optimizer, rng=make_rng(seed))
                     energy = float(result.best_energy)
                     metadata["converged"] = bool(result.converged)
             rows.append((length, method, float(energy), metadata))

@@ -11,9 +11,9 @@ weights whose parities flip the sign of the recorded expectation. For
 single-qubit gates this channel coincides with the trajectory simulator's;
 for wider gates the per-qubit convention is what the inverse listing assumes.
 
-Stabiliser post-selection extracts conserved parities onto ancillas through
-ideal CNOT fans, discards shots whose ancilla readout disagrees with the
-expected eigenvalue, and averages the retained trajectories.
+Stabiliser post-selection reads each conserved parity off the basis index
+as an ideal parity measurement would, discards shots whose readout disagrees
+with the expected eigenvalue, and averages the retained trajectories.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, commutes
 from .simulator import (
     Circuit,
     NoiseModel,
@@ -88,7 +88,18 @@ def scaled_noise(noise: NoiseModel, lam: float) -> NoiseModel:
         raise ValueError("scale factors must be at least 1")
     if max(noise.p1, noise.p2) * lam > 1.0:
         raise ValueError(f"scale {lam} pushes an insertion probability past 1")
-    return NoiseModel(noise.p1 * lam, noise.p2 * lam, noise.seed)
+    return NoiseModel(noise.p1 * lam, noise.p2 * lam)
+
+
+def _mean_estimate(values: np.ndarray, scale: float = 1.0,
+                   shots: int | None = None) -> ShotEstimate:
+    """scale times the sample mean, with scale times its standard error
+    std(ddof=1) / sqrt(n), or 0 for one sample; ``shots`` defaults to n."""
+    n = len(values)
+    spread = float(values.std(ddof=1)) if n > 1 else 0.0
+    return ShotEstimate(scale * float(values.mean()),
+                        scale * spread / math.sqrt(n),
+                        n if shots is None else shots)
 
 
 def noisy_expectation(circuit: Circuit, theta: Sequence[float] | None,
@@ -106,9 +117,7 @@ def noisy_expectation(circuit: Circuit, theta: Sequence[float] | None,
         else:
             for k in members:
                 means[k] = sample_expectation(psi, h, shots, streams[k]).mean
-    spread = float(means.std(ddof=1)) if trajectories > 1 else 0.0
-    return ShotEstimate(float(means.mean()), spread / math.sqrt(trajectories),
-                        shots if shots is not None else trajectories)
+    return _mean_estimate(means, shots=shots)
 
 
 def noise_scaled_series(circuit: Circuit, theta: Sequence[float] | None,
@@ -183,10 +192,9 @@ class QuasiProbDecomposition:
             raise ValueError("parities must be +1 or -1")
 
 
-def _commutation_sign(a: str, b: str) -> int:
-    if a == "I" or b == "I" or a == b:
-        return 1
-    return -1
+def _insertion_string(letters: str, support: Sequence[int]) -> PauliString:
+    return PauliString.from_text(" ".join(
+        f"{letter}{q}" for letter, q in zip(letters, support) if letter != "I"))
 
 
 def pec_decompose_depolarizing(p: float, arity: int) -> QuasiProbDecomposition:
@@ -202,11 +210,12 @@ def pec_decompose_depolarizing(p: float, arity: int) -> QuasiProbDecomposition:
     if arity not in (1, 2):
         raise ValueError("only one- and two-qubit decompositions are supported")
     labels = ["".join(parts) for parts in product(_LETTERS, repeat=arity)]
+    strings = [_insertion_string(label, range(arity)) for label in labels]
     factor = 1.0 - p
-    transfer = np.array([factor ** sum(c != "I" for c in q) for q in labels])
-    sign_matrix = np.array([[math.prod(_commutation_sign(pa, qa)
-                                       for pa, qa in zip(pauli, q))
-                             for pauli in labels] for q in labels], dtype=float)
+    transfer = np.array([factor ** q.weight for q in strings])
+    sign_matrix = np.array([[1 if commutes(pauli, q) else -1
+                             for pauli in strings] for q in strings],
+                           dtype=float)
     coefficients = np.linalg.solve(sign_matrix, 1.0 / transfer)
     gamma = float(np.sum(np.abs(coefficients)))
     entries = tuple(
@@ -221,14 +230,6 @@ def decomposition_for_noise(noise: NoiseModel, arities: Sequence[int]
     return {arity: pec_decompose_depolarizing(4.0 * noise.rate_for(arity) / 3.0,
                                               arity)
             for arity in set(arities)}
-
-
-def _insertion_string(letters: str, support: Sequence[int]) -> PauliString | None:
-    terms = [f"{letter}{q}" for letter, q in zip(letters, support)
-             if letter != "I"]
-    if not terms:
-        return None
-    return PauliString.from_text(" ".join(terms))
 
 
 def _choice_cdf(probabilities: np.ndarray) -> list[float]:
@@ -271,6 +272,9 @@ def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
         gamma_total *= decompositions[arity].gamma
     cdfs = {a: _choice_cdf(np.array([prob for _, prob, _ in d.entries]))
             for a, d in decompositions.items()}
+    insertions = {index: [_insertion_string(letters, support) for letters, _, _
+                          in decompositions[len(support)].entries]
+                  for index, support in enumerate(supports) if support}
 
     def draw(stream: np.random.Generator):
         kicks, parity = [], 1
@@ -284,20 +288,16 @@ def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
                     letter = _LETTERS[1 + stream.integers(3)]
                     kicks.append((index, PauliString.single(letter, q)))
             choice = bisect_right(cdfs[arity], stream.random())
-            letters, _, entry_parity = decompositions[arity].entries[choice]
-            insertion = _insertion_string(letters, support)
-            if insertion is not None:
-                kicks.append((index, insertion))
-            parity *= entry_parity
+            if not insertions[index][choice].is_identity:
+                kicks.append((index, insertions[index][choice]))
+            parity *= decompositions[arity].entries[choice][2]
         return kicks, parity
 
     kicks, parities = zip(*map(draw, split_rng(rng, samples)))
     values = np.array(parities, dtype=float)
     for members, psi in compiled.trajectories(theta, kicks):
         values[members] *= psi.expectation(observable)
-    spread = float(values.std(ddof=1)) if samples > 1 else 0.0
-    return ShotEstimate(gamma_total * float(values.mean()),
-                        gamma_total * spread / math.sqrt(samples), samples)
+    return _mean_estimate(values, gamma_total)
 
 
 # --------------------------------------------------------------- stabilisers
@@ -342,39 +342,36 @@ def stabiliser_postselect(circuit: Circuit, theta: Sequence[float] | None,
                           ) -> tuple[ShotEstimate, float]:
     """Discard trajectories whose extracted parities disagree with the checks.
 
-    Each shot runs one noisy trajectory, then extracts every check's parity
-    onto its own ancilla through an ideal CNOT fan and samples the ancilla
-    register. Matching shots contribute their exact observable expectation;
-    the retained fraction reports the sampling cost.
+    Each shot runs one noisy trajectory, then measures every check's parity
+    ideally: bit k of basis state i's readout is the parity of i on check
+    k's qubits, and one readout is drawn with the weight of its block of
+    amplitudes. Matching shots contribute their exact observable
+    expectation; the retained fraction reports the sampling cost.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
     if not checks:
         raise ValueError("need at least one check")
     n = circuit.n_qubits
-    ancillas = len(checks)
     for check in checks:
         if any(not 0 <= q < n for q in check.parity_qubits):
             raise ValueError("check touches a qubit outside the register")
     target = sum(check.expected << k for k, check in enumerate(checks))
-    dim_s = 1 << n
-    fan = Circuit(n + ancillas)
+    basis = np.arange(1 << n)
+    readout = np.zeros(1 << n, dtype=np.intp)
     for k, check in enumerate(checks):
-        for q in check.parity_qubits:
-            fan.cnot(q, n + k)
-    fan = compile_circuit(fan)
+        parity = sum(basis >> q & 1 for q in check.parity_qubits) & 1
+        readout |= parity << k
     streams = split_rng(rng, shots)
     values = np.empty(shots)
     accepted = np.zeros(shots, dtype=bool)
     for members, psi in noisy_states(circuit, theta, noise, streams):
-        joint = np.zeros((1 << ancillas) * dim_s, dtype=complex)
-        joint[:dim_s] = psi.amplitudes
-        state = StateVector(joint, n + ancillas)
-        blocks = fan.run(None, state.amplitudes).reshape(1 << ancillas, dim_s)
+        blocks = np.zeros((1 << len(checks), 1 << n), dtype=complex)
+        blocks[readout, basis] = psi.amplitudes
         weights = np.sum(np.abs(blocks) ** 2, axis=1)
         probabilities = weights / weights.sum()
         passed = [k for k in members if target ==
-                  streams[k].choice(1 << ancillas, p=probabilities)]
+                  streams[k].choice(1 << len(checks), p=probabilities)]
         if passed:
             collapsed = blocks[target] / math.sqrt(weights[target])
             values[passed] = StateVector(collapsed, n).expectation(h)
@@ -382,7 +379,4 @@ def stabiliser_postselect(circuit: Circuit, theta: Sequence[float] | None,
     kept = values[accepted]
     if not kept.size:
         raise AllShotsRejected(f"all {shots} shots failed the parity checks")
-    spread = float(kept.std(ddof=1)) if len(kept) > 1 else 0.0
-    estimate = ShotEstimate(float(kept.mean()),
-                            spread / math.sqrt(len(kept)), len(kept))
-    return estimate, len(kept) / shots
+    return _mean_estimate(kept), len(kept) / shots

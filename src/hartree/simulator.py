@@ -32,7 +32,6 @@ from .pauli import (
 
 STATEVECTOR_QUBIT_LIMIT = 24
 DENSITY_QUBIT_LIMIT = 4
-NORM_TOLERANCE = 1e-10
 OVERLAP_FLOOR = 1e-14
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -550,7 +549,6 @@ class NoiseModel:
 
     p1: float = 0.0
     p2: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         for p in (self.p1, self.p2):
@@ -558,6 +556,9 @@ class NoiseModel:
                 raise ValueError("error probabilities must lie in [0, 1]")
 
     def rate_for(self, arity: int) -> float:
+        """A gate on no qubits (a global phase) takes no noise."""
+        if arity == 0:
+            return 0.0
         return self.p1 if arity == 1 else self.p2
 
 
@@ -572,15 +573,6 @@ def _error_string(support: tuple[int, ...], code: int) -> PauliString:
         if digit in (2, 3):
             z |= 1 << q
     return PauliString(x, z)
-
-
-def trajectory_states(circuit: Circuit, theta: Sequence[float] | None,
-                      kicks: Sequence[Sequence[tuple[int, PauliString]]],
-                      psi0: StateVector | None = None
-                      ) -> Iterator[tuple[list[int], StateVector]]:
-    """``CompiledCircuit.trajectories`` of the circuit compiled for psi0."""
-    compiled = compile_circuit(circuit, None if psi0 is None else psi0.n)
-    return compiled.trajectories(theta, kicks, psi0)
 
 
 def noisy_states(circuit: Circuit, theta: Sequence[float] | None,
@@ -715,17 +707,13 @@ def qpe_distribution(psi: StateVector, h: PauliSum, n_ancilla: int,
             joint[selected] = joint[selected] @ power.T
     else:
         # Low-bit Pauli masks act identically on every ancilla row, so the
-        # selected half of the rows evolves as one flat array.
-        terms = [(_exp_kernel(string, dim_a // 2 * dim_s), coeff.real)
-                 for string, coeff in scaled.items()]
+        # selected half of the rows evolves as one flat register.
         for k in range(n_ancilla):
             selected = (row_bits >> k) & 1 == 1
-            angle_scale = -2.0 * math.pi * (1 << k) / trotter_steps
-            flat = joint[selected].reshape(-1)
-            for _ in range(trotter_steps):
-                for kernel, weight in terms:
-                    flat = kernel(flat, angle_scale * weight)
-            joint[selected] = flat.reshape(-1, dim_s)
+            half = StateVector(joint[selected].reshape(-1), n_ancilla - 1 + n_sys)
+            evolved = trotter_evolve(half, scaled, 2.0 * math.pi * (1 << k),
+                                     trotter_steps)
+            joint[selected] = evolved.amplitudes.reshape(-1, dim_s)
 
     x = np.arange(dim_a)
     fourier = np.exp(-2j * math.pi * np.outer(x, x) / dim_a) / math.sqrt(dim_a)

@@ -323,7 +323,7 @@ def estimate_energy(ansatz: Ansatz, theta: Sequence[float], h: PauliSum,
             return ShotEstimate(psi.expectation(h), 0.0, 1)
         return sample_expectation(psi, h, shots, rng)
     if rng is None:
-        rng = make_rng(noise.seed)
+        rng = make_rng()
     return noisy_expectation(ansatz.combined(), theta, h, noise, rng,
                              trajectories, shots)
 

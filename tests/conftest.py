@@ -200,3 +200,140 @@ def per_gate_inverse(gate, theta):
         return Gate("rz", gate.targets, angle=-math.pi / 4)
     return Gate(gate.kind, gate.targets, angle=-gate.resolve_angle(theta),
                 string=gate.string)
+
+
+# ----------------------------------- second derivations, kept as oracles
+#
+# Results the package once derived a second way, next to the caller that
+# needed them: the BK-tree's index sets and encoded states by walking the
+# Fenwick tree, post-selection by a CNOT fan onto an ancilla register, the
+# QPE Trotter steps by a per-term loop, and the PEC sign matrix by per-letter
+# commutation signs. The single remaining derivation must match each bit for
+# bit.
+
+
+def tree_index_sets(m: int) -> list[tuple[tuple[int, ...], ...]]:
+    """(update, flip, parity) per mode by walking fenwick_tree(m)."""
+    from hartree.encoding import fenwick_tree
+
+    tree = fenwick_tree(m)
+    out = []
+    for j in range(m):
+        update, node = [], tree.parent[j]
+        while node is not None:  # ancestors store sums that include j
+            update.append(node)
+            node = tree.parent[node]
+        parity, t = [], j - 1
+        while t >= 0:  # prefix descent over the nodes covering 0..j-1
+            parity.append(t)
+            t = tree.low[t] - 1
+        out.append((tuple(update), tree.children[j], tuple(parity)))
+    return out
+
+
+def tree_mode_images(m: int):
+    """(annihilator, creator) per mode from the tree-walk index sets."""
+    def mask(indices):
+        return sum(1 << k for k in indices)
+
+    images = []
+    for j, (update, flip, parity) in enumerate(tree_index_sets(m)):
+        x_mask = 1 << j | mask(update)
+        c = PauliString(x_mask, mask(parity))
+        d = PauliString(x_mask, mask(parity) ^ mask(flip) ^ 1 << j)
+        images.append((PauliSum({c: 0.5, d: 0.5j}, n_qubits=m),
+                       PauliSum({c: 0.5, d: -0.5j}, n_qubits=m)))
+    return images
+
+
+def tree_encode_mask(occupation_mask: int, m: int) -> int:
+    """BK-tree encoded bits: each node XORs its children into its mode bit."""
+    from hartree.encoding import fenwick_tree
+
+    tree = fenwick_tree(m)
+    bits = [0] * m
+    for j in range(m):  # children precede their parent
+        q = occupation_mask >> j & 1
+        for c in tree.children[j]:
+            q ^= bits[c]
+        bits[j] = q
+    return sum(bit << j for j, bit in enumerate(bits))
+
+
+def fan_postselect(circuit, theta, h, checks, noise, shots, rng):
+    """Post-selection extracting every check's parity onto its own ancilla
+    through a CNOT fan; returns (mean, std_error, kept, retained fraction)."""
+    from hartree.simulator import (
+        Circuit,
+        StateVector,
+        compile_circuit,
+        noisy_states,
+        split_rng,
+    )
+
+    n, ancillas = circuit.n_qubits, len(checks)
+    target = sum(check.expected << k for k, check in enumerate(checks))
+    dim_s = 1 << n
+    fan = Circuit(n + ancillas)
+    for k, check in enumerate(checks):
+        for q in check.parity_qubits:
+            fan.cnot(q, n + k)
+    fan = compile_circuit(fan)
+    streams = split_rng(rng, shots)
+    values = np.empty(shots)
+    accepted = np.zeros(shots, dtype=bool)
+    for members, psi in noisy_states(circuit, theta, noise, streams):
+        joint = np.zeros((1 << ancillas) * dim_s, dtype=complex)
+        joint[:dim_s] = psi.amplitudes
+        blocks = fan.run(None, joint).reshape(1 << ancillas, dim_s)
+        weights = np.sum(np.abs(blocks) ** 2, axis=1)
+        probabilities = weights / weights.sum()
+        passed = [k for k in members if target ==
+                  streams[k].choice(1 << ancillas, p=probabilities)]
+        if passed:
+            collapsed = blocks[target] / math.sqrt(weights[target])
+            values[passed] = StateVector(collapsed, n).expectation(h)
+            accepted[passed] = True
+    kept = values[accepted]
+    spread = float(kept.std(ddof=1)) if len(kept) > 1 else 0.0
+    return (float(kept.mean()), spread / math.sqrt(len(kept)), len(kept),
+            len(kept) / shots)
+
+
+def per_term_qpe_trotter(psi, h: PauliSum, n_ancilla: int, steps: int, window):
+    """Trotterized QPE readout with each controlled power's steps looped
+    term by term over the selected half of the ancilla rows."""
+    n_sys = psi.n
+    scaled = (h - PauliSum.identity(window.lower, n_qubits=n_sys)) \
+        * (1.0 / window.span)
+    dim_a, dim_s = 1 << n_ancilla, 1 << n_sys
+    joint = np.tile(psi.amplitudes / math.sqrt(dim_a), (dim_a, 1))
+    row_bits = np.arange(dim_a)
+    for k in range(n_ancilla):
+        selected = (row_bits >> k) & 1 == 1
+        angle_scale = -2.0 * math.pi * (1 << k) / steps
+        flat = joint[selected].reshape(-1)
+        for _ in range(steps):
+            for string, coeff in scaled.items():
+                flat = pauli_exp_amps(flat, string, angle_scale * coeff.real)
+        joint[selected] = flat.reshape(-1, dim_s)
+    x = np.arange(dim_a)
+    fourier = np.exp(-2j * math.pi * np.outer(x, x) / dim_a) / math.sqrt(dim_a)
+    probabilities = np.sum(np.abs(fourier @ joint) ** 2, axis=1)
+    probabilities = probabilities / probabilities.sum()
+    return window.to_energy(((dim_a - x) % dim_a) / dim_a), probabilities
+
+
+def letter_product_coefficients(p: float, arity: int):
+    """Inverse-depolarizing coefficients with each sign-matrix entry the
+    product of per-letter commutation signs; returns (labels, coefficients)."""
+    from itertools import product
+
+    def sign(a: str, b: str) -> int:
+        return 1 if a == "I" or b == "I" or a == b else -1
+
+    labels = ["".join(parts) for parts in product("IXYZ", repeat=arity)]
+    transfer = np.array([(1.0 - p) ** sum(c != "I" for c in q) for q in labels])
+    signs = np.array([[math.prod(sign(a, b) for a, b in zip(pauli, q))
+                       for pauli in labels] for q in labels], dtype=float)
+    return labels, np.linalg.solve(signs, 1.0 / transfer)

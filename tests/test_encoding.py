@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kron_sum_matrix
+from conftest import kron_sum_matrix, same_bits, tree_encode_mask, tree_mode_images
 from hartree.encoding import (
     BK,
     BKTREE,
@@ -16,6 +16,7 @@ from hartree.encoding import (
     EncodingScheme,
     FenwickTree,
     IndexOutOfRange,
+    _mode_images,
     bk_matrix,
     encode_operator,
     encode_state,
@@ -188,6 +189,22 @@ def test_bktree_state_map_18_modes():
     assert q == "000010111100010111"
     reduced = q[1:9] + q[10:]  # drop the two aggregate qubits 17 and 8
     assert reduced == "0001011100010111"
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_bktree_images_and_states_match_tree_walks_bit_for_bit(m):
+    for ours, walked in zip(_mode_images(BKTREE, m), tree_mode_images(m)):
+        for image, oracle in zip(ours, walked):
+            assert [(s.x, s.z) for s in image.strings()] == \
+                [(s.x, s.z) for s in oracle.strings()]
+            assert same_bits(np.array([c for _, c in image.items()]),
+                             np.array([c for _, c in oracle.items()]))
+    scheme = EncodingScheme(BKTREE, m)
+    masks = range(1 << m) if m <= 10 else \
+        np.random.default_rng(m).integers(0, 1 << m, size=1024)
+    for mask in map(int, masks):
+        assert encode_state(OccupationVector(m, mask), scheme).mask == \
+            tree_encode_mask(mask, m)
 
 
 def test_state_maps_are_bijections():

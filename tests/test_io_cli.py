@@ -474,6 +474,22 @@ class TestCli:
             out.unlink()
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("argv", [
+        ["vqe", "--fixture", H2_EQUILIBRIUM, "--ansatz",
+         "hamiltonian-variational", "--noise-p1", "1e-3", "--noise-p2",
+         "1e-3", "--max-evals", "4", "--seed", "1"],
+        ["mitigate", "--fixture", H2_EQUILIBRIUM, "--ansatz",
+         "hamiltonian-variational", "--seed", "1"],
+    ], ids=["vqe", "mitigate"])
+    def test_noisy_hamiltonian_variational_runs(self, argv, capsys):
+        # The ansatz carries identity-string exponentials (global phases),
+        # which take no noise.
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        energy = result["energy"] if argv[0] == "vqe" \
+            else result["mitigated"]["mean"]
+        assert abs(energy - H2_GROUND) < 0.1
+
     def test_out_silences_stdout(self, capsys, tmp_path):
         out = tmp_path / "doc.json"
         code = main(["exact", "--fixture", H2_EQUILIBRIUM, "--out", str(out)])

@@ -6,6 +6,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from conftest import fan_postselect, letter_product_coefficients, same_bits
 from hartree.encoding import JW, EncodingScheme, encode_operator
 from hartree.fermion import (
     build_molecular_hamiltonian,
@@ -324,6 +325,21 @@ class TestPecDecomposition:
             assert ours.bit_generator.state == oracle.bit_generator.state
 
 
+    @pytest.mark.parametrize("arity", [1, 2])
+    @pytest.mark.parametrize("p", [0.0, 0.004, 0.1, 0.5, 0.9])
+    def test_commutation_signs_match_letter_products_bit_for_bit(self, p,
+                                                                 arity):
+        labels, coefficients = letter_product_coefficients(p, arity)
+        decomp = pec_decompose_depolarizing(p, arity)
+        gamma = float(np.sum(np.abs(coefficients)))
+        assert [label for label, _, _ in decomp.entries] == labels
+        assert same_bits(
+            np.array([decomp.gamma, *(prob for _, prob, _ in decomp.entries)]),
+            np.array([gamma, *(float(abs(c)) / gamma for c in coefficients)]))
+        assert [parity for _, _, parity in decomp.entries] == \
+            [1 if c >= 0 else -1 for c in coefficients]
+
+
 class TestPecEstimate:
     def test_noiseless_trivial_decomposition(self):
         circuit = Circuit(1).rx(0, angle=np.pi / 3)
@@ -437,6 +453,27 @@ class TestStabiliser:
         with pytest.raises(ValueError, match="check"):
             stabiliser_postselect(ansatz.combined(), theta, h, [],
                                   NoiseModel(), 4, make_rng(0))
+
+    @pytest.mark.parametrize("p", [0.0, 2e-3, 0.05, 0.3])
+    @pytest.mark.parametrize("extra", [None, "spin-down", "repeated"])
+    def test_parity_readout_matches_cnot_fan_bit_for_bit(self, h2_vqe, p,
+                                                         extra):
+        ints, h, ansatz, _, theta, _ = h2_vqe
+        checks = occupation_checks(4, ints.n_electrons, ints.n_up)
+        if extra == "spin-down":
+            checks.append(StabiliserCheck(
+                (2, 3), (ints.n_electrons - ints.n_up) % 2, SPIN_DOWN))
+        elif extra == "repeated":  # qubit 1 drops out: the parity of 0 and 2
+            checks.append(StabiliserCheck((0, 1, 2, 1), 0, NUMBER))
+        circuit, noise = ansatz.combined(), NoiseModel(p1=p, p2=p)
+        for seed in (1, 2, 3):
+            est, fraction = stabiliser_postselect(circuit, theta, h, checks,
+                                                  noise, 200, make_rng(seed))
+            mean, error, kept, retained = fan_postselect(
+                circuit, theta, h, checks, noise, 200, make_rng(seed))
+            assert same_bits(np.array([est.mean, est.std_error, fraction]),
+                             np.array([mean, error, retained]))
+            assert est.shots == kept
 
     def test_postselection_beats_raw_on_most_seeds(self, h2_vqe):
         ints, h, ansatz, _, theta, exact = h2_vqe

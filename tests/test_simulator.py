@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from conftest import (
     per_gate_apply,
+    per_term_qpe_trotter,
     per_gate_inverse,
     random_state,
     same_bits,
@@ -46,7 +47,6 @@ from hartree.simulator import (
     run_noisy_trajectory,
     sample_expectation,
     split_rng,
-    trajectory_states,
     trotter_evolve,
 )
 
@@ -211,8 +211,8 @@ def test_compiled_trajectories_match_per_gate_kernels_bit_for_bit():
                                       int(rng.integers(0, 8)))) for g in at])
     psi0 = random_state(make_rng(99), 3)
     finals = {}
-    for members, psi in trajectory_states(circuit, theta, kicks,
-                                          StateVector(psi0, 3)):
+    for members, psi in compile_circuit(circuit).trajectories(
+            theta, kicks, StateVector(psi0, 3)):
         finals.update(dict.fromkeys(members, psi.amplitudes))
     for k, events in enumerate(kicks):
         amps = psi0
@@ -516,6 +516,24 @@ def test_trajectory_average_matches_density_oracle():
     assert abs(values.mean() - target) < 3.0 * sigma
 
 
+def test_identity_exponential_takes_no_noise():
+    # exp(i phi I) is a global phase: no insertion follows it, in the
+    # trajectories or in the density-matrix oracle.
+    circuit = (Circuit(2).exp(PauliString(), angle=0.4).h(0).cnot(0, 1)
+               .exp(PauliString(), angle=-1.3).rx(1, angle=0.7))
+    noise = NoiseModel(p1=0.1, p2=0.15)
+    assert noise.rate_for(0) == 0.0
+    observable = PauliSum.from_text({"Z0": 1.0, "Z0 Z1": 0.5, "X1": 0.25})
+    target = expectation_from_density(
+        density_matrix_reference(circuit, None, noise), observable)
+    streams = split_rng(make_rng(20261018), 4000)
+    values = np.array([
+        run_noisy_trajectory(circuit, None, noise, g).expectation(observable)
+        for g in streams])
+    sigma = values.std(ddof=1) / math.sqrt(len(values))
+    assert abs(values.mean() - target) < 3.0 * sigma
+
+
 def test_fixed_seed_reproduces_everything():
     circuit = Circuit(2).h(0).cnot(0, 1).ry(0, angle=1.1)
     noise = NoiseModel(p1=0.3, p2=0.4)
@@ -589,7 +607,7 @@ def test_trajectory_engine_applies_kicks_in_order():
         for at, error in kicks:
             if at == index:
                 psi = StateVector(error.apply(psi.amplitudes), 3)
-    groups = list(trajectory_states(circuit, theta, [kicks, []]))
+    groups = list(compile_circuit(circuit).trajectories(theta, [kicks, []]))
     assert [members for members, _ in groups] == [[0], [1]]
     assert np.array_equal(groups[0][1].amplitudes, psi.amplitudes)
     assert np.array_equal(groups[1][1].amplitudes,
@@ -675,6 +693,25 @@ def test_qpe_trotterized_backend_agrees_when_terms_commute():
     exact = qpe_distribution(psi, h, 4, 0, window)
     trotter = qpe_distribution(psi, h, 4, 1, window)
     assert np.allclose(exact[1], trotter[1], atol=1e-12)
+
+
+@pytest.mark.parametrize("tapered", [True, False])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_qpe_trotter_steps_match_per_term_loop_bit_for_bit(tapered, steps):
+    if tapered:
+        h, n = tapered_h2(), 2
+    else:
+        h = encode_operator(build_molecular_hamiltonian(
+            load_fixture("h2_sto3g_0.7414")), EncodingScheme(JW, 4))
+        n = 4
+    psi = StateVector(random_state(make_rng(5), n), n)
+    window = default_window(h)
+    for n_ancilla in (1, 5):
+        energies, probabilities = qpe_distribution(psi, h, n_ancilla, steps,
+                                                   window)
+        oracle = per_term_qpe_trotter(psi, h, n_ancilla, steps, window)
+        assert same_bits(energies, oracle[0])
+        assert same_bits(probabilities, oracle[1])
 
 
 def test_qpe_h2_modal_bin_hits_ground_energy():
