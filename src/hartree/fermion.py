@@ -112,7 +112,7 @@ class OccupationVector:
 
     @property
     def n_electrons(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __str__(self) -> str:
         return format(self.mask, f"0{self.m}b")
@@ -150,11 +150,10 @@ class FermionOperator:
 class FermionSum:
     """Linear combination of ladder-operator products."""
 
-    __slots__ = ("terms", "canonical")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[FermionOperator] = (), canonical: bool = False):
+    def __init__(self, terms: Iterable[FermionOperator] = ()):
         self.terms = list(terms)
-        self.canonical = canonical
 
     @classmethod
     def single(cls, spec: Sequence[tuple[int, bool]], coeff: complex = 1.0) -> "FermionSum":
@@ -215,7 +214,7 @@ def normal_order(s: FermionSum, tol: float = COEFF_TOLERANCE) -> FermionSum:
             key = tuple(factors)
             merged[key] = merged.get(key, 0.0) + coeff
     kept = [FermionOperator(k, c) for k, c in sorted(merged.items()) if abs(c) > tol]
-    return FermionSum(kept, canonical=True)
+    return FermionSum(kept)
 
 
 def sums_equal(a: FermionSum, b: FermionSum, tol: float = 1e-10) -> bool:
@@ -235,7 +234,7 @@ def apply_to_occupation(op: FermionOperator,
         bit = 1 << p
         if dagger == bool(mask & bit):
             return None
-        if bin(mask & (bit - 1)).count("1") % 2:
+        if (mask & (bit - 1)).bit_count() % 2:
             phase = -phase
         mask ^= bit
     return phase * op.coeff, OccupationVector(f.m, mask)

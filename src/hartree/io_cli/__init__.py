@@ -19,7 +19,7 @@ from .fixtures import (
     load_fixture_spatial,
     load_problem,
 )
-from .oracle import SPARSE_QUBIT_LIMIT, exact_eigensolve, ground_state
+from .oracle import exact_eigensolve, ground_state
 from .pipeline import (
     CurveResult,
     RunConfig,
@@ -32,7 +32,7 @@ from .pipeline import (
 
 __all__ = [
     "FIXTURES", "H2_CURVE", "H2_EQUILIBRIUM", "CurveResult", "ParseError",
-    "RunConfig", "SPARSE_QUBIT_LIMIT", "SpatialIntegrals", "StageFailure",
+    "RunConfig", "SpatialIntegrals", "StageFailure",
     "SymmetryViolation", "config_document", "dissociation_curve",
     "document_json", "emit_fcidump", "exact_eigensolve", "fixture_text",
     "ground_state", "list_fixtures", "load_fixture", "load_fixture_spatial",

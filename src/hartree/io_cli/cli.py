@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import click
+from numpy.linalg import LinAlgError
 
 from ..encoding import JW, VARIANTS
 from ..mitigation import SignInconsistent
@@ -24,7 +25,6 @@ from ..vqe import (
     SPSA,
     OptimizerConfig,
 )
-from .fcidump import ParseError, SymmetryViolation
 from .fixtures import H2_CURVE, list_fixtures
 from .pipeline import (
     ANSATZ_FAMILIES,
@@ -47,9 +47,9 @@ USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
 # Numerical failures that subclass ValueError; they still exit 3.
-_NUMERICAL_ERRORS = (SignInconsistent, ZeroOverlap, DegenerateSubspace)
-_CONFIG_ERRORS = (ParseError, SymmetryViolation, ValueError, KeyError,
-                  FileNotFoundError, TypeError)
+_NUMERICAL_ERRORS = (SignInconsistent, ZeroOverlap, DegenerateSubspace,
+                     LinAlgError)
+_CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, TypeError)
 
 
 def problem_options(command):

@@ -13,8 +13,8 @@ from ..pauli import (
     apply_to_statevector,
     to_matrix,
 )
+from ..simulator import STATEVECTOR_QUBIT_LIMIT
 
-SPARSE_QUBIT_LIMIT = 24
 LANCZOS_SEED = 20180830
 
 
@@ -37,7 +37,7 @@ def exact_eigensolve(h: PauliSum,
         matrix = to_matrix(h, n)
         values, vectors = np.linalg.eigh(matrix)
         values, vectors = values[:k], vectors[:, :k]
-    elif n <= SPARSE_QUBIT_LIMIT:
+    elif n <= STATEVECTOR_QUBIT_LIMIT:
         dim = 1 << n
         op = scipy.sparse.linalg.LinearOperator(
             (dim, dim), matvec=lambda v: apply_to_statevector(h, v), dtype=complex)
@@ -47,7 +47,7 @@ def exact_eigensolve(h: PauliSum,
         order = np.argsort(values)
         values, vectors = values[order], vectors[:, order]
     else:
-        raise TooLarge(f"{n} qubits exceeds the sparse limit of {SPARSE_QUBIT_LIMIT}")
+        raise TooLarge(f"{n} qubits exceeds the sparse limit of {STATEVECTOR_QUBIT_LIMIT}")
     if with_vectors:
         return values, vectors
     return values

@@ -28,7 +28,6 @@ from ..fermion import (
     uccsd_generators,
 )
 from ..mitigation import (
-    decomposition_for_noise,
     extrapolate_exponential,
     extrapolate_linear,
     noise_scaled_series,
@@ -148,11 +147,12 @@ class RunConfig:
         for name in ("layers", "trajectories", "n_ancilla", "k", "samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("qpe_trotter", "qpe_samples"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be positive when given")
-        for name in ("noise_p1", "noise_p2"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        self.noise_model()  # NoiseModel rejects probabilities outside [0, 1]
         object.__setattr__(self, "scales",
                            tuple(float(s) for s in self.scales))
         if self.seed is None and self._is_stochastic():
@@ -214,7 +214,7 @@ def _uccsd_ansatz(ints: MolecularIntegrals, scheme: EncodingScheme,
 
 def _build_ansatz(config: RunConfig, ints: MolecularIntegrals,
                   scheme: EncodingScheme, ferm: FermionSum,
-                  n_solve: int) -> Ansatz:
+                  n: int) -> Ansatz:
     if config.taper and config.ansatz != HARDWARE_EFFICIENT:
         raise ValueError("tapered registers support the hardware-efficient "
                          "family only; rerun without --taper or with "
@@ -222,17 +222,17 @@ def _build_ansatz(config: RunConfig, ints: MolecularIntegrals,
     if config.ansatz == UCCSD:
         return _uccsd_ansatz(ints, scheme, config.layers)
     if config.ansatz == HARDWARE_EFFICIENT:
-        return build_hardware_efficient(n_solve, config.layers)
+        return build_hardware_efficient(n, config.layers)
     if config.ansatz == HAMILTONIAN_VARIATIONAL:
         parts = HamiltonianParts.from_fermion(ferm, scheme)
         prep = preparation_gates(hf_occupation(ints), scheme)
         return build_hamiltonian_variational(parts, config.layers, prep)
-    return build_ldca(n_solve, config.layers)
+    return build_ldca(n, config.layers)
 
 
-def _solve_exact(config: RunConfig, h: PauliSum, n: int) -> dict:
-    k = min(config.k, 1 << n)
-    values = exact_eigensolve(h, k=k, n_qubits=n)
+def _solve_exact(config: RunConfig, h: PauliSum) -> dict:
+    k = min(config.k, 1 << h.n_qubits)
+    values = exact_eigensolve(h, k=k, n_qubits=h.n_qubits)
     return {"method": EXACT,
             "energies": [float(v) for v in values],
             "ground": float(values[0])}
@@ -240,14 +240,14 @@ def _solve_exact(config: RunConfig, h: PauliSum, n: int) -> dict:
 
 def _solve_vqe(config: RunConfig, ints: MolecularIntegrals,
                scheme: EncodingScheme, ferm: FermionSum, h: PauliSum,
-               n: int, record: Callable) -> dict:
-    ansatz = _build_ansatz(config, ints, scheme, ferm, n)
+               record: Callable) -> dict:
+    ansatz = _build_ansatz(config, ints, scheme, ferm, h.n_qubits)
     record("ansatz", family=config.ansatz, parameters=ansatz.n_params,
            gates=len(ansatz.combined().gates))
     result = optimize(ansatz, h, config.optimizer, shots=config.shots,
                       noise=config.noise_model(), rng=make_rng(config.seed),
                       trajectories=config.trajectories)
-    oracle = float(exact_eigensolve(h, k=1, n_qubits=n)[0])
+    oracle = float(exact_eigensolve(h, k=1, n_qubits=h.n_qubits)[0])
     return {"method": VQE,
             "family": config.ansatz,
             "energy": float(result.best_energy),
@@ -260,11 +260,11 @@ def _solve_vqe(config: RunConfig, ints: MolecularIntegrals,
             "trace": [[float(e), int(c)] for e, c in result.trace]}
 
 
-def _solve_qpe(config: RunConfig, h: PauliSum, n: int) -> dict:
-    energy0, vector = ground_state(h, n_qubits=n)
+def _solve_qpe(config: RunConfig, h: PauliSum) -> dict:
+    energy0, vector = ground_state(h, n_qubits=h.n_qubits)
     window = default_window(h)
     energies, probabilities = qpe_distribution(
-        StateVector(vector, n), h, config.n_ancilla,
+        StateVector(vector, h.n_qubits), h, config.n_ancilla,
         trotter_steps=config.qpe_trotter, window=window)
     modal = float(energies[int(np.argmax(probabilities))])
     document = {"method": QPE,
@@ -293,7 +293,8 @@ def _per_qubit_expansion(n: int) -> list[PauliString]:
     return strings
 
 
-def _solve_spectrum(config: RunConfig, h: PauliSum, n: int) -> dict:
+def _solve_spectrum(config: RunConfig, h: PauliSum) -> dict:
+    n = h.n_qubits
     k = min(config.k, 1 << n)
     exact, vectors = exact_eigensolve(h, k=k, n_qubits=n, with_vectors=True)
     subspace = qse_solve(StateVector(vectors[:, 0], n), h,
@@ -306,7 +307,7 @@ def _solve_spectrum(config: RunConfig, h: PauliSum, n: int) -> dict:
 
 def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
                     scheme: EncodingScheme, ferm: FermionSum, h: PauliSum,
-                    n: int, record: Callable) -> dict:
+                    record: Callable) -> dict:
     if config.technique == PEC and config.ansatz != HARDWARE_EFFICIENT:
         raise ValueError("probabilistic cancellation covers one- and "
                          "two-qubit gates; use the hardware-efficient ansatz")
@@ -321,7 +322,7 @@ def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
     if noise is None:
         raise ValueError("mitigation needs a nonzero noise model")
 
-    ansatz = _build_ansatz(config, ints, scheme, ferm, n)
+    ansatz = _build_ansatz(config, ints, scheme, ferm, h.n_qubits)
     record("ansatz", family=config.ansatz, parameters=ansatz.n_params,
            gates=len(ansatz.combined().gates))
     master = make_rng(config.seed)
@@ -344,11 +345,8 @@ def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
     elif config.technique == PEC:
         raw = noisy_expectation(circuit, theta, h, noise, raw_rng,
                                 trajectories=config.trajectories)
-        arities = sorted({len(g.support()) for g in circuit.gates
-                          if g.support()})
-        decompositions = decomposition_for_noise(noise, arities)
-        mitigated = pec_estimate(circuit, theta, h, noise, decompositions,
-                                 config.samples, technique_rng)
+        mitigated, decompositions = pec_estimate(
+            circuit, theta, h, noise, config.samples, technique_rng)
         document["gamma"] = {str(a): float(d.gamma)
                              for a, d in sorted(decompositions.items())}
     else:
@@ -397,25 +395,21 @@ def run_pipeline(config: RunConfig) -> dict:
     record("encode", encoding=config.encoding, qubits=scheme.m,
            fermion_terms=len(ferm), pauli_terms=len(h))
 
-    h_solve, n_solve = h, scheme.m
     if config.taper:
-        h_solve = _run_stage("taper", lambda: taper_two_qubits(
+        h = _run_stage("taper", lambda: taper_two_qubits(
             h, scheme, sector_for(ints.n_electrons, ints.n_up)))
-        n_solve = scheme.m - 2
-        record("taper", qubits=n_solve, pauli_terms=len(h_solve))
+        record("taper", qubits=h.n_qubits, pauli_terms=len(h))
 
     def solve():
         if config.method == EXACT:
-            return _solve_exact(config, h_solve, n_solve)
+            return _solve_exact(config, h)
         if config.method == VQE:
-            return _solve_vqe(config, ints, scheme, ferm, h_solve, n_solve,
-                              record)
+            return _solve_vqe(config, ints, scheme, ferm, h, record)
         if config.method == QPE:
-            return _solve_qpe(config, h_solve, n_solve)
+            return _solve_qpe(config, h)
         if config.method == SPECTRUM:
-            return _solve_spectrum(config, h_solve, n_solve)
-        return _solve_mitigate(config, ints, scheme, ferm, h_solve, n_solve,
-                               record)
+            return _solve_spectrum(config, h)
+        return _solve_mitigate(config, ints, scheme, ferm, h, record)
 
     result = _run_stage("solve", solve)
     document = {"config": config_document(config), "stages": stages,

@@ -39,7 +39,7 @@ from .simulator import (
 )
 
 MATCH_TOLERANCE = 1e-12
-DEFAULT_TRAJECTORIES = 2000
+DEFAULT_TRAJECTORIES = 512
 
 NUMBER = "number"
 SPIN_UP = "spin-up"
@@ -142,31 +142,33 @@ def _intercept_weights(scales: np.ndarray) -> np.ndarray:
     return pseudo[0]
 
 
-def extrapolate_linear(series: NoiseScaledSeries) -> ShotEstimate:
-    """Straight-line fit through the points, evaluated at zero noise."""
+def _fit_inputs(series: NoiseScaledSeries
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Intercept weights, means, standard errors and total shots of a series."""
     scales = np.array([lam for lam, _ in series.points])
     means = np.array([est.mean for _, est in series.points])
     errors = np.array([est.std_error for _, est in series.points])
-    weights = _intercept_weights(scales)
+    shots = sum(est.shots for _, est in series.points)
+    return _intercept_weights(scales), means, errors, shots
+
+
+def extrapolate_linear(series: NoiseScaledSeries) -> ShotEstimate:
+    """Straight-line fit through the points, evaluated at zero noise."""
+    weights, means, errors, shots = _fit_inputs(series)
     mitigated = float(weights @ means)
     spread = float(np.sqrt(np.sum((weights * errors) ** 2)))
-    shots = sum(est.shots for _, est in series.points)
     return ShotEstimate(mitigated, spread, shots)
 
 
 def extrapolate_exponential(series: NoiseScaledSeries) -> ShotEstimate:
     """Fit A e^(-b lambda) on log-magnitudes and return A with the shared sign."""
-    scales = np.array([lam for lam, _ in series.points])
-    means = np.array([est.mean for _, est in series.points])
-    errors = np.array([est.std_error for _, est in series.points])
+    weights, means, errors, shots = _fit_inputs(series)
     if np.any(means == 0.0) or len({np.sign(m) for m in means}) != 1:
         raise SignInconsistent("estimates must be nonzero and share a sign")
     sign = np.sign(means[0])
-    weights = _intercept_weights(scales)
     log_amplitude = float(weights @ np.log(np.abs(means)))
     amplitude = math.exp(log_amplitude)
     spread = amplitude * float(np.sqrt(np.sum((weights * errors / means) ** 2)))
-    shots = sum(est.shots for _, est in series.points)
     return ShotEstimate(float(sign * amplitude), spread, shots)
 
 
@@ -241,35 +243,26 @@ def _choice_cdf(probabilities: np.ndarray) -> list[float]:
 
 
 def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
-                 observable: PauliSum, noise: NoiseModel,
-                 decompositions: dict[int, QuasiProbDecomposition],
-                 samples: int, rng: np.random.Generator) -> ShotEstimate:
+                 observable: PauliSum, noise: NoiseModel, samples: int,
+                 rng: np.random.Generator
+                 ) -> tuple[ShotEstimate, dict[int, QuasiProbDecomposition]]:
     """Quasi-probability cancellation of per-qubit depolarizing noise.
 
     Per sample, every gate is followed by the noise draw and one insertion
-    drawn from its decomposition; the recorded value is the exact observable
-    expectation times the product of insertion parities. The mitigated mean
-    is gamma_total times the sample mean, and the standard error inherits the
-    same factor.
+    drawn from its arity's inverse channel, derived from ``noise``; the
+    recorded value is the exact observable expectation times the product of
+    insertion parities. The mitigated mean is gamma_total times the sample
+    mean, and the standard error inherits the same factor. Returns the
+    estimate and the decompositions keyed by arity.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     compiled = compile_circuit(circuit)
     supports = compiled.supports
-    gamma_total = 1.0
-    for arity in map(len, supports):
-        if arity == 0:
-            continue
-        if arity > 2:
-            raise ValueError("cancellation covers one- and two-qubit gates only")
-        if arity not in decompositions:
-            raise ValueError(f"no decomposition supplied for arity {arity}")
-        expected = 4.0 * noise.rate_for(arity) / 3.0
-        if abs(decompositions[arity].p - expected) > MATCH_TOLERANCE:
-            raise ValueError(
-                f"decomposition strength {decompositions[arity].p} does not "
-                f"match the noise model (expected {expected})")
-        gamma_total *= decompositions[arity].gamma
+    decompositions = decomposition_for_noise(
+        noise, [len(support) for support in supports if support])
+    gamma_total = math.prod(decompositions[len(support)].gamma
+                            for support in supports if support)
     cdfs = {a: _choice_cdf(np.array([prob for _, prob, _ in d.entries]))
             for a, d in decompositions.items()}
     insertions = {index: [_insertion_string(letters, support) for letters, _, _
@@ -297,7 +290,7 @@ def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
     values = np.array(parities, dtype=float)
     for members, psi in compiled.trajectories(theta, kicks):
         values[members] *= psi.expectation(observable)
-    return _mean_estimate(values, gamma_total)
+    return _mean_estimate(values, gamma_total), decompositions
 
 
 # --------------------------------------------------------------- stabilisers

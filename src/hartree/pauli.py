@@ -43,10 +43,6 @@ class NonHermitian(ValueError):
     pass
 
 
-def _popcount(n: int) -> int:
-    return bin(n).count("1")
-
-
 def _tables(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather index i ^ x and the sign (-1)^|(i ^ x) & z| of output amplitude i."""
     idx = np.arange(dim) ^ x
@@ -73,7 +69,7 @@ class _TableCache:
         if tables is not None:
             return tables
         idx, signs = _tables(x, z, dim)
-        tables = idx, (1j ** _popcount(x & z)) * signs
+        tables = idx, (1j ** (x & z).bit_count()) * signs
         cost = dim * TABLE_ITEM_BYTES
         if cost > self.limit:
             return tables
@@ -130,7 +126,7 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return _popcount(self.x | self.z)
+        return (self.x | self.z).bit_count()
 
     @property
     def n_qubits(self) -> int:
@@ -185,8 +181,8 @@ class PauliTerm:
 def mul_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     """Product a*b as (phase, string); the phase is a power of i."""
     x3, z3 = a.x ^ b.x, a.z ^ b.z
-    k = (_popcount(a.x & a.z) + _popcount(b.x & b.z) - _popcount(x3 & z3)
-         + 2 * _popcount(a.z & b.x))
+    k = ((a.x & a.z).bit_count() + (b.x & b.z).bit_count() - (x3 & z3).bit_count()
+         + 2 * (a.z & b.x).bit_count())
     return complex(_PHASES[k % 4]), PauliString(x3, z3)
 
 
@@ -197,7 +193,7 @@ def mul_terms(a: PauliTerm, b: PauliTerm) -> PauliTerm:
 
 def commutes(a: PauliString, b: PauliString) -> bool:
     """True iff the strings commute (even number of anticommuting sites)."""
-    return (_popcount(a.x & b.z) + _popcount(a.z & b.x)) % 2 == 0
+    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
 class PauliSum:
@@ -326,7 +322,7 @@ def _weighted_terms(s: PauliSum, dim: int
         if (string.x | string.z) >= dim:
             raise DimensionMismatch(f"term {string} exceeds {dim}-dim state")
         idx, signs = _tables(string.x, string.z, dim)
-        yield idx, (coeff * 1j ** _popcount(string.x & string.z)) * signs
+        yield idx, (coeff * 1j ** (string.x & string.z).bit_count()) * signs
 
 
 def _sum_tables(s: PauliSum, dim: int

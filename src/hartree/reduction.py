@@ -201,6 +201,17 @@ def sector_determinants(m: int, n_up: int, n_down: int) -> list[int]:
     return sorted(u | d for u in ups for d in downs)
 
 
+def _images(op: FermionOperator, determinants: list[OccupationVector],
+            index: dict[int, int]):
+    """(column, row, amplitude) of ``op`` on each sector determinant, in
+    column order; a determinant the operator annihilates yields nothing."""
+    for column, f in enumerate(determinants):
+        result = apply_to_occupation(op, f)
+        if result is not None:
+            amplitude, g = result
+            yield column, index[g.mask], amplitude
+
+
 def fci_sector_ground(ints: MolecularIntegrals
                       ) -> tuple[float, np.ndarray, list[int]]:
     """Exact ground state in the fixed (n_up, n_down) determinant sector."""
@@ -211,16 +222,11 @@ def fci_sector_ground(ints: MolecularIntegrals
     if dim > SECTOR_DIMENSION_LIMIT:
         raise TooLarge(f"sector dimension {dim} exceeds {SECTOR_DIMENSION_LIMIT}")
     index = {mask: i for i, mask in enumerate(masks)}
-    h_sum = build_molecular_hamiltonian(ints)
+    determinants = [OccupationVector(ints.m, mask) for mask in masks]
     matrix = np.zeros((dim, dim), dtype=complex)
-    for j, mask in enumerate(masks):
-        f = OccupationVector(ints.m, mask)
-        for term in h_sum:
-            result = apply_to_occupation(term, f)
-            if result is None:
-                continue
-            amp, g = result
-            matrix[index[g.mask], j] += amp
+    for term in build_molecular_hamiltonian(ints):
+        for column, row, amplitude in _images(term, determinants, index):
+            matrix[row, column] += amplitude
     values, vectors = np.linalg.eigh(matrix)
     return float(values[0]), vectors[:, 0], masks
 
@@ -233,24 +239,15 @@ def spin_summed_1rdm(ints: MolecularIntegrals,
     else:
         amplitudes, masks = ground
     index = {mask: i for i, mask in enumerate(masks)}
+    determinants = [OccupationVector(ints.m, mask) for mask in masks]
     ns = ints.m // 2
     rho = np.zeros((ns, ns))
-    for i_orb in range(ns):
-        for j_orb in range(ns):
-            total = 0.0
-            for offset in (0, ns):
-                op = FermionOperator(((i_orb + offset, True),
-                                      (j_orb + offset, False)))
-                for k, mask in enumerate(masks):
-                    if abs(amplitudes[k]) < 1e-14:
-                        continue
-                    result = apply_to_occupation(op, OccupationVector(ints.m, mask))
-                    if result is None:
-                        continue
-                    phase, g = result
-                    total += (np.conj(amplitudes[index[g.mask]])
-                              * phase * amplitudes[k]).real
-            rho[i_orb, j_orb] = total
+    for i_orb, j_orb, offset in itertools.product(range(ns), range(ns), (0, ns)):
+        op = FermionOperator(((i_orb + offset, True), (j_orb + offset, False)))
+        for k, row, phase in _images(op, determinants, index):
+            if abs(amplitudes[k]) >= 1e-14:
+                rho[i_orb, j_orb] += (np.conj(amplitudes[row])
+                                      * phase * amplitudes[k]).real
     out = OneRDM(rho)
     out.validate()
     return out

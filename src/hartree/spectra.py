@@ -21,7 +21,7 @@ import numpy as np
 
 from .encoding import EncodingScheme, encode_operator
 from .fermion import FermionSum
-from .pauli import PauliString, PauliSum, apply_to_statevector, canonicalize
+from .pauli import PauliString, PauliSum, apply_to_statevector
 from .simulator import StateVector, default_window
 
 S_CUTOFF = 1e-8
@@ -77,7 +77,7 @@ def deflated_hamiltonian(h: PauliSum, ground: StateVector,
 def folded_hamiltonian(h: PauliSum, alpha: float) -> PauliSum:
     """(H - alpha I)^2, expanded and canonicalized."""
     shifted = h - PauliSum.identity(alpha)
-    return canonicalize(shifted * shifted)
+    return shifted * shifted
 
 
 # ---------------------------------------------------------------- subspace

@@ -23,10 +23,11 @@ import numpy as np
 
 from .encoding import EncodingScheme, encode_operator, encode_state
 from .fermion import FermionSum, OccupationVector, normal_order
-from .mitigation import noisy_expectation
-from .pauli import PauliString, PauliSum, apply_to_statevector, canonicalize
+from .mitigation import DEFAULT_TRAJECTORIES, noisy_expectation
+from .pauli import PauliString, PauliSum, apply_to_statevector
 from .simulator import (
     Circuit,
+    ROTATION_AXES,
     CompiledCircuit,
     Gate,
     NoiseModel,
@@ -38,7 +39,6 @@ from .simulator import (
 )
 
 COEFF_TOLERANCE = 1e-10
-DEFAULT_TRAJECTORIES = 512
 INITIAL_SPREAD = 0.01
 CONVERGENCE_STREAK = 10
 
@@ -231,7 +231,7 @@ def build_hamiltonian_variational(parts: HamiltonianParts, steps: int,
     if steps < 1:
         raise ValueError("need at least one step")
     if full is not None:
-        residue = canonicalize(parts.total() - full)
+        residue = parts.total() - full
         if any(abs(c) > COEFF_TOLERANCE for _, c in residue.items()):
             raise PartitionIncomplete("groups do not sum to the full Hamiltonian")
     n = parts.total().n_qubits
@@ -315,29 +315,23 @@ def estimate_energy(ansatz: Ansatz, theta: Sequence[float], h: PauliSum,
     (exact or sampled per trajectory) and reports the empirical standard
     error of that average.
     """
-    if shots is not None and rng is None:
-        raise ValueError("shot sampling needs a random generator")
+    if (shots is not None or noise is not None) and rng is None:
+        raise ValueError("shot sampling and noise need a random generator")
     if noise is None:
         psi = ansatz.state(theta)
         if shots is None:
             return ShotEstimate(psi.expectation(h), 0.0, 1)
         return sample_expectation(psi, h, shots, rng)
-    if rng is None:
-        rng = make_rng()
     return noisy_expectation(ansatz.combined(), theta, h, noise, rng,
                              trajectories, shots)
-
-
-_ROTATION_LETTERS = {"rx": "X", "ry": "Y", "rz": "Z"}
 
 
 def _gate_generator(gate: Gate) -> tuple[float, PauliString]:
     """(weight, P) with dU/dtheta = i * weight * P * U for a parametrized gate."""
     if gate.kind == "exp":
         return gate.scale, gate.string
-    if gate.kind in _ROTATION_LETTERS:
-        letter = _ROTATION_LETTERS[gate.kind]
-        return -gate.scale / 2.0, PauliString.single(letter, gate.targets[0])
+    if gate.kind in ROTATION_AXES:
+        return -gate.scale / 2.0, PauliString.single(gate.kind[1], gate.targets[0])
     raise UnsupportedGate(f"cannot differentiate a parametrized {gate.kind} gate")
 
 
@@ -377,7 +371,7 @@ def penalty_hamiltonian(h: PauliSum,
             raise ValueError("constraint operators must be Hermitian")
         shifted = operator - PauliSum.identity(target)
         out = out + beta * (shifted * shifted)
-    return canonicalize(out)
+    return out
 
 
 # ------------------------------------------------------------------ optimizers

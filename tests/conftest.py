@@ -337,3 +337,152 @@ def letter_product_coefficients(p: float, arity: int):
     signs = np.array([[math.prod(sign(a, b) for a, b in zip(pauli, q))
                        for pauli in labels] for q in labels], dtype=float)
     return labels, np.linalg.solve(signs, 1.0 / transfer)
+
+
+# --------------------------- restating loops, kept as bit-for-bit oracles
+#
+# The sector loops, the two fit bodies and cancellation with caller-built
+# decompositions as they were written before each was derived from shared
+# code. The library must match them bit for bit.
+
+
+def per_determinant_fci_matrix(ints):
+    """Sector FCI matrix built column by column, every term applied to a
+    fresh OccupationVector; returns (matrix, masks)."""
+    from hartree.fermion import (
+        OccupationVector,
+        apply_to_occupation,
+        build_molecular_hamiltonian,
+    )
+    from hartree.reduction import sector_determinants
+
+    masks = sector_determinants(ints.m, ints.n_up, ints.n_down)
+    index = {mask: i for i, mask in enumerate(masks)}
+    h_sum = build_molecular_hamiltonian(ints)
+    matrix = np.zeros((len(masks), len(masks)), dtype=complex)
+    for j, mask in enumerate(masks):
+        f = OccupationVector(ints.m, mask)
+        for term in h_sum:
+            result = apply_to_occupation(term, f)
+            if result is None:
+                continue
+            amp, g = result
+            matrix[index[g.mask], j] += amp
+    return matrix, masks
+
+
+def per_determinant_1rdm(ints, amplitudes, masks) -> np.ndarray:
+    """Spin-summed 1-RDM with a fresh OccupationVector per (operator,
+    determinant), small amplitudes skipped before the operator is applied."""
+    from hartree.fermion import (
+        FermionOperator,
+        OccupationVector,
+        apply_to_occupation,
+    )
+
+    index = {mask: i for i, mask in enumerate(masks)}
+    ns = ints.m // 2
+    rho = np.zeros((ns, ns))
+    for i_orb in range(ns):
+        for j_orb in range(ns):
+            total = 0.0
+            for offset in (0, ns):
+                op = FermionOperator(((i_orb + offset, True),
+                                      (j_orb + offset, False)))
+                for k, mask in enumerate(masks):
+                    if abs(amplitudes[k]) < 1e-14:
+                        continue
+                    result = apply_to_occupation(op, OccupationVector(ints.m, mask))
+                    if result is None:
+                        continue
+                    phase, g = result
+                    total += (np.conj(amplitudes[index[g.mask]])
+                              * phase * amplitudes[k]).real
+            rho[i_orb, j_orb] = total
+    return rho
+
+
+def _intercept_weights(scales: np.ndarray) -> np.ndarray:
+    design = np.column_stack([np.ones_like(scales), scales])
+    return np.linalg.pinv(design)[0]
+
+
+def series_extrapolate_linear(series):
+    """(mean, std_error, shots) of the straight-line fit at zero noise."""
+    scales = np.array([lam for lam, _ in series.points])
+    means = np.array([est.mean for _, est in series.points])
+    errors = np.array([est.std_error for _, est in series.points])
+    weights = _intercept_weights(scales)
+    mitigated = float(weights @ means)
+    spread = float(np.sqrt(np.sum((weights * errors) ** 2)))
+    shots = sum(est.shots for _, est in series.points)
+    return mitigated, spread, shots
+
+
+def series_extrapolate_exponential(series):
+    """(mean, std_error, shots) of the log-magnitude fit at zero noise;
+    the series must share one nonzero sign."""
+    scales = np.array([lam for lam, _ in series.points])
+    means = np.array([est.mean for _, est in series.points])
+    errors = np.array([est.std_error for _, est in series.points])
+    sign = np.sign(means[0])
+    weights = _intercept_weights(scales)
+    log_amplitude = float(weights @ np.log(np.abs(means)))
+    amplitude = math.exp(log_amplitude)
+    spread = amplitude * float(np.sqrt(np.sum((weights * errors / means) ** 2)))
+    shots = sum(est.shots for _, est in series.points)
+    return float(sign * amplitude), spread, shots
+
+
+def pec_with_decompositions(circuit, theta, observable, noise, decompositions,
+                            samples, rng):
+    """Cancellation with caller-supplied decompositions, checked against the
+    noise model; returns the ShotEstimate."""
+    from bisect import bisect_right
+
+    from hartree.mitigation import (
+        _LETTERS,
+        MATCH_TOLERANCE,
+        _choice_cdf,
+        _insertion_string,
+        _mean_estimate,
+    )
+    from hartree.simulator import compile_circuit, split_rng
+
+    compiled = compile_circuit(circuit)
+    supports = compiled.supports
+    gamma_total = 1.0
+    for arity in map(len, supports):
+        if arity == 0:
+            continue
+        expected = 4.0 * noise.rate_for(arity) / 3.0
+        assert abs(decompositions[arity].p - expected) <= MATCH_TOLERANCE
+        gamma_total *= decompositions[arity].gamma
+    cdfs = {a: _choice_cdf(np.array([prob for _, prob, _ in d.entries]))
+            for a, d in decompositions.items()}
+    insertions = {index: [_insertion_string(letters, support) for letters, _, _
+                          in decompositions[len(support)].entries]
+                  for index, support in enumerate(supports) if support}
+
+    def draw(stream):
+        kicks, parity = [], 1
+        for index, support in enumerate(supports):
+            arity = len(support)
+            if arity == 0:
+                continue
+            rate = noise.rate_for(arity)
+            for q in support:
+                if rate > 0.0 and stream.random() < rate:
+                    letter = _LETTERS[1 + stream.integers(3)]
+                    kicks.append((index, PauliString.single(letter, q)))
+            choice = bisect_right(cdfs[arity], stream.random())
+            if not insertions[index][choice].is_identity:
+                kicks.append((index, insertions[index][choice]))
+            parity *= decompositions[arity].entries[choice][2]
+        return kicks, parity
+
+    kicks, parities = zip(*map(draw, split_rng(rng, samples)))
+    values = np.array(parities, dtype=float)
+    for members, psi in compiled.trajectories(theta, kicks):
+        values[members] *= psi.expectation(observable)
+    return _mean_estimate(values, gamma_total)

@@ -537,9 +537,22 @@ class TestCli:
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,value,field", [
+        ("--samples", "-3", "qpe_samples"),
+        ("--trotter-steps", "-1", "qpe_trotter"),
+    ])
+    def test_negative_qpe_options_exit_2_naming_the_field(self, option, value,
+                                                          field, capsys):
+        argv = ["qpe", "--fixture", H2_EQUILIBRIUM, "--ancillas", "4",
+                "--seed", "1", option, value]
+        assert main(argv) == 2
+        assert f"error: {field} must not be negative" in capsys.readouterr().err
+
     def test_exit_codes_by_error_type(self):
         assert exit_code_for(ValueError("x")) == 2
         assert exit_code_for(ParseError("x")) == 2
+        assert exit_code_for(SymmetryViolation("x")) == 2
+        assert exit_code_for(StageFailure("solve", np.linalg.LinAlgError("x"))) == 3
         assert exit_code_for(StageFailure("ingest", ParseError("x"))) == 2
         assert exit_code_for(RuntimeError("x")) == 3
         assert exit_code_for(StageFailure("solve", RuntimeError("x"))) == 3

@@ -6,7 +6,14 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from conftest import fan_postselect, letter_product_coefficients, same_bits
+from conftest import (
+    fan_postselect,
+    letter_product_coefficients,
+    pec_with_decompositions,
+    same_bits,
+    series_extrapolate_exponential,
+    series_extrapolate_linear,
+)
 from hartree.encoding import JW, EncodingScheme, encode_operator
 from hartree.fermion import (
     build_molecular_hamiltonian,
@@ -36,7 +43,7 @@ from hartree.mitigation import (
     scaled_noise,
     stabiliser_postselect,
 )
-from hartree.pauli import PauliSum
+from hartree.pauli import PauliString, PauliSum
 from hartree.simulator import (
     Circuit,
     NoiseModel,
@@ -223,6 +230,26 @@ class TestExponentialExtrapolation:
         assert wins >= 7
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_fits_match_restated_bodies_bit_for_bit(seed):
+    rng = make_rng(seed)
+    count = int(rng.integers(2, 6))
+    scales = np.concatenate(
+        [[1.0], 1.0 + np.cumsum(rng.uniform(0.1, 2.0, count - 1))])
+    sign = rng.choice([-1.0, 1.0])
+    series = NoiseScaledSeries(
+        [(lam, ShotEstimate(sign * rng.uniform(0.05, 2.0), rng.uniform(0, 0.1),
+                            int(rng.integers(1, 5000)))) for lam in scales])
+    for fit, oracle in ((extrapolate_linear, series_extrapolate_linear),
+                        (extrapolate_exponential,
+                         series_extrapolate_exponential)):
+        est = fit(series)
+        mean, spread, shots = oracle(series)
+        assert same_bits(np.array([est.mean, est.std_error]),
+                         np.array([mean, spread]))
+        assert est.shots == shots
+
+
 class TestPecDecomposition:
     def test_noiseless_is_trivial(self):
         decomp = pec_decompose_depolarizing(0.0, 1)
@@ -345,8 +372,7 @@ class TestPecEstimate:
         circuit = Circuit(1).rx(0, angle=np.pi / 3)
         z = PauliSum.from_text({"Z0": 1.0}, 1)
         noise = NoiseModel()
-        est = pec_estimate(circuit, None, z, noise,
-                           decomposition_for_noise(noise, [1]), 16, make_rng(0))
+        est, _ = pec_estimate(circuit, None, z, noise, 16, make_rng(0))
         assert est.mean == pytest.approx(0.5, abs=1e-12)
         assert est.std_error == 0.0
         assert est.shots == 16
@@ -358,9 +384,7 @@ class TestPecEstimate:
         rho = density_matrix_reference(circuit, None, noise)
         unmitigated = expectation_from_density(rho, z)
         assert unmitigated == pytest.approx((1 - 4 * 0.05 / 3) * 0.5, abs=1e-12)
-        est = pec_estimate(circuit, None, z, noise,
-                           decomposition_for_noise(noise, [1]), 4000,
-                           make_rng(1))
+        est, _ = pec_estimate(circuit, None, z, noise, 4000, make_rng(1))
         assert abs(est.mean - 0.5) <= 3.0 * est.std_error
         assert abs(est.mean - 0.5) < abs(unmitigated - 0.5)
 
@@ -370,35 +394,47 @@ class TestPecEstimate:
         noise = NoiseModel(p1=0.15)
         decomps = decomposition_for_noise(noise, [1])
         gamma_total = decomps[1].gamma ** 2
-        est = pec_estimate(circuit, None, z, noise, decomps, 4000, make_rng(1))
+        est, _ = pec_estimate(circuit, None, z, noise, 4000, make_rng(1))
         observed = est.std_error ** 2 * est.shots
         predicted = gamma_total ** 2 - 1.0
         assert observed == pytest.approx(predicted, rel=0.3)
         assert est.mean == pytest.approx(1.0, abs=0.05)
 
-    def test_rejects_mismatched_decomposition(self):
-        circuit = Circuit(1).rx(0, angle=0.3)
-        z = PauliSum.from_text({"Z0": 1.0}, 1)
-        wrong = {1: pec_decompose_depolarizing(0.05, 1)}
-        with pytest.raises(ValueError, match="does not match"):
-            pec_estimate(circuit, None, z, NoiseModel(p1=0.05), wrong, 4,
-                         make_rng(0))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_matches_caller_built_decompositions_bit_for_bit(self, arity,
+                                                             seed):
+        if arity == 1:
+            circuit = Circuit(1).rx(0, angle=np.pi / 3).ry(0, angle=0.4)
+            z = PauliSum.from_text({"Z0": 1.0}, 1)
+        else:
+            circuit = Circuit(2).ry(0, angle=0.7).cnot(0, 1) \
+                .rx(1, angle=-0.3).cz(0, 1)
+            z = PauliSum.from_text({"Z0 Z1": 1.0, "X1": 0.5}, 2)
+        noise = NoiseModel(p1=0.02, p2=0.03)
+        est, decompositions = pec_estimate(circuit, None, z, noise, 500,
+                                           make_rng(seed))
+        supplied = decomposition_for_noise(
+            noise, [len(gate.support()) for gate in circuit.gates])
+        assert decompositions == supplied
+        oracle = pec_with_decompositions(circuit, None, z, noise, supplied,
+                                         500, make_rng(seed))
+        assert same_bits(np.array([est.mean, est.std_error]),
+                         np.array([oracle.mean, oracle.std_error]))
+        assert est.shots == oracle.shots
 
-    def test_rejects_missing_arity(self):
-        circuit = Circuit(2).cnot(0, 1)
-        z = PauliSum.from_text({"Z0": 1.0}, 2)
-        noise = NoiseModel(p2=0.01)
-        with pytest.raises(ValueError, match="no decomposition"):
-            pec_estimate(circuit, None, z, noise,
-                         decomposition_for_noise(noise, [1]), 4, make_rng(0))
+    def test_rejects_three_qubit_gates(self):
+        circuit = Circuit(3).exp(PauliString.from_text("X0 X1 X2"), angle=0.2)
+        z = PauliSum.from_text({"Z0": 1.0}, 3)
+        with pytest.raises(ValueError, match="two-qubit"):
+            pec_estimate(circuit, None, z, NoiseModel(p1=0.01, p2=0.01), 4,
+                         make_rng(0))
 
     def test_requires_samples(self):
         circuit = Circuit(1).x(0)
         z = PauliSum.from_text({"Z0": 1.0}, 1)
         with pytest.raises(ValueError, match="sample"):
-            pec_estimate(circuit, None, z, NoiseModel(),
-                         decomposition_for_noise(NoiseModel(), [1]), 0,
-                         make_rng(0))
+            pec_estimate(circuit, None, z, NoiseModel(), 0, make_rng(0))
 
 
 class TestStabiliser:

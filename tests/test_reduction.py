@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import fermion_matrix
+from conftest import (
+    fermion_matrix,
+    per_determinant_1rdm,
+    per_determinant_fci_matrix,
+    same_bits,
+)
 from hartree.encoding import BK, BKTREE, JW, PARITY, EncodingScheme, encode_operator
 from hartree.fermion import MolecularIntegrals, build_molecular_hamiltonian
 from hartree.io_cli import load_fixture
@@ -224,6 +229,27 @@ def test_sector_ground_matches_dense_diagonalization():
     dense = np.linalg.eigvalsh(fermion_matrix(build_molecular_hamiltonian(ints), 4))
     assert energy == pytest.approx(dense[0], abs=1e-10)
     assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("fixture", ["h2_sto3g_0.7414", "h2_631g_0.7414",
+                                     "lih_sto3g_1.45"])
+def test_sector_loops_match_per_determinant_oracles_bit_for_bit(fixture,
+                                                               monkeypatch):
+    ints = load_fixture(fixture)
+    eigh, matrices = np.linalg.eigh, []
+
+    def recording_eigh(matrix):
+        matrices.append(matrix.copy())
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    _, amplitudes, masks = fci_sector_ground(ints)
+    monkeypatch.undo()
+    matrix, oracle_masks = per_determinant_fci_matrix(ints)
+    assert masks == oracle_masks
+    assert same_bits(matrices[0], matrix)
+    rdm = spin_summed_1rdm(ints, (amplitudes, masks))
+    assert same_bits(rdm.rho, per_determinant_1rdm(ints, amplitudes, masks))
 
 
 def test_fixture_rdm_is_physical():

@@ -574,6 +574,12 @@ class TestEstimateEnergy:
         with pytest.raises(ValueError):
             estimate_energy(h2_uccsd, np.zeros(3), h, shots=100)
 
+    def test_noise_needs_a_generator(self, h2, h2_uccsd):
+        _, _, _, h, _ = h2
+        with pytest.raises(ValueError, match="random generator"):
+            estimate_energy(h2_uccsd, np.zeros(3), h,
+                            noise=NoiseModel(0.01, 0.01), trajectories=8)
+
     def test_zero_rate_noise_matches_exact(self, h2, h2_uccsd):
         _, _, _, h, _ = h2
         exact = estimate_energy(h2_uccsd, np.zeros(3), h).mean

@@ -1,0 +1,112 @@
+"""Print one SHA-256 digest per CLI document, to check two builds byte for byte.
+
+Runs, in-process through ``hartree.io_cli.cli.main``:
+
+  * every job of ``perfbench/workloads.py`` at each seed in SEEDS (a seeded
+    job gets the ``--seed`` the benchmark's first pass would give it),
+  * each ``hartree ...`` line of the README's command block, once,
+  * EXTRA, a short list for paths those two miss, at each seed in SEEDS.
+
+Each output line is ``seed name exit sha256``; ``-`` stands for no seed or
+no document. Every document is written to one fixed path, because a
+document echoes its ``--out``. ``hartree`` is imported from PYTHONPATH, so
+comparing two source trees is
+
+    PYTHONPATH=<parent>/src python tools/doc_digests.py > a
+    PYTHONPATH=src python tools/doc_digests.py > b
+    diff a b
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+# One BLAS thread, as the benchmark runs, so dense eigensolves repeat bits.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS, job_argv  # noqa: E402
+
+from hartree.io_cli.cli import main as cli_main  # noqa: E402
+
+SEEDS = (3, 11, 29)
+OUT = Path(tempfile.gettempdir()) / "hartree-doc-digests.out"
+
+H2 = ("--fixture", "h2_sto3g_0.7414")
+EXTRA = (
+    ("exact-h2-bktree", ("exact", *H2, "--encoding", "bktree")),
+    ("exact-lih-reduce", ("exact", "--fixture", "lih_sto3g_1.45",
+                          "--reduce")),
+    ("qpe-h2-trotter", ("qpe", *H2, "--encoding", "parity", "--taper",
+                        "--ancillas", "6", "--trotter-steps", "3")),
+    ("mitigate-postselect-p05", ("mitigate", *H2, "--technique",
+                                 "postselect", "--noise-p1", "0.05",
+                                 "--noise-p2", "0.05", "--samples", "300")),
+    ("mitigate-pec-p1-p2", ("mitigate", *H2, "--technique", "pec",
+                            "--ansatz", "hardware-efficient", "--noise-p1",
+                            "0.02", "--noise-p2", "0.03", "--samples",
+                            "1000")),
+    ("mitigate-linear", ("mitigate", *H2, "--technique", "linear",
+                         "--trajectories", "2000")),
+)
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each ``hartree`` line in README's ``sh`` blocks, joined
+    across backslash continuations and without its own ``--out``."""
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    commands, in_block = [], False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            in_block = line == "```sh"
+            continue
+        words = shlex.split(line) if in_block else []
+        if words[:1] == ["hartree"]:
+            if "--out" in words:
+                at = words.index("--out")
+                del words[at:at + 2]
+            commands.append(words[1:])
+    return commands
+
+
+def digest(argv: list[str]) -> tuple[int, str]:
+    """Exit code of one command and the SHA-256 of the document it wrote."""
+    OUT.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv + ["--out", str(OUT)])
+    if not OUT.exists():
+        return code, "-"
+    return code, hashlib.sha256(OUT.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    runs = []
+    for seed in SEEDS:
+        for workload in WORKLOADS.values():
+            for position, job in enumerate(workload.jobs):
+                runs.append((seed, job.name,
+                             job_argv(job, seed, 0, position)))
+        for name, argv in EXTRA:
+            runs.append((seed, name, [*argv, "--seed", str(seed)]))
+    for index, argv in enumerate(readme_commands()):
+        runs.append(("-", f"readme-{index}-{argv[0]}", argv))
+    for seed, name, argv in runs:
+        code, sha = digest(argv)
+        print(seed, name, code, sha, flush=True)
+    OUT.unlink(missing_ok=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
