@@ -19,6 +19,7 @@ is (c_j + i d_j)/2 and the creator (c_j - i d_j)/2.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -26,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .fermion import FermionSum, OccupationVector
-from .pauli import DimensionMismatch, PauliString, PauliSum
+from .pauli import DROP_TOLERANCE, DimensionMismatch, PauliString, PauliSum, mul_masks
 
 JW = "jw"
 PARITY = "parity"
@@ -172,20 +173,55 @@ def _mode_images(variant: str, m: int) -> tuple[tuple[PauliSum, PauliSum], ...]:
     return tuple(images)
 
 
+@lru_cache(maxsize=None)
+def _raw_images(variant: str, m: int) -> tuple[tuple[tuple, tuple], ...]:
+    """``_mode_images`` as (x, z, coeff) triples in term order."""
+    return tuple(tuple(tuple((s.x, s.z, c) for s, c in image.items())
+                       for image in pair)
+                 for pair in _mode_images(variant, m))
+
+
+def _merged(products: dict[tuple[int, int], complex]
+            ) -> list[tuple[tuple[int, int], complex]]:
+    """Products merged as a PauliSum merges them: 0.0 + complex(c), and
+    |c| < DROP_TOLERANCE dropped."""
+    kept = []
+    for key, coeff in products.items():
+        coeff = 0.0 + complex(coeff)
+        if abs(coeff) >= DROP_TOLERANCE:
+            kept.append((key, coeff))
+    return kept
+
+
 def encode_operator(s: FermionSum, scheme: EncodingScheme) -> PauliSum:
-    """Qubit operator acting on encoded states exactly as s acts on modes."""
-    images = _mode_images(scheme.variant, scheme.m)
-    total: dict[PauliString, complex] = {}
+    """Qubit operator acting on encoded states exactly as s acts on modes.
+
+    Each term is multiplied out on raw (x, z) masks, one ladder image at a
+    time, dropping |c| < DROP_TOLERANCE after every factor; the terms are
+    then summed in order into one PauliSum. An image holds two strings, so
+    each product string collects at most two contributions per factor, and
+    their sum does not depend on the order the strings are visited in.
+    """
+    images = _raw_images(scheme.variant, scheme.m)
+    total: dict[tuple[int, int], complex] = {}
     for term in s:
         if term.max_mode() >= scheme.m:
             raise IndexOutOfRange(
                 f"mode {term.max_mode()} outside register of {scheme.m}")
-        acc = PauliSum.identity(term.coeff, n_qubits=scheme.m)
+        if not cmath.isfinite(term.coeff):
+            raise ValueError(f"non-finite coefficient {term.coeff}")
+        acc = _merged({(0, 0): term.coeff})
         for p, dagger in term.factors:
-            acc = acc * images[p][1 if dagger else 0]
-        for string, coeff in acc.items():
-            total[string] = total.get(string, 0.0) + coeff
-    return PauliSum(total, n_qubits=scheme.m)
+            out: dict[tuple[int, int], complex] = {}
+            for (x1, z1), c1 in acc:
+                for x2, z2, c2 in images[p][1 if dagger else 0]:
+                    phase, x3, z3 = mul_masks(x1, z1, x2, z2)
+                    out[x3, z3] = out.get((x3, z3), 0.0) + c1 * c2 * phase
+            acc = _merged(out)
+        for key, coeff in acc:
+            total[key] = total.get(key, 0.0) + coeff
+    return PauliSum({PauliString(x, z): c for (x, z), c in total.items()},
+                    n_qubits=scheme.m)
 
 
 def encode_state(f: OccupationVector, scheme: EncodingScheme) -> OccupationVector:

@@ -1,53 +1,95 @@
-"""Exact eigensolver for qubit Hamiltonians; the reference every test leans on."""
+"""Exact eigensolver for qubit Hamiltonians; the reference every test leans on.
+
+Small problems, up to 2^8 amplitudes, and requests for nearly every level
+take the dense complex ``eigh``. Above that the Hamiltonian is stacked into a
+CSR matrix by X mask (``pauli.to_csr``), held in float64 when every
+imaginary part is exactly zero (as for every molecular Hamiltonian here), and
+its lowest levels come from ARPACK's Lanczos iteration (``eigsh``) started
+from a fixed seeded vector, so repeated calls return the same bits. Before
+anything is built, the bytes the solve would hold are checked against
+``ORACLE_BYTES``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
 
-from ..pauli import (
-    DENSE_QUBIT_LIMIT,
-    NonHermitian,
-    PauliSum,
-    TooLarge,
-    apply_to_statevector,
-    to_matrix,
-)
-from ..simulator import STATEVECTOR_QUBIT_LIMIT
+from ..pauli import NonHermitian, PauliSum, TooLarge, to_csr, to_matrix, x_masks
 
 LANCZOS_SEED = 20180830
+DENSE_DIMENSION = 1 << 8
+ORACLE_BYTES = 1 << 30
+# A stored CSR entry: its complex value, its float64 copy when the matrix is
+# real, and its column index.
+CSR_ENTRY_BYTES = 16 + 8 + 8
+AMPLITUDE_BYTES = np.dtype(complex).itemsize
+
+
+def lanczos_size(dim: int, k: int) -> int:
+    """Vectors in eigsh's Lanczos basis for k levels: scipy's default ncv."""
+    return min(dim, max(2 * k + 1, 20))
+
+
+def takes_dense(dim: int, k: int) -> bool:
+    """Dense eigh for small matrices and where the Lanczos basis would span
+    the whole space anyway."""
+    return dim <= DENSE_DIMENSION or lanczos_size(dim, k) >= dim
+
+
+def solve_bytes(masks: int, n: int, k: int) -> int:
+    """Bytes the solve of a sum with ``masks`` distinct X masks on n qubits
+    holds at once: the dense matrix and its eigenvectors, or the CSR entries
+    and the Lanczos basis."""
+    dim = 1 << n
+    if takes_dense(dim, k):
+        return 2 * dim * dim * AMPLITUDE_BYTES
+    return dim * (masks * CSR_ENTRY_BYTES + lanczos_size(dim, k) * AMPLITUDE_BYTES)
+
+
+def sparse_eigensolve(h: PauliSum, k: int, n: int, with_vectors: bool = False):
+    """k lowest levels of h on n qubits by Lanczos on its CSR matrix, ascending;
+    (values, complex vectors as columns) when ``with_vectors`` is set."""
+    matrix = to_csr(h, n)
+    if not matrix.data.imag.any():
+        matrix = scipy.sparse.csr_array(
+            (matrix.data.real.copy(), matrix.indices, matrix.indptr),
+            shape=matrix.shape)
+    start = np.random.default_rng(LANCZOS_SEED).standard_normal(1 << n)
+    found = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA", v0=start,
+                                      return_eigenvectors=with_vectors)
+    if not with_vectors:
+        return np.sort(found)
+    values, vectors = found
+    order = np.argsort(values)
+    return values[order], vectors[:, order].astype(complex)
 
 
 def exact_eigensolve(h: PauliSum,
                      k: int = 1,
                      n_qubits: int | None = None,
                      with_vectors: bool = False):
-    """k lowest eigenvalues of h, ascending; dense up to 14 qubits, else Lanczos.
+    """k lowest eigenvalues of h, ascending.
 
-    Lanczos starts from a fixed seeded vector, so repeated calls return the
-    same bits. Returns the eigenvalue array, or (values, vectors-as-columns)
-    when ``with_vectors`` is set.
+    Returns the eigenvalue array, or (values, vectors-as-columns) when
+    ``with_vectors`` is set. Raises TooLarge, before allocating, when the
+    solve would hold more than ORACLE_BYTES.
     """
     if not h.is_hermitian():
         raise NonHermitian("eigensolve requires a Hermitian sum")
     n = n_qubits if n_qubits is not None else max(h.n_qubits, 1)
     if n < h.n_qubits:
         raise ValueError(f"sum acts on {h.n_qubits} qubits, asked for {n}")
-    if n <= DENSE_QUBIT_LIMIT:
-        matrix = to_matrix(h, n)
-        values, vectors = np.linalg.eigh(matrix)
-        values, vectors = values[:k], vectors[:, :k]
-    elif n <= STATEVECTOR_QUBIT_LIMIT:
-        dim = 1 << n
-        op = scipy.sparse.linalg.LinearOperator(
-            (dim, dim), matvec=lambda v: apply_to_statevector(h, v), dtype=complex)
-        start = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
-        values, vectors = scipy.sparse.linalg.eigsh(op, k=k, which="SA",
-                                                    v0=start)
-        order = np.argsort(values)
-        values, vectors = values[order], vectors[:, order]
-    else:
-        raise TooLarge(f"{n} qubits exceeds the sparse limit of {STATEVECTOR_QUBIT_LIMIT}")
+    needed = solve_bytes(len(x_masks(h)), n, k)
+    if needed > ORACLE_BYTES:
+        raise TooLarge(f"the exact solve on {n} qubits needs {needed} bytes "
+                       f"({needed / 2**30:.1f} GiB), over the {ORACLE_BYTES}-"
+                       f"byte budget; shrink the problem with --reduce")
+    if not takes_dense(1 << n, k):
+        return sparse_eigensolve(h, k, n, with_vectors)
+    values, vectors = np.linalg.eigh(to_matrix(h, n))
+    values, vectors = values[:k], vectors[:, :k]
     if with_vectors:
         return values, vectors
     return values

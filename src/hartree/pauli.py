@@ -12,6 +12,11 @@ amplitude i reads input amplitude i ^ x and picks up a sign from the parity of
 per register width and kept in one shared cache of at most ``TABLE_BYTES``;
 a sum keeps the stacked tables of all its terms on itself when they fit
 under the same ceiling. Tables larger than the ceiling are computed per call.
+
+A matrix realisation groups the terms by X mask: every term with mask x
+lands on the entries (i, i ^ x), so each distinct mask gives one vector of
+weights, which ``to_matrix`` scatters into a dense array and ``to_csr``
+stacks into a sparse one.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+import scipy.sparse
 
 DROP_TOLERANCE = 1e-12
 DENSE_QUBIT_LIMIT = 14
@@ -29,10 +35,11 @@ TABLE_BYTES = 8 << 20
 TABLE_ITEM_BYTES = np.dtype(np.intp).itemsize + np.dtype(complex).itemsize
 
 _PHASES = np.array([1, 1j, -1, -1j])
+_UNIT_PHASES = tuple(complex(p) for p in _PHASES)
 
 
 class TooLarge(ValueError):
-    """Dense realisation requested beyond the oracle qubit ceiling."""
+    """A realisation or solve would exceed its stated ceiling."""
 
 
 class DimensionMismatch(ValueError):
@@ -178,12 +185,18 @@ class PauliTerm:
         return f"{self.coeff} * {self.string}"
 
 
+def mul_masks(ax: int, az: int, bx: int, bz: int) -> tuple[complex, int, int]:
+    """Symplectic product of raw masks: (phase, x, z) of a*b, the phase a power of i."""
+    x3, z3 = ax ^ bx, az ^ bz
+    k = ((ax & az).bit_count() + (bx & bz).bit_count() - (x3 & z3).bit_count()
+         + 2 * (az & bx).bit_count())
+    return _UNIT_PHASES[k % 4], x3, z3
+
+
 def mul_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     """Product a*b as (phase, string); the phase is a power of i."""
-    x3, z3 = a.x ^ b.x, a.z ^ b.z
-    k = ((a.x & a.z).bit_count() + (b.x & b.z).bit_count() - (x3 & z3).bit_count()
-         + 2 * (a.z & b.x).bit_count())
-    return complex(_PHASES[k % 4]), PauliString(x3, z3)
+    phase, x3, z3 = mul_masks(a.x, a.z, b.x, b.z)
+    return phase, PauliString(x3, z3)
 
 
 def mul_terms(a: PauliTerm, b: PauliTerm) -> PauliTerm:
@@ -362,6 +375,30 @@ def apply_to_statevector(s: PauliSum, psi: np.ndarray) -> np.ndarray:
     return np.add.reduce(weights * psi[index], axis=0, initial=0j)
 
 
+def x_masks(s: PauliSum) -> list[int]:
+    """The distinct X masks of s, in order of first appearance."""
+    return list(dict.fromkeys(string.x for string in s.strings()))
+
+
+def _mask_weights(s: PauliSum, dim: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(x, weights) per distinct X mask in order of first appearance:
+    weights[i] is entry (i, i ^ x), the terms with mask x added in term order
+    from zero, so every entry takes the additions of a term-wise scatter."""
+    groups: dict[int, list[tuple[int, complex]]] = {}
+    for string, coeff in s.items():
+        if (string.x | string.z) >= dim:
+            raise DimensionMismatch(f"term {string} exceeds {dim}-dim state")
+        groups.setdefault(string.x, []).append(
+            (string.z, coeff * 1j ** (string.x & string.z).bit_count()))
+    rows = np.arange(dim)
+    for x, terms in groups.items():
+        cols = rows ^ x
+        weights = np.zeros(dim, dtype=complex)
+        for z, phased in terms:
+            weights += phased * _PHASES[2 * (np.bitwise_count(cols & z) & 1)]
+        yield x, weights
+
+
 def to_matrix(s: PauliSum, n: int | None = None) -> np.ndarray:
     """Dense 2^n x 2^n realisation with qubit 0 as the least-significant factor."""
     if n is None:
@@ -373,9 +410,28 @@ def to_matrix(s: PauliSum, n: int | None = None) -> np.ndarray:
     dim = 1 << n
     rows = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for idx, weights in _weighted_terms(s, dim):
-        out[rows, idx] += weights
+    for x, weights in _mask_weights(s, dim):
+        out[rows, rows ^ x] = weights
     return out
+
+
+def to_csr(s: PauliSum, n: int | None = None) -> scipy.sparse.csr_array:
+    """The entries of ``to_matrix`` in CSR form: row i stores column i ^ x for
+    every distinct X mask x, in order of first appearance, explicit zeros
+    included, so a sum with M masks holds M * 2^n entries."""
+    if n is None:
+        n = s.n_qubits
+    if n < s.n_qubits:
+        raise DimensionMismatch(f"sum acts on {s.n_qubits} qubits, asked for {n}")
+    dim = 1 << n
+    masks = x_masks(s)
+    data = np.empty((dim, len(masks)), dtype=complex)
+    for j, (_, weights) in enumerate(_mask_weights(s, dim)):
+        data[:, j] = weights
+    indices = np.arange(dim)[:, None] ^ np.array(masks, dtype=np.intp)
+    indptr = np.arange(dim + 1) * len(masks)
+    return scipy.sparse.csr_array((data.ravel(), indices.ravel(), indptr),
+                                  shape=(dim, dim))
 
 
 def expectation(s: PauliSum, psi: np.ndarray) -> float:

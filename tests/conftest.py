@@ -486,3 +486,35 @@ def pec_with_decompositions(circuit, theta, observable, noise, decompositions,
     for members, psi in compiled.trajectories(theta, kicks):
         values[members] *= psi.expectation(observable)
     return _mean_estimate(values, gamma_total)
+
+
+# --------------------------------------- the per-factor encoder, an oracle
+#
+# encode_operator as it ran before it multiplied raw masks: every ladder
+# factor builds a PauliSum, which merges, drops and sorts by string. The raw
+# product must match it bit for bit.
+
+
+def per_factor_encode(s, scheme) -> PauliSum:
+    from hartree.encoding import IndexOutOfRange, _mode_images
+
+    images = _mode_images(scheme.variant, scheme.m)
+    total: dict[PauliString, complex] = {}
+    for term in s:
+        if term.max_mode() >= scheme.m:
+            raise IndexOutOfRange(
+                f"mode {term.max_mode()} outside register of {scheme.m}")
+        acc = PauliSum.identity(term.coeff, n_qubits=scheme.m)
+        for p, dagger in term.factors:
+            acc = acc * images[p][1 if dagger else 0]
+        for string, coeff in acc.items():
+            total[string] = total.get(string, 0.0) + coeff
+    return PauliSum(total, n_qubits=scheme.m)
+
+
+def same_sum_bits(a: PauliSum, b: PauliSum) -> bool:
+    """Same width, same strings in the same order, identical coefficient bits."""
+    return a.n_qubits == b.n_qubits and \
+        [(s.x, s.z) for s in a.strings()] == [(s.x, s.z) for s in b.strings()] \
+        and same_bits(np.array([c for _, c in a.items()], dtype=complex),
+                      np.array([c for _, c in b.items()], dtype=complex))

@@ -290,7 +290,7 @@ def test_criterion_06_lih_active_space_accuracy():
     deviation = abs(e_six - e_full)
     elapsed = time.perf_counter() - start
     assert deviation < 0.5e-3
-    assert elapsed < 300.0
+    assert elapsed < 30.0
     report(6, f"6-qubit active-space energy off the 12-spin-orbital FCI by "
               f"{deviation * 1e3:.3f} mHa in {elapsed:.0f}s")
 

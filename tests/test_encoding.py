@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kron_sum_matrix, same_bits, tree_encode_mask, tree_mode_images
+from conftest import (
+    kron_sum_matrix,
+    per_factor_encode,
+    same_bits,
+    same_sum_bits,
+    tree_encode_mask,
+    tree_mode_images,
+)
 from hartree.encoding import (
     BK,
     BKTREE,
@@ -29,9 +36,16 @@ from hartree.fermion import (
     apply_to_occupation,
     build_molecular_hamiltonian,
     number_operator,
+    uccsd_generators,
 )
-from hartree.io_cli import load_fixture
-from hartree.pauli import DimensionMismatch, PauliSum, apply_to_statevector, to_matrix
+from hartree.io_cli import list_fixtures, load_fixture
+from hartree.pauli import (
+    DROP_TOLERANCE,
+    DimensionMismatch,
+    PauliSum,
+    apply_to_statevector,
+    to_matrix,
+)
 
 BETA_8 = np.array([
     [1, 0, 0, 0, 0, 0, 0, 0],
@@ -386,3 +400,55 @@ def test_hamiltonian_commutes_with_encoded_number_operator():
         for other in (n_img, up_img):
             commutator = h_img * other - other * h_img
             assert all(abs(c) < 1e-10 for _, c in commutator.items())
+
+
+# ------------------------------------ raw products against the per-factor sums
+
+# Coefficients of every scale, and tiny ones that sit at DROP_TOLERANCE * 2^k,
+# so a product of k ladder images (each halving) lands on either side of the
+# per-factor drop.
+_PARTS = st.one_of(
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.builds(lambda k, f: DROP_TOLERANCE * 2.0 ** k * f,
+              st.integers(0, 4), st.sampled_from((-1.0, 0.999, 1.0, 1.001))),
+    st.just(0.0))
+_TERMS = st.lists(
+    st.tuples(st.lists(st.tuples(st.integers(0, 5), st.booleans()),
+                       max_size=4),
+              st.builds(complex, _PARTS, _PARTS)),
+    max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERMS, st.sampled_from(VARIANTS))
+def test_raw_products_match_per_factor_sums_bit_for_bit(terms, variant):
+    s = FermionSum(FermionOperator(tuple(factors), coeff)
+                   for factors, coeff in terms)
+    scheme = EncodingScheme(variant, 6)
+    assert same_sum_bits(encode_operator(s, scheme),
+                         per_factor_encode(s, scheme))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", list_fixtures())
+def test_fixture_images_match_per_factor_sums_bit_for_bit(name, variant):
+    ints = load_fixture(name)
+    h = build_molecular_hamiltonian(ints)
+    scheme = EncodingScheme(variant, ints.m)
+    assert same_sum_bits(encode_operator(h, scheme),
+                         per_factor_encode(h, scheme))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_uccsd_generator_images_match_per_factor_sums_bit_for_bit(variant):
+    # Anti-Hermitian generators encode to imaginary coefficients.
+    scheme = EncodingScheme(variant, 8)
+    for generator in uccsd_generators(8, range(4), range(4, 8)):
+        assert same_sum_bits(encode_operator(generator.generator, scheme),
+                             per_factor_encode(generator.generator, scheme))
+
+
+def test_non_finite_coefficient_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        encode_operator(FermionSum.single([(0, True)], float("nan")),
+                        EncodingScheme(JW, 2))

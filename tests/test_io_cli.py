@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from hartree.encoding import EncodingScheme, encode_operator
+from conftest import random_pauli_string
+from hartree.encoding import JW, PARITY, VARIANTS, EncodingScheme, encode_operator
 from hartree.fermion import build_molecular_hamiltonian
 from hartree.io_cli import (
     H2_CURVE,
@@ -33,9 +35,11 @@ from hartree.io_cli import (
     parse_fcidump_spatial,
     run_pipeline,
 )
+from hartree.io_cli import oracle
 from hartree.io_cli.cli import exit_code_for, main
 from hartree.mitigation import SignInconsistent
-from hartree.pauli import PauliSum, TooLarge
+from hartree.pauli import PauliString, PauliSum, TooLarge, to_matrix, x_masks
+from hartree.reduction import reduce_problem, sector_for, taper_two_qubits
 from hartree.simulator import ZeroOverlap
 from hartree.spectra import DegenerateSubspace
 from hartree.vqe import SPSA, OptimizerConfig
@@ -174,6 +178,113 @@ class TestOracle:
         h = PauliSum.from_text({"Z0": 1.0}, n_qubits=25)
         with pytest.raises(TooLarge):
             exact_eigensolve(h, k=1, n_qubits=25)
+
+
+def encoded(fixture: str, variant: str = JW, reduce: bool = False,
+            taper: bool = False) -> PauliSum:
+    ints = load_fixture(fixture)
+    if reduce:
+        ints = reduce_problem(ints).integrals
+    scheme = EncodingScheme(variant, ints.m)
+    h = encode_operator(build_molecular_hamiltonian(ints), scheme)
+    if taper:
+        h = taper_two_qubits(h, scheme, sector_for(ints.n_electrons, ints.n_up))
+    return h
+
+
+# Every problem on at most 10 qubits: each fixture of up to 10 modes and the
+# LiH active space in all four encodings, and LiH, full and active, tapered in
+# the parity encoding.
+SMALL_PROBLEMS = [
+    *[(name, variant, False, False) for name in list_fixtures()
+      if load_fixture(name).m <= 10 for variant in VARIANTS],
+    *[("lih_sto3g_1.45", variant, True, False) for variant in VARIANTS],
+    ("lih_sto3g_1.45", PARITY, True, True),
+    ("lih_sto3g_1.45", PARITY, False, True),
+]
+
+
+def odd_y_sum(n: int, rng: np.random.Generator) -> PauliSum:
+    """A Hermitian sum with real coefficients whose matrix is not real."""
+    entries = {random_pauli_string(rng, n): rng.normal() for _ in range(24)}
+    entries[PauliString.from_text("Y0 X3")] = 0.7
+    return PauliSum(entries, n_qubits=n)
+
+
+def assert_eigenpairs(h: PauliSum, values, vectors):
+    matrix = to_matrix(h)
+    assert vectors.dtype == np.complex128
+    for value, vector in zip(values, vectors.T):
+        assert abs(np.linalg.norm(vector) - 1.0) < 1e-12
+        assert np.linalg.norm(matrix @ vector - value * vector) <= 1e-10
+
+
+class TestSparseOracle:
+    @pytest.mark.parametrize("name,variant,reduce,taper", SMALL_PROBLEMS)
+    def test_lanczos_matches_dense_eigh(self, name, variant, reduce, taper):
+        h = encoded(name, variant, reduce, taper)
+        values = oracle.sparse_eigensolve(h, 4, h.n_qubits)
+        dense = np.linalg.eigvalsh(to_matrix(h))[:4]
+        assert np.max(np.abs(values - dense)) < 1e-12
+
+    def test_twelve_qubit_lih_matches_dense_real_eigvalsh(self):
+        h = encoded("lih_sto3g_1.45")
+        values = exact_eigensolve(h, k=4)
+        matrix = to_matrix(h)
+        assert not matrix.imag.any()
+        dense = np.linalg.eigvalsh(matrix.real)[:4]
+        assert np.max(np.abs(values - dense)) < 1e-12
+        assert abs(values[2] - values[1]) < 1e-12  # the doubly degenerate level
+
+    def test_real_and_complex_matrices_take_their_own_dtype(self, rng,
+                                                           monkeypatch):
+        seen = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def spy(matrix, **options):
+            seen.append(matrix.dtype)
+            return eigsh(matrix, **options)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+        molecular = encoded("lih_sto3g_1.45", PARITY, taper=True)
+        odd = odd_y_sum(9, rng)
+        for h in (molecular, odd):
+            values, vectors = exact_eigensolve(h, k=3, with_vectors=True)
+            dense = np.linalg.eigvalsh(to_matrix(h))[:3]
+            assert np.max(np.abs(values - dense)) < 1e-12
+            assert_eigenpairs(h, values, vectors)
+        assert seen == [np.float64, np.complex128]
+
+    def test_every_level_above_the_dense_dimension(self, rng):
+        h = odd_y_sum(9, rng)
+        values, vectors = exact_eigensolve(h, k=512, with_vectors=True)
+        assert np.array_equal(values, np.linalg.eigh(to_matrix(h))[0])
+        assert_eigenpairs(h, values[::64], vectors[:, ::64])
+
+    def test_dense_vectors_are_unit_eigenvectors(self):
+        h = h2_hamiltonian()
+        values, vectors = exact_eigensolve(h, k=4, with_vectors=True)
+        assert_eigenpairs(h, values, vectors)
+
+    def test_byte_figure_counts_entries_and_lanczos_basis(self):
+        dim = 1 << 20
+        csr_bytes = dim * 534 * oracle.CSR_ENTRY_BYTES
+        basis_bytes = 20 * dim * oracle.AMPLITUDE_BYTES
+        assert oracle.solve_bytes(534, 20, 1) == csr_bytes + basis_bytes
+        assert oracle.solve_bytes(534, 20, 1) > oracle.ORACLE_BYTES
+        assert oracle.solve_bytes(84, 12, 4) < oracle.ORACLE_BYTES
+        assert oracle.solve_bytes(1, 8, 1) == 2 * 256 * 256 * 16
+
+    def test_byte_guard_refuses_before_building(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the oracle built a matrix")
+
+        monkeypatch.setattr(oracle, "to_csr", refuse)
+        monkeypatch.setattr(oracle, "to_matrix", refuse)
+        h = PauliSum.from_text({f"X{q}": 1.0 for q in range(22)}, n_qubits=22)
+        needed = oracle.solve_bytes(len(x_masks(h)), 22, 1)
+        with pytest.raises(TooLarge, match=f"needs {needed} bytes.*--reduce"):
+            exact_eigensolve(h)
 
 
 class TestRunConfig:
@@ -547,6 +658,13 @@ class TestCli:
                 "--seed", "1", option, value]
         assert main(argv) == 2
         assert f"error: {field} must not be negative" in capsys.readouterr().err
+
+    def test_twenty_qubit_exact_exits_2_naming_bytes_and_reduce(self, capsys):
+        start = time.perf_counter()
+        assert main(["exact", "--fixture", "h2_ccpvdz_0.75"]) == 2
+        assert time.perf_counter() - start < 10.0
+        message = capsys.readouterr().err
+        assert "bytes" in message and "--reduce" in message
 
     def test_exit_codes_by_error_type(self):
         assert exit_code_for(ValueError("x")) == 2

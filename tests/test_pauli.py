@@ -22,7 +22,9 @@ from hartree.pauli import (
     expectation,
     mul_strings,
     mul_terms,
+    to_csr,
     to_matrix,
+    x_masks,
 )
 
 from conftest import (
@@ -231,6 +233,26 @@ def test_apply_matches_the_scatter_loop_bit_for_bit(entries, extra, seed):
     for string in s.strings():
         assert same_bits(string.apply(psi), scatter_apply(string, psi))
     assert same_bits(to_matrix(s, n), scatter_to_matrix(s, n))
+
+
+odd_y_text = pauli_text.filter(lambda text: text.count("Y") % 2 == 1)
+
+
+@given(st.dictionaries(pauli_text, st.complex_numbers(max_magnitude=10, allow_nan=False),
+                       max_size=8),
+       odd_y_text, st.complex_numbers(min_magnitude=0.1, max_magnitude=10),
+       st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_mask_grouped_matrices_match_the_scatter_loop_bit_for_bit(
+        entries, odd_y, coeff, extra):
+    # An odd number of Y letters puts the coefficient on the imaginary axis.
+    s = PauliSum.from_text({**entries, odd_y: coeff})
+    n = max(s.n_qubits, 1) + extra  # a register wider than the sum needs
+    expected = scatter_to_matrix(s, n)
+    assert same_bits(to_matrix(s, n), expected)
+    csr = to_csr(s, n)
+    assert csr.nnz == len(x_masks(s)) << n
+    assert same_bits(csr.toarray(), expected)
 
 
 class TestTables:

@@ -47,6 +47,7 @@ EXTRA = (
     ("exact-h2-bktree", ("exact", *H2, "--encoding", "bktree")),
     ("exact-lih-reduce", ("exact", "--fixture", "lih_sto3g_1.45",
                           "--reduce")),
+    ("exact-lih-jw", ("exact", "--fixture", "lih_sto3g_1.45", "--k", "4")),
     ("qpe-h2-trotter", ("qpe", *H2, "--encoding", "parity", "--taper",
                         "--ancillas", "6", "--trotter-steps", "3")),
     ("mitigate-postselect-p05", ("mitigate", *H2, "--technique",
