@@ -26,6 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import ConfigError
 from .fermion import FermionSum, OccupationVector
 from .pauli import DROP_TOLERANCE, DimensionMismatch, PauliString, PauliSum, mul_masks
 
@@ -36,7 +37,7 @@ BKTREE = "bktree"
 VARIANTS = (JW, PARITY, BK, BKTREE)
 
 
-class IndexOutOfRange(IndexError):
+class IndexOutOfRange(ConfigError):
     """A mode index does not fit the scheme's register."""
 
 

@@ -18,13 +18,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
+
 BLOCKED = "blocked"
 INTERLEAVED = "interleaved"
 
 COEFF_TOLERANCE = 1e-12
 
 
-class InvalidIntegrals(ValueError):
+class InvalidIntegrals(ConfigError):
     """Integral tensors violate the required index symmetries."""
 
 

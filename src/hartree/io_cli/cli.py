@@ -2,8 +2,9 @@
 
 Every subcommand builds a RunConfig, runs the pipeline, and prints the
 result document as JSON (or CSV for curves) to stdout or --out. Exit codes:
-0 on success, 2 for configuration and parse problems, 3 for numerical
-failures inside a stage.
+0 on success, 2 for configuration and parse problems (an unwritable --out
+included), 3 for numerical failures inside a stage; a package error carries
+its own code (``hartree.errors``).
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import click
 from numpy.linalg import LinAlgError
 
 from ..encoding import JW, VARIANTS
-from ..mitigation import SignInconsistent
-from ..simulator import ZeroOverlap
-from ..spectra import DegenerateSubspace
+from ..errors import NUMERICAL_EXIT, USAGE_EXIT, HartreeError
 from ..vqe import (
     DEFAULT_TRAJECTORIES,
     GRADIENT_DESCENT,
@@ -42,14 +41,6 @@ from .pipeline import (
     document_json,
     run_pipeline,
 )
-
-USAGE_EXIT = 2
-NUMERICAL_EXIT = 3
-
-# Numerical failures that subclass ValueError; they still exit 3.
-_NUMERICAL_ERRORS = (SignInconsistent, ZeroOverlap, DegenerateSubspace,
-                     LinAlgError)
-_CONFIG_ERRORS = (ValueError, KeyError, FileNotFoundError, TypeError)
 
 
 def problem_options(command):
@@ -209,11 +200,15 @@ def curve(methods, encoding, seed, out):
 
 
 def exit_code_for(error: Exception) -> int:
-    """Configuration and parse problems exit 2, numerical failures exit 3."""
+    """A package error's own code; for a foreign one, 3 for numpy's
+    LinAlgError, 2 for bad values, keys, types and files, 3 otherwise."""
     if isinstance(error, StageFailure):
         return exit_code_for(error.error)
-    if isinstance(error, _CONFIG_ERRORS) and \
-            not isinstance(error, _NUMERICAL_ERRORS):
+    if isinstance(error, HartreeError):
+        return error.exit_code
+    if isinstance(error, LinAlgError):
+        return NUMERICAL_EXIT
+    if isinstance(error, (ValueError, KeyError, TypeError, OSError)):
         return USAGE_EXIT
     return NUMERICAL_EXIT
 

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..fermion import BLOCKED, MolecularIntegrals, spatial_of, spin_of
 
 
-class ParseError(ValueError):
+class ParseError(ConfigError):
     pass
 
 
-class SymmetryViolation(ValueError):
+class SymmetryViolation(ConfigError):
     pass
 
 

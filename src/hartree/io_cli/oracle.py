@@ -6,8 +6,8 @@ CSR matrix by X mask (``pauli.to_csr``), held in float64 when every
 imaginary part is exactly zero (as for every molecular Hamiltonian here), and
 its lowest levels come from ARPACK's Lanczos iteration (``eigsh``) started
 from a fixed seeded vector, so repeated calls return the same bits. Before
-anything is built, the bytes the solve would hold are checked against
-``ORACLE_BYTES``.
+anything is built, the bytes the solve would hold (``solve_bytes``) are
+checked against the package's one ``pauli.BYTE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -16,15 +16,21 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ..pauli import NonHermitian, PauliSum, TooLarge, to_csr, to_matrix, x_masks
+from ..pauli import (
+    AMPLITUDE_BYTES,
+    NonHermitian,
+    PauliSum,
+    check_bytes,
+    to_csr,
+    to_matrix,
+    x_masks,
+)
 
 LANCZOS_SEED = 20180830
 DENSE_DIMENSION = 1 << 8
-ORACLE_BYTES = 1 << 30
 # A stored CSR entry: its complex value, its float64 copy when the matrix is
 # real, and its column index.
 CSR_ENTRY_BYTES = 16 + 8 + 8
-AMPLITUDE_BYTES = np.dtype(complex).itemsize
 
 
 def lanczos_size(dim: int, k: int) -> int:
@@ -41,7 +47,8 @@ def takes_dense(dim: int, k: int) -> bool:
 def solve_bytes(masks: int, n: int, k: int) -> int:
     """Bytes the solve of a sum with ``masks`` distinct X masks on n qubits
     holds at once: the dense matrix and its eigenvectors, or the CSR entries
-    and the Lanczos basis."""
+    (all of them, as stacked before the zeros are dropped) and the Lanczos
+    basis."""
     dim = 1 << n
     if takes_dense(dim, k):
         return 2 * dim * dim * AMPLITUDE_BYTES
@@ -74,18 +81,16 @@ def exact_eigensolve(h: PauliSum,
 
     Returns the eigenvalue array, or (values, vectors-as-columns) when
     ``with_vectors`` is set. Raises TooLarge, before allocating, when the
-    solve would hold more than ORACLE_BYTES.
+    solve would hold more than BYTE_BUDGET.
     """
     if not h.is_hermitian():
         raise NonHermitian("eigensolve requires a Hermitian sum")
     n = n_qubits if n_qubits is not None else max(h.n_qubits, 1)
     if n < h.n_qubits:
         raise ValueError(f"sum acts on {h.n_qubits} qubits, asked for {n}")
-    needed = solve_bytes(len(x_masks(h)), n, k)
-    if needed > ORACLE_BYTES:
-        raise TooLarge(f"the exact solve on {n} qubits needs {needed} bytes "
-                       f"({needed / 2**30:.1f} GiB), over the {ORACLE_BYTES}-"
-                       f"byte budget; shrink the problem with --reduce")
+    check_bytes(solve_bytes(len(x_masks(h)), n, k),
+                f"the exact solve on {n} qubits",
+                "; shrink the problem with --reduce")
     if not takes_dense(1 << n, k):
         return sparse_eigensolve(h, k, n, with_vectors)
     values, vectors = np.linalg.eigh(to_matrix(h, n))

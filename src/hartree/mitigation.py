@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigError, NumericalError
 from .pauli import PauliString, PauliSum, commutes
 from .simulator import (
     Circuit,
@@ -49,15 +50,15 @@ CHECK_KINDS = (NUMBER, SPIN_UP, SPIN_DOWN)
 _LETTERS = ("I", "X", "Y", "Z")
 
 
-class SignInconsistent(ValueError):
+class SignInconsistent(NumericalError):
     """Exponential fit undefined: estimates change sign or vanish."""
 
 
-class InvalidProbability(ValueError):
+class InvalidProbability(ConfigError):
     """Depolarizing probability outside [0, 1)."""
 
 
-class AllShotsRejected(RuntimeError):
+class AllShotsRejected(NumericalError):
     """Every shot failed a stabiliser check."""
 
 

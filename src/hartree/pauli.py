@@ -28,26 +28,48 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 import scipy.sparse
 
+from .errors import ConfigError, NumericalError
+
 DROP_TOLERANCE = 1e-12
-DENSE_QUBIT_LIMIT = 14
+# The most any one matrix, register, sweep or solve may hold at once.
+BYTE_BUDGET = 1 << 30
+AMPLITUDE_BYTES = np.dtype(complex).itemsize
 TABLE_BYTES = 8 << 20
 # One gather index and one complex sign per amplitude.
-TABLE_ITEM_BYTES = np.dtype(np.intp).itemsize + np.dtype(complex).itemsize
+TABLE_ITEM_BYTES = np.dtype(np.intp).itemsize + AMPLITUDE_BYTES
 
 _PHASES = np.array([1, 1j, -1, -1j])
 _UNIT_PHASES = tuple(complex(p) for p in _PHASES)
 
 
-class TooLarge(ValueError):
-    """A realisation or solve would exceed its stated ceiling."""
+class TooLarge(ConfigError):
+    """A matrix, register or solve would hold more than BYTE_BUDGET, or a
+    density oracle would exceed its qubit ceiling."""
 
 
-class DimensionMismatch(ValueError):
+def check_bytes(needed: int, what: str, hint: str = "") -> None:
+    """Raise TooLarge, naming the bytes, when ``what`` would hold more than
+    BYTE_BUDGET at once; call it before allocating."""
+    if needed > BYTE_BUDGET:
+        raise TooLarge(f"{what} needs {needed} bytes ({needed / 2**30:.1f} "
+                       f"GiB), over the {BYTE_BUDGET}-byte budget{hint}")
+
+
+def matrix_bytes(n: int) -> int:
+    """Bytes of one dense complex 2^n x 2^n matrix."""
+    return AMPLITUDE_BYTES << 2 * n
+
+
+class DimensionMismatch(ConfigError):
     pass
 
 
-class NonHermitian(ValueError):
+class NonHermitian(ConfigError):
     pass
+
+
+class NotReal(NumericalError, ArithmeticError):
+    """An expectation value kept an imaginary part."""
 
 
 def _tables(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -400,11 +422,11 @@ def _mask_weights(s: PauliSum, dim: int) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def to_matrix(s: PauliSum, n: int | None = None) -> np.ndarray:
-    """Dense 2^n x 2^n realisation with qubit 0 as the least-significant factor."""
+    """Dense 2^n x 2^n realisation with qubit 0 as the least-significant
+    factor; TooLarge when the matrix would exceed BYTE_BUDGET."""
     if n is None:
         n = s.n_qubits
-    if n > DENSE_QUBIT_LIMIT:
-        raise TooLarge(f"{n} qubits exceeds the dense limit of {DENSE_QUBIT_LIMIT}")
+    check_bytes(matrix_bytes(n), f"a dense {n}-qubit matrix")
     if n < s.n_qubits:
         raise DimensionMismatch(f"sum acts on {s.n_qubits} qubits, asked for {n}")
     dim = 1 << n
@@ -416,9 +438,11 @@ def to_matrix(s: PauliSum, n: int | None = None) -> np.ndarray:
 
 
 def to_csr(s: PauliSum, n: int | None = None) -> scipy.sparse.csr_array:
-    """The entries of ``to_matrix`` in CSR form: row i stores column i ^ x for
-    every distinct X mask x, in order of first appearance, explicit zeros
-    included, so a sum with M masks holds M * 2^n entries."""
+    """The nonzero entries of ``to_matrix`` in CSR form: row i stores column
+    i ^ x for every distinct X mask x, in order of first appearance, except
+    where the mask's terms cancel to zero. All M * 2^n entries are stacked
+    first and the exact zeros dropped after: a row sum that starts at +0.0
+    never becomes -0.0, so a stored zero changes no matrix-vector product."""
     if n is None:
         n = s.n_qubits
     if n < s.n_qubits:
@@ -430,8 +454,10 @@ def to_csr(s: PauliSum, n: int | None = None) -> scipy.sparse.csr_array:
         data[:, j] = weights
     indices = np.arange(dim)[:, None] ^ np.array(masks, dtype=np.intp)
     indptr = np.arange(dim + 1) * len(masks)
-    return scipy.sparse.csr_array((data.ravel(), indices.ravel(), indptr),
-                                  shape=(dim, dim))
+    matrix = scipy.sparse.csr_array((data.ravel(), indices.ravel(), indptr),
+                                    shape=(dim, dim))
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def expectation(s: PauliSum, psi: np.ndarray) -> float:
@@ -443,5 +469,5 @@ def expectation(s: PauliSum, psi: np.ndarray) -> float:
             f"state has {psi.shape[0]} amplitudes, sum needs {1 << s.n_qubits}")
     value = np.vdot(psi, apply_to_statevector(s, psi))
     if not abs(value.imag) < 1e-10:
-        raise ArithmeticError(f"expectation {value} is not real")
+        raise NotReal(f"expectation {value} is not real")
     return float(value.real)

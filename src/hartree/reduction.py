@@ -25,22 +25,22 @@ from .fermion import (
     apply_to_occupation,
     build_molecular_hamiltonian,
 )
-from .pauli import PauliString, PauliSum, TooLarge
+from .errors import ConfigError
+from .pauli import AMPLITUDE_BYTES, PauliString, PauliSum, check_bytes
 
-SECTOR_DIMENSION_LIMIT = 5000
 DEFAULT_LOWER_NOON = 1e-4
 DEFAULT_UPPER_NOON = 1.99
 
 
-class NotSymmetric(ValueError):
+class NotSymmetric(ConfigError):
     """Matrix or operator lacks the symmetry the operation relies on."""
 
 
-class EmptyActiveSpace(ValueError):
+class EmptyActiveSpace(ConfigError):
     """Threshold choice would discard every orbital."""
 
 
-class InconsistentSpace(ValueError):
+class InconsistentSpace(ConfigError):
     """Active-space bookkeeping does not match the integrals."""
 
 
@@ -214,13 +214,15 @@ def _images(op: FermionOperator, determinants: list[OccupationVector],
 
 def fci_sector_ground(ints: MolecularIntegrals
                       ) -> tuple[float, np.ndarray, list[int]]:
-    """Exact ground state in the fixed (n_up, n_down) determinant sector."""
+    """Exact ground state in the fixed (n_up, n_down) determinant sector;
+    TooLarge, before the matrix is built, when it and eigh's vectors would
+    exceed BYTE_BUDGET."""
     if ints.ordering != BLOCKED:
         raise InconsistentSpace("spin-blocked integrals required")
     masks = sector_determinants(ints.m, ints.n_up, ints.n_down)
     dim = len(masks)
-    if dim > SECTOR_DIMENSION_LIMIT:
-        raise TooLarge(f"sector dimension {dim} exceeds {SECTOR_DIMENSION_LIMIT}")
+    check_bytes(2 * dim * dim * AMPLITUDE_BYTES,
+                f"the {dim}-determinant sector matrix")
     index = {mask: i for i, mask in enumerate(masks)}
     determinants = [OccupationVector(ints.m, mask) for mask in masks]
     matrix = np.zeros((dim, dim), dtype=complex)

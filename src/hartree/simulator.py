@@ -21,17 +21,29 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 import scipy.linalg
 
+from .errors import ConfigError, NumericalError
 from .pauli import (
-    DENSE_QUBIT_LIMIT,
+    AMPLITUDE_BYTES,
     NonHermitian,
     PauliString,
     PauliSum,
+    TooLarge,
+    check_bytes,
     expectation,
+    matrix_bytes,
     to_matrix,
 )
 
-STATEVECTOR_QUBIT_LIMIT = 24
+# The density oracle makes 15 dense kicks per two-qubit gate, so its ceiling
+# bounds time; its memory is far under the byte budget.
 DENSITY_QUBIT_LIMIT = 4
+# A register holds its state and the two working arrays a gate kernel makes
+# beside it (tracemalloc, 16 qubits: h, cnot, rx, exp and cexp each peak at
+# 2.0 states beyond their input).
+REGISTER_BYTES = 3 * AMPLITUDE_BYTES
+# expm of a dense generator peaks at 7.5 matrices (tracemalloc, 6-8 qubits):
+# the matrix, its scaled copy and the Pade working copies.
+EXPM_MATRICES = 8
 OVERLAP_FLOOR = 1e-14
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -52,15 +64,11 @@ CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
 PAIR_MATRICES = {"cnot": CNOT_MATRIX, "cz": CZ_MATRIX}
 
 
-class BadTarget(ValueError):
+class BadTarget(ConfigError):
     """Gate addresses a qubit outside the register or repeats a target."""
 
 
-class TooManyQubits(ValueError):
-    """Requested register exceeds a simulation ceiling."""
-
-
-class ZeroOverlap(ValueError):
+class ZeroOverlap(NumericalError):
     """Imaginary-time propagation annihilated the state."""
 
 
@@ -84,10 +92,7 @@ class StateVector:
     n: int
 
     def __post_init__(self):
-        if self.n > STATEVECTOR_QUBIT_LIMIT:
-            raise TooManyQubits(
-                f"{self.n} qubits exceeds the statevector limit of "
-                f"{STATEVECTOR_QUBIT_LIMIT}")
+        check_bytes(REGISTER_BYTES << self.n, "the statevector register")
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (1 << self.n,):
             raise ValueError(
@@ -101,6 +106,7 @@ class StateVector:
     def basis(cls, n: int, index: int) -> "StateVector":
         if not 0 <= index < (1 << n):
             raise ValueError(f"basis index {index} out of range for {n} qubits")
+        check_bytes(REGISTER_BYTES << n, "the statevector register")
         amps = np.zeros(1 << n, dtype=complex)
         amps[index] = 1.0
         return cls(amps, n)
@@ -424,9 +430,10 @@ def run_circuit(circuit: Circuit, theta: Sequence[float] | None = None,
 
 def gate_unitary(gate: Gate, n: int,
                  theta: Sequence[float] | None = None) -> np.ndarray:
-    """Dense 2^n x 2^n realisation, column by column. Oracle-scale widths only."""
-    if n > DENSE_QUBIT_LIMIT:
-        raise TooManyQubits(f"{n} qubits exceeds the dense limit")
+    """Dense 2^n x 2^n realisation, column by column; TooLarge when the
+    matrix and two registers working on its columns exceed BYTE_BUDGET."""
+    check_bytes(matrix_bytes(n) + 2 * (REGISTER_BYTES << n),
+                f"the dense unitary of a gate on {n} qubits")
     compiled = CompiledCircuit([gate], n)
     dim = 1 << n
     out = np.empty((dim, dim), dtype=complex)
@@ -477,8 +484,8 @@ def imaginary_time_evolve(psi: StateVector, h: PauliSum, tau: float,
         raise ValueError("steps must be at least 1")
     if not h.is_hermitian():
         raise NonHermitian("imaginary-time generator must be Hermitian")
-    if psi.n > DENSE_QUBIT_LIMIT:
-        raise TooManyQubits(f"{psi.n} qubits exceeds the dense limit")
+    check_bytes(EXPM_MATRICES * matrix_bytes(psi.n),
+                f"the {psi.n}-qubit imaginary-time propagator")
     propagator = scipy.linalg.expm(-to_matrix(h, psi.n) * (tau / steps))
     amps = psi.amplitudes
     for _ in range(steps):
@@ -611,7 +618,7 @@ def density_matrix_reference(circuit: Circuit,
     """Exact depolarizing-channel evolution; the trajectory average's oracle."""
     n = circuit.n_qubits
     if n > DENSITY_QUBIT_LIMIT:
-        raise TooManyQubits(
+        raise TooLarge(
             f"{n} qubits exceeds the density-matrix limit of {DENSITY_QUBIT_LIMIT}")
     start = StateVector.zero(n) if psi0 is None else psi0
     rho = np.outer(start.amplitudes, start.amplitudes.conj())
@@ -671,6 +678,28 @@ def default_window(h: PauliSum) -> EnergyWindow:
     return EnergyWindow(center - radius, center + radius + 1e-9 * radius)
 
 
+# Joint registers QPE holds at once: the register, its transform and their
+# squared magnitudes, or, under Trotter steps, the register, the evolving
+# half and a kernel's working arrays and gather tables (tracemalloc: 3.0
+# exact, 4.5 Trotterized at 10 + 10 qubits).
+QPE_REGISTERS = 5
+# Exact controlled powers hold eigh's vectors, the previous power and the
+# new one with its two factors (tracemalloc: 5.07 matrices at 8 + 4 qubits).
+QPE_MATRICES = 5
+
+
+def qpe_bytes(n_sys: int, n_ancilla: int, trotter_steps: int) -> int:
+    """Bytes ``qpe_distribution`` holds at most: the joint registers, the
+    dim_a x dim_a phase exponents and Fourier matrix, and for
+    ``trotter_steps`` = 0 the dense matrices of the controlled powers. Each
+    stage's peak is counted as if all were live together, an upper bound."""
+    dim_a, dim_s = 1 << n_ancilla, 1 << n_sys
+    amplitudes = QPE_REGISTERS * dim_a * dim_s + 2 * dim_a * dim_a
+    if trotter_steps == 0:
+        amplitudes += QPE_MATRICES * dim_s * dim_s
+    return AMPLITUDE_BYTES * amplitudes
+
+
 def qpe_distribution(psi: StateVector, h: PauliSum, n_ancilla: int,
                      trotter_steps: int = 0,
                      window: EnergyWindow | None = None
@@ -685,8 +714,8 @@ def qpe_distribution(psi: StateVector, h: PauliSum, n_ancilla: int,
     if n_ancilla < 1:
         raise ValueError("need at least one ancilla")
     n_sys = psi.n
-    if n_sys + n_ancilla > STATEVECTOR_QUBIT_LIMIT:
-        raise TooManyQubits("joint register exceeds the statevector limit")
+    check_bytes(qpe_bytes(n_sys, n_ancilla, trotter_steps),
+                f"phase estimation on {n_sys} + {n_ancilla} qubits")
     if window is None:
         window = default_window(h)
     scaled = (h - PauliSum.identity(window.lower, n_qubits=n_sys)) * (1.0 / window.span)
@@ -697,8 +726,6 @@ def qpe_distribution(psi: StateVector, h: PauliSum, n_ancilla: int,
     row_bits = np.arange(dim_a)
 
     if trotter_steps == 0:
-        if n_sys > DENSE_QUBIT_LIMIT:
-            raise TooManyQubits("exact controlled evolution needs a dense matrix")
         phases, vectors = np.linalg.eigh(to_matrix(scaled, n_sys))
         for k in range(n_ancilla):
             turn = np.exp(-2j * math.pi * phases * (1 << k))

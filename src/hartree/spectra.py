@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .encoding import EncodingScheme, encode_operator
+from .errors import NumericalError
 from .fermion import FermionSum
 from .pauli import PauliString, PauliSum, apply_to_statevector
 from .simulator import StateVector, default_window
@@ -33,7 +34,7 @@ class AlphaTooSmall(UserWarning):
     """The shift is below the spectral-width heuristic."""
 
 
-class DegenerateSubspace(ValueError):
+class DegenerateSubspace(NumericalError):
     """Every overlap-matrix eigenvalue fell below the cutoff."""
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import time
 from pathlib import Path
 
@@ -11,8 +13,10 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+import hartree
 from conftest import random_pauli_string
 from hartree.encoding import JW, PARITY, VARIANTS, EncodingScheme, encode_operator
+from hartree.errors import ConfigError, HartreeError, NumericalError
 from hartree.fermion import build_molecular_hamiltonian
 from hartree.io_cli import (
     H2_CURVE,
@@ -38,10 +42,18 @@ from hartree.io_cli import (
 from hartree.io_cli import oracle
 from hartree.io_cli.cli import exit_code_for, main
 from hartree.mitigation import SignInconsistent
-from hartree.pauli import PauliString, PauliSum, TooLarge, to_matrix, x_masks
+from hartree.pauli import (
+    BYTE_BUDGET,
+    PauliString,
+    PauliSum,
+    TooLarge,
+    to_csr,
+    to_matrix,
+    x_masks,
+)
 from hartree.reduction import reduce_problem, sector_for, taper_two_qubits
-from hartree.simulator import ZeroOverlap
-from hartree.spectra import DegenerateSubspace
+from hartree.simulator import ZeroOverlap, qpe_bytes
+from hartree.spectra import AlphaTooSmall, DegenerateSubspace
 from hartree.vqe import SPSA, OptimizerConfig
 
 # Golden values from the dense oracle on the shipped fixtures, frozen after
@@ -266,13 +278,20 @@ class TestSparseOracle:
         values, vectors = exact_eigensolve(h, k=4, with_vectors=True)
         assert_eigenpairs(h, values, vectors)
 
+    def test_csr_of_tapered_lih_stores_no_zero(self):
+        h = encoded("lih_sto3g_1.45", PARITY, taper=True)
+        csr = to_csr(h)
+        assert len(x_masks(h)) << h.n_qubits == 86016
+        assert csr.nnz == 29920
+        assert np.all(csr.data != 0)
+
     def test_byte_figure_counts_entries_and_lanczos_basis(self):
         dim = 1 << 20
         csr_bytes = dim * 534 * oracle.CSR_ENTRY_BYTES
         basis_bytes = 20 * dim * oracle.AMPLITUDE_BYTES
         assert oracle.solve_bytes(534, 20, 1) == csr_bytes + basis_bytes
-        assert oracle.solve_bytes(534, 20, 1) > oracle.ORACLE_BYTES
-        assert oracle.solve_bytes(84, 12, 4) < oracle.ORACLE_BYTES
+        assert oracle.solve_bytes(534, 20, 1) > BYTE_BUDGET
+        assert oracle.solve_bytes(84, 12, 4) < BYTE_BUDGET
         assert oracle.solve_bytes(1, 8, 1) == 2 * 256 * 256 * 16
 
     def test_byte_guard_refuses_before_building(self, monkeypatch):
@@ -665,6 +684,37 @@ class TestCli:
         assert time.perf_counter() - start < 10.0
         message = capsys.readouterr().err
         assert "bytes" in message and "--reduce" in message
+
+    def test_out_directory_exits_2(self, tmp_path, capsys):
+        argv = ["exact", "--fixture", H2_EQUILIBRIUM, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "error: emit:" in capsys.readouterr().err
+
+    def test_sixteen_ancilla_qpe_exits_2_naming_the_bytes(self, capsys):
+        start = time.perf_counter()
+        assert main(["qpe", "--fixture", H2_EQUILIBRIUM, "--encoding",
+                     "parity", "--taper", "--ancillas", "16"]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert f"needs {qpe_bytes(2, 16, 0)} bytes" in capsys.readouterr().err
+
+    def test_every_package_error_exits_with_its_base_code(self):
+        found = set()
+        for info in pkgutil.walk_packages(hartree.__path__, "hartree."):
+            module = importlib.import_module(info.name)
+            found.update(value for value in vars(module).values()
+                         if isinstance(value, type)
+                         and issubclass(value, BaseException)
+                         and value.__module__ == module.__name__)
+        found -= {StageFailure, AlphaTooSmall, HartreeError}
+        assert len(found) >= 20
+        for error_class in found:
+            assert issubclass(error_class, HartreeError), error_class
+            configuration = issubclass(error_class, ConfigError)
+            assert configuration != issubclass(error_class, NumericalError)
+            code = 2 if configuration else 3
+            error = error_class("x")
+            assert exit_code_for(error) == code, error_class
+            assert exit_code_for(StageFailure("solve", error)) == code
 
     def test_exit_codes_by_error_type(self):
         assert exit_code_for(ValueError("x")) == 2

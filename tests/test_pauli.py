@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hartree import pauli
 from hartree.pauli import (
+    BYTE_BUDGET,
     STRING_TABLES,
     TABLE_BYTES,
     TABLE_ITEM_BYTES,
@@ -20,6 +21,7 @@ from hartree.pauli import (
     canonicalize,
     commutes,
     expectation,
+    matrix_bytes,
     mul_strings,
     mul_terms,
     to_csr,
@@ -136,6 +138,18 @@ class TestToMatrix:
         with pytest.raises(TooLarge):
             to_matrix(PauliSum.from_text({"Z0": 1.0}), 15)
 
+    def test_byte_figure_is_one_dense_complex_matrix(self):
+        assert matrix_bytes(3) == 8 * 8 * 16
+        assert matrix_bytes(13) == BYTE_BUDGET < matrix_bytes(14)
+
+    def test_fourteen_qubits_refused_before_allocating(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("to_matrix allocated its matrix")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(TooLarge, match=f"needs {4 ** 14 * 16} bytes"):
+            to_matrix(PauliSum.from_text({"Z0": 1.0}), 14)
+
     def test_matches_kron_oracle(self, rng):
         for _ in range(25):
             s = PauliSum({random_pauli_string(rng, 4): rng.normal() + 1j * rng.normal()
@@ -251,8 +265,19 @@ def test_mask_grouped_matrices_match_the_scatter_loop_bit_for_bit(
     expected = scatter_to_matrix(s, n)
     assert same_bits(to_matrix(s, n), expected)
     csr = to_csr(s, n)
-    assert csr.nnz == len(x_masks(s)) << n
+    assert csr.nnz == np.count_nonzero(expected) <= len(x_masks(s)) << n
     assert same_bits(csr.toarray(), expected)
+
+
+def test_csr_drops_the_entries_that_cancel():
+    # Under each X mask the Z0 term cancels the I and X1 Z0 cancels X1 on
+    # the rows with qubit 0 set, so half of the stacked entries are zero.
+    s = PauliSum.from_text({"I": 0.5, "Z0": 0.5, "X1": 0.25, "X1 Z0": 0.25,
+                            "Y0 Y2": 1.0})
+    csr = to_csr(s, 3)
+    assert csr.nnz == 16 < len(x_masks(s)) << 3
+    assert np.all(csr.data != 0)
+    assert same_bits(csr.toarray(), to_matrix(s, 3))
 
 
 class TestTables:

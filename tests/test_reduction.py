@@ -9,10 +9,11 @@ from conftest import (
     per_determinant_fci_matrix,
     same_bits,
 )
+from hartree import reduction
 from hartree.encoding import BK, BKTREE, JW, PARITY, EncodingScheme, encode_operator
 from hartree.fermion import MolecularIntegrals, build_molecular_hamiltonian
 from hartree.io_cli import load_fixture
-from hartree.pauli import PauliSum, to_matrix
+from hartree.pauli import PauliSum, TooLarge, to_matrix
 from hartree.reduction import (
     ActiveSpace,
     EmptyActiveSpace,
@@ -229,6 +230,22 @@ def test_sector_ground_matches_dense_diagonalization():
     dense = np.linalg.eigvalsh(fermion_matrix(build_molecular_hamiltonian(ints), 4))
     assert energy == pytest.approx(dense[0], abs=1e-10)
     assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_sector_guard_refuses_before_building(monkeypatch):
+    # Fourteen spatial orbitals with two electrons of each spin: 91^2
+    # determinants, a 1.9 GiB matrix with its eigenvectors.
+    m = 28
+    ints = MolecularIntegrals(m, 4, 2, 0.0, np.zeros((m, m)),
+                              np.zeros((m,) * 4))
+
+    def refuse(*_args):
+        raise AssertionError("the sector matrix was built")
+
+    monkeypatch.setattr(reduction, "build_molecular_hamiltonian", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(TooLarge, match=f"needs {2 * 8281 ** 2 * 16} bytes"):
+        fci_sector_ground(ints)
 
 
 @pytest.mark.parametrize("fixture", ["h2_sto3g_0.7414", "h2_631g_0.7414",

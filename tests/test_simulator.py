@@ -15,12 +15,23 @@ from conftest import (
     same_bits,
     scatter_apply,
 )
+from hartree import simulator
 from hartree.encoding import JW, PARITY, EncodingScheme, encode_operator
 from hartree.fermion import build_molecular_hamiltonian
 from hartree.io_cli import load_fixture
-from hartree.pauli import NonHermitian, PauliString, PauliSum, to_matrix
+from hartree.pauli import (
+    BYTE_BUDGET,
+    NonHermitian,
+    PauliString,
+    PauliSum,
+    TooLarge,
+    matrix_bytes,
+    to_matrix,
+)
 from hartree.reduction import sector_for, taper_two_qubits
 from hartree.simulator import (
+    EXPM_MATRICES,
+    REGISTER_BYTES,
     BadTarget,
     Circuit,
     CompiledCircuit,
@@ -28,7 +39,6 @@ from hartree.simulator import (
     Gate,
     NoiseModel,
     StateVector,
-    TooManyQubits,
     ZeroOverlap,
     adiabatic_prepare,
     apply_gate,
@@ -41,6 +51,7 @@ from hartree.simulator import (
     imaginary_time_evolve,
     make_rng,
     noisy_states,
+    qpe_bytes,
     qpe_distribution,
     qpe_sample,
     run_circuit,
@@ -644,7 +655,7 @@ def test_density_oracle_pure_case_and_ceiling():
     rho = density_matrix_reference(circuit, None, NoiseModel())
     psi = run_circuit(circuit).amplitudes
     assert np.allclose(rho, np.outer(psi, psi.conj()), atol=1e-12)
-    with pytest.raises(TooManyQubits):
+    with pytest.raises(TooLarge):
         density_matrix_reference(Circuit(5).x(0), None, NoiseModel())
 
 
@@ -732,10 +743,34 @@ def test_qpe_validation():
         qpe_distribution(StateVector.zero(1), z, 0, 0)
     with pytest.raises(NonHermitian):
         qpe_distribution(StateVector.zero(1), PauliSum.from_text({"Z0": 1j}), 2, 0)
-    with pytest.raises(TooManyQubits):
+    with pytest.raises(TooLarge):
         qpe_distribution(StateVector.zero(16), PauliSum.identity(1.0, 16), 10, 0)
     with pytest.raises(ValueError):
         EnergyWindow(1.0, 1.0)
+
+
+def refuse(*_args, **_kwargs):
+    raise AssertionError("a guarded array was allocated")
+
+
+def test_qpe_byte_figure_counts_registers_fourier_and_powers():
+    registers, fourier = 5 * 2 ** 18, 2 * 2 ** 32
+    assert qpe_bytes(2, 16, 3) == 16 * (registers + fourier)
+    assert qpe_bytes(2, 16, 0) == 16 * (registers + fourier + 5 * 2 ** 4)
+    # The largest register the benchmark runs is far under the budget.
+    assert qpe_bytes(6, 8, 0) < BYTE_BUDGET // 100
+
+
+def test_qpe_guard_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(simulator, "to_matrix", refuse)
+    monkeypatch.setattr(np, "outer", refuse)
+    with pytest.raises(TooLarge, match=f"needs {qpe_bytes(16, 10, 0)} bytes"):
+        qpe_distribution(StateVector.zero(16), PauliSum.identity(1.0, 16), 10, 0)
+    z = PauliSum.from_text({"Z0": 1.0, "Z1": 0.5})
+    for steps in (0, 2):
+        with pytest.raises(TooLarge,
+                           match=f"needs {qpe_bytes(2, 16, steps)} bytes"):
+            qpe_distribution(StateVector.zero(2), z, 16, steps)
 
 
 def test_default_window_contains_spectrum():
@@ -774,13 +809,44 @@ def test_imaginary_time_norm_floor():
         imaginary_time_evolve(psi, PauliSum.from_text({"Z0": 1.0}), 40.0, 1)
 
 
+def test_imaginary_time_guard_refuses_before_building(monkeypatch):
+    assert EXPM_MATRICES * matrix_bytes(11) <= BYTE_BUDGET
+    monkeypatch.setattr(simulator, "to_matrix", refuse)
+    needed = EXPM_MATRICES * matrix_bytes(12)
+    with pytest.raises(TooLarge, match=f"needs {needed} bytes"):
+        imaginary_time_evolve(StateVector.zero(12),
+                              PauliSum.from_text({"Z0": 1.0}), 1.0, 1)
+
+
+def test_gate_unitary_guard_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(simulator, "CompiledCircuit", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
+    needed = matrix_bytes(13) + 2 * (REGISTER_BYTES << 13)
+    with pytest.raises(TooLarge, match=f"needs {needed} bytes"):
+        gate_unitary(Gate("h", (0,)), 13)
+
+
 # ------------------------------------------------------------------ registers
 
 
 def test_statevector_validation():
     with pytest.raises(ValueError):
         StateVector(np.zeros(3, dtype=complex), 1)
-    with pytest.raises(TooManyQubits):
+    with pytest.raises(TooLarge):
         StateVector.zero(25)
     with pytest.raises(ValueError):
         StateVector.basis(2, 4)
+
+
+def test_register_figure_keeps_24_qubits_and_refuses_25():
+    assert REGISTER_BYTES == 3 * 16
+    assert REGISTER_BYTES << 24 <= BYTE_BUDGET < REGISTER_BYTES << 25
+
+
+def test_register_guards_allocate_nothing(monkeypatch):
+    unbuilt = np.empty(0, dtype=complex)
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(TooLarge, match=f"needs {REGISTER_BYTES << 25} bytes"):
+        StateVector.zero(25)
+    with pytest.raises(TooLarge, match=f"needs {REGISTER_BYTES << 30} bytes"):
+        StateVector(unbuilt, 30)

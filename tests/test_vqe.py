@@ -20,11 +20,19 @@ from hartree.fermion import (
     uccsd_generators,
 )
 from hartree.io_cli import load_fixture
-from hartree.pauli import PauliString, PauliSum, canonicalize, to_matrix
+from hartree.pauli import PauliString, PauliSum, TooLarge, canonicalize, to_matrix
 from hartree.reduction import sector_for, taper_two_qubits
-from hartree.simulator import Circuit, Gate, NoiseModel, StateVector, make_rng
+from hartree.simulator import (
+    Circuit,
+    CompiledCircuit,
+    Gate,
+    NoiseModel,
+    StateVector,
+    make_rng,
+)
 from hartree.vqe import (
     GRADIENT_DESCENT,
+    GRADIENT_EXTRA_STATES,
     HAMILTONIAN_VARIATIONAL,
     HARDWARE_EFFICIENT,
     LDCA,
@@ -361,6 +369,26 @@ class TestGradient:
         ansatz = Ansatz(circuit, [], HARDWARE_EFFICIENT)
         with pytest.raises(UnsupportedGate):
             analytic_gradient(ansatz, [0.1], PauliSum.from_text({"Z0": 1.0}))
+
+    def test_cc_pvdz_uccsd_refused_before_the_sweep(self, monkeypatch):
+        ints = load_fixture("h2_ccpvdz_0.75")
+        scheme = EncodingScheme(JW, ints.m)
+        reference = hf_occupation(ints)
+        occupied = reference.occupied()
+        virtual = [p for p in range(ints.m) if p not in occupied]
+        ansatz = build_uccsd(uccsd_generators(ints.m, occupied, virtual),
+                             scheme, reference)
+
+        def refuse(*_args):
+            raise AssertionError("the gradient started its sweep")
+
+        monkeypatch.setattr(CompiledCircuit, "sweep", refuse)
+        gates = len(ansatz.compiled().gates)
+        assert (gates, ansatz.n_qubits) == (686, 20)
+        needed = (gates + GRADIENT_EXTRA_STATES) * 16 << 20
+        with pytest.raises(TooLarge, match=f"needs {needed} bytes"):
+            analytic_gradient(ansatz, np.zeros(ansatz.n_params),
+                              PauliSum.identity(1.0, 20))
 
     def test_reference_prep_must_be_fixed(self):
         with pytest.raises(ValueError):
