@@ -308,9 +308,6 @@ def _solve_spectrum(config: RunConfig, h: PauliSum) -> dict:
 def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
                     scheme: EncodingScheme, ferm: FermionSum, h: PauliSum,
                     record: Callable) -> dict:
-    if config.technique == PEC and config.ansatz != HARDWARE_EFFICIENT:
-        raise ValueError("probabilistic cancellation covers one- and "
-                         "two-qubit gates; use the hardware-efficient ansatz")
     if config.technique == POSTSELECT:
         if config.encoding != JW or config.taper:
             raise ValueError("parity post-selection expects the untapered "
@@ -325,6 +322,11 @@ def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
     ansatz = _build_ansatz(config, ints, scheme, ferm, h.n_qubits)
     record("ansatz", family=config.ansatz, parameters=ansatz.n_params,
            gates=len(ansatz.combined().gates))
+    if config.technique == PEC and any(
+            len(support) > 2 for support in ansatz.compiled().supports):
+        raise ValueError("probabilistic cancellation covers gates on at most "
+                         "two qubits, and this ansatz has wider ones; use the "
+                         "hardware-efficient ansatz")
     master = make_rng(config.seed)
     optimizer_rng, raw_rng, technique_rng = split_rng(master, 3)
     tuning = optimize(ansatz, h, config.optimizer, rng=optimizer_rng)

@@ -350,14 +350,13 @@ def canonicalize(s: PauliSum, tol: float = DROP_TOLERANCE) -> PauliSum:
     return PauliSum(dict(s.items()), n_qubits=s.n_qubits or None, tol=tol)
 
 
-def _weighted_terms(s: PauliSum, dim: int
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(gather index, coeff * i^k * signs) per term, in term order."""
-    for string, coeff in s.items():
-        if (string.x | string.z) >= dim:
-            raise DimensionMismatch(f"term {string} exceeds {dim}-dim state")
-        idx, signs = _tables(string.x, string.z, dim)
-        yield idx, (coeff * 1j ** (string.x & string.z).bit_count()) * signs
+def _term_weights(string: PauliString, coeff: complex, dim: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index i ^ x and weights coeff * i^k * signs of one term."""
+    if (string.x | string.z) >= dim:
+        raise DimensionMismatch(f"term {string} exceeds {dim}-dim state")
+    idx, signs = _tables(string.x, string.z, dim)
+    return idx, (coeff * 1j ** (string.x & string.z).bit_count()) * signs
 
 
 def _sum_tables(s: PauliSum, dim: int
@@ -371,8 +370,8 @@ def _sum_tables(s: PauliSum, dim: int
         return None
     index = np.empty((len(s), dim), dtype=np.intp)
     weights = np.empty((len(s), dim), dtype=complex)
-    for t, (idx, w) in enumerate(_weighted_terms(s, dim)):
-        index[t], weights[t] = idx, w
+    for t, (string, coeff) in enumerate(s.items()):
+        index[t], weights[t] = _term_weights(string, coeff, dim)
     kept[dim] = index, weights
     return kept[dim]
 
@@ -388,7 +387,8 @@ def apply_to_statevector(s: PauliSum, psi: np.ndarray) -> np.ndarray:
     tables = _sum_tables(s, dim)
     if tables is None:
         out = np.zeros(dim, dtype=complex)
-        for idx, weights in _weighted_terms(s, dim):
+        for string, coeff in s.items():
+            idx, weights = _term_weights(string, coeff, dim)
             out += weights * psi[idx]
         return out
     index, weights = tables
@@ -404,20 +404,16 @@ def x_masks(s: PauliSum) -> list[int]:
 
 def _mask_weights(s: PauliSum, dim: int) -> Iterator[tuple[int, np.ndarray]]:
     """(x, weights) per distinct X mask in order of first appearance:
-    weights[i] is entry (i, i ^ x), the terms with mask x added in term order
-    from zero, so every entry takes the additions of a term-wise scatter."""
-    groups: dict[int, list[tuple[int, complex]]] = {}
+    weights[i] is entry (i, i ^ x), the ``_term_weights`` of the terms with
+    mask x added in term order from zero, so every entry takes the additions
+    of a term-wise scatter. One mask group is built at a time."""
+    groups: dict[int, list[tuple[PauliString, complex]]] = {}
     for string, coeff in s.items():
-        if (string.x | string.z) >= dim:
-            raise DimensionMismatch(f"term {string} exceeds {dim}-dim state")
-        groups.setdefault(string.x, []).append(
-            (string.z, coeff * 1j ** (string.x & string.z).bit_count()))
-    rows = np.arange(dim)
+        groups.setdefault(string.x, []).append((string, coeff))
     for x, terms in groups.items():
-        cols = rows ^ x
         weights = np.zeros(dim, dtype=complex)
-        for z, phased in terms:
-            weights += phased * _PHASES[2 * (np.bitwise_count(cols & z) & 1)]
+        for string, coeff in terms:
+            weights += _term_weights(string, coeff, dim)[1]
         yield x, weights
 
 

@@ -358,13 +358,6 @@ class CompiledCircuit:
             amps = kernel(amps, resolve and resolve(theta))
         return amps
 
-    def sweep(self, theta: Sequence[float] | None,
-              amps: np.ndarray) -> Iterator[np.ndarray]:
-        """The amplitudes after each gate in turn."""
-        for kernel, resolve in self._kernels:
-            amps = kernel(amps, resolve and resolve(theta))
-            yield amps
-
     def undo(self, index: int, theta: Sequence[float] | None,
              amps: np.ndarray) -> np.ndarray:
         """Amplitudes after the inverse of gate ``index`` (up to a global
@@ -389,7 +382,8 @@ class CompiledCircuit:
             branching.setdefault(events[0][0] if events else None, []).append(k)
         amps = StateVector.zero(self.n).amplitudes if psi0 is None \
             else psi0.amplitudes
-        for first, amps in enumerate(self.sweep(theta, amps)):
+        for first, (kernel, resolve) in enumerate(self._kernels):
+            amps = kernel(amps, resolve and resolve(theta))
             for k in branching.get(first, ()):
                 branch, at = amps, first
                 for index, error in kicks[k]:

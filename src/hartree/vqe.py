@@ -10,7 +10,8 @@ initial Rz layer and cycles of five two-qubit Pauli rotations over alternating
 neighbor pairs.
 
 Gradients are computed analytically on the statevector with a reverse sweep
-that evaluates two modified-circuit inner products per parametrized gate.
+that un-computes the state beside H psi and reads one inner product per
+parametrized gate.
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ from .encoding import EncodingScheme, encode_operator, encode_state
 from .errors import ConfigError
 from .fermion import FermionSum, OccupationVector, normal_order
 from .mitigation import DEFAULT_TRAJECTORIES, noisy_expectation
-from .pauli import (
-    AMPLITUDE_BYTES,
-    PauliString,
-    PauliSum,
-    apply_to_statevector,
-    check_bytes,
-)
+from .pauli import PauliString, PauliSum, apply_to_statevector, check_bytes
 from .simulator import (
     Circuit,
+    REGISTER_BYTES,
     ROTATION_AXES,
     CompiledCircuit,
     Gate,
@@ -48,10 +44,11 @@ from .simulator import (
 COEFF_TOLERANCE = 1e-10
 INITIAL_SPREAD = 0.01
 CONVERGENCE_STREAK = 10
-# States the gradient sweep holds beyond one per gate: the initial state,
-# lambda, and the working arrays of a kernel or of a string's gather tables
-# and product (tracemalloc, no table cache: 651.9 states on 644-gate LiH).
-GRADIENT_EXTRA_STATES = 8
+# Registers the gradient sweep holds, whatever the gate count: psi, lambda,
+# a kernel's working arrays, and the per-term tables and products of H psi
+# (tracemalloc, no table cache: 2.2 registers on 644-gate LiH, 2.0 at 16-18
+# qubits).
+GRADIENT_REGISTERS = 3
 
 UCCSD = "uccsd"
 HARDWARE_EFFICIENT = "hardware-efficient"
@@ -350,28 +347,30 @@ def analytic_gradient(ansatz: Ansatz, theta: Sequence[float],
                       h: PauliSum) -> np.ndarray:
     """Exact dE/dtheta by a reverse sweep over the circuit.
 
-    The sweep holds <lambda| = <psi_final| H U_N ... U_{g+1} alongside the
-    stored forward state after gate g and reads off
-    2 Re <lambda| i w_g P_g |psi_g> at each parametrized gate. Occurrences
-    sharing a parameter slot accumulate into one derivative entry. Raises
-    TooLarge before the sweep when the stored states exceed BYTE_BUDGET.
+    The circuit runs once to psi_N, and lambda = H psi_N. Walking the gates
+    backwards, the sweep reads 2 Re <lambda| i w_g P_g |psi_g> at each
+    parametrized gate g, then undoes the gate on both lambda and psi, so
+    only those two registers are held (Jones & Gacon, arXiv:2009.02823).
+    T's inverse is off by a global phase, which lambda and psi pick up
+    alike, so it cancels in every later bracket. Occurrences sharing a
+    parameter slot accumulate into one derivative entry. Raises TooLarge
+    before any register is allocated when GRADIENT_REGISTERS of them
+    exceed BYTE_BUDGET.
     """
+    check_bytes(GRADIENT_REGISTERS * (REGISTER_BYTES << ansatz.n_qubits),
+                f"the gradient sweep on {ansatz.n_qubits} qubits")
     compiled = ansatz.compiled()
-    n_states = len(compiled.gates) + GRADIENT_EXTRA_STATES
-    check_bytes(n_states * AMPLITUDE_BYTES << ansatz.n_qubits,
-                f"the gradient sweep over {len(compiled.gates)} gates on "
-                f"{ansatz.n_qubits} qubits")
-    states = [StateVector.zero(ansatz.n_qubits).amplitudes]
-    states.extend(compiled.sweep(theta, states[0]))
+    psi = compiled.run(theta, StateVector.zero(ansatz.n_qubits).amplitudes)
+    lam = apply_to_statevector(h, psi)
     gradient = np.zeros(ansatz.n_params)
-    lam = apply_to_statevector(h, states[-1])
     for position in range(len(compiled.gates) - 1, -1, -1):
         gate = compiled.gates[position]
         if gate.slot is not None:
             weight, string = _gate_generator(gate)
-            bracket = np.vdot(lam, string.apply(states[position + 1]))
+            bracket = np.vdot(lam, string.apply(psi))
             gradient[gate.slot] += 2.0 * (1j * weight * bracket).real
         lam = compiled.undo(position, theta, lam)
+        psi = compiled.undo(position, theta, psi)
     return gradient
 
 

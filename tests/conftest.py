@@ -202,6 +202,36 @@ def per_gate_inverse(gate, theta):
                 string=gate.string)
 
 
+def stored_state_gradient(ansatz, theta, h: PauliSum) -> np.ndarray:
+    """The reverse sweep over every stored forward state, gate by gate with
+    the per-call kernels: the gradient as it was computed before psi was
+    un-computed beside lambda, bit for bit on circuits without T. That sweep
+    undid T by Rz(-pi/4), whose global phase lambda took on and the stored
+    states did not, turning every earlier bracket; here T is undone exactly."""
+    n, gates = ansatz.n_qubits, ansatz.combined().gates
+    states = [np.zeros(1 << n, dtype=complex)]
+    states[0][0] = 1.0
+    for gate in gates:
+        states.append(per_gate_apply(states[-1], n, gate, theta))
+    gradient = np.zeros(ansatz.n_params)
+    lam = scatter_apply_sum(h, states[-1])
+    for position in range(len(gates) - 1, -1, -1):
+        gate = gates[position]
+        if gate.slot is not None:
+            if gate.kind == "exp":
+                weight, string = gate.scale, gate.string
+            else:
+                weight = -gate.scale / 2.0
+                string = PauliString.single(gate.kind[1].upper(), gate.targets[0])
+            bracket = np.vdot(lam, scatter_apply(string, states[position + 1]))
+            gradient[gate.slot] += 2.0 * (1j * weight * bracket).real
+        if gate.kind == "t":
+            lam = _apply_single(lam, n, gate.targets[0], _FIXED["t"].conj())
+        else:
+            lam = per_gate_apply(lam, n, per_gate_inverse(gate, theta))
+    return gradient
+
+
 # ----------------------------------- second derivations, kept as oracles
 #
 # Results the package once derived a second way, next to the caller that

@@ -620,6 +620,13 @@ class TestCli:
             else result["mitigated"]["mean"]
         assert abs(energy - H2_GROUND) < 0.1
 
+    def test_pec_takes_any_ansatz_of_one_and_two_qubit_gates(self, capsys):
+        argv = ["mitigate", "--fixture", H2_EQUILIBRIUM, "--technique", "pec",
+                "--ansatz", "ldca", "--seed", "1"]
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert sorted(result["gamma"]) == ["1", "2"]
+
     def test_out_silences_stdout(self, capsys, tmp_path):
         out = tmp_path / "doc.json"
         code = main(["exact", "--fixture", H2_EQUILIBRIUM, "--out", str(out)])

@@ -1,15 +1,11 @@
 """Ansatz builders, analytic gradients, and the classical optimizers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import (
-    per_gate_apply,
-    per_gate_inverse,
-    same_bits,
-    scatter_apply,
-    scatter_apply_sum,
-)
+from conftest import per_gate_apply, same_bits, stored_state_gradient
 from hartree.encoding import JW, PARITY, EncodingScheme, encode_operator, encode_state
 from hartree.fermion import (
     FermionSum,
@@ -32,7 +28,7 @@ from hartree.simulator import (
 )
 from hartree.vqe import (
     GRADIENT_DESCENT,
-    GRADIENT_EXTRA_STATES,
+    GRADIENT_REGISTERS,
     HAMILTONIAN_VARIATIONAL,
     HARDWARE_EFFICIENT,
     LDCA,
@@ -89,6 +85,19 @@ def h2_uccsd(h2):
     gens = uccsd_generators(4, hf.occupied(),
                             [p for p in range(4) if p not in hf.occupied()])
     return build_uccsd(gens, scheme, hf)
+
+
+def jw_uccsd(fixture: str) -> tuple[Ansatz, PauliSum]:
+    """UCCSD over the Hartree-Fock reference of a fixture, with its JW
+    Hamiltonian."""
+    ints = load_fixture(fixture)
+    scheme = EncodingScheme(JW, ints.m)
+    reference = hf_occupation(ints)
+    occupied = reference.occupied()
+    virtual = [p for p in range(ints.m) if p not in occupied]
+    ansatz = build_uccsd(uccsd_generators(ints.m, occupied, virtual),
+                         scheme, reference)
+    return ansatz, encode_operator(build_molecular_hamiltonian(ints), scheme)
 
 
 def toy_rx_ansatz() -> Ansatz:
@@ -370,25 +379,33 @@ class TestGradient:
         with pytest.raises(UnsupportedGate):
             analytic_gradient(ansatz, [0.1], PauliSum.from_text({"Z0": 1.0}))
 
-    def test_cc_pvdz_uccsd_refused_before_the_sweep(self, monkeypatch):
-        ints = load_fixture("h2_ccpvdz_0.75")
-        scheme = EncodingScheme(JW, ints.m)
-        reference = hf_occupation(ints)
-        occupied = reference.occupied()
-        virtual = [p for p in range(ints.m) if p not in occupied]
-        ansatz = build_uccsd(uccsd_generators(ints.m, occupied, virtual),
-                             scheme, reference)
+    def test_cc_pvdz_uccsd_passes_the_register_guard(self, monkeypatch):
+        ansatz, h = jw_uccsd("h2_ccpvdz_0.75")
+
+        class Reached(Exception):
+            pass
+
+        def stop(*_args):
+            raise Reached
+
+        monkeypatch.setattr(CompiledCircuit, "run", stop)
+        assert (len(ansatz.compiled().gates), ansatz.n_qubits) == (686, 20)
+        with pytest.raises(Reached):
+            analytic_gradient(ansatz, np.zeros(ansatz.n_params), h)
+
+    def test_registers_over_the_budget_refused_before_allocation(
+            self, monkeypatch):
+        ansatz = build_hardware_efficient(23, 1)
 
         def refuse(*_args):
-            raise AssertionError("the gradient started its sweep")
+            raise AssertionError("the gradient allocated a register")
 
-        monkeypatch.setattr(CompiledCircuit, "sweep", refuse)
-        gates = len(ansatz.compiled().gates)
-        assert (gates, ansatz.n_qubits) == (686, 20)
-        needed = (gates + GRADIENT_EXTRA_STATES) * 16 << 20
+        monkeypatch.setattr(StateVector, "zero", refuse)
+        monkeypatch.setattr(CompiledCircuit, "run", refuse)
+        needed = GRADIENT_REGISTERS * (3 * 16 << 23)
         with pytest.raises(TooLarge, match=f"needs {needed} bytes"):
             analytic_gradient(ansatz, np.zeros(ansatz.n_params),
-                              PauliSum.identity(1.0, 20))
+                              PauliSum.identity(1.0, 23))
 
     def test_reference_prep_must_be_fixed(self):
         with pytest.raises(ValueError):
@@ -412,28 +429,6 @@ def all_families(h2) -> list[Ansatz]:
             build_ldca(4, 1)]
 
 
-def per_gate_gradient(ansatz: Ansatz, theta, h: PauliSum) -> np.ndarray:
-    """The reverse sweep gate by gate with the per-call kernels."""
-    n, gates = ansatz.n_qubits, ansatz.combined().gates
-    states = [StateVector.zero(n).amplitudes]
-    for gate in gates:
-        states.append(per_gate_apply(states[-1], n, gate, theta))
-    gradient = np.zeros(ansatz.n_params)
-    lam = scatter_apply_sum(h, states[-1])
-    for position in range(len(gates) - 1, -1, -1):
-        gate = gates[position]
-        if gate.slot is not None:
-            if gate.kind == "exp":
-                weight, string = gate.scale, gate.string
-            else:
-                weight = -gate.scale / 2.0
-                string = PauliString.single(gate.kind[1].upper(), gate.targets[0])
-            bracket = np.vdot(lam, scatter_apply(string, states[position + 1]))
-            gradient[gate.slot] += 2.0 * (1j * weight * bracket).real
-        lam = per_gate_apply(lam, n, per_gate_inverse(gate, theta))
-    return gradient
-
-
 class TestCompiledAnsatz:
     def test_states_match_the_per_gate_loop_bit_for_bit(self, h2):
         for ansatz in all_families(h2):
@@ -443,15 +438,61 @@ class TestCompiledAnsatz:
                 amps = per_gate_apply(amps, ansatz.n_qubits, gate, theta)
             assert same_bits(ansatz.state(theta).amplitudes, amps), ansatz.family
 
-    def test_gradients_match_the_per_gate_sweep_bit_for_bit(self, h2):
+    def test_gradients_match_the_stored_state_sweep(self, h2):
         _, _, _, h, _ = h2
         for ansatz in all_families(h2):
             theta = make_rng(4).uniform(-1, 1, size=ansatz.n_params)
             # the three-qubit ansatz is scored on the terms that fit it
             n = ansatz.n_qubits
             sub = PauliSum({s: c for s, c in h.items() if s.n_qubits <= n})
-            assert same_bits(analytic_gradient(ansatz, theta, sub),
-                             per_gate_gradient(ansatz, theta, sub)), ansatz.family
+            assert np.max(np.abs(analytic_gradient(ansatz, theta, sub)
+                                 - stored_state_gradient(ansatz, theta, sub))
+                          ) < 1e-12, ansatz.family
+
+    def test_fixed_gates_between_parameters_match_the_stored_state_sweep(self):
+        # T is undone up to a global phase, which psi and lambda share, and
+        # a fixed cexp by its negated angle
+        circuit = Circuit(3)
+        circuit.ry(0, slot=0).t(0).h(1).rx(1, slot=1).cnot(0, 1)
+        circuit.exp(PauliString.from_text("X0 Y2"), slot=2, scale=0.5)
+        circuit.t(2).cz(1, 2)
+        circuit.cexp(0, PauliString.from_text("Y1 Z2"), angle=0.37)
+        circuit.rz(2, slot=0, scale=-1.5).t(1)
+        circuit.exp(PauliString.from_text("Z0 X1"), slot=3)
+        circuit.h(2).cexp(2, PauliString.from_text("X0"), angle=-0.81)
+        circuit.ry(1, slot=1)
+        ansatz = Ansatz(circuit, [Gate("x", (2,))], HARDWARE_EFFICIENT)
+        h = PauliSum.from_text({"Z0 Z1": 0.7, "X1 X2": -0.4, "Y0": 0.3,
+                                "Z2": 0.2, "I": -1.1})
+        step = 1e-5
+        for seed in range(3):
+            theta = make_rng(seed).uniform(-2, 2, size=ansatz.n_params)
+            exact = analytic_gradient(ansatz, theta, h)
+            assert np.max(np.abs(exact - stored_state_gradient(ansatz, theta, h))
+                          ) < 1e-12
+            for k in range(len(theta)):
+                plus, minus = theta.copy(), theta.copy()
+                plus[k] += step
+                minus[k] -= step
+                numeric = (estimate_energy(ansatz, plus, h).mean
+                           - estimate_energy(ansatz, minus, h).mean) / (2 * step)
+                assert abs(exact[k] - numeric) < 1e-6
+
+    def test_lih_uccsd_gradient_peaks_under_ten_mib(self):
+        ansatz, h = jw_uccsd("lih_sto3g_1.45")
+        assert (len(ansatz.compiled().gates), ansatz.n_qubits) == (644, 12)
+        theta = make_rng(5).uniform(-0.5, 0.5, size=ansatz.n_params)
+        tracemalloc.start()
+        try:
+            gradient = analytic_gradient(ansatz, theta, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the shared Pauli-table cache may grow by its 8 MiB ceiling; one
+        # stored state per gate would add 40 MiB
+        assert peak <= 10 << 20
+        assert np.max(np.abs(gradient - stored_state_gradient(ansatz, theta, h))
+                      ) < 1e-12
 
     def test_compiled_once_and_again_after_a_change(self):
         ansatz = toy_rx_ansatz()

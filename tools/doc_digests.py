@@ -59,6 +59,8 @@ EXTRA = (
                             "1000")),
     ("mitigate-linear", ("mitigate", *H2, "--technique", "linear",
                          "--trajectories", "2000")),
+    ("vqe-h2-gradient", ("vqe", *H2, "--optimizer", "gradient-descent",
+                         "--max-evals", "200")),
 )
 
 
