@@ -21,8 +21,6 @@ from .fermion import (
     BLOCKED,
     FermionOperator,
     MolecularIntegrals,
-    OccupationVector,
-    apply_to_occupation,
     build_molecular_hamiltonian,
 )
 from .errors import ConfigError
@@ -201,15 +199,81 @@ def sector_determinants(m: int, n_up: int, n_down: int) -> list[int]:
     return sorted(u | d for u in ups for d in downs)
 
 
-def _images(op: FermionOperator, determinants: list[OccupationVector],
-            index: dict[int, int]):
-    """(column, row, amplitude) of ``op`` on each sector determinant, in
-    column order; a determinant the operator annihilates yields nothing."""
-    for column, f in enumerate(determinants):
-        result = apply_to_occupation(op, f)
-        if result is not None:
-            amplitude, g = result
-            yield column, index[g.mask], amplitude
+def _ladder(modes: np.ndarray, creates: np.ndarray) -> list[tuple]:
+    """Per factor, rightmost first: its mode's bit, the bits below it, and
+    what the factor needs at that bit (the bit to annihilate, 0 to create).
+    The last axis of ``modes`` and ``creates`` holds the factors left to
+    right."""
+    bits = np.uint64(1) << modes
+    need = np.where(creates, np.uint64(0), bits)
+    return [(bits[..., f], bits[..., f] - np.uint64(1), need[..., f])
+            for f in reversed(range(modes.shape[-1]))]
+
+
+def _apply(ladder: list[tuple], masks) -> tuple[np.ndarray, ...]:
+    """(image, odd, alive) of determinant ``masks`` under ladder products,
+    as ``fermion.apply_to_occupation`` applies one: a factor on the wrong
+    occupation kills the product, and each contributes the sign
+    (-1)^(occupations below its mode). Shapes broadcast."""
+    image = masks
+    counts = np.zeros(np.shape(masks), dtype=np.uint8)
+    alive = np.ones(np.shape(masks), dtype=bool)
+    for bit, below, need in ladder:
+        alive = alive & ((image & bit) == need)
+        # uint8 counts wrap modulo 256, which keeps their parity
+        counts = counts + np.bitwise_count(image & below)
+        image = image ^ bit
+    return image, counts & 1 == 1, alive
+
+
+def _rows(masks: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Sector position of each image, or -1 where it leaves the sector."""
+    rows = np.searchsorted(masks, images)
+    return np.where(masks.take(rows, mode="clip") == images, rows, -1)
+
+
+def _outside(term, mask: int, ints: MolecularIntegrals) -> InconsistentSpace:
+    return InconsistentSpace(
+        f"term {term} maps determinant {mask:0{ints.m}b} outside the "
+        f"({ints.n_up}, {ints.n_down}) sector")
+
+
+def _term_runs(terms: list) -> list[tuple]:
+    """The terms in build order, cut into runs of one arity: (position of
+    the run's first term, its ladder, its coefficients)."""
+    runs, first = [], 0
+    for arity, run in itertools.groupby(terms, key=lambda t: len(t.factors)):
+        run = list(run)
+        flat = np.fromiter(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(t.factors) for t in run),
+            dtype=np.uint64, count=2 * arity * len(run))
+        pairs = flat.reshape(len(run), arity, 2)
+        coeffs = np.fromiter((t.coeff for t in run), dtype=complex,
+                             count=len(run))
+        runs.append((first, _ladder(pairs[..., 0], pairs[..., 1] == 1),
+                     coeffs))
+        first += len(run)
+    return runs
+
+
+def _sector_matrix(ints: MolecularIntegrals, masks: list[int]) -> np.ndarray:
+    """Each column applies every Hamiltonian term to its determinant at
+    once; each entry adds its amplitudes in term order."""
+    terms = build_molecular_hamiltonian(ints).terms
+    sector = np.array(masks, dtype=np.uint64)
+    matrix = np.zeros((len(masks), len(masks)), dtype=complex)
+    runs = _term_runs(terms)
+    for column, mask in enumerate(sector):
+        for first, ladder, coeffs in runs:
+            image, odd, alive = _apply(ladder, np.full(len(coeffs), mask))
+            hit = np.flatnonzero(alive)
+            rows = _rows(sector, image[hit])
+            if rows.min(initial=0) < 0:
+                raise _outside(terms[first + hit[np.argmin(rows)]],
+                               masks[column], ints)
+            amplitudes = np.where(odd[hit], -coeffs[hit], coeffs[hit])
+            np.add.at(matrix, (rows, column), amplitudes)
+    return matrix
 
 
 def fci_sector_ground(ints: MolecularIntegrals
@@ -219,37 +283,44 @@ def fci_sector_ground(ints: MolecularIntegrals
     exceed BYTE_BUDGET."""
     if ints.ordering != BLOCKED:
         raise InconsistentSpace("spin-blocked integrals required")
+    if ints.m > 64:
+        raise InconsistentSpace(
+            f"a uint64 determinant mask holds 64 spin-orbitals, not {ints.m}")
     masks = sector_determinants(ints.m, ints.n_up, ints.n_down)
     dim = len(masks)
     check_bytes(2 * dim * dim * AMPLITUDE_BYTES,
                 f"the {dim}-determinant sector matrix")
-    index = {mask: i for i, mask in enumerate(masks)}
-    determinants = [OccupationVector(ints.m, mask) for mask in masks]
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for term in build_molecular_hamiltonian(ints):
-        for column, row, amplitude in _images(term, determinants, index):
-            matrix[row, column] += amplitude
-    values, vectors = np.linalg.eigh(matrix)
+    values, vectors = np.linalg.eigh(_sector_matrix(ints, masks))
     return float(values[0]), vectors[:, 0], masks
 
 
 def spin_summed_1rdm(ints: MolecularIntegrals,
                      ground: tuple[np.ndarray, list[int]] | None = None) -> OneRDM:
-    """rho[i][j] = sum over spin of <a+_i a_j> in the sector ground state."""
+    """rho[i][j] = sum over spin of <a+_i a_j> in the sector ground state.
+
+    All 2·ns² operators a+_(i+s) a_(j+s) act on all determinants at once;
+    each entry adds spin block s = 0 over every determinant, then s = ns.
+    """
     if ground is None:
         _, amplitudes, masks = fci_sector_ground(ints)
     else:
         amplitudes, masks = ground
-    index = {mask: i for i, mask in enumerate(masks)}
-    determinants = [OccupationVector(ints.m, mask) for mask in masks]
     ns = ints.m // 2
+    ops = [FermionOperator(((i + s, True), (j + s, False)))
+           for i in range(ns) for j in range(ns) for s in (0, ns)]
+    [(_, ladder, _)] = _term_runs(ops)
+    sector = np.array(masks, dtype=np.uint64)
+    image, odd, alive = (a.T for a in _apply(ladder, sector[:, None]))
+    alive &= np.abs(amplitudes) >= 1e-14
+    op, k = np.nonzero(alive)
+    rows = _rows(sector, image[op, k])
+    if rows.min(initial=0) < 0:
+        bad = np.argmin(rows)
+        raise _outside(ops[op[bad]], masks[k[bad]], ints)
+    phases = np.where(odd[op, k], -1.0, 1.0)
     rho = np.zeros((ns, ns))
-    for i_orb, j_orb, offset in itertools.product(range(ns), range(ns), (0, ns)):
-        op = FermionOperator(((i_orb + offset, True), (j_orb + offset, False)))
-        for k, row, phase in _images(op, determinants, index):
-            if abs(amplitudes[k]) >= 1e-14:
-                rho[i_orb, j_orb] += (np.conj(amplitudes[row])
-                                      * phase * amplitudes[k]).real
+    np.add.at(rho.reshape(-1), op // 2,
+              (np.conj(amplitudes[rows]) * phases * amplitudes[k]).real)
     out = OneRDM(rho)
     out.validate()
     return out

@@ -1,5 +1,7 @@
 """Active-space reduction and conserved-parity qubit tapering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hartree import reduction
 from hartree.encoding import BK, BKTREE, JW, PARITY, EncodingScheme, encode_operator
 from hartree.fermion import MolecularIntegrals, build_molecular_hamiltonian
 from hartree.io_cli import load_fixture
+from hartree.io_cli.cli import exit_code_for
 from hartree.pauli import PauliSum, TooLarge, to_matrix
 from hartree.reduction import (
     ActiveSpace,
@@ -248,11 +251,21 @@ def test_sector_guard_refuses_before_building(monkeypatch):
         fci_sector_ground(ints)
 
 
+def sector_input(name: str) -> MolecularIntegrals:
+    """A fixture, or with ``-reduced`` its natural-orbital active space
+    (rotated basis, frozen-core one-body terms)."""
+    if name.endswith("-reduced"):
+        return reduce_problem(load_fixture(name.removesuffix("-reduced"))
+                              ).integrals
+    return load_fixture(name)
+
+
 @pytest.mark.parametrize("fixture", ["h2_sto3g_0.7414", "h2_631g_0.7414",
-                                     "lih_sto3g_1.45"])
+                                     "lih_sto3g_1.45", "h2_ccpvdz_0.75",
+                                     "lih_sto3g_1.45-reduced"])
 def test_sector_loops_match_per_determinant_oracles_bit_for_bit(fixture,
                                                                monkeypatch):
-    ints = load_fixture(fixture)
+    ints = sector_input(fixture)
     eigh, matrices = np.linalg.eigh, []
 
     def recording_eigh(matrix):
@@ -267,6 +280,49 @@ def test_sector_loops_match_per_determinant_oracles_bit_for_bit(fixture,
     assert same_bits(matrices[0], matrix)
     rdm = spin_summed_1rdm(ints, (amplitudes, masks))
     assert same_bits(rdm.rho, per_determinant_1rdm(ints, amplitudes, masks))
+
+
+# tracemalloc peaks of the per-determinant loop, one term and one
+# OccupationVector at a time, that the array form replaced
+PER_DETERMINANT_PEAK_MIB = {"lih_sto3g_1.45": 1.69, "h2_ccpvdz_0.75": 3.52}
+
+
+@pytest.mark.parametrize("fixture", sorted(PER_DETERMINANT_PEAK_MIB))
+def test_sector_matrix_holds_no_terms_by_determinants_grid(fixture):
+    ints = load_fixture(fixture)
+    fci_sector_ground(ints)
+    tracemalloc.start()
+    try:
+        fci_sector_ground(ints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (terms x determinants) grid of images peaked at 9.2 MiB on LiH
+    assert peak <= 1.5 * PER_DETERMINANT_PEAK_MIB[fixture] * 2 ** 20
+
+
+def test_term_leaving_the_sector_is_inconsistent():
+    # Valid integrals whose two-body terms move an electron between spins:
+    # a+_0 a+_1 a-_2 a-_1 takes determinant 0110 to 0011, two up electrons.
+    h_two = np.zeros((4,) * 4)
+    for index in [(0, 1, 2, 1), (1, 0, 1, 2), (1, 2, 1, 0), (2, 1, 0, 1)]:
+        h_two[index] = 0.1
+    ints = MolecularIntegrals(4, 2, 1, 0.0, -np.eye(4), h_two)
+    ints.validate()
+    with pytest.raises(InconsistentSpace,
+                       match=r"term 0\.05 \* a\+_0 a\+_1 a-_2 a-_1 maps "
+                             r"determinant 0110 outside the \(1, 1\) sector"
+                       ) as caught:
+        fci_sector_ground(ints)
+    assert exit_code_for(caught.value) == 2
+
+
+def test_sector_masks_hold_at_most_64_spin_orbitals():
+    m = 66
+    ints = MolecularIntegrals(m, 2, 1, 0.0, np.zeros((m, m)),
+                              np.broadcast_to(0.0, (m,) * 4))
+    with pytest.raises(InconsistentSpace, match="holds 64 spin-orbitals, not 66"):
+        fci_sector_ground(ints)
 
 
 def test_fixture_rdm_is_physical():

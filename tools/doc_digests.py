@@ -47,6 +47,8 @@ EXTRA = (
     ("exact-h2-bktree", ("exact", *H2, "--encoding", "bktree")),
     ("exact-lih-reduce", ("exact", "--fixture", "lih_sto3g_1.45",
                           "--reduce")),
+    ("exact-h2-631g-reduce", ("exact", "--fixture", "h2_631g_0.7414",
+                              "--reduce", "--taper", "--encoding", "parity")),
     ("exact-lih-jw", ("exact", "--fixture", "lih_sto3g_1.45", "--k", "4")),
     ("qpe-h2-trotter", ("qpe", *H2, "--encoding", "parity", "--taper",
                         "--ancillas", "6", "--trotter-steps", "3")),
