@@ -53,6 +53,12 @@ def parse_fcidump_spatial(text: str) -> SpatialIntegrals:
     norb, nelec, ms2 = field("NORB"), field("NELEC"), field("MS2")
     if norb < 1 or nelec < 0:
         raise ParseError("bad NORB/NELEC")
+    n_up, odd = divmod(nelec + ms2, 2)
+    if odd or not (0 <= n_up <= norb and 0 <= nelec - n_up <= norb):
+        raise ParseError(
+            f"NORB={norb}, NELEC={nelec}, MS2={ms2} fit no determinant: "
+            f"NELEC + MS2 must be even, |MS2| at most NELEC and each spin "
+            f"count (NELEC +- MS2)/2 at most NORB")
 
     t = np.zeros((norb, norb))
     v = np.zeros((norb,) * 4)

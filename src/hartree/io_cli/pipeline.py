@@ -28,6 +28,7 @@ from ..fermion import (
     uccsd_generators,
 )
 from ..mitigation import (
+    check_scales,
     extrapolate_exponential,
     extrapolate_linear,
     noise_scaled_series,
@@ -155,6 +156,8 @@ class RunConfig:
         self.noise_model()  # NoiseModel rejects probabilities outside [0, 1]
         object.__setattr__(self, "scales",
                            tuple(float(s) for s in self.scales))
+        if self.method == MITIGATE and self.technique in (LINEAR, EXPONENTIAL):
+            check_scales(self.scales, self.noise_model())
         if self.seed is None and self._is_stochastic():
             raise ValueError("stochastic runs need an explicit seed")
 
@@ -326,7 +329,7 @@ def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
             len(support) > 2 for support in ansatz.compiled().supports):
         raise ValueError("probabilistic cancellation covers gates on at most "
                          "two qubits, and this ansatz has wider ones; use the "
-                         "hardware-efficient ansatz")
+                         "hardware-efficient or ldca ansatz")
     master = make_rng(config.seed)
     optimizer_rng, raw_rng, technique_rng = split_rng(master, 3)
     tuning = optimize(ansatz, h, config.optimizer, rng=optimizer_rng)

@@ -74,13 +74,22 @@ class NoiseScaledSeries:
     def __post_init__(self):
         object.__setattr__(self, "points",
                            tuple((float(lam), est) for lam, est in self.points))
-        if len(self.points) < 2:
-            raise ValueError("need at least two noise scales")
-        scales = [lam for lam, _ in self.points]
-        if scales[0] != 1.0:
-            raise ValueError("the first scale must be 1")
-        if any(b <= a for a, b in zip(scales, scales[1:])):
-            raise ValueError("scales must be strictly increasing")
+        check_scales([lam for lam, _ in self.points])
+
+
+def check_scales(scales: Sequence[float],
+                 noise: NoiseModel | None = None) -> None:
+    """ValueError unless there are at least two scales, the first is 1 and
+    they strictly increase; with ``noise``, also unless the largest keeps
+    every insertion probability at most 1."""
+    if len(scales) < 2:
+        raise ValueError("need at least two noise scales")
+    if scales[0] != 1.0:
+        raise ValueError("the first scale must be 1")
+    if any(b <= a for a, b in zip(scales, scales[1:])):
+        raise ValueError("scales must be strictly increasing")
+    if noise is not None:
+        scaled_noise(noise, scales[-1])
 
 
 def scaled_noise(noise: NoiseModel, lam: float) -> NoiseModel:

@@ -10,10 +10,15 @@ simulated with an explicit ancilla register and an inverse Fourier transform.
 
 Rotation gates follow the convention R_O(theta) = exp(-i theta O / 2). Pauli
 exponential gates apply exp(i phi P) with the caller supplying the sign of phi.
+Every gate acts through the shared Pauli gather tables: rotations as Pauli
+exponentials, H as (X + Z)/sqrt 2, controlled gates and T as masks over the
+basis index.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -38,8 +43,8 @@ from .pauli import (
 # bounds time; its memory is far under the byte budget.
 DENSITY_QUBIT_LIMIT = 4
 # A register holds its state and the two working arrays a gate kernel makes
-# beside it (tracemalloc, 16 qubits: h, cnot, rx, exp and cexp each peak at
-# 2.0 states beyond their input).
+# beside it (tracemalloc, 16 qubits, Pauli tables cached: every gate kind and
+# its inverse peak at 2.0 states beyond their input, x, y and z at 1.0).
 REGISTER_BYTES = 3 * AMPLITUDE_BYTES
 # expm of a dense generator peaks at 7.5 matrices (tracemalloc, 6-8 qubits):
 # the matrix, its scaled copy and the Pade working copies.
@@ -47,21 +52,9 @@ EXPM_MATRICES = 8
 OVERLAP_FLOOR = 1e-14
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-FIXED_SINGLE = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "h": np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex),
-    "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-}
-ROTATION_AXES = {"rx": FIXED_SINGLE["x"], "ry": FIXED_SINGLE["y"], "rz": FIXED_SINGLE["z"]}
-
-# Basis order |control target> = 00, 01, 10, 11.
-CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
-PAIR_MATRICES = {"cnot": CNOT_MATRIX, "cz": CZ_MATRIX}
+# The Pauli letter each rotation exponentiates.
+ROTATIONS = {"rx": "X", "ry": "Y", "rz": "Z"}
+T_PHASE = cmath.exp(1j * math.pi / 4)
 
 
 class BadTarget(ConfigError):
@@ -249,43 +242,7 @@ class Circuit:
 # ---------------------------------------------------------- compiled circuits
 
 
-EYE2 = np.eye(2)
-
 Kernel = Callable[[np.ndarray, "float | None"], np.ndarray]
-
-
-def _moveaxis_order(ndim: int, source: tuple[int, ...],
-                    destination: tuple[int, ...]) -> tuple[int, ...]:
-    """The axis permutation np.moveaxis(a, source, destination) transposes by."""
-    order = [axis for axis in range(ndim) if axis not in source]
-    for dest, src in sorted(zip(destination, source)):
-        order.insert(dest, src)
-    return tuple(order)
-
-
-def _matrix_kernel(n: int, qubits: tuple[int, ...]
-                   ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """u acting on ``qubits``, the first the most significant basis bit.
-
-    The qubits' axes are moved to the front, the rest flattened, and the
-    product u @ block moved back: the same transposes and copies as
-    np.moveaxis, with the axis orders fixed once.
-    """
-    axes = tuple(n - 1 - q for q in qubits)
-    front = tuple(range(len(axes)))
-    forward, back = _moveaxis_order(n, axes, front), _moveaxis_order(n, front, axes)
-    shape, rows = (2,) * n, 1 << len(axes)
-
-    def apply(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
-        moved = amps.reshape(shape).transpose(forward)
-        out = (u @ moved.reshape(rows, -1)).reshape(moved.shape)
-        return out.transpose(back).reshape(-1)
-    return apply
-
-
-def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    half = angle / 2.0
-    return math.cos(half) * EYE2 - 1j * math.sin(half) * axis
 
 
 def _exp_kernel(string: PauliString, dim: int) -> Kernel:
@@ -299,54 +256,61 @@ def _exp_kernel(string: PauliString, dim: int) -> Kernel:
     return apply
 
 
-def _compile_gate(gate: Gate, n: int
+def _compile_gate(gate: Gate, n: int, ones: Callable[[int], np.ndarray]
                   ) -> tuple[tuple[int, ...], Kernel, Kernel, Callable | None]:
     """(support, kernel, inverse kernel, angle resolver or None).
 
-    Kernels take the resolved angle; the inverse of T is Rz(-pi/4), which
-    differs from it by a global phase.
+    Kernels take the resolved angle; ``ones(q)`` is the mask of the basis
+    states whose bit q is set.
     """
     support = _checked_support(gate, n)
-    kind = gate.kind
-    if kind in PAIR_MATRICES:
-        move, u = _matrix_kernel(n, gate.targets), PAIR_MATRICES[kind]
-        kernel = lambda amps, phi: move(amps, u)
-        return support, kernel, kernel, None
-    if kind in FIXED_SINGLE:
-        move, u = _matrix_kernel(n, gate.targets[:1]), FIXED_SINGLE[kind]
-        kernel = lambda amps, phi: move(amps, u)
-        if kind != "t":
-            return support, kernel, kernel, None
-        undo = _rotation(ROTATION_AXES["rz"], -math.pi / 4)
-        return support, kernel, lambda amps, phi: move(amps, undo), None
-    if kind in ROTATION_AXES:
-        move, axis = _matrix_kernel(n, gate.targets[:1]), ROTATION_AXES[kind]
-        kernel = lambda amps, phi: move(amps, _rotation(axis, phi))
-    elif kind == "exp":
-        kernel = _exp_kernel(gate.string, 1 << n)
-    elif kind == "cexp":
-        evolve = _exp_kernel(gate.string, 1 << n)
-        mask = (np.arange(1 << n) >> gate.targets[0]) & 1 == 1
-        kernel = lambda amps, phi: np.where(mask, evolve(amps, phi), amps)
+    kind, dim = gate.kind, 1 << n
+    target = gate.targets[-1] if gate.targets else None
+    if kind in ("x", "y", "z"):
+        string = PauliString.single(kind, target)
+        kernel = lambda amps, phi: string.apply(amps)
+    elif kind in ("cnot", "cz"):
+        string = PauliString.single("X" if kind == "cnot" else "Z", target)
+        control = ones(gate.targets[0])
+        kernel = lambda amps, phi: np.where(control, string.apply(amps), amps)
+    elif kind == "h":
+        x, z = PauliString.single("X", target), PauliString.single("Z", target)
+        kernel = lambda amps, phi: SQRT_HALF * (x.apply(amps) + z.apply(amps))
+    elif kind == "t":
+        one, undo = ones(target), T_PHASE.conjugate()
+        return (support, lambda amps, phi: np.where(one, T_PHASE * amps, amps),
+                lambda amps, phi: np.where(one, undo * amps, amps), None)
     else:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
-    return support, kernel, lambda amps, phi: kernel(amps, -phi), gate.resolve_angle
+        if kind in ROTATIONS:
+            evolve = _exp_kernel(PauliString.single(ROTATIONS[kind], target), dim)
+            kernel = lambda amps, angle: evolve(amps, -angle / 2)
+        elif kind == "exp":
+            kernel = _exp_kernel(gate.string, dim)
+        elif kind == "cexp":
+            evolve, control = _exp_kernel(gate.string, dim), ones(gate.targets[0])
+            kernel = lambda amps, phi: np.where(control, evolve(amps, phi), amps)
+        else:
+            raise ValueError(f"unknown gate kind {gate.kind!r}")
+        inverse = lambda amps, phi: kernel(amps, -phi)
+        return support, kernel, inverse, gate.resolve_angle
+    return support, kernel, kernel, None
 
 
 class CompiledCircuit:
     """Gates resolved once into kernels over an n-qubit register.
 
-    Compiling validates every target and fixes each gate's support, the axis
-    orders of its matrix product and the control mask of a controlled
-    exponential; running resolves the angles against ``theta`` and calls the
-    kernels, which read Pauli tables from the shared ``STRING_TABLES``. No
-    kernel modifies its input array.
+    Compiling validates every target and fixes each gate's support, its Pauli
+    strings and one bit mask per control or T qubit, shared by the gates on
+    it; running resolves the angles against ``theta`` and calls the kernels,
+    which read Pauli tables from the shared ``STRING_TABLES``. No kernel
+    modifies its input array.
     """
 
     def __init__(self, gates: Sequence[Gate], n: int):
         self.gates = tuple(gates)
         self.n = n
-        compiled = [_compile_gate(gate, n) for gate in self.gates]
+        ones = functools.cache(lambda q: (np.arange(1 << n) >> q) & 1 == 1)
+        compiled = [_compile_gate(gate, n, ones) for gate in self.gates]
         self.supports = tuple(support for support, *_ in compiled)
         self._kernels = [(kernel, resolve) for _, kernel, _, resolve in compiled]
         self._inverses = [inverse for _, _, inverse, _ in compiled]
@@ -360,8 +324,7 @@ class CompiledCircuit:
 
     def undo(self, index: int, theta: Sequence[float] | None,
              amps: np.ndarray) -> np.ndarray:
-        """Amplitudes after the inverse of gate ``index`` (up to a global
-        phase for T)."""
+        """Amplitudes after the inverse of gate ``index``."""
         resolve = self._kernels[index][1]
         return self._inverses[index](amps, resolve and resolve(theta))
 

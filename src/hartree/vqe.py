@@ -30,7 +30,7 @@ from .pauli import PauliString, PauliSum, apply_to_statevector, check_bytes
 from .simulator import (
     Circuit,
     REGISTER_BYTES,
-    ROTATION_AXES,
+    ROTATIONS,
     CompiledCircuit,
     Gate,
     NoiseModel,
@@ -338,8 +338,9 @@ def _gate_generator(gate: Gate) -> tuple[float, PauliString]:
     """(weight, P) with dU/dtheta = i * weight * P * U for a parametrized gate."""
     if gate.kind == "exp":
         return gate.scale, gate.string
-    if gate.kind in ROTATION_AXES:
-        return -gate.scale / 2.0, PauliString.single(gate.kind[1], gate.targets[0])
+    if gate.kind in ROTATIONS:
+        return (-gate.scale / 2.0,
+                PauliString.single(ROTATIONS[gate.kind], gate.targets[0]))
     raise UnsupportedGate(f"cannot differentiate a parametrized {gate.kind} gate")
 
 
@@ -351,11 +352,9 @@ def analytic_gradient(ansatz: Ansatz, theta: Sequence[float],
     backwards, the sweep reads 2 Re <lambda| i w_g P_g |psi_g> at each
     parametrized gate g, then undoes the gate on both lambda and psi, so
     only those two registers are held (Jones & Gacon, arXiv:2009.02823).
-    T's inverse is off by a global phase, which lambda and psi pick up
-    alike, so it cancels in every later bracket. Occurrences sharing a
-    parameter slot accumulate into one derivative entry. Raises TooLarge
-    before any register is allocated when GRADIENT_REGISTERS of them
-    exceed BYTE_BUDGET.
+    Occurrences sharing a parameter slot accumulate into one derivative
+    entry. Raises TooLarge before any register is allocated when
+    GRADIENT_REGISTERS of them exceed BYTE_BUDGET.
     """
     check_bytes(GRADIENT_REGISTERS * (REGISTER_BYTES << ansatz.n_qubits),
                 f"the gradient sweep on {ansatz.n_qubits} qubits")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from pathlib import Path
 
@@ -89,12 +90,14 @@ def rng() -> np.random.Generator:
 # ------------------------------------------- per-gate kernels, kept as oracles
 #
 # The statevector kernels as they ran before circuits were compiled: every
-# call re-derives the moved axes, the Pauli index and sign vector, and
-# scatters rather than gathers. The compiled kernels must match them bit for
-# bit.
+# call re-derives the Pauli index and sign vector and scatters rather than
+# gathers. The compiled kernels must match them bit for bit. The dense
+# 2x2/4x4 gate matrices on moved axes, which the simulator ran before every
+# gate went through the Pauli tables, are kept beside them.
 
 _PHASES = np.array([1, 1j, -1, -1j])
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+_T_PHASE = cmath.exp(1j * math.pi / 4)
 _FIXED = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -107,6 +110,8 @@ _AXES = {"rx": _FIXED["x"], "ry": _FIXED["y"], "rz": _FIXED["z"]}
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                  dtype=complex)
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
+# T and its inverse, which only the oracles name: a phase on bit value 1.
+_T_PHASES = {"t": _T_PHASE, "tdg": _T_PHASE.conjugate()}
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -172,42 +177,62 @@ def _rotation(axis, angle):
     return math.cos(half) * np.eye(2) - 1j * math.sin(half) * axis
 
 
-def per_gate_apply(amps: np.ndarray, n: int, gate, theta=None) -> np.ndarray:
-    """One gate on raw amplitudes by the per-call kernels."""
+def matrix_gate_apply(amps: np.ndarray, n: int, gate, theta=None) -> np.ndarray:
+    """One x, y, z, h, t, rotation, cnot or cz gate by its dense matrix."""
     if gate.kind in _FIXED:
         return _apply_single(amps, n, gate.targets[0], _FIXED[gate.kind])
     if gate.kind in _AXES:
         u = _rotation(_AXES[gate.kind], gate.resolve_angle(theta))
         return _apply_single(amps, n, gate.targets[0], u)
-    if gate.kind in ("cnot", "cz"):
-        control, target = gate.targets
-        return _apply_pair(amps, n, control, target,
-                           _CNOT if gate.kind == "cnot" else _CZ)
+    control, target = gate.targets
+    return _apply_pair(amps, n, control, target,
+                       _CNOT if gate.kind == "cnot" else _CZ)
+
+
+def _bit_set(n: int, q: int) -> np.ndarray:
+    return (np.arange(1 << n) >> q) & 1 == 1
+
+
+def per_gate_apply(amps: np.ndarray, n: int, gate, theta=None) -> np.ndarray:
+    """One gate on raw amplitudes by the per-call Pauli formulas."""
+    kind = gate.kind
+    target = gate.targets[-1] if gate.targets else None
+    if kind in ("x", "y", "z"):
+        return scatter_apply(PauliString.single(kind, target), amps)
+    if kind in ("cnot", "cz"):
+        flip = PauliString.single("X" if kind == "cnot" else "Z", target)
+        return np.where(_bit_set(n, gate.targets[0]),
+                        scatter_apply(flip, amps), amps)
+    if kind == "h":
+        return _SQRT_HALF * (scatter_apply(PauliString.single("X", target), amps)
+                             + scatter_apply(PauliString.single("Z", target), amps))
+    if kind in _T_PHASES:
+        return np.where(_bit_set(n, target), _T_PHASES[kind] * amps, amps)
+    if kind in _AXES:
+        return pauli_exp_amps(amps, PauliString.single(kind[1], target),
+                              -gate.resolve_angle(theta) / 2)
     evolved = pauli_exp_amps(amps, gate.string, gate.resolve_angle(theta))
-    if gate.kind == "exp":
+    if kind == "exp":
         return evolved
-    mask = (np.arange(1 << n) >> gate.targets[0]) & 1 == 1
-    return np.where(mask, evolved, amps)
+    return np.where(_bit_set(n, gate.targets[0]), evolved, amps)
 
 
 def per_gate_inverse(gate, theta):
-    """The gate undoing ``gate`` at ``theta``, as the gradient sweep built it."""
+    """The gate undoing ``gate`` at ``theta``; T's is T dagger ("tdg")."""
     from hartree.simulator import Gate
 
     if gate.kind in ("x", "y", "z", "h", "cnot", "cz"):
         return gate
     if gate.kind == "t":
-        return Gate("rz", gate.targets, angle=-math.pi / 4)
+        return Gate("tdg", gate.targets)
     return Gate(gate.kind, gate.targets, angle=-gate.resolve_angle(theta),
                 string=gate.string)
 
 
 def stored_state_gradient(ansatz, theta, h: PauliSum) -> np.ndarray:
     """The reverse sweep over every stored forward state, gate by gate with
-    the per-call kernels: the gradient as it was computed before psi was
-    un-computed beside lambda, bit for bit on circuits without T. That sweep
-    undid T by Rz(-pi/4), whose global phase lambda took on and the stored
-    states did not, turning every earlier bracket; here T is undone exactly."""
+    the per-gate kernels: the gradient as it was computed before psi was
+    un-computed beside lambda."""
     n, gates = ansatz.n_qubits, ansatz.combined().gates
     states = [np.zeros(1 << n, dtype=complex)]
     states[0][0] = 1.0
@@ -225,10 +250,7 @@ def stored_state_gradient(ansatz, theta, h: PauliSum) -> np.ndarray:
                 string = PauliString.single(gate.kind[1].upper(), gate.targets[0])
             bracket = np.vdot(lam, scatter_apply(string, states[position + 1]))
             gradient[gate.slot] += 2.0 * (1j * weight * bracket).real
-        if gate.kind == "t":
-            lam = _apply_single(lam, n, gate.targets[0], _FIXED["t"].conj())
-        else:
-            lam = per_gate_apply(lam, n, per_gate_inverse(gate, theta))
+        lam = per_gate_apply(lam, n, per_gate_inverse(gate, theta))
     return gradient
 
 

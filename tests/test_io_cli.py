@@ -39,7 +39,7 @@ from hartree.io_cli import (
     parse_fcidump_spatial,
     run_pipeline,
 )
-from hartree.io_cli import oracle
+from hartree.io_cli import oracle, pipeline
 from hartree.io_cli.cli import exit_code_for, main
 from hartree.mitigation import SignInconsistent
 from hartree.pauli import (
@@ -125,6 +125,24 @@ class TestParsing:
         assert len({fixture for _, fixture in H2_CURVE} - set(names)) == 0
         ints = load_fixture("lih_sto3g_1.45")
         assert (ints.m, ints.n_electrons, ints.n_up) == (12, 4, 2)
+        for name in names:
+            parse_fcidump_spatial(fixture_text(name))
+
+    @pytest.mark.parametrize("header", [
+        "NORB=2,NELEC=2,MS2=1",  # NELEC + MS2 odd
+        "NORB=2,NELEC=2,MS2=4",  # |MS2| above NELEC
+        "NORB=2,NELEC=6,MS2=0",  # NELEC above 2 NORB
+        "NORB=2,NELEC=3,MS2=3",  # three up electrons in two orbitals
+    ], ids=["odd", "ms2-above-nelec", "nelec-above-2norb", "spin-above-norb"])
+    def test_header_no_determinant_fits_exits_2(self, header, tmp_path,
+                                                 capsys):
+        text = f"&FCI {header},\n&END\n 0.75 0 0 0 0\n"
+        with pytest.raises(ParseError, match="NORB=2.*NELEC.*MS2"):
+            parse_fcidump_spatial(text)
+        path = tmp_path / "impossible.fcidump"
+        path.write_text(text)
+        assert main(["exact", "--fcidump", str(path), "--reduce"]) == 2
+        assert "fit no determinant" in capsys.readouterr().err
 
     def test_load_problem_wants_exactly_one_source(self, tmp_path):
         with pytest.raises(ValueError, match="exactly one"):
@@ -362,6 +380,25 @@ class TestRunConfig:
         assert config.scales == (1.0, 2.0, 3.0)
         assert all(isinstance(s, float) for s in config.scales)
 
+    @pytest.mark.parametrize("scales,message", [
+        ((2.0, 3.0), "first scale must be 1"),
+        ((1.0, 3.0, 2.0), "strictly increasing"),
+        ((1.0, 1.0), "strictly increasing"),
+        ((1.0,), "at least two"),
+        ((1.0, 2.0, 400.0), "past 1"),
+    ])
+    @pytest.mark.parametrize("technique", ["linear", "exponential"])
+    def test_extrapolation_scales_checked(self, technique, scales, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(fixture=H2_EQUILIBRIUM, method="mitigate",
+                      technique=technique, scales=scales, noise_p1=0.01,
+                      seed=1)
+
+    def test_scales_unchecked_where_unused(self):
+        RunConfig(fixture=H2_EQUILIBRIUM, method="mitigate", technique="pec",
+                  scales=(2.0, 3.0), noise_p1=0.01, seed=1)
+        RunConfig(fixture=H2_EQUILIBRIUM, method="vqe", noise_p1=0.5, seed=1)
+
     def test_noise_model_carries_both_rates(self):
         config = RunConfig(fixture=H2_EQUILIBRIUM, noise_p1=1e-3,
                            noise_p2=2e-3, seed=4)
@@ -506,6 +543,13 @@ class TestPipeline:
         with pytest.raises(StageFailure, match=message) as info:
             run_pipeline(config)
         assert info.value.stage == "solve"
+
+    def test_pec_refusal_names_both_qualifying_families(self):
+        config = RunConfig(fixture=H2_EQUILIBRIUM, method="mitigate",
+                           technique="pec", noise_p1=1e-3, seed=1)
+        with pytest.raises(StageFailure,
+                           match="hardware-efficient or ldca ansatz"):
+            run_pipeline(config)
 
     def test_mitigation_demands_noise(self):
         config = RunConfig(fixture=H2_EQUILIBRIUM, method="mitigate", seed=1)
@@ -660,6 +704,16 @@ class TestCli:
     def test_usage_problems_exit_2(self, argv, capsys):
         assert main(argv) == 2
         capsys.readouterr()
+
+    def test_bad_scales_exit_2_before_tuning(self, monkeypatch, capsys):
+        def tuned(*args, **kwargs):
+            raise AssertionError("reached the tuning")
+
+        monkeypatch.setattr(pipeline, "optimize", tuned)
+        assert main(["mitigate", "--fixture", H2_EQUILIBRIUM, "--seed", "1",
+                     "--noise-p1", "0.001", "--scales", "2,3"]) == 2
+        err = capsys.readouterr().err
+        assert "first scale must be 1" in err and "tuning" not in err
 
     def test_parse_failure_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.fcidump"

@@ -8,6 +8,7 @@ import scipy.linalg
 from scipy.optimize import minimize_scalar
 
 from conftest import (
+    matrix_gate_apply,
     per_gate_apply,
     per_term_qpe_trotter,
     per_gate_inverse,
@@ -199,6 +200,33 @@ def test_compiled_gates_match_per_gate_kernels_bit_for_bit(n):
         undone = per_gate_apply(psi, n, per_gate_inverse(gate, theta))
         assert same_bits(compiled.undo(0, theta, psi), undone), gate
     assert same_bits(psi, before)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_undo_inverts_every_gate_kind(n):
+    rng = make_rng(900 + n)
+    psi = random_state(rng, n)
+    theta = [0.83]
+    for gate in every_gate(n, rng):
+        compiled = CompiledCircuit([gate], n)
+        back = compiled.undo(0, theta, compiled.run(theta, psi))
+        assert np.max(np.abs(back - psi)) <= 1e-15, gate
+        assert abs(np.vdot(psi, back) - 1.0) <= 1e-15, gate
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gates_match_the_dense_matrix_kernels(n):
+    rng = make_rng(800 + n)
+    psi = random_state(rng, n)
+    theta = [0.83]
+    for gate in every_gate(n, rng):
+        if gate.kind in ("exp", "cexp"):
+            continue
+        got = CompiledCircuit([gate], n).run(theta, psi)
+        want = matrix_gate_apply(psi, n, gate, theta)
+        assert np.max(np.abs(got - want)) <= 1e-15, gate
+        if gate.kind in ("x", "y", "z", "cnot", "cz"):
+            assert same_bits(got, want), gate
 
 
 def test_gate_unitary_columns_are_the_per_gate_images():

@@ -450,8 +450,7 @@ class TestCompiledAnsatz:
                           ) < 1e-12, ansatz.family
 
     def test_fixed_gates_between_parameters_match_the_stored_state_sweep(self):
-        # T is undone up to a global phase, which psi and lambda share, and
-        # a fixed cexp by its negated angle
+        # T is undone by T dagger and a fixed cexp by its negated angle
         circuit = Circuit(3)
         circuit.ry(0, slot=0).t(0).h(1).rx(1, slot=1).cnot(0, 1)
         circuit.exp(PauliString.from_text("X0 Y2"), slot=2, scale=0.5)
