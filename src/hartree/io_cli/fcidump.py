@@ -4,11 +4,14 @@ The format: a namelist header (&FCI NORB=..., NELEC=..., MS2=..., ... &END)
 followed by records ``value i j k l`` with 1-based spatial indices in
 chemists' notation (ij|kl). Records with k = l = 0 carry the one-body matrix,
 the all-zero record carries the core energy. Two-body values are expanded to
-all eight permutations (ij|kl) = (ji|kl) = (ij|lk) = ... on read.
+all eight permutations (ij|kl) = (ji|kl) = (ij|lk) = ... on read, one-body
+values to both (ij) and (ji). Every value must be finite, and a repeated
+entry must agree with its first value within 1e-10.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -38,6 +41,17 @@ class SpatialIntegrals:
     v: np.ndarray  # two-body chemists' (ij|kl), norb^4
 
 
+def _entry(index: tuple[int, ...]) -> str:
+    """An integral's name in FCIDUMP's 1-based notation, from its 0-based
+    index: the core energy, h(i,j) or (ij|kl)."""
+    if not index:
+        return "the core energy"
+    i, j, *kl = (p + 1 for p in index)
+    if not kl:
+        return f"h({i},{j})"
+    return f"({i}{j}|{kl[0]}{kl[1]})"
+
+
 def parse_fcidump_spatial(text: str) -> SpatialIntegrals:
     header_match = re.search(r"&FCI(.*?)(?:&END|/)", text, re.DOTALL | re.IGNORECASE)
     if not header_match:
@@ -60,10 +74,8 @@ def parse_fcidump_spatial(text: str) -> SpatialIntegrals:
             f"NELEC + MS2 must be even, |MS2| at most NELEC and each spin "
             f"count (NELEC +- MS2)/2 at most NORB")
 
-    t = np.zeros((norb, norb))
-    v = np.zeros((norb,) * 4)
-    v_set = np.zeros((norb,) * 4, dtype=bool)
-    core = 0.0
+    core, t, v = np.zeros(()), np.zeros((norb,) * 2), np.zeros((norb,) * 4)
+    core_set, t_set, v_set = (np.zeros(a.shape, dtype=bool) for a in (core, t, v))
 
     body_start = text.index(header_match.group(0)) + len(header_match.group(0))
     preceding_lines = text[:body_start].count("\n")
@@ -79,29 +91,31 @@ def parse_fcidump_spatial(text: str) -> SpatialIntegrals:
             i, j, k, l = (int(p) for p in parts[1:])
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"line {line_no}: non-finite value")
         if min(i, j, k, l) < 0 or max(i, j, k, l) > norb:
             raise ParseError(f"line {line_no}: index outside 1..{norb}")
         if i == j == k == l == 0:
-            core = value
+            values, seen, indices = core, core_set, [()]
         elif k == 0 and l == 0:
             if i == 0 or j == 0:
                 raise ParseError(f"line {line_no}: bad one-body record")
-            t[i - 1, j - 1] = value
-            t[j - 1, i - 1] = value
+            values, seen, indices = t, t_set, [(i - 1, j - 1), (j - 1, i - 1)]
         else:
             if min(i, j, k, l) == 0:
                 raise ParseError(f"line {line_no}: bad two-body record")
             a, b, c, d = i - 1, j - 1, k - 1, l - 1
-            for p, q in ((a, b), (b, a)):
-                for r, s in ((c, d), (d, c)):
-                    for (w, x), (y, z) in (((p, q), (r, s)), ((r, s), (p, q))):
-                        if v_set[w, x, y, z] and abs(v[w, x, y, z] - value) > 1e-10:
-                            raise SymmetryViolation(
-                                f"line {line_no}: conflicting value for "
-                                f"({w + 1}{x + 1}|{y + 1}{z + 1})")
-                        v[w, x, y, z] = value
-                        v_set[w, x, y, z] = True
-    return SpatialIntegrals(norb, nelec, ms2, core, t, v)
+            values, seen = v, v_set
+            indices = [(w, x, y, z)
+                       for p, q in ((a, b), (b, a)) for r, s in ((c, d), (d, c))
+                       for (w, x), (y, z) in (((p, q), (r, s)), ((r, s), (p, q)))]
+        for index in indices:
+            if seen[index] and abs(values[index] - value) > 1e-10:
+                raise SymmetryViolation(
+                    f"line {line_no}: conflicting value for {_entry(index)}")
+            values[index] = value
+            seen[index] = True
+    return SpatialIntegrals(norb, nelec, ms2, float(core), t, v)
 
 
 def to_spin_orbitals(spatial: SpatialIntegrals, ordering: str = BLOCKED) -> MolecularIntegrals:

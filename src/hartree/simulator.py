@@ -6,7 +6,8 @@ angles resolve against an external parameter vector, so the same circuit can be
 re-run at many parameter points. Noise is per-gate stochastic Pauli insertion;
 averaging trajectories reproduces the uniform depolarizing channel, for which a
 dense density-matrix oracle is provided at small width. Phase estimation is
-simulated with an explicit ancilla register and an inverse Fourier transform.
+simulated with an explicit ancilla register read out by an FFT. Dense evolution,
+exact QPE powers and imaginary time alike, is diagonal in one ``eigh`` basis.
 
 Rotation gates follow the convention R_O(theta) = exp(-i theta O / 2). Pauli
 exponential gates apply exp(i phi P) with the caller supplying the sign of phi.
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, NumericalError
 from .pauli import (
@@ -46,9 +46,9 @@ DENSITY_QUBIT_LIMIT = 4
 # beside it (tracemalloc, 16 qubits, Pauli tables cached: every gate kind and
 # its inverse peak at 2.0 states beyond their input, x, y and z at 1.0).
 REGISTER_BYTES = 3 * AMPLITUDE_BYTES
-# expm of a dense generator peaks at 7.5 matrices (tracemalloc, 6-8 qubits):
-# the matrix, its scaled copy and the Pade working copies.
-EXPM_MATRICES = 8
+# eigh of a dense generator peaks at 2.0 matrices (tracemalloc, 6-10 qubits);
+# one more counts LAPACK's workspace, which tracemalloc cannot see.
+EIGH_MATRICES = 3
 OVERLAP_FLOOR = 1e-14
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -246,13 +246,14 @@ Kernel = Callable[[np.ndarray, "float | None"], np.ndarray]
 
 
 def _exp_kernel(string: PauliString, dim: int) -> Kernel:
-    """exp(i phi P) = cos(phi) I + i sin(phi) P on ``dim`` amplitudes."""
+    """exp(i phi P) = cos(phi) I + i sin(phi) P on a last axis of ``dim``."""
     if string.is_identity:
         return lambda amps, phi: np.exp(1j * phi) * amps
 
     def apply(amps: np.ndarray, phi: float) -> np.ndarray:
         idx, phased = string.tables(dim)
-        return math.cos(phi) * amps + 1j * math.sin(phi) * (phased * amps[idx])
+        return (math.cos(phi) * amps
+                + 1j * math.sin(phi) * (phased * amps.take(idx, axis=-1)))
     return apply
 
 
@@ -411,14 +412,19 @@ def trotter_evolve(psi: StateVector, h: PauliSum, t: float,
         raise NonHermitian("evolution generator must be Hermitian")
     if h.n_qubits > psi.n:
         raise BadTarget(f"generator acts on {h.n_qubits} qubits, state has {psi.n}")
+    return StateVector(_product_formula(psi.amplitudes, h, t, steps), psi.n)
+
+
+def _product_formula(amps: np.ndarray, h: PauliSum, t: float,
+                     steps: int) -> np.ndarray:
+    """``trotter_evolve``'s product formula on the last axis, unchecked."""
     dt = t / steps
-    amps = psi.amplitudes
-    terms = [(_exp_kernel(string, 1 << psi.n), -coeff.real * dt)
+    terms = [(_exp_kernel(string, amps.shape[-1]), -coeff.real * dt)
              for string, coeff in h.items()]
     for _ in range(steps):
         for kernel, phi in terms:
             amps = kernel(amps, phi)
-    return StateVector(amps, psi.n)
+    return amps
 
 
 def adiabatic_prepare(h0: PauliSum, hs: PauliSum, total_time: float,
@@ -436,22 +442,24 @@ def adiabatic_prepare(h0: PauliSum, hs: PauliSum, total_time: float,
 
 def imaginary_time_evolve(psi: StateVector, h: PauliSum, tau: float,
                           steps: int) -> StateVector:
-    """Normalized exp(-H tau)|psi> via a dense step propagator."""
+    """Normalized exp(-H tau)|psi> in ``steps`` normalized steps, each scaling
+    the eigen-components of psi by exp(-lambda tau / steps)."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if not h.is_hermitian():
         raise NonHermitian("imaginary-time generator must be Hermitian")
-    check_bytes(EXPM_MATRICES * matrix_bytes(psi.n),
-                f"the {psi.n}-qubit imaginary-time propagator")
-    propagator = scipy.linalg.expm(-to_matrix(h, psi.n) * (tau / steps))
-    amps = psi.amplitudes
+    check_bytes(EIGH_MATRICES * matrix_bytes(psi.n),
+                f"the {psi.n}-qubit imaginary-time eigenbasis")
+    energies, vectors = np.linalg.eigh(to_matrix(h, psi.n))
+    decay = np.exp(-energies * (tau / steps))
+    amps = vectors.conj().T @ psi.amplitudes
     for _ in range(steps):
-        amps = propagator @ amps
+        amps = decay * amps
         norm = np.linalg.norm(amps)
         if norm < OVERLAP_FLOOR:
             raise ZeroOverlap("propagated state has no weight left")
         amps = amps / norm
-    return StateVector(amps, psi.n)
+    return StateVector(vectors @ amps, psi.n)
 
 
 # -------------------------------------------------------------------- sampling
@@ -635,25 +643,22 @@ def default_window(h: PauliSum) -> EnergyWindow:
     return EnergyWindow(center - radius, center + radius + 1e-9 * radius)
 
 
-# Joint registers QPE holds at once: the register, its transform and their
-# squared magnitudes, or, under Trotter steps, the register, the evolving
-# half and a kernel's working arrays and gather tables (tracemalloc: 3.0
-# exact, 4.5 Trotterized at 10 + 10 qubits).
-QPE_REGISTERS = 5
-# Exact controlled powers hold eigh's vectors, the previous power and the
-# new one with its two factors (tracemalloc: 5.07 matrices at 8 + 4 qubits).
-QPE_MATRICES = 5
+# Joint registers QPE holds at once: the register and, at the Fourier step,
+# its transform and their squared magnitudes; under Trotter steps, the
+# register, the selected block of rows and a kernel's working arrays on it
+# (tracemalloc, 2 + 12 to 10 + 10 qubits: at most 3.1 beside eigh's 2.0
+# matrices, 3.7 Trotterized).
+QPE_REGISTERS = 4
 
 
 def qpe_bytes(n_sys: int, n_ancilla: int, trotter_steps: int) -> int:
-    """Bytes ``qpe_distribution`` holds at most: the joint registers, the
-    dim_a x dim_a phase exponents and Fourier matrix, and for
-    ``trotter_steps`` = 0 the dense matrices of the controlled powers. Each
+    """Bytes ``qpe_distribution`` holds at most: the joint registers and, for
+    ``trotter_steps`` = 0, the system's dense eigendecomposition. Each
     stage's peak is counted as if all were live together, an upper bound."""
     dim_a, dim_s = 1 << n_ancilla, 1 << n_sys
-    amplitudes = QPE_REGISTERS * dim_a * dim_s + 2 * dim_a * dim_a
+    amplitudes = QPE_REGISTERS * dim_a * dim_s
     if trotter_steps == 0:
-        amplitudes += QPE_MATRICES * dim_s * dim_s
+        amplitudes += EIGH_MATRICES * dim_s * dim_s
     return AMPLITUDE_BYTES * amplitudes
 
 
@@ -663,8 +668,10 @@ def qpe_distribution(psi: StateVector, h: PauliSum, n_ancilla: int,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Ancilla readout distribution: (energy estimate per bin, probability).
 
-    ``trotter_steps`` = 0 selects the exact dense controlled evolution;
-    positive values Trotterize each controlled power with that many steps.
+    ``trotter_steps`` = 0 evolves exactly in the scaled H's eigenbasis, which
+    leaves the readout's sum over the system axis unchanged: row x holds
+    component j times exp(-2 pi i x phi_j). Positive values Trotterize each
+    controlled power with that many steps.
     """
     if not h.is_hermitian():
         raise NonHermitian("phase estimation requires a Hermitian sum")
@@ -677,36 +684,25 @@ def qpe_distribution(psi: StateVector, h: PauliSum, n_ancilla: int,
         window = default_window(h)
     scaled = (h - PauliSum.identity(window.lower, n_qubits=n_sys)) * (1.0 / window.span)
 
-    dim_a, dim_s = 1 << n_ancilla, 1 << n_sys
-    # Rows index the ancilla register; Hadamards put it in the uniform state.
-    joint = np.tile(psi.amplitudes / math.sqrt(dim_a), (dim_a, 1))
-    row_bits = np.arange(dim_a)
-
+    dim_a = 1 << n_ancilla
+    rows = np.arange(dim_a)
     if trotter_steps == 0:
         phases, vectors = np.linalg.eigh(to_matrix(scaled, n_sys))
-        for k in range(n_ancilla):
-            turn = np.exp(-2j * math.pi * phases * (1 << k))
-            power = (vectors * turn) @ vectors.conj().T
-            selected = (row_bits >> k) & 1 == 1
-            joint[selected] = joint[selected] @ power.T
+        components = vectors.conj().T @ psi.amplitudes / math.sqrt(dim_a)
+        joint = np.exp(-2j * math.pi * np.outer(rows, phases)) * components
     else:
-        # Low-bit Pauli masks act identically on every ancilla row, so the
-        # selected half of the rows evolves as one flat register.
+        # Rows index the ancilla register; Hadamards put it in the uniform
+        # state, and the rows whose bit k is set evolve by the k-th power.
+        joint = np.tile(psi.amplitudes / math.sqrt(dim_a), (dim_a, 1))
         for k in range(n_ancilla):
-            selected = (row_bits >> k) & 1 == 1
-            half = StateVector(joint[selected].reshape(-1), n_ancilla - 1 + n_sys)
-            evolved = trotter_evolve(half, scaled, 2.0 * math.pi * (1 << k),
-                                     trotter_steps)
-            joint[selected] = evolved.amplitudes.reshape(-1, dim_s)
+            selected = (rows >> k) & 1 == 1
+            joint[selected] = _product_formula(
+                joint[selected], scaled, 2.0 * math.pi * (1 << k), trotter_steps)
 
-    x = np.arange(dim_a)
-    fourier = np.exp(-2j * math.pi * np.outer(x, x) / dim_a) / math.sqrt(dim_a)
-    transformed = fourier @ joint
+    transformed = np.fft.fft(joint, axis=0, norm="ortho")
     probabilities = np.sum(np.abs(transformed) ** 2, axis=1)
     probabilities = probabilities / probabilities.sum()
-    read_phases = ((dim_a - x) % dim_a) / dim_a
-    energies = window.to_energy(read_phases)
-    return energies, probabilities
+    return window.to_energy(((dim_a - rows) % dim_a) / dim_a), probabilities
 
 
 def qpe_sample(psi: StateVector, h: PauliSum, n_ancilla: int,

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hartree.pauli import PauliString, PauliSum
+from hartree.pauli import PauliString, PauliSum, to_matrix
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -352,9 +353,11 @@ def fan_postselect(circuit, theta, h, checks, noise, shots, rng):
             len(kept) / shots)
 
 
-def per_term_qpe_trotter(psi, h: PauliSum, n_ancilla: int, steps: int, window):
-    """Trotterized QPE readout with each controlled power's steps looped
-    term by term over the selected half of the ancilla rows."""
+def per_term_trotter_register(psi, h: PauliSum, n_ancilla: int, steps: int,
+                              window) -> np.ndarray:
+    """Trotterized QPE's joint register before the Fourier step, with each
+    controlled power's steps looped term by term over the selected half of
+    the ancilla rows, flattened into one register."""
     n_sys = psi.n
     scaled = (h - PauliSum.identity(window.lower, n_qubits=n_sys)) \
         * (1.0 / window.span)
@@ -369,11 +372,7 @@ def per_term_qpe_trotter(psi, h: PauliSum, n_ancilla: int, steps: int, window):
             for string, coeff in scaled.items():
                 flat = pauli_exp_amps(flat, string, angle_scale * coeff.real)
         joint[selected] = flat.reshape(-1, dim_s)
-    x = np.arange(dim_a)
-    fourier = np.exp(-2j * math.pi * np.outer(x, x) / dim_a) / math.sqrt(dim_a)
-    probabilities = np.sum(np.abs(fourier @ joint) ** 2, axis=1)
-    probabilities = probabilities / probabilities.sum()
-    return window.to_energy(((dim_a - x) % dim_a) / dim_a), probabilities
+    return joint
 
 
 def letter_product_coefficients(p: float, arity: int):
@@ -389,6 +388,53 @@ def letter_product_coefficients(p: float, arity: int):
     signs = np.array([[math.prod(sign(a, b) for a, b in zip(pauli, q))
                        for pauli in labels] for q in labels], dtype=float)
     return labels, np.linalg.solve(signs, 1.0 / transfer)
+
+
+# --------------------------------------- dense evolution, kept as oracles
+#
+# Exact phase estimation and imaginary time as they ran before both moved to
+# the eigenbasis: one dense 2^n x 2^n matrix per controlled power, applied to
+# the selected ancilla rows, a dense dim_a x dim_a inverse Fourier matrix, and
+# a step propagator from scipy.linalg.expm.
+
+
+def dense_fourier_readout(joint: np.ndarray, window):
+    """(energy per bin, probability) of a joint register read through the
+    dense Fourier matrix exp(-2 pi i x k / dim_a) / sqrt(dim_a)."""
+    dim_a = joint.shape[0]
+    x = np.arange(dim_a)
+    fourier = np.exp(-2j * math.pi * np.outer(x, x) / dim_a) / math.sqrt(dim_a)
+    probabilities = np.sum(np.abs(fourier @ joint) ** 2, axis=1)
+    probabilities = probabilities / probabilities.sum()
+    return window.to_energy(((dim_a - x) % dim_a) / dim_a), probabilities
+
+
+def power_matrix_qpe(psi, h: PauliSum, n_ancilla: int, window):
+    """Exact QPE readout by dense controlled powers U^(2^k)."""
+    n_sys = psi.n
+    scaled = (h - PauliSum.identity(window.lower, n_qubits=n_sys)) \
+        * (1.0 / window.span)
+    dim_a = 1 << n_ancilla
+    joint = np.tile(psi.amplitudes / math.sqrt(dim_a), (dim_a, 1))
+    row_bits = np.arange(dim_a)
+    phases, vectors = np.linalg.eigh(to_matrix(scaled, n_sys))
+    for k in range(n_ancilla):
+        turn = np.exp(-2j * math.pi * phases * (1 << k))
+        power = (vectors * turn) @ vectors.conj().T
+        selected = (row_bits >> k) & 1 == 1
+        joint[selected] = joint[selected] @ power.T
+    return dense_fourier_readout(joint, window)
+
+
+def expm_imaginary_time(psi, h: PauliSum, tau: float, steps: int) -> np.ndarray:
+    """Normalized exp(-H tau)|psi> by ``steps`` applications of
+    expm(-H tau / steps), normalizing after each."""
+    propagator = scipy.linalg.expm(-to_matrix(h, psi.n) * (tau / steps))
+    amps = psi.amplitudes
+    for _ in range(steps):
+        amps = propagator @ amps
+        amps = amps / np.linalg.norm(amps)
+    return amps
 
 
 # --------------------------- restating loops, kept as bit-for-bit oracles

@@ -107,6 +107,40 @@ class TestParsing:
         with pytest.raises(SymmetryViolation):
             parse_fcidump(text)
 
+    @pytest.mark.parametrize("records, where", [
+        (" 0.1 1 2 0 0\n 0.3 2 1 0 0\n", r"line 5: .* h\(2,1\)"),
+        (" -1.25 1 1 0 0\n -1.0 1 1 0 0\n", r"line 5: .* h\(1,1\)"),
+        (" 5.0 0 0 0 0\n", "line 4: .* the core energy"),
+    ], ids=["one-body-pair", "one-body-repeat", "core-repeat"])
+    def test_conflicting_one_body_or_core_is_symmetry_violation(self, records,
+                                                                where):
+        with pytest.raises(SymmetryViolation, match=where):
+            parse_fcidump_spatial(CORE_ONLY + records)
+
+    @pytest.mark.parametrize("record", [
+        " nan 1 1 1 1", " NaN 1 2 0 0", " inf 0 0 0 0", " -1.0D999 2 2 1 1",
+    ], ids=["nan-two-body", "nan-one-body", "inf-core", "overflow"])
+    def test_non_finite_value_is_parse_error(self, record):
+        with pytest.raises(ParseError, match="line 4: non-finite value"):
+            parse_fcidump_spatial(CORE_ONLY + record + "\n")
+
+    def test_agreeing_duplicates_parse(self):
+        records = (" 0.75 0 0 0 0\n 0.2 1 2 0 0\n 0.2 2 1 0 0\n"
+                   " 0.4 1 1 2 2\n 0.4 2 2 1 1\n")
+        spatial = parse_fcidump_spatial(CORE_ONLY + records)
+        assert spatial.core_energy == 0.75
+        assert spatial.t[0, 1] == spatial.t[1, 0] == 0.2
+        assert spatial.v[0, 0, 1, 1] == spatial.v[1, 1, 0, 0] == 0.4
+
+    def test_conflicting_file_exits_2_naming_the_line(self, tmp_path, capsys):
+        text = fixture_text(H2_EQUILIBRIUM)
+        path = tmp_path / "h2.fcidump"
+        path.write_text(text + " 5.0 0 0 0 0\n")
+        assert main(["exact", "--fcidump", str(path)]) == 2
+        line = len(text.splitlines()) + 1
+        assert f"line {line}: conflicting value for the core energy" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", [H2_EQUILIBRIUM, "lih_sto3g_1.45"])
     def test_emit_parse_round_trip(self, name):
         first = parse_fcidump_spatial(fixture_text(name))
@@ -751,12 +785,21 @@ class TestCli:
         assert main(argv) == 2
         assert "error: emit:" in capsys.readouterr().err
 
-    def test_sixteen_ancilla_qpe_exits_2_naming_the_bytes(self, capsys):
+    def test_twenty_six_ancilla_qpe_exits_2_naming_the_bytes(self, capsys):
         start = time.perf_counter()
         assert main(["qpe", "--fixture", H2_EQUILIBRIUM, "--encoding",
-                     "parity", "--taper", "--ancillas", "16"]) == 2
+                     "parity", "--taper", "--ancillas", "26"]) == 2
         assert time.perf_counter() - start < 5.0
-        assert f"needs {qpe_bytes(2, 16, 0)} bytes" in capsys.readouterr().err
+        assert f"needs {qpe_bytes(2, 26, 0)} bytes" in capsys.readouterr().err
+
+    def test_sixteen_ancilla_qpe_exits_0_one_bin_from_the_ground(self,
+                                                                capsys):
+        assert main(["qpe", "--fixture", H2_EQUILIBRIUM, "--encoding",
+                     "parity", "--taper", "--ancillas", "16"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["ancillas"] == 16
+        assert abs(result["modal_energy"] - result["oracle_ground"]) \
+            <= result["bin_width"]
 
     def test_every_package_error_exits_with_its_base_code(self):
         found = set()

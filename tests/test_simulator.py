@@ -1,6 +1,7 @@
 """Statevector simulation: gates, evolution, sampling, noise, QPE."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ import scipy.linalg
 from scipy.optimize import minimize_scalar
 
 from conftest import (
+    dense_fourier_readout,
+    expm_imaginary_time,
     matrix_gate_apply,
     per_gate_apply,
-    per_term_qpe_trotter,
     per_gate_inverse,
+    per_term_trotter_register,
+    power_matrix_qpe,
     random_state,
     same_bits,
     scatter_apply,
@@ -31,7 +35,7 @@ from hartree.pauli import (
 )
 from hartree.reduction import sector_for, taper_two_qubits
 from hartree.simulator import (
-    EXPM_MATRICES,
+    EIGH_MATRICES,
     REGISTER_BYTES,
     BadTarget,
     Circuit,
@@ -736,7 +740,8 @@ def test_qpe_trotterized_backend_agrees_when_terms_commute():
 
 @pytest.mark.parametrize("tapered", [True, False])
 @pytest.mark.parametrize("steps", [1, 3])
-def test_qpe_trotter_steps_match_per_term_loop_bit_for_bit(tapered, steps):
+def test_qpe_trotter_steps_match_per_term_loop_bit_for_bit(tapered, steps,
+                                                          monkeypatch):
     if tapered:
         h, n = tapered_h2(), 2
     else:
@@ -745,12 +750,39 @@ def test_qpe_trotter_steps_match_per_term_loop_bit_for_bit(tapered, steps):
         n = 4
     psi = StateVector(random_state(make_rng(5), n), n)
     window = default_window(h)
+    registers, fft = [], np.fft.fft
+
+    def keep_register(joint, *args, **kwargs):
+        registers.append(joint.copy())
+        return fft(joint, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft", keep_register)
     for n_ancilla in (1, 5):
         energies, probabilities = qpe_distribution(psi, h, n_ancilla, steps,
                                                    window)
-        oracle = per_term_qpe_trotter(psi, h, n_ancilla, steps, window)
+        register = per_term_trotter_register(psi, h, n_ancilla, steps, window)
+        assert same_bits(registers.pop(), register)
+        oracle = dense_fourier_readout(register, window)
         assert same_bits(energies, oracle[0])
-        assert same_bits(probabilities, oracle[1])
+        assert np.abs(probabilities - oracle[1]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("tapered", [True, False])
+def test_exact_qpe_matches_power_matrix_oracle(tapered):
+    if tapered:
+        h, n = tapered_h2(), 2
+    else:
+        h = encode_operator(build_molecular_hamiltonian(
+            load_fixture("h2_631g_0.7414")), EncodingScheme(JW, 8))
+        n = 8
+    psi = StateVector(random_state(make_rng(7), n), n)
+    window = default_window(h)
+    for n_ancilla in (1, 4, 10):
+        energies, probabilities = qpe_distribution(psi, h, n_ancilla, 0,
+                                                   window)
+        oracle = power_matrix_qpe(psi, h, n_ancilla, window)
+        assert same_bits(energies, oracle[0])
+        assert np.abs(probabilities - oracle[1]).max() <= 1e-13
+        assert np.argmax(probabilities) == np.argmax(oracle[1])
 
 
 def test_qpe_h2_modal_bin_hits_ground_energy():
@@ -781,24 +813,55 @@ def refuse(*_args, **_kwargs):
     raise AssertionError("a guarded array was allocated")
 
 
-def test_qpe_byte_figure_counts_registers_fourier_and_powers():
-    registers, fourier = 5 * 2 ** 18, 2 * 2 ** 32
-    assert qpe_bytes(2, 16, 3) == 16 * (registers + fourier)
-    assert qpe_bytes(2, 16, 0) == 16 * (registers + fourier + 5 * 2 ** 4)
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_qpe_byte_figure_counts_registers_and_eigenbasis():
+    registers = 4 * 2 ** 18
+    assert qpe_bytes(2, 16, 3) == 16 * registers
+    assert qpe_bytes(2, 16, 0) == 16 * (registers + 3 * 2 ** 4)
     # The largest register the benchmark runs is far under the budget.
     assert qpe_bytes(6, 8, 0) < BYTE_BUDGET // 100
+
+
+@pytest.mark.parametrize("n_sys, n_ancilla, steps",
+                         [(4, 10, 0), (8, 6, 0), (4, 10, 2), (2, 12, 1)])
+def test_qpe_peak_stays_under_its_byte_figure(n_sys, n_ancilla, steps):
+    h = PauliSum({PauliString((5 * k + 3) % (1 << n_sys), k % (1 << n_sys)):
+                  0.1 * (k + 1) for k in range(8)}, n_qubits=n_sys)
+    psi = StateVector(random_state(make_rng(3), n_sys), n_sys)
+    window = default_window(h)
+    qpe_distribution(psi, h, 1, steps, window)  # Pauli tables cached
+    peak = traced_peak(lambda: qpe_distribution(psi, h, n_ancilla, steps,
+                                                window))
+    assert peak <= qpe_bytes(n_sys, n_ancilla, steps)
+
+
+def test_exact_qpe_at_four_plus_ten_qubits_peaks_under_one_mebibyte():
+    h = encode_operator(build_molecular_hamiltonian(
+        load_fixture("h2_sto3g_0.7414")), EncodingScheme(JW, 4))
+    psi = StateVector(random_state(make_rng(3), 4), 4)
+    assert traced_peak(lambda: qpe_distribution(psi, h, 10, 0)) < 1 << 20
 
 
 def test_qpe_guard_refuses_before_building(monkeypatch):
     monkeypatch.setattr(simulator, "to_matrix", refuse)
     monkeypatch.setattr(np, "outer", refuse)
+    monkeypatch.setattr(np, "tile", refuse)
     with pytest.raises(TooLarge, match=f"needs {qpe_bytes(16, 10, 0)} bytes"):
         qpe_distribution(StateVector.zero(16), PauliSum.identity(1.0, 16), 10, 0)
     z = PauliSum.from_text({"Z0": 1.0, "Z1": 0.5})
     for steps in (0, 2):
         with pytest.raises(TooLarge,
-                           match=f"needs {qpe_bytes(2, 16, steps)} bytes"):
-            qpe_distribution(StateVector.zero(2), z, 16, steps)
+                           match=f"needs {qpe_bytes(2, 26, steps)} bytes"):
+            qpe_distribution(StateVector.zero(2), z, 26, steps)
 
 
 def test_default_window_contains_spectrum():
@@ -837,12 +900,22 @@ def test_imaginary_time_norm_floor():
         imaginary_time_evolve(psi, PauliSum.from_text({"Z0": 1.0}), 40.0, 1)
 
 
+def test_imaginary_time_matches_expm_oracle():
+    ints = load_fixture("h2_sto3g_0.7414")
+    h = encode_operator(build_molecular_hamiltonian(ints), EncodingScheme(JW, 4))
+    psi = StateVector(random_state(make_rng(2), 4), 4)
+    for tau, steps in ((0.3, 1), (2.0, 5), (10.0, 20)):
+        got = imaginary_time_evolve(psi, h, tau, steps).amplitudes
+        assert np.abs(got - expm_imaginary_time(psi, h, tau, steps)).max() \
+            <= 1e-12
+
+
 def test_imaginary_time_guard_refuses_before_building(monkeypatch):
-    assert EXPM_MATRICES * matrix_bytes(11) <= BYTE_BUDGET
+    assert EIGH_MATRICES * matrix_bytes(12) <= BYTE_BUDGET
     monkeypatch.setattr(simulator, "to_matrix", refuse)
-    needed = EXPM_MATRICES * matrix_bytes(12)
+    needed = EIGH_MATRICES * matrix_bytes(13)
     with pytest.raises(TooLarge, match=f"needs {needed} bytes"):
-        imaginary_time_evolve(StateVector.zero(12),
+        imaginary_time_evolve(StateVector.zero(13),
                               PauliSum.from_text({"Z0": 1.0}), 1.0, 1)
 
 

@@ -52,6 +52,8 @@ EXTRA = (
     ("exact-lih-jw", ("exact", "--fixture", "lih_sto3g_1.45", "--k", "4")),
     ("qpe-h2-trotter", ("qpe", *H2, "--encoding", "parity", "--taper",
                         "--ancillas", "6", "--trotter-steps", "3")),
+    ("qpe-h2-16-ancillas", ("qpe", *H2, "--encoding", "parity", "--taper",
+                            "--ancillas", "16")),
     ("mitigate-postselect-p05", ("mitigate", *H2, "--technique",
                                  "postselect", "--noise-p1", "0.05",
                                  "--noise-p2", "0.05", "--samples", "300")),
