@@ -19,7 +19,6 @@ is (c_j + i d_j)/2 and the creator (c_j - i d_j)/2.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -27,14 +26,18 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError
-from .fermion import FermionSum, OccupationVector
-from .pauli import DROP_TOLERANCE, DimensionMismatch, PauliString, PauliSum, mul_masks
+from .fermion import MASK_MODES, FermionSum, OccupationVector, arity_runs
+from .pauli import DROP_TOLERANCE, DimensionMismatch, PauliString, PauliSum
 
 JW = "jw"
 PARITY = "parity"
 BK = "bk"
 BKTREE = "bktree"
 VARIANTS = (JW, PARITY, BK, BKTREE)
+
+# encode_operator multiplies out at most this many strings at once, so its
+# working arrays stay bounded however long the sum.
+BLOCK_PRODUCTS = 1 << 11
 
 
 class IndexOutOfRange(ConfigError):
@@ -175,54 +178,149 @@ def _mode_images(variant: str, m: int) -> tuple[tuple[PauliSum, PauliSum], ...]:
 
 
 @lru_cache(maxsize=None)
-def _raw_images(variant: str, m: int) -> tuple[tuple[tuple, tuple], ...]:
-    """``_mode_images`` as (x, z, coeff) triples in term order."""
-    return tuple(tuple(tuple((s.x, s.z, c) for s, c in image.items())
-                       for image in pair)
-                 for pair in _mode_images(variant, m))
+def _image_arrays(variant: str, m: int) -> tuple[np.ndarray, ...]:
+    """``_mode_images`` as (m, 2, 2) arrays [mode, dagger, string] of x and
+    z masks (uint64), |x & z| (uint8) and coefficients, flattened: x at
+    2 * mode + dagger, the others at string * 2m + 2 * mode + dagger. A
+    mode's two images hold the same two strings in the same order, which
+    differ in z alone."""
+    x = np.zeros((m, 2, 2), dtype=np.uint64)
+    z = np.zeros((m, 2, 2), dtype=np.uint64)
+    coeffs = np.zeros((m, 2, 2), dtype=complex)
+    for j, pair in enumerate(_mode_images(variant, m)):
+        for dagger, image in enumerate(pair):
+            for k, (string, coeff) in enumerate(image.items()):
+                x[j, dagger, k], z[j, dagger, k] = string.x, string.z
+                coeffs[j, dagger, k] = coeff
+    return (x[..., 0].ravel(), *(np.moveaxis(a, 2, 0).ravel() for a in (
+        z, np.bitwise_count(x & z), coeffs)))
 
 
-def _merged(products: dict[tuple[int, int], complex]
-            ) -> list[tuple[tuple[int, int], complex]]:
-    """Products merged as a PauliSum merges them: 0.0 + complex(c), and
-    |c| < DROP_TOLERANCE dropped."""
-    kept = []
-    for key, coeff in products.items():
-        coeff = 0.0 + complex(coeff)
-        if abs(coeff) >= DROP_TOLERANCE:
-            kept.append((key, coeff))
-    return kept
+# The phase i^k that pauli.mul_masks returns, for every uint8 count k:
+# uint8 counts wrap modulo 256, which keeps them modulo 4.
+_PHASE = np.tile(np.array([1, 1j, -1, -1j]), 64)
+
+
+def _drop(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients zeroed where |c| < DROP_TOLERANCE, and the mask of
+    those kept. np.hypot is the libm hypot of Python's abs(complex); np.abs
+    of a complex array is not, in its last bit."""
+    kept = np.hypot(c.real, c.imag) >= DROP_TOLERANCE
+    return np.where(kept, c, 0.0), kept
+
+
+def _multiply_out(images: tuple[np.ndarray, ...], pairs: np.ndarray,
+                  coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each term of one arity multiplied out factor by factor, as the
+    per-product loop did: the x mask of each term, and per string and term
+    its z mask, its coefficient and whether it was kept. Terms run along
+    the last axis.
+
+    A term's strings all share one x mask. A factor's image holds two
+    strings that differ in z by a mask whose top bit is the factor's mode,
+    so the strings of a term are the subsets of its distinct modes. A factor
+    on a new mode doubles the strings. A factor on a mode seen before maps
+    the string with either choice for that mode and one image string onto
+    the string with the other choice and the other image string, and sums
+    the two; only those two products meet, so their order does not matter.
+
+    Each product is c1 * c2 * phase, the phase i^k counted as
+    ``pauli.mul_masks`` counts it. Every c2 (0.5 or +-0.5i) and every phase
+    has a zero real or imaginary part, so each part of a product is one
+    rounded real product, or its negation, plus a signed zero: numpy's
+    complex product, which may fuse a multiply and an add, gives Python's
+    bits up to the signs of zeros. The first factor meets the identity,
+    whose phase is 1, which would change only such signs. Each sum starts
+    from 0.0, as a PauliSum merges, which makes every zero +0.0; a string
+    dropped to zero stays in its slot as a zero, which adds nothing to the
+    strings it meets.
+    """
+    n, arity = pairs.shape[:2]
+    c, kept = _drop(coeffs[None] + 0.0)
+    if not arity:
+        return np.zeros(n, dtype=np.uint64), np.zeros((1, n), np.uint64), \
+            c, kept
+    image_x, *image_strings = images
+    ladder = (pairs[..., 0] << 1 | pairs[..., 1]).T.astype(np.intp)
+    x2 = image_x[ladder]
+    # [factor, string, term]
+    ladder = ladder[:, None] + np.array([[0], [len(image_x)]])
+    z2, counts2, c2 = (a[ladder] for a in image_strings)
+    x = np.bitwise_xor.accumulate(x2, axis=0)
+    modes = pairs[..., 0].T
+    z, counts = z2[0], counts2[0]  # |x & z| of each string
+    c, kept = _drop(c * c2[0] + 0.0)
+    choice = [1]  # each factor's bit in the string index, or 0
+    for f in range(1, arity):
+        z3 = z[:, None] ^ z2[f]
+        counts3 = np.bitwise_count(z3 & x[f])
+        k = (counts + 2 * np.bitwise_count(z & x2[f]))[:, None] \
+            + counts2[f] - counts3
+        c3 = c[:, None] * c2[f] * _PHASE[k] + 0.0
+        seen = modes[:f] == modes[f]
+        repeats = seen.any(axis=0)
+        if repeats.any():
+            bit = np.array(choice)[seen.argmax(axis=0)] * repeats
+            partner = np.arange(z.shape[0])[:, None] ^ bit
+            # + 0.0 leaves 0.0 + c unchanged where nothing repeats
+            c3[:, 0] += np.where(repeats, np.take_along_axis(
+                c3[:, 1], partner, axis=0), 0.0)
+            c3[:, 1] = np.where(repeats, 0.0, c3[:, 1])
+        if repeats.all():  # no term has a new mode: no new strings
+            z, counts, c = z3[:, 0], counts3[:, 0], c3[:, 0]
+            choice.append(0)
+        else:
+            z, counts, c = (a.reshape(-1, n) for a in (z3, counts3, c3))
+            choice = [2 * b for b in choice] + [1]
+        c, kept = _drop(c)
+    return x[-1], z, c, kept
 
 
 def encode_operator(s: FermionSum, scheme: EncodingScheme) -> PauliSum:
     """Qubit operator acting on encoded states exactly as s acts on modes.
 
-    Each term is multiplied out on raw (x, z) masks, one ladder image at a
-    time, dropping |c| < DROP_TOLERANCE after every factor; the terms are
-    then summed in order into one PauliSum. An image holds two strings, so
-    each product string collects at most two contributions per factor, and
-    their sum does not depend on the order the strings are visited in.
+    The terms are read in order into runs of one arity and multiplied out
+    in blocks of at most BLOCK_PRODUCTS strings (``_multiply_out``),
+    dropping |c| < DROP_TOLERANCE after every factor; each term's strings
+    are then added into the total in term order. The result is the one the
+    per-product loop over raw masks gave, bit for bit. Masks are uint64, so
+    a register wider than MASK_MODES is refused before anything is built.
     """
-    images = _raw_images(scheme.variant, scheme.m)
-    total: dict[tuple[int, int], complex] = {}
-    for term in s:
-        if term.max_mode() >= scheme.m:
-            raise IndexOutOfRange(
-                f"mode {term.max_mode()} outside register of {scheme.m}")
-        if not cmath.isfinite(term.coeff):
+    m = scheme.m
+    if m > MASK_MODES:
+        raise IndexOutOfRange(
+            f"a uint64 mask holds {MASK_MODES} modes, not {m}")
+    images = _image_arrays(scheme.variant, m)
+    slots: dict[tuple[int, int], int] = {}
+    total = np.zeros(0, dtype=complex)
+    for first, pairs, coeffs in arity_runs(s.terms):
+        bad = ((pairs[..., 0] >= m).any(axis=1)
+               | ~np.isfinite(coeffs)).nonzero()[0]
+        if bad.size:
+            term = s.terms[first + bad[0]]
+            if term.max_mode() >= m:
+                raise IndexOutOfRange(
+                    f"mode {term.max_mode()} outside register of {m}")
             raise ValueError(f"non-finite coefficient {term.coeff}")
-        acc = _merged({(0, 0): term.coeff})
-        for p, dagger in term.factors:
-            out: dict[tuple[int, int], complex] = {}
-            for (x1, z1), c1 in acc:
-                for x2, z2, c2 in images[p][1 if dagger else 0]:
-                    phase, x3, z3 = mul_masks(x1, z1, x2, z2)
-                    out[x3, z3] = out.get((x3, z3), 0.0) + c1 * c2 * phase
-            acc = _merged(out)
-        for key, coeff in acc:
-            total[key] = total.get(key, 0.0) + coeff
-    return PauliSum({PauliString(x, z): c for (x, z), c in total.items()},
-                    n_qubits=scheme.m)
+        size = max(1, BLOCK_PRODUCTS >> pairs.shape[1])
+        for start in range(0, len(coeffs), size):
+            block = slice(start, start + size)
+            x, z, c, kept = _multiply_out(images, pairs[block], coeffs[block])
+            # each term's strings, terms in order
+            kept = kept.T
+            x = np.repeat(x, z.shape[0])[kept.ravel()]
+            at = [slots.setdefault(key, len(slots))
+                  for key in zip(x.tolist(), z.T[kept].tolist())]
+            if len(slots) > len(total):
+                total = np.concatenate((total, np.zeros(
+                    len(slots) - len(total), dtype=complex)))
+            np.add.at(total, at, c.T[kept])
+    # PauliSum drops |c| < DROP_TOLERANCE itself; dropping those first
+    # spares it their strings
+    kept = (np.hypot(total.real, total.imag) >= DROP_TOLERANCE).tolist()
+    return PauliSum({PauliString(x, z): coeff for (x, z), coeff, keep
+                     in zip(slots, total.tolist(), kept) if keep},
+                    n_qubits=m)
 
 
 def encode_state(f: OccupationVector, scheme: EncodingScheme) -> OccupationVector:

@@ -13,8 +13,9 @@ within each block.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +25,8 @@ BLOCKED = "blocked"
 INTERLEAVED = "interleaved"
 
 COEFF_TOLERANCE = 1e-12
+# The most modes a uint64 bit mask holds, one bit per spin-orbital or qubit.
+MASK_MODES = 64
 
 
 class InvalidIntegrals(ConfigError):
@@ -184,6 +187,23 @@ class FermionSum:
 
     def __str__(self) -> str:
         return " + ".join(str(t) for t in self.terms) if self.terms else "0"
+
+
+def arity_runs(terms: Sequence[FermionOperator]
+               ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The terms in order, cut into runs of one arity: (position of the
+    run's first term, its (terms, arity, 2) uint64 array of (mode, dagger)
+    per factor, its complex coefficients)."""
+    first = 0
+    for arity, run in itertools.groupby(terms, key=lambda t: len(t.factors)):
+        run = list(run)
+        flat = np.fromiter(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(t.factors) for t in run),
+            dtype=np.uint64, count=2 * arity * len(run))
+        coeffs = np.fromiter((t.coeff for t in run), dtype=complex,
+                             count=len(run))
+        yield first, flat.reshape(len(run), arity, 2), coeffs
+        first += len(run)
 
 
 def normal_order(s: FermionSum, tol: float = COEFF_TOLERANCE) -> FermionSum:

@@ -28,6 +28,7 @@ from .fixtures import H2_CURVE, list_fixtures
 from .pipeline import (
     ANSATZ_FAMILIES,
     CURVE_METHODS,
+    ENCODE,
     EXACT,
     MITIGATE,
     QPE,
@@ -89,8 +90,9 @@ def cli():
 @cli.command()
 @problem_options
 def encode(**common):
-    """Map the molecule onto qubits and report the operator sizes."""
-    _emit(_common(**common, method=EXACT, k=1))
+    """Map the molecule onto qubits and report the operator sizes, without
+    solving."""
+    _emit(_common(**common, method=ENCODE, k=1))
 
 
 @cli.command()

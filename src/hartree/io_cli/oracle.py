@@ -31,6 +31,8 @@ DENSE_DIMENSION = 1 << 8
 # A stored CSR entry: its complex value, its float64 copy when the matrix is
 # real, and its column index.
 CSR_ENTRY_BYTES = 16 + 8 + 8
+# What a caller that knows nothing of the run suggests when a solve is refused.
+SHRINK_HINT = "; shrink the problem with --reduce"
 
 
 def lanczos_size(dim: int, k: int) -> int:
@@ -76,12 +78,13 @@ def sparse_eigensolve(h: PauliSum, k: int, n: int, with_vectors: bool = False):
 def exact_eigensolve(h: PauliSum,
                      k: int = 1,
                      n_qubits: int | None = None,
-                     with_vectors: bool = False):
+                     with_vectors: bool = False,
+                     hint: str = SHRINK_HINT):
     """k lowest eigenvalues of h, ascending.
 
     Returns the eigenvalue array, or (values, vectors-as-columns) when
     ``with_vectors`` is set. Raises TooLarge, before allocating, when the
-    solve would hold more than BYTE_BUDGET.
+    solve would hold more than BYTE_BUDGET; its message ends with ``hint``.
     """
     if not h.is_hermitian():
         raise NonHermitian("eigensolve requires a Hermitian sum")
@@ -89,8 +92,7 @@ def exact_eigensolve(h: PauliSum,
     if n < h.n_qubits:
         raise ValueError(f"sum acts on {h.n_qubits} qubits, asked for {n}")
     check_bytes(solve_bytes(len(x_masks(h)), n, k),
-                f"the exact solve on {n} qubits",
-                "; shrink the problem with --reduce")
+                f"the exact solve on {n} qubits", hint)
     if not takes_dense(1 << n, k):
         return sparse_eigensolve(h, k, n, with_vectors)
     values, vectors = np.linalg.eigh(to_matrix(h, n))
@@ -100,6 +102,8 @@ def exact_eigensolve(h: PauliSum,
     return values
 
 
-def ground_state(h: PauliSum, n_qubits: int | None = None) -> tuple[float, np.ndarray]:
-    values, vectors = exact_eigensolve(h, k=1, n_qubits=n_qubits, with_vectors=True)
+def ground_state(h: PauliSum, n_qubits: int | None = None,
+                 hint: str = SHRINK_HINT) -> tuple[float, np.ndarray]:
+    values, vectors = exact_eigensolve(h, k=1, n_qubits=n_qubits,
+                                       with_vectors=True, hint=hint)
     return float(values[0]), vectors[:, 0]

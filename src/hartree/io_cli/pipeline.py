@@ -75,12 +75,13 @@ from ..vqe import (
 from .fixtures import FIXTURES, H2_CURVE, load_problem
 from .oracle import exact_eigensolve, ground_state
 
+ENCODE = "encode"
 EXACT = "exact"
 VQE = "vqe"
 QPE = "qpe"
 SPECTRUM = "spectrum"
 MITIGATE = "mitigate"
-METHODS = (EXACT, VQE, QPE, SPECTRUM, MITIGATE)
+METHODS = (ENCODE, EXACT, VQE, QPE, SPECTRUM, MITIGATE)
 
 LINEAR = "linear"
 EXPONENTIAL = "exponential"
@@ -233,9 +234,20 @@ def _build_ansatz(config: RunConfig, ints: MolecularIntegrals,
     return build_ldca(n, config.layers)
 
 
+def _shrink_hint(config: RunConfig) -> str:
+    """The TooLarge hint of a run: the reductions it has not used yet, in
+    the order to try them."""
+    steps = [flags for used, flags in (
+        (config.reduce, "--reduce"),
+        (config.taper, "--taper --encoding parity")) if not used]
+    return (f"; shrink the problem with {', then '.join(steps)}"
+            if steps else "")
+
+
 def _solve_exact(config: RunConfig, h: PauliSum) -> dict:
     k = min(config.k, 1 << h.n_qubits)
-    values = exact_eigensolve(h, k=k, n_qubits=h.n_qubits)
+    values = exact_eigensolve(h, k=k, n_qubits=h.n_qubits,
+                              hint=_shrink_hint(config))
     return {"method": EXACT,
             "energies": [float(v) for v in values],
             "ground": float(values[0])}
@@ -250,7 +262,8 @@ def _solve_vqe(config: RunConfig, ints: MolecularIntegrals,
     result = optimize(ansatz, h, config.optimizer, shots=config.shots,
                       noise=config.noise_model(), rng=make_rng(config.seed),
                       trajectories=config.trajectories)
-    oracle = float(exact_eigensolve(h, k=1, n_qubits=h.n_qubits)[0])
+    oracle = float(exact_eigensolve(h, k=1, n_qubits=h.n_qubits,
+                                    hint=_shrink_hint(config))[0])
     return {"method": VQE,
             "family": config.ansatz,
             "energy": float(result.best_energy),
@@ -264,7 +277,8 @@ def _solve_vqe(config: RunConfig, ints: MolecularIntegrals,
 
 
 def _solve_qpe(config: RunConfig, h: PauliSum) -> dict:
-    energy0, vector = ground_state(h, n_qubits=h.n_qubits)
+    energy0, vector = ground_state(h, n_qubits=h.n_qubits,
+                                   hint=_shrink_hint(config))
     window = default_window(h)
     energies, probabilities = qpe_distribution(
         StateVector(vector, h.n_qubits), h, config.n_ancilla,
@@ -299,7 +313,8 @@ def _per_qubit_expansion(n: int) -> list[PauliString]:
 def _solve_spectrum(config: RunConfig, h: PauliSum) -> dict:
     n = h.n_qubits
     k = min(config.k, 1 << n)
-    exact, vectors = exact_eigensolve(h, k=k, n_qubits=n, with_vectors=True)
+    exact, vectors = exact_eigensolve(h, k=k, n_qubits=n, with_vectors=True,
+                                      hint=_shrink_hint(config))
     subspace = qse_solve(StateVector(vectors[:, 0], n), h,
                          _per_qubit_expansion(n))
     return {"method": SPECTRUM,
@@ -416,7 +431,9 @@ def run_pipeline(config: RunConfig) -> dict:
             return _solve_spectrum(config, h)
         return _solve_mitigate(config, ints, scheme, ferm, h, record)
 
-    result = _run_stage("solve", solve)
+    # encode reports the register it built and solves nothing
+    result = ({"method": ENCODE, "qubits": h.n_qubits, "pauli_terms": len(h)}
+              if config.method == ENCODE else _run_stage("solve", solve))
     document = {"config": config_document(config), "stages": stages,
                 "result": result}
     if config.out is not None:

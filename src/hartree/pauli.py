@@ -21,6 +21,7 @@ stacks into a sparse one.
 
 from __future__ import annotations
 
+import cmath
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -187,9 +188,13 @@ class PauliString:
         return hash((self.x, self.z))
 
     def __str__(self) -> str:
-        if self.is_identity:
+        x, z = self.x, self.z
+        support = x | z
+        if not support:
             return "I"
-        return " ".join(f"{self.letter(q)}{q}" for q in self.indices())
+        return " ".join(["IXZY"[(x >> q & 1) | (z >> q & 1) << 1] + str(q)
+                         for q in range(support.bit_length())
+                         if support >> q & 1])
 
     def __repr__(self) -> str:
         return f"PauliString({str(self)!r})"
@@ -252,7 +257,7 @@ class PauliSum:
                 (t.string, t.coeff) for t in terms)
             for string, coeff in items:
                 coeff = complex(coeff)
-                if not np.isfinite(coeff):
+                if not cmath.isfinite(coeff):
                     raise ValueError(f"non-finite coefficient for {string}")
                 merged[string] = merged.get(string, 0.0) + coeff
         kept = {s: c for s, c in merged.items() if abs(c) >= tol}

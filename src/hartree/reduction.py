@@ -19,8 +19,10 @@ import numpy as np
 from .encoding import BK, BKTREE, PARITY, EncodingScheme
 from .fermion import (
     BLOCKED,
+    MASK_MODES,
     FermionOperator,
     MolecularIntegrals,
+    arity_runs,
     build_molecular_hamiltonian,
 )
 from .errors import ConfigError
@@ -241,19 +243,8 @@ def _outside(term, mask: int, ints: MolecularIntegrals) -> InconsistentSpace:
 def _term_runs(terms: list) -> list[tuple]:
     """The terms in build order, cut into runs of one arity: (position of
     the run's first term, its ladder, its coefficients)."""
-    runs, first = [], 0
-    for arity, run in itertools.groupby(terms, key=lambda t: len(t.factors)):
-        run = list(run)
-        flat = np.fromiter(itertools.chain.from_iterable(
-            itertools.chain.from_iterable(t.factors) for t in run),
-            dtype=np.uint64, count=2 * arity * len(run))
-        pairs = flat.reshape(len(run), arity, 2)
-        coeffs = np.fromiter((t.coeff for t in run), dtype=complex,
-                             count=len(run))
-        runs.append((first, _ladder(pairs[..., 0], pairs[..., 1] == 1),
-                     coeffs))
-        first += len(run)
-    return runs
+    return [(first, _ladder(pairs[..., 0], pairs[..., 1] == 1), coeffs)
+            for first, pairs, coeffs in arity_runs(terms)]
 
 
 def _sector_matrix(ints: MolecularIntegrals, masks: list[int]) -> np.ndarray:
@@ -283,9 +274,10 @@ def fci_sector_ground(ints: MolecularIntegrals
     exceed BYTE_BUDGET."""
     if ints.ordering != BLOCKED:
         raise InconsistentSpace("spin-blocked integrals required")
-    if ints.m > 64:
+    if ints.m > MASK_MODES:
         raise InconsistentSpace(
-            f"a uint64 determinant mask holds 64 spin-orbitals, not {ints.m}")
+            f"a uint64 determinant mask holds {MASK_MODES} spin-orbitals, "
+            f"not {ints.m}")
     masks = sector_determinants(ints.m, ints.n_up, ints.n_down)
     dim = len(masks)
     check_bytes(2 * dim * dim * AMPLITUDE_BYTES,

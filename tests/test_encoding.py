@@ -448,6 +448,118 @@ def test_uccsd_generator_images_match_per_factor_sums_bit_for_bit(variant):
                              per_factor_encode(generator.generator, scheme))
 
 
+# Terms of arity 0 to 4 interleaved, so runs of one arity are short and
+# follow one another, on a wide register; half the modes come from a small
+# set so that repeated modes, and so merged strings, are common.
+_WIDE_MODES = st.one_of(st.integers(0, 23), st.sampled_from((0, 1, 22, 23)))
+_WIDE_TERMS = st.lists(
+    st.tuples(st.lists(st.tuples(_WIDE_MODES, st.booleans()), max_size=4),
+              st.builds(complex, _PARTS, _PARTS)),
+    max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_WIDE_TERMS, st.sampled_from(VARIANTS))
+def test_mixed_arity_runs_match_per_factor_sums_bit_for_bit(terms, variant):
+    s = FermionSum(FermionOperator(tuple(factors), coeff)
+                   for factors, coeff in terms)
+    scheme = EncodingScheme(variant, 24)
+    assert same_sum_bits(encode_operator(s, scheme),
+                         per_factor_encode(s, scheme))
+
+
+def _top_bit_sum() -> FermionSum:
+    """Mixed arities on modes 62 and 63 of a 64-mode register."""
+    spec = [
+        ((), 0.25),
+        (((63, True), (62, False)), 0.5),
+        (((63, True), (63, False)), -1.25),
+        (((63, True), (62, True), (1, False), (0, False)), 0.125 + 0.5j),
+        (((62, True),), 0.75j),
+        (((62, True), (63, True), (63, False), (62, False)), 2.0),
+        (((0, True), (62, False)), -0.5),
+        (((63, False), (31, True), (63, True), (32, False)), 1.5 - 0.25j),
+    ]
+    return FermionSum(FermionOperator(factors, coeff)
+                      for factors, coeff in spec)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_top_modes_of_a_64_mode_register_match_bit_for_bit(variant):
+    scheme = EncodingScheme(variant, 64)
+    image = encode_operator(_top_bit_sum(), scheme)
+    assert same_sum_bits(image, per_factor_encode(_top_bit_sum(), scheme))
+    assert any(string.x >> 63 or string.z >> 63 for string in image.strings())
+
+
+def test_register_wider_than_64_modes_refused_before_building(monkeypatch):
+    import hartree.encoding as encoding
+
+    def refuse(*_):
+        raise AssertionError("the encoder built its ladder images")
+
+    monkeypatch.setattr(encoding, "_image_arrays", refuse)
+    with pytest.raises(IndexOutOfRange, match="64 modes, not 65"):
+        encode_operator(FermionSum.single([(0, True), (0, False)]),
+                        EncodingScheme(JW, 65))
+
+
+def test_small_blocks_keep_the_sums_bits(monkeypatch):
+    # Blocks of a few terms: every string's total is added across many
+    # blocks, still in term order.
+    import hartree.encoding as encoding
+
+    monkeypatch.setattr(encoding, "BLOCK_PRODUCTS", 1 << 5)
+    h = build_molecular_hamiltonian(load_fixture("h2_631g_0.7414"))
+    for variant in VARIANTS:
+        scheme = EncodingScheme(variant, 8)
+        assert same_sum_bits(encode_operator(h, scheme),
+                             per_factor_encode(h, scheme))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_uccsd_excitations_match_per_factor_sums_bit_for_bit(variant):
+    scheme = EncodingScheme(variant, 8)
+    generators = uccsd_generators(8, [0, 1, 4, 5], [2, 3, 6, 7])
+    assert len(generators) == 26  # 8 singles and 18 doubles
+    for generator in generators:
+        assert same_sum_bits(encode_operator(generator.generator, scheme),
+                             per_factor_encode(generator.generator, scheme))
+
+
+@pytest.mark.parametrize("name,limit", [("lih_sto3g_1.45", 2 * 0.53),
+                                        ("h2_ccpvdz_0.75", 2 * 3.2)])
+def test_working_memory_stays_bounded(name, limit):
+    # Limits: twice the peak of the per-product loop, in MiB (tracemalloc).
+    import tracemalloc
+
+    ints = load_fixture(name)
+    h = build_molecular_hamiltonian(ints)
+    scheme = EncodingScheme(PARITY, ints.m)
+    encode_operator(h, scheme)  # the ladder images are cached
+    tracemalloc.start()
+    try:
+        encode_operator(h, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * 2 ** 20
+
+
+@pytest.mark.parametrize("bad,error,named", [
+    (FermionOperator(((9, True),), 1.0), IndexOutOfRange, "mode 9"),
+    (FermionOperator(((0, True), (1, False)), float("inf")), ValueError,
+     "non-finite coefficient inf"),
+])
+def test_the_first_bad_term_in_order_is_named(bad, error, named):
+    # The later bad terms share a run with one of the first ones.
+    later = [FermionOperator(((8, True), (0, False)), 1.0),
+             FermionOperator(((1, True),), float("nan"))]
+    s = FermionSum([FermionOperator((), 1.0), bad, *later])
+    with pytest.raises(error, match=named):
+        encode_operator(s, EncodingScheme(JW, 4))
+
+
 def test_non_finite_coefficient_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         encode_operator(FermionSum.single([(0, True)], float("nan")),

@@ -652,9 +652,20 @@ class TestCli:
     def test_encode_prints_the_document(self, capsys):
         assert main(["encode", "--fixture", H2_EQUILIBRIUM]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["config"]["method"] == "exact"
+        assert document["config"]["method"] == "encode"
         assert document["config"]["k"] == 1
         assert document["stages"][1]["pauli_terms"] == 15
+
+    def test_encode_reports_the_register_without_solving(self, capsys):
+        start = time.perf_counter()
+        assert main(["encode", "--fixture", "h2_ccpvdz_0.75"]) == 0
+        assert time.perf_counter() - start < 10.0
+        result = json.loads(capsys.readouterr().out)["result"]
+        ints = load_fixture("h2_ccpvdz_0.75")
+        h = encode_operator(build_molecular_hamiltonian(ints),
+                            EncodingScheme(JW, ints.m))
+        assert result == {"method": "encode", "qubits": 20,
+                          "pauli_terms": len(h)}
 
     def test_exact_reports_the_ground_energy(self, capsys):
         assert main(["exact", "--fixture", H2_EQUILIBRIUM, "--k", "2"]) == 0
@@ -779,6 +790,12 @@ class TestCli:
         assert time.perf_counter() - start < 10.0
         message = capsys.readouterr().err
         assert "bytes" in message and "--reduce" in message
+
+    def test_reduced_exact_too_large_names_the_step_not_taken(self, capsys):
+        assert main(["exact", "--fixture", "h2_ccpvdz_0.75", "--reduce"]) == 2
+        message = capsys.readouterr().err
+        assert "bytes" in message and "--taper" in message
+        assert "with --reduce" not in message
 
     def test_out_directory_exits_2(self, tmp_path, capsys):
         argv = ["exact", "--fixture", H2_EQUILIBRIUM, "--out", str(tmp_path)]

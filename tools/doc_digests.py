@@ -65,6 +65,7 @@ EXTRA = (
                          "--trajectories", "2000")),
     ("vqe-h2-gradient", ("vqe", *H2, "--optimizer", "gradient-descent",
                          "--max-evals", "200")),
+    ("encode-h2-ccpvdz", ("encode", "--fixture", "h2_ccpvdz_0.75")),
 )
 
 
