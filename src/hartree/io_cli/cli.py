@@ -171,7 +171,8 @@ def spectrum(k, **common):
               help="Cancellation samples or post-selection shots.")
 def mitigate(technique, ansatz, layers, scales, noise_p1, noise_p2,
              trajectories, samples, **common):
-    """Compare raw, mitigated, and oracle energies under gate noise."""
+    """Tune the ansatz noiselessly by gradient descent, then compare raw,
+    mitigated, and oracle energies under gate noise."""
     try:
         parsed_scales = tuple(float(s) for s in scales.split(","))
     except ValueError:

@@ -463,12 +463,20 @@ def to_csr(s: PauliSum, n: int | None = None) -> scipy.sparse.csr_array:
 
 def expectation(s: PauliSum, psi: np.ndarray) -> float:
     """Exact <psi|S|psi> for Hermitian S; an imaginary residue above 1e-10 raises."""
+    return expectation_and_action(s, psi)[0]
+
+
+def expectation_and_action(s: PauliSum, psi: np.ndarray
+                           ) -> tuple[float, np.ndarray]:
+    """``expectation(s, psi)``, with its checks, and the S psi it was read
+    from."""
     if not s.is_hermitian():
         raise NonHermitian("expectation requires a Hermitian sum")
     if psi.shape[0] < (1 << s.n_qubits):
         raise DimensionMismatch(
             f"state has {psi.shape[0]} amplitudes, sum needs {1 << s.n_qubits}")
-    value = np.vdot(psi, apply_to_statevector(s, psi))
+    action = apply_to_statevector(s, psi)
+    value = np.vdot(psi, action)
     if not abs(value.imag) < 1e-10:
         raise NotReal(f"expectation {value} is not real")
-    return float(value.real)
+    return float(value.real), action

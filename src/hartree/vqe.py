@@ -26,7 +26,13 @@ from .encoding import EncodingScheme, encode_operator, encode_state
 from .errors import ConfigError
 from .fermion import FermionSum, OccupationVector, normal_order
 from .mitigation import DEFAULT_TRAJECTORIES, noisy_expectation
-from .pauli import PauliString, PauliSum, apply_to_statevector, check_bytes
+from .pauli import (
+    PauliString,
+    PauliSum,
+    apply_to_statevector,
+    check_bytes,
+    expectation_and_action,
+)
 from .simulator import (
     Circuit,
     REGISTER_BYTES,
@@ -344,8 +350,9 @@ def _gate_generator(gate: Gate) -> tuple[float, PauliString]:
     raise UnsupportedGate(f"cannot differentiate a parametrized {gate.kind} gate")
 
 
-def analytic_gradient(ansatz: Ansatz, theta: Sequence[float],
-                      h: PauliSum) -> np.ndarray:
+def analytic_gradient(ansatz: Ansatz, theta: Sequence[float], h: PauliSum,
+                      with_energy: bool = False
+                      ) -> np.ndarray | tuple[float, np.ndarray]:
     """Exact dE/dtheta by a reverse sweep over the circuit.
 
     The circuit runs once to psi_N, and lambda = H psi_N. Walking the gates
@@ -355,12 +362,19 @@ def analytic_gradient(ansatz: Ansatz, theta: Sequence[float],
     Occurrences sharing a parameter slot accumulate into one derivative
     entry. Raises TooLarge before any register is allocated when
     GRADIENT_REGISTERS of them exceed BYTE_BUDGET.
+
+    ``with_energy`` returns ``(energy, gradient)``, the energy read as
+    <psi_N|lambda> under ``expectation``'s checks: the same bits as the
+    exact-mode ``estimate_energy``, without a second run of the circuit.
     """
     check_bytes(GRADIENT_REGISTERS * (REGISTER_BYTES << ansatz.n_qubits),
                 f"the gradient sweep on {ansatz.n_qubits} qubits")
     compiled = ansatz.compiled()
-    psi = compiled.run(theta, StateVector.zero(ansatz.n_qubits).amplitudes)
-    lam = apply_to_statevector(h, psi)
+    psi = ansatz.state(theta).amplitudes
+    if with_energy:
+        energy, lam = expectation_and_action(h, psi)
+    else:
+        lam = apply_to_statevector(h, psi)
     gradient = np.zeros(ansatz.n_params)
     for position in range(len(compiled.gates) - 1, -1, -1):
         gate = compiled.gates[position]
@@ -370,7 +384,7 @@ def analytic_gradient(ansatz: Ansatz, theta: Sequence[float],
             gradient[gate.slot] += 2.0 * (1j * weight * bracket).real
         lam = compiled.undo(position, theta, lam)
         psi = compiled.undo(position, theta, psi)
-    return gradient
+    return (energy, gradient) if with_energy else gradient
 
 
 def penalty_hamiltonian(h: PauliSum,
@@ -422,6 +436,11 @@ class VqeResult:
     shots_used: int
     converged: bool
 
+    @property
+    def evaluations(self) -> int:
+        """Objective evaluations made, as the last trace entry counts them."""
+        return int(self.trace[-1][1]) if self.trace else 0
+
 
 class _Objective:
     """Counts evaluations and keeps the running best point."""
@@ -449,13 +468,25 @@ class _Objective:
                                    shots=self.shots, noise=self.noise,
                                    rng=self.rng,
                                    trajectories=self.trajectories)
+        return self._counted(theta, estimate.mean)
+
+    def with_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """One evaluation and the exact gradient at theta; in exact mode
+        both come from one gradient sweep."""
+        if self.shots is None and self.noise is None:
+            energy, gradient = analytic_gradient(self.ansatz, theta, self.h,
+                                                 with_energy=True)
+            return self._counted(theta, energy), gradient
+        return self(theta), analytic_gradient(self.ansatz, theta, self.h)
+
+    def _counted(self, theta: np.ndarray, energy: float) -> float:
         self.evals += 1
         if self.shots is not None:
             self.shots_used += self.shots * self.terms
-        if estimate.mean < self.best_energy:
-            self.best_energy = estimate.mean
+        if energy < self.best_energy:
+            self.best_energy = energy
             self.best_params = np.array(theta, dtype=float)
-        return estimate.mean
+        return energy
 
     def record(self, energy: float):
         self.trace.append((energy, self.evals))
@@ -542,9 +573,8 @@ def _gradient_descent(objective: _Objective, theta0: np.ndarray,
                       config: OptimizerConfig):
     theta = theta0.copy()
     while not objective.exhausted():
-        value = objective(theta)
+        value, gradient = objective.with_gradient(theta)
         objective.record(value)
         if objective.converged_streak():
             break
-        gradient = analytic_gradient(objective.ansatz, theta, objective.h)
         theta = theta - config.learning_rate * gradient

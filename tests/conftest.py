@@ -255,6 +255,33 @@ def stored_state_gradient(ansatz, theta, h: PauliSum) -> np.ndarray:
     return gradient
 
 
+def two_call_descent(ansatz, h: PauliSum, config, theta0, noise=None,
+                     rng=None, trajectories: int = 512):
+    """Gradient descent as it ran before each exact step read its energy off
+    the gradient sweep: one ``estimate_energy`` and then a separate
+    ``analytic_gradient`` per step, stopping at ``max_evals`` or after
+    CONVERGENCE_STREAK steps that each moved the energy by less than the
+    tolerance. Returns (trace, best_params, best_energy)."""
+    from hartree.vqe import CONVERGENCE_STREAK, analytic_gradient, estimate_energy
+
+    theta = np.array(theta0, dtype=float)
+    trace, best_params, best_energy = [], None, math.inf
+    while len(trace) < config.max_evals:
+        value = estimate_energy(ansatz, theta, h, noise=noise, rng=rng,
+                                trajectories=trajectories).mean
+        trace.append((value, len(trace) + 1))
+        if value < best_energy:
+            best_params, best_energy = theta.copy(), value
+        recent = [e for e, _ in trace[-(CONVERGENCE_STREAK + 1):]]
+        if len(recent) > CONVERGENCE_STREAK and all(
+                abs(b - a) < config.tolerance
+                for a, b in zip(recent, recent[1:])):
+            break
+        theta = theta - config.learning_rate * analytic_gradient(ansatz,
+                                                                 theta, h)
+    return trace, best_params, best_energy
+
+
 # ----------------------------------- second derivations, kept as oracles
 #
 # Results the package once derived a second way, next to the caller that

@@ -849,3 +849,73 @@ class TestCli:
         assert exit_code_for(ZeroOverlap("x")) == 3
         assert exit_code_for(DegenerateSubspace("x")) == 3
         assert exit_code_for(StageFailure("solve", SignInconsistent("x"))) == 3
+
+
+class TestMitigateTuning:
+    """``mitigate`` tunes its ansatz noiselessly before it mitigates, and
+    the document says how the tuning went."""
+
+    PEC = dict(fixture=H2_EQUILIBRIUM, method="mitigate", technique="pec",
+               ansatz="hardware-efficient", samples=1000, noise_p1=1e-3,
+               noise_p2=1e-3, seed=11)
+
+    def test_mitigate_defaults_to_capped_gradient_descent(self):
+        config = RunConfig(**self.PEC)
+        assert config.optimizer == pipeline.MITIGATE_TUNER
+        assert (config.optimizer.method, config.optimizer.max_evals) == (
+            "gradient-descent", 300)
+        assert RunConfig(fixture=H2_EQUILIBRIUM,
+                         method="vqe").optimizer == OptimizerConfig()
+
+    def test_cli_mitigate_reports_its_tuning(self, capsys):
+        assert main(["mitigate", "--fixture", H2_EQUILIBRIUM,
+                     "--seed", "1"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        optimizer = document["config"]["optimizer"]
+        assert (optimizer["method"], optimizer["max_evals"]) == (
+            "gradient-descent", 300)
+        assert document["result"]["tuning"] == {"evaluations": 18,
+                                                "converged": True}
+
+    def test_oracle_ground_is_the_exact_ground(self):
+        result = run_pipeline(RunConfig(**{**self.PEC, "technique": "linear",
+                                           "ansatz": "uccsd",
+                                           "seed": 2}))["result"]
+        assert abs(result["oracle_ground"] - H2_GROUND) < 1e-10
+        assert result["oracle"] >= result["oracle_ground"] - 1e-10
+
+    def test_cut_off_tuning_reports_not_converged(self):
+        cut = OptimizerConfig(method="gradient-descent", max_evals=5)
+        result = run_pipeline(RunConfig(**self.PEC,
+                                        optimizer=cut))["result"]
+        assert result["tuning"] == {"evaluations": 5, "converged": False}
+        assert result["oracle"] - result["oracle_ground"] > 0.1
+
+    def test_nelder_mead_reproduces_the_earlier_tuner_bit_for_bit(self):
+        # The numbers this job gave while Nelder-Mead at 2000 evaluations
+        # was mitigate's tuner.
+        result = run_pipeline(RunConfig(**self.PEC,
+                                        optimizer=OptimizerConfig()))["result"]
+        assert result["oracle"] == -0.48018843299320113
+        assert result["raw"] == {"mean": -0.4763795395678083,
+                                 "std_error": 0.002170076005982806,
+                                 "shots": 512}
+        assert result["mitigated"] == {"mean": -0.4888740941793619,
+                                       "std_error": 0.0029651102683832605,
+                                       "shots": 1000}
+        assert result["tuning"] == {"evaluations": 2000, "converged": False}
+
+    def test_oversized_ground_solve_refuses_before_tuning(self, monkeypatch,
+                                                          capsys):
+        def refused(*args, **kwargs):
+            raise TooLarge("the exact solve needs too many bytes")
+
+        def tuned(*args, **kwargs):
+            raise AssertionError("reached the tuning")
+
+        monkeypatch.setattr(pipeline, "exact_eigensolve", refused)
+        monkeypatch.setattr(pipeline, "optimize", tuned)
+        assert main(["mitigate", "--fixture", H2_EQUILIBRIUM,
+                     "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "too many bytes" in err and "tuning" not in err

@@ -11,11 +11,13 @@ from scipy.optimize import minimize_scalar
 from conftest import (
     dense_fourier_readout,
     expm_imaginary_time,
+    kron_string_matrix,
     matrix_gate_apply,
     per_gate_apply,
     per_gate_inverse,
     per_term_trotter_register,
     power_matrix_qpe,
+    random_pauli_string,
     random_state,
     same_bits,
     scatter_apply,
@@ -325,6 +327,23 @@ def test_exponential_matches_dense_exponential(rng):
         dense = scipy.linalg.expm(
             1j * phi * to_matrix(PauliSum({string: 1.0}), n))
         assert np.max(np.abs(got.amplitudes - dense @ psi)) < 1e-12
+
+
+def test_exponential_kernel_gathers_registers_and_blocks_alike(rng):
+    # The kernel gathers along the last axis, so a register and each row of
+    # a (rows, 2^n) block both get cos(phi) I + i sin(phi) P, bit for bit.
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        string = random_pauli_string(rng, n)
+        phi = float(rng.uniform(-3, 3))
+        kernel = simulator._exp_kernel(string, 1 << n)
+        dense = (math.cos(phi) * np.eye(1 << n)
+                 + 1j * math.sin(phi) * kron_string_matrix(string, n))
+        block = np.stack([random_state(rng, n) for _ in range(3)])
+        for psi, row in zip(block, kernel(block, phi)):
+            single = kernel(psi, phi)
+            assert same_bits(single, row)
+            assert np.max(np.abs(single - dense @ psi)) < 1e-12
 
 
 def test_single_excitation_exponential_reaches_h2_ground():

@@ -5,7 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import per_gate_apply, same_bits, stored_state_gradient
+from conftest import (
+    per_gate_apply,
+    same_bits,
+    stored_state_gradient,
+    two_call_descent,
+)
 from hartree.encoding import JW, PARITY, EncodingScheme, encode_operator, encode_state
 from hartree.fermion import (
     FermionSum,
@@ -16,8 +21,15 @@ from hartree.fermion import (
     uccsd_generators,
 )
 from hartree.io_cli import load_fixture
-from hartree.pauli import PauliString, PauliSum, TooLarge, canonicalize, to_matrix
-from hartree.reduction import sector_for, taper_two_qubits
+from hartree.pauli import (
+    NonHermitian,
+    PauliString,
+    PauliSum,
+    TooLarge,
+    canonicalize,
+    to_matrix,
+)
+from hartree.reduction import reduce_problem, sector_for, taper_two_qubits
 from hartree.simulator import (
     Circuit,
     CompiledCircuit,
@@ -25,6 +37,7 @@ from hartree.simulator import (
     NoiseModel,
     StateVector,
     make_rng,
+    split_rng,
 )
 from hartree.vqe import (
     GRADIENT_DESCENT,
@@ -628,6 +641,74 @@ class TestOptimizers:
         assert spread.shape == (12,)
         assert np.all(np.abs(spread) <= 0.01)
         assert np.any(spread != 0)
+
+
+def reduced_lih_uccsd() -> tuple[Ansatz, PauliSum]:
+    """UCCSD on the frozen-orbital LiH problem, as the CLI's --reduce builds
+    it, with its JW Hamiltonian."""
+    ints = reduce_problem(load_fixture("lih_sto3g_1.45")).integrals
+    scheme = EncodingScheme(JW, ints.m)
+    reference = hf_occupation(ints)
+    occupied = reference.occupied()
+    virtual = [p for p in range(ints.m) if p not in occupied]
+    ansatz = build_uccsd(uccsd_generators(ints.m, occupied, virtual),
+                         scheme, reference)
+    return ansatz, encode_operator(build_molecular_hamiltonian(ints), scheme)
+
+
+class TestFusedDescentStep:
+    """Exact-mode descent reads each step's energy off the gradient sweep."""
+
+    @pytest.fixture(scope="class")
+    def problems(self, h2, h2_uccsd):
+        h = h2[3]
+        efficient = build_hardware_efficient(4, 1)
+        lih, lih_h = reduced_lih_uccsd()
+        return {"uccsd-h2": (h2_uccsd, h, np.zeros(3)),
+                "hardware-efficient-h2": (
+                    efficient, h, initial_parameters(efficient, seed=5)),
+                "uccsd-reduced-lih": (lih, lih_h, np.zeros(lih.n_params))}
+
+    @pytest.mark.parametrize("name", ["uccsd-h2", "hardware-efficient-h2",
+                                      "uccsd-reduced-lih"])
+    def test_descent_matches_the_two_call_loop_bit_for_bit(self, problems,
+                                                           name):
+        ansatz, h, theta0 = problems[name]
+        config = OptimizerConfig(method=GRADIENT_DESCENT, max_evals=300)
+        result = optimize(ansatz, h, config, initial=theta0)
+        trace, best_params, best_energy = two_call_descent(ansatz, h, config,
+                                                           theta0)
+        assert result.trace == trace
+        assert same_bits(result.best_params, best_params)
+        assert result.best_energy == best_energy
+
+    def test_noisy_descent_keeps_the_two_call_loop(self, h2, h2_uccsd):
+        h, noise = h2[3], NoiseModel(0.01, 0.01)
+        config = OptimizerConfig(method=GRADIENT_DESCENT, max_evals=4)
+        result = optimize(h2_uccsd, h, config, noise=noise, rng=make_rng(7),
+                          initial=np.zeros(3), trajectories=8)
+        stream = split_rng(make_rng(7), 3)[1]
+        trace, best_params, best_energy = two_call_descent(
+            h2_uccsd, h, config, np.zeros(3), noise=noise, rng=stream,
+            trajectories=8)
+        assert result.trace == trace
+        assert same_bits(result.best_params, best_params)
+        assert result.best_energy == best_energy
+
+    @pytest.mark.parametrize("name", ["uccsd-h2", "hardware-efficient-h2",
+                                      "uccsd-reduced-lih"])
+    def test_sweep_energy_is_the_estimate_bit_for_bit(self, problems, name):
+        ansatz, h, theta0 = problems[name]
+        theta = theta0 + make_rng(3).uniform(-0.5, 0.5, size=theta0.shape)
+        energy, gradient = analytic_gradient(ansatz, theta, h,
+                                             with_energy=True)
+        assert energy == estimate_energy(ansatz, theta, h).mean
+        assert same_bits(gradient, analytic_gradient(ansatz, theta, h))
+
+    def test_sweep_energy_keeps_the_hermiticity_check(self, h2_uccsd):
+        skew = PauliSum.from_text({"Z0": 1.0, "X1": 0.5j})
+        with pytest.raises(NonHermitian):
+            analytic_gradient(h2_uccsd, np.zeros(3), skew, with_energy=True)
 
 
 class TestEstimateEnergy:
