@@ -19,7 +19,6 @@ with the expected eigenvalue, and averages the retained trajectories.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -34,8 +33,9 @@ from .simulator import (
     ShotEstimate,
     StateVector,
     compile_circuit,
+    kick_lists,
     noisy_states,
-    sample_expectation,
+    sample_means,
     split_rng,
 )
 
@@ -118,15 +118,16 @@ def noisy_expectation(circuit: Circuit, theta: Sequence[float] | None,
                       trajectories: int = DEFAULT_TRAJECTORIES,
                       shots: int | None = None) -> ShotEstimate:
     """Trajectory-averaged expectation with its empirical standard error;
-    ``shots`` samples each trajectory's terms on its own stream instead."""
-    streams = split_rng(rng, trajectories)
+    ``shots`` samples each trajectory's terms instead. Trajectories, then
+    shots, draw from ``rng``: the shots of trajectories that share a final
+    state are drawn as one block per term."""
     means = np.empty(trajectories)
-    for members, psi in noisy_states(circuit, theta, noise, streams):
+    for members, psi in noisy_states(circuit, theta, noise, rng,
+                                     trajectories):
         if shots is None:
             means[members] = psi.expectation(h)
         else:
-            for k in members:
-                means[k] = sample_expectation(psi, h, shots, streams[k]).mean
+            means[members] = sample_means(psi, h, shots, rng, len(members))
     return _mean_estimate(means, shots=shots)
 
 
@@ -244,12 +245,69 @@ def decomposition_for_noise(noise: NoiseModel, arities: Sequence[int]
             for arity in set(arities)}
 
 
-def _choice_cdf(probabilities: np.ndarray) -> list[float]:
+def _choice_cdf(probabilities: np.ndarray) -> np.ndarray:
     """The table Generator.choice(n, p=probabilities) inverts one random()
-    against: bisect_right(cdf, stream.random()) is its draw, stream and all."""
+    against: searchsorted(cdf, u, side="right") is its draw, as
+    bisect_right(cdf, u) would be."""
     cdf = probabilities.cumsum()
     cdf /= cdf[-1]
-    return cdf.tolist()
+    return cdf
+
+
+def _pec_kicks(supports: Sequence[tuple[int, ...]], noise: NoiseModel,
+              decompositions: dict[int, QuasiProbDecomposition],
+              rng: np.random.Generator, samples: int
+              ) -> tuple[list[Sequence[tuple[int, PauliString]]], np.ndarray]:
+    """Every sample's kicks, in circuit order, and its insertion parity.
+
+    Per sample, every gate with support is followed by its per-qubit noise
+    kicks and then one insertion drawn from its arity's decomposition. The
+    draws come from ``rng`` as three blocks: a (samples, q) block of noise
+    uniforms, one per support qubit of each noisy gate in circuit order, hit
+    below the gate's rate; one ``integers(3)`` call for the X, Y or Z letter
+    of every hit in row-major order; and a (samples, gates) block of
+    insertion uniforms, one per gate with support, each inverted against its
+    arity's cumulative table.
+    """
+    gates = [(index, support)
+             for index, support in enumerate(supports) if support]
+    noisy = [(index, q, rate) for index, support in gates
+             if (rate := noise.rate_for(len(support))) > 0.0 for q in support]
+    noise_rows, noise_columns = np.nonzero(
+        rng.random((samples, len(noisy))) < np.array([r for *_, r in noisy]))
+    letters = rng.integers(3, size=len(noise_columns))
+    uniforms = rng.random((samples, len(gates)))
+
+    choices = np.empty((samples, len(gates)), dtype=np.intp)
+    parities = np.ones(samples)
+    for arity, decomposition in decompositions.items():
+        columns = [g for g, (_, support) in enumerate(gates)
+                   if len(support) == arity]
+        cdf = _choice_cdf(np.array([prob for _, prob, _ in
+                                    decomposition.entries]))
+        choices[:, columns] = np.searchsorted(cdf, uniforms[:, columns],
+                                              side="right")
+        signs = np.array([parity for _, _, parity in decomposition.entries])
+        parities *= signs[choices[:, columns]].prod(axis=1)
+    # pec_decompose_depolarizing lists the identity, which kicks nothing,
+    # as entry 0.
+    insertion_rows, insertion_columns = np.nonzero(choices)
+
+    events = [(noisy[c][0], PauliString.single(_LETTERS[1 + letter],
+                                               noisy[c][1]))
+              for c, letter in zip(noise_columns.tolist(), letters.tolist())]
+    for g, choice in zip(insertion_columns.tolist(),
+                         choices[insertion_rows, insertion_columns].tolist()):
+        index, support = gates[g]
+        label = decompositions[len(support)].entries[choice][0]
+        events.append((index, _insertion_string(label, support)))
+    # A stable sort by (sample, gate) keeps each gate's noise kicks, listed
+    # first and in support order, ahead of its insertion.
+    rows = np.concatenate([noise_rows, insertion_rows])
+    gate_of = np.array([index for index, _ in events], dtype=np.intp)
+    order = np.argsort(rows * len(supports) + gate_of, kind="stable")
+    return kick_lists(rows[order].tolist(), [events[at] for at in order],
+                      samples), parities
 
 
 def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
@@ -259,7 +317,8 @@ def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
     """Quasi-probability cancellation of per-qubit depolarizing noise.
 
     Per sample, every gate is followed by the noise draw and one insertion
-    drawn from its arity's inverse channel, derived from ``noise``; the
+    drawn from its arity's inverse channel, derived from ``noise``
+    (``_pec_kicks`` draws them all from ``rng`` in three blocks); the
     recorded value is the exact observable expectation times the product of
     insertion parities. The mitigated mean is gamma_total times the sample
     mean, and the standard error inherits the same factor. Returns the
@@ -268,36 +327,11 @@ def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
     if samples < 1:
         raise ValueError("need at least one sample")
     compiled = compile_circuit(circuit)
-    supports = compiled.supports
-    decompositions = decomposition_for_noise(
-        noise, [len(support) for support in supports if support])
-    gamma_total = math.prod(decompositions[len(support)].gamma
-                            for support in supports if support)
-    cdfs = {a: _choice_cdf(np.array([prob for _, prob, _ in d.entries]))
-            for a, d in decompositions.items()}
-    insertions = {index: [_insertion_string(letters, support) for letters, _, _
-                          in decompositions[len(support)].entries]
-                  for index, support in enumerate(supports) if support}
-
-    def draw(stream: np.random.Generator):
-        kicks, parity = [], 1
-        for index, support in enumerate(supports):
-            arity = len(support)
-            if arity == 0:
-                continue
-            rate = noise.rate_for(arity)
-            for q in support:
-                if rate > 0.0 and stream.random() < rate:
-                    letter = _LETTERS[1 + stream.integers(3)]
-                    kicks.append((index, PauliString.single(letter, q)))
-            choice = bisect_right(cdfs[arity], stream.random())
-            if not insertions[index][choice].is_identity:
-                kicks.append((index, insertions[index][choice]))
-            parity *= decompositions[arity].entries[choice][2]
-        return kicks, parity
-
-    kicks, parities = zip(*map(draw, split_rng(rng, samples)))
-    values = np.array(parities, dtype=float)
+    arities = [len(support) for support in compiled.supports if support]
+    decompositions = decomposition_for_noise(noise, arities)
+    gamma_total = math.prod(decompositions[arity].gamma for arity in arities)
+    kicks, values = _pec_kicks(compiled.supports, noise, decompositions, rng,
+                              samples)
     for members, psi in compiled.trajectories(theta, kicks):
         values[members] *= psi.expectation(observable)
     return _mean_estimate(values, gamma_total), decompositions
@@ -350,6 +384,10 @@ def stabiliser_postselect(circuit: Circuit, theta: Sequence[float] | None,
     k's qubits, and one readout is drawn with the weight of its block of
     amplitudes. Matching shots contribute their exact observable
     expectation; the retained fraction reports the sampling cost.
+
+    All shots draw from ``rng``: first every trajectory's errors as one
+    block (``noisy_states``), then, per group of shots that share a final
+    state, their readouts as one ``rng.choice`` block.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -365,17 +403,17 @@ def stabiliser_postselect(circuit: Circuit, theta: Sequence[float] | None,
     for k, check in enumerate(checks):
         parity = sum(basis >> q & 1 for q in check.parity_qubits) & 1
         readout |= parity << k
-    streams = split_rng(rng, shots)
     values = np.empty(shots)
     accepted = np.zeros(shots, dtype=bool)
-    for members, psi in noisy_states(circuit, theta, noise, streams):
+    for members, psi in noisy_states(circuit, theta, noise, rng, shots):
         blocks = np.zeros((1 << len(checks), 1 << n), dtype=complex)
         blocks[readout, basis] = psi.amplitudes
         weights = np.sum(np.abs(blocks) ** 2, axis=1)
         probabilities = weights / weights.sum()
-        passed = [k for k in members if target ==
-                  streams[k].choice(1 << len(checks), p=probabilities)]
-        if passed:
+        readouts = rng.choice(1 << len(checks), size=len(members),
+                              p=probabilities)
+        passed = np.array(members)[readouts == target]
+        if passed.size:
             collapsed = blocks[target] / math.sqrt(weights[target])
             values[passed] = StateVector(collapsed, n).expectation(h)
             accepted[passed] = True

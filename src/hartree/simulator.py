@@ -70,7 +70,9 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
 
 
 def split_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Independent child streams; trajectories drawn from them are parallel-safe."""
+    """Independent child streams, one per stage or estimate that may run on
+    its own; the trajectories, shots or samples of one estimate share its
+    stream and draw their randomness from it in blocks."""
     return rng.spawn(count)
 
 
@@ -480,6 +482,22 @@ class ShotEstimate:
             raise ValueError("standard error cannot be negative")
 
 
+def _term_probabilities(psi: StateVector, h: PauliSum, shots_per_term: int
+                        ) -> Iterator[tuple[float, float | None]]:
+    """(weight, P(+1)) per term of h in term order, None for the identity."""
+    if shots_per_term < 1:
+        raise ValueError("shots_per_term must be at least 1")
+    if not h.is_hermitian():
+        raise NonHermitian("sampling requires a Hermitian sum")
+    amps = psi.amplitudes
+    for string, coeff in h.items():
+        if string.is_identity:
+            yield coeff.real, None
+        else:
+            exact = np.vdot(amps, string.apply(amps)).real
+            yield coeff.real, min(max((1.0 + exact) / 2.0, 0.0), 1.0)
+
+
 def sample_expectation(psi: StateVector, h: PauliSum, shots_per_term: int,
                        rng: np.random.Generator) -> ShotEstimate:
     """Per-term projective measurement statistics combined linearly.
@@ -488,20 +506,12 @@ def sample_expectation(psi: StateVector, h: PauliSum, shots_per_term: int,
     sample maps to an eigenvalue +-1 with P(+1) = (1 + <P>)/2, so the counts
     are drawn from the exactly equivalent binomial law.
     """
-    if shots_per_term < 1:
-        raise ValueError("shots_per_term must be at least 1")
-    if not h.is_hermitian():
-        raise NonHermitian("sampling requires a Hermitian sum")
-    amps = psi.amplitudes
     mean = 0.0
     variance = 0.0
-    for string, coeff in h.items():
-        weight = coeff.real
-        if string.is_identity:
+    for weight, p_plus in _term_probabilities(psi, h, shots_per_term):
+        if p_plus is None:
             mean += weight
             continue
-        exact = np.vdot(amps, string.apply(amps)).real
-        p_plus = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
         ups = int(rng.binomial(shots_per_term, p_plus))
         term_mean = 2.0 * ups / shots_per_term - 1.0
         mean += weight * term_mean
@@ -510,6 +520,24 @@ def sample_expectation(psi: StateVector, h: PauliSum, shots_per_term: int,
                           * shots_per_term / (shots_per_term - 1))
             variance += weight ** 2 * sample_var / shots_per_term
     return ShotEstimate(mean, math.sqrt(variance), shots_per_term)
+
+
+def sample_means(psi: StateVector, h: PauliSum, shots_per_term: int,
+                 rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` independent ``sample_expectation`` means on one state.
+
+    Each term draws its counts for all ``count`` runs as one binomial block,
+    and the means are accumulated in term order, so run k's mean equals
+    ``sample_expectation``'s mean for run k's counts bit for bit.
+    """
+    means = np.zeros(count)
+    for weight, p_plus in _term_probabilities(psi, h, shots_per_term):
+        if p_plus is None:
+            means += weight
+            continue
+        ups = rng.binomial(shots_per_term, p_plus, size=count)
+        means += weight * (2.0 * ups / shots_per_term - 1.0)
+    return means
 
 
 # ----------------------------------------------------------------------- noise
@@ -547,23 +575,55 @@ def _error_string(support: tuple[int, ...], code: int) -> PauliString:
     return PauliString(x, z)
 
 
+def depolarizing_kicks(supports: Sequence[tuple[int, ...]], noise: NoiseModel,
+                       rng: np.random.Generator, count: int
+                       ) -> list[Sequence[tuple[int, PauliString]]]:
+    """Kicks of ``count`` depolarized trajectories, in circuit order.
+
+    One ``rng.random((count, G))`` block holds every trajectory's uniform for
+    each of the G noisy gates, in circuit order; a uniform below its gate's
+    rate is a hit. One ``rng.integers(1, 4^k)`` call then draws every hit's
+    code among the 4^k - 1 non-identity Paulis on the gate's k support
+    qubits, in row-major order of the hits. Error-free trajectories share
+    one empty kick list.
+    """
+    noisy = [(index, support, rate) for index, support in enumerate(supports)
+             if (rate := noise.rate_for(len(support))) > 0]
+    rates = np.array([rate for *_, rate in noisy])
+    highs = np.array([4 ** len(support) for _, support, _ in noisy],
+                     dtype=np.int64)
+    rows, columns = np.nonzero(rng.random((count, len(noisy))) < rates)
+    codes = rng.integers(1, highs[columns])
+    events = [(noisy[column][0], _error_string(noisy[column][1], code))
+              for column, code in zip(columns.tolist(), codes.tolist())]
+    return kick_lists(rows.tolist(), events, count)
+
+
+def kick_lists(rows: Sequence[int], events: Sequence[tuple[int, PauliString]],
+               count: int) -> list[Sequence[tuple[int, PauliString]]]:
+    """One kick list per trajectory from events sorted by trajectory (row),
+    each row's in circuit order; rows without events share one empty tuple."""
+    kicks: list[Sequence[tuple[int, PauliString]]] = [()] * count
+    for row, event in zip(rows, events):
+        if not kicks[row]:
+            kicks[row] = []
+        kicks[row].append(event)
+    return kicks
+
+
 def noisy_states(circuit: Circuit, theta: Sequence[float] | None,
-                 noise: NoiseModel, streams: Sequence[np.random.Generator],
+                 noise: NoiseModel, rng: np.random.Generator, count: int,
                  psi0: StateVector | None = None
                  ) -> Iterator[tuple[list[int], StateVector]]:
-    """Depolarized trajectories, one per stream, with normalized final states.
+    """``count`` depolarized trajectories drawn from one stream, as
+    (trajectory indices, normalized final state) per distinct final state.
 
-    Per noisy gate a stream draws a uniform number and, on a hit, one of the
-    4^k - 1 non-identity Paulis on the gate's k support qubits.
+    Every trajectory's errors are drawn as one block before any state is
+    evolved (``depolarizing_kicks``); the error-free ones share one
+    noiseless run.
     """
     compiled = compile_circuit(circuit, None if psi0 is None else psi0.n)
-    noisy = [(index, support, rate)
-             for index, support in enumerate(compiled.supports)
-             if (rate := noise.rate_for(len(support))) > 0]
-    kicks = [[(index, _error_string(support,
-                                    int(rng.integers(1, 4 ** len(support)))))
-              for index, support, rate in noisy if rng.random() < rate]
-             for rng in streams]
+    kicks = depolarizing_kicks(compiled.supports, noise, rng, count)
     for members, psi in compiled.trajectories(theta, kicks, psi0):
         yield members, psi.renormalized()
 
@@ -572,7 +632,7 @@ def run_noisy_trajectory(circuit: Circuit, theta: Sequence[float] | None,
                          noise: NoiseModel, rng: np.random.Generator,
                          psi0: StateVector | None = None) -> StateVector:
     """One stochastic-unravelling sample of the depolarized circuit."""
-    ((_, psi),) = noisy_states(circuit, theta, noise, [rng], psi0)
+    ((_, psi),) = noisy_states(circuit, theta, noise, rng, 1, psi0)
     return psi
 
 

@@ -342,13 +342,14 @@ def tree_encode_mask(occupation_mask: int, m: int) -> int:
 
 def fan_postselect(circuit, theta, h, checks, noise, shots, rng):
     """Post-selection extracting every check's parity onto its own ancilla
-    through a CNOT fan; returns (mean, std_error, kept, retained fraction)."""
+    through a CNOT fan; returns (mean, std_error, kept, retained fraction).
+    It draws from ``rng`` as ``stabiliser_postselect`` does: the shots'
+    trajectories as one block, then one readout block per final state."""
     from hartree.simulator import (
         Circuit,
         StateVector,
         compile_circuit,
         noisy_states,
-        split_rng,
     )
 
     n, ancillas = circuit.n_qubits, len(checks)
@@ -359,17 +360,18 @@ def fan_postselect(circuit, theta, h, checks, noise, shots, rng):
         for q in check.parity_qubits:
             fan.cnot(q, n + k)
     fan = compile_circuit(fan)
-    streams = split_rng(rng, shots)
     values = np.empty(shots)
     accepted = np.zeros(shots, dtype=bool)
-    for members, psi in noisy_states(circuit, theta, noise, streams):
+    for members, psi in noisy_states(circuit, theta, noise, rng, shots):
         joint = np.zeros((1 << ancillas) * dim_s, dtype=complex)
         joint[:dim_s] = psi.amplitudes
         blocks = fan.run(None, joint).reshape(1 << ancillas, dim_s)
         weights = np.sum(np.abs(blocks) ** 2, axis=1)
         probabilities = weights / weights.sum()
-        passed = [k for k in members if target ==
-                  streams[k].choice(1 << ancillas, p=probabilities)]
+        readouts = rng.choice(1 << ancillas, size=len(members),
+                              p=probabilities)
+        passed = [k for k, readout in zip(members, readouts)
+                  if readout == target]
         if passed:
             collapsed = blocks[target] / math.sqrt(weights[target])
             values[passed] = StateVector(collapsed, n).expectation(h)
@@ -378,6 +380,121 @@ def fan_postselect(circuit, theta, h, checks, noise, shots, rng):
     spread = float(kept.std(ddof=1)) if len(kept) > 1 else 0.0
     return (float(kept.mean()), spread / math.sqrt(len(kept)), len(kept),
             len(kept) / shots)
+
+
+# ------------------------------------ per-gate draw loops, fed by replays
+#
+# The noisy samplers draw every trajectory's randomness as blocks from one
+# stream. The loops below draw one value at a time, as each gate runs; a
+# ReplayStream hands them one row of those blocks, so both must give the
+# same kicks and the same states bit for bit.
+
+
+class ReplayStream:
+    """Stands in for a Generator: random() and integers() return the given
+    uniforms and integers in turn, whatever their arguments."""
+
+    def __init__(self, uniforms, integers):
+        self.uniforms, self.integer_values = list(uniforms), list(integers)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+    def integers(self, *args):
+        return self.integer_values.pop(0)
+
+    @property
+    def exhausted(self) -> bool:
+        return not self.uniforms and not self.integer_values
+
+
+def per_gate_trajectory(circuit, theta, noise, rng, psi0=None):
+    """Evolve gate by gate, drawing each gate's error as it runs; returns
+    the kicks, in circuit order, and the normalized final state."""
+    from hartree.simulator import StateVector, apply_gate
+
+    psi = StateVector.zero(circuit.n_qubits) if psi0 is None else psi0.copy()
+    kicks = []
+    for index, gate in enumerate(circuit.gates):
+        psi = apply_gate(psi, gate, theta)
+        support = gate.support()
+        rate = noise.rate_for(len(support))
+        if rate > 0.0 and rng.random() < rate:
+            code = int(rng.integers(1, 4 ** len(support)))
+            x = z = 0
+            for q in support:
+                digit, code = code & 3, code >> 2
+                x |= (digit in (1, 3)) << q
+                z |= (digit in (2, 3)) << q
+            kicks.append((index, PauliString(x, z)))
+            psi = StateVector(PauliString(x, z).apply(psi.amplitudes), psi.n)
+    return kicks, psi.renormalized()
+
+
+def trajectory_replays(circuit, noise, rng, count):
+    """One ReplayStream per trajectory: row k of the (count, noisy gates)
+    uniform block, and row k's hit codes, drawn in row-major order."""
+    noisy = [gate.support() for gate in circuit.gates
+             if noise.rate_for(len(gate.support())) > 0.0]
+    rates = np.array([noise.rate_for(len(support)) for support in noisy])
+    highs = np.array([4 ** len(support) for support in noisy], dtype=np.int64)
+    uniforms = rng.random((count, len(rates)))
+    hits = uniforms < rates
+    codes = rng.integers(1, highs[np.nonzero(hits)[1]])
+    per_row = np.split(codes, np.cumsum(hits.sum(axis=1))[:-1])
+    return [ReplayStream(row.tolist(), [int(c) for c in row_codes])
+            for row, row_codes in zip(uniforms, per_row)]
+
+
+def per_gate_pec_draw(supports, noise, decompositions, stream):
+    """One sample's PEC kicks and parity, drawn gate by gate: each support
+    qubit's noise, then the gate's insertion by bisect on its CDF."""
+    from bisect import bisect_right
+
+    from hartree.mitigation import _LETTERS, _choice_cdf, _insertion_string
+
+    kicks, parity = [], 1
+    for index, support in enumerate(supports):
+        arity = len(support)
+        if arity == 0:
+            continue
+        entries = decompositions[arity].entries
+        cdf = _choice_cdf(np.array([prob for _, prob, _ in entries])).tolist()
+        rate = noise.rate_for(arity)
+        for q in support:
+            if rate > 0.0 and stream.random() < rate:
+                letter = _LETTERS[1 + stream.integers(3)]
+                kicks.append((index, PauliString.single(letter, q)))
+        choice = bisect_right(cdf, stream.random())
+        insertion = _insertion_string(entries[choice][0], support)
+        if not insertion.is_identity:
+            kicks.append((index, insertion))
+        parity *= entries[choice][2]
+    return kicks, parity
+
+
+def pec_replays(supports, noise, rng, samples):
+    """One ReplayStream per PEC sample: its noise uniforms and insertion
+    uniform interleaved in the order the per-gate draw reads them, and its
+    hits' letters, from the three blocks ``_pec_kicks`` draws."""
+    gates = [support for support in supports if support]
+    noisy = [(g, q) for g, support in enumerate(gates)
+             if noise.rate_for(len(support)) > 0.0 for q in support]
+    rates = np.array([noise.rate_for(len(gates[g])) for g, _ in noisy])
+    noise_uniforms = rng.random((samples, len(noisy)))
+    hits = noise_uniforms < rates
+    letters = rng.integers(3, size=int(hits.sum()))
+    insertion_uniforms = rng.random((samples, len(gates)))
+    per_row = np.split(letters, np.cumsum(hits.sum(axis=1))[:-1])
+    replays = []
+    for k in range(samples):
+        uniforms = []
+        for g in range(len(gates)):
+            uniforms += [float(noise_uniforms[k, c])
+                         for c, (owner, _) in enumerate(noisy) if owner == g]
+            uniforms.append(float(insertion_uniforms[k, g]))
+        replays.append(ReplayStream(uniforms, [int(c) for c in per_row[k]]))
+    return replays
 
 
 def per_term_trotter_register(psi, h: PauliSum, n_ancilla: int, steps: int,
@@ -562,17 +679,10 @@ def series_extrapolate_exponential(series):
 def pec_with_decompositions(circuit, theta, observable, noise, decompositions,
                             samples, rng):
     """Cancellation with caller-supplied decompositions, checked against the
-    noise model; returns the ShotEstimate."""
-    from bisect import bisect_right
-
-    from hartree.mitigation import (
-        _LETTERS,
-        MATCH_TOLERANCE,
-        _choice_cdf,
-        _insertion_string,
-        _mean_estimate,
-    )
-    from hartree.simulator import compile_circuit, split_rng
+    noise model and drawn sample by sample through ``per_gate_pec_draw`` on
+    ``pec_replays`` of ``rng``; returns the ShotEstimate."""
+    from hartree.mitigation import MATCH_TOLERANCE, _mean_estimate
+    from hartree.simulator import compile_circuit
 
     compiled = compile_circuit(circuit)
     supports = compiled.supports
@@ -583,30 +693,9 @@ def pec_with_decompositions(circuit, theta, observable, noise, decompositions,
         expected = 4.0 * noise.rate_for(arity) / 3.0
         assert abs(decompositions[arity].p - expected) <= MATCH_TOLERANCE
         gamma_total *= decompositions[arity].gamma
-    cdfs = {a: _choice_cdf(np.array([prob for _, prob, _ in d.entries]))
-            for a, d in decompositions.items()}
-    insertions = {index: [_insertion_string(letters, support) for letters, _, _
-                          in decompositions[len(support)].entries]
-                  for index, support in enumerate(supports) if support}
-
-    def draw(stream):
-        kicks, parity = [], 1
-        for index, support in enumerate(supports):
-            arity = len(support)
-            if arity == 0:
-                continue
-            rate = noise.rate_for(arity)
-            for q in support:
-                if rate > 0.0 and stream.random() < rate:
-                    letter = _LETTERS[1 + stream.integers(3)]
-                    kicks.append((index, PauliString.single(letter, q)))
-            choice = bisect_right(cdfs[arity], stream.random())
-            if not insertions[index][choice].is_identity:
-                kicks.append((index, insertions[index][choice]))
-            parity *= decompositions[arity].entries[choice][2]
-        return kicks, parity
-
-    kicks, parities = zip(*map(draw, split_rng(rng, samples)))
+    kicks, parities = zip(*(
+        per_gate_pec_draw(supports, noise, decompositions, stream)
+        for stream in pec_replays(supports, noise, rng, samples)))
     values = np.array(parities, dtype=float)
     for members, psi in compiled.trajectories(theta, kicks):
         values[members] *= psi.expectation(observable)

@@ -893,15 +893,17 @@ class TestMitigateTuning:
 
     def test_nelder_mead_reproduces_the_earlier_tuner_bit_for_bit(self):
         # The numbers this job gave while Nelder-Mead at 2000 evaluations
-        # was mitigate's tuner.
+        # was mitigate's tuner. The noiseless oracle and tuning keep those
+        # bits; raw and mitigated are this tuned state's estimates under
+        # one random stream per estimate.
         result = run_pipeline(RunConfig(**self.PEC,
                                         optimizer=OptimizerConfig()))["result"]
         assert result["oracle"] == -0.48018843299320113
-        assert result["raw"] == {"mean": -0.4763795395678083,
-                                 "std_error": 0.002170076005982806,
+        assert result["raw"] == {"mean": -0.47831121601679716,
+                                 "std_error": 0.0018966290340987097,
                                  "shots": 512}
-        assert result["mitigated"] == {"mean": -0.4888740941793619,
-                                       "std_error": 0.0029651102683832605,
+        assert result["mitigated"] == {"mean": -0.4827764003580498,
+                                       "std_error": 0.003988175805583651,
                                        "shots": 1000}
         assert result["tuning"] == {"evaluations": 2000, "converged": False}
 

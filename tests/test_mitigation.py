@@ -9,7 +9,9 @@ import pytest
 from conftest import (
     fan_postselect,
     letter_product_coefficients,
+    pec_replays,
     pec_with_decompositions,
+    per_gate_pec_draw,
     same_bits,
     series_extrapolate_exponential,
     series_extrapolate_linear,
@@ -32,6 +34,8 @@ from hartree.mitigation import (
     SignInconsistent,
     StabiliserCheck,
     _choice_cdf,
+    _mean_estimate,
+    _pec_kicks,
     decomposition_for_noise,
     extrapolate_exponential,
     extrapolate_linear,
@@ -48,9 +52,12 @@ from hartree.simulator import (
     Circuit,
     NoiseModel,
     ShotEstimate,
+    compile_circuit,
     density_matrix_reference,
     expectation_from_density,
     make_rng,
+    run_circuit,
+    sample_means,
 )
 from hartree.vqe import OptimizerConfig, build_uccsd, optimize
 
@@ -112,6 +119,16 @@ class TestSeries:
         assert est.mean == pytest.approx(0.5, abs=1e-12)
         assert est.std_error == 0.0
         assert est.shots == 8
+
+    def test_noiseless_shots_share_one_binomial_block(self):
+        circuit = Circuit(1).rx(0, angle=0.9)
+        h = PauliSum.from_text({"Z0": 1.0, "X0": -0.5, "I": 0.25}, 1)
+        est = noisy_expectation(circuit, None, h, NoiseModel(), make_rng(3),
+                                trajectories=50, shots=40)
+        means = sample_means(run_circuit(circuit).renormalized(), h, 40,
+                             make_rng(3), 50)
+        assert est == _mean_estimate(means, shots=40)
+        assert est.shots == 40
 
     def test_series_builder_records_requested_scales(self, h2_vqe):
         _, h, ansatz, _, theta, _ = h2_vqe
@@ -367,6 +384,12 @@ class TestPecDecomposition:
             [1 if c >= 0 else -1 for c in coefficients]
 
 
+def pec_circuit(arity: int) -> Circuit:
+    if arity == 1:
+        return Circuit(1).rx(0, angle=np.pi / 3).ry(0, angle=0.4)
+    return Circuit(2).ry(0, angle=0.7).cnot(0, 1).rx(1, angle=-0.3).cz(0, 1)
+
+
 class TestPecEstimate:
     def test_noiseless_trivial_decomposition(self):
         circuit = Circuit(1).rx(0, angle=np.pi / 3)
@@ -404,13 +427,9 @@ class TestPecEstimate:
     @pytest.mark.parametrize("arity", [1, 2])
     def test_matches_caller_built_decompositions_bit_for_bit(self, arity,
                                                              seed):
-        if arity == 1:
-            circuit = Circuit(1).rx(0, angle=np.pi / 3).ry(0, angle=0.4)
-            z = PauliSum.from_text({"Z0": 1.0}, 1)
-        else:
-            circuit = Circuit(2).ry(0, angle=0.7).cnot(0, 1) \
-                .rx(1, angle=-0.3).cz(0, 1)
-            z = PauliSum.from_text({"Z0 Z1": 1.0, "X1": 0.5}, 2)
+        circuit = pec_circuit(arity)
+        z = PauliSum.from_text({"Z0": 1.0}, 1) if arity == 1 else \
+            PauliSum.from_text({"Z0 Z1": 1.0, "X1": 0.5}, 2)
         noise = NoiseModel(p1=0.02, p2=0.03)
         est, decompositions = pec_estimate(circuit, None, z, noise, 500,
                                            make_rng(seed))
@@ -422,6 +441,30 @@ class TestPecEstimate:
         assert same_bits(np.array([est.mean, est.std_error]),
                          np.array([oracle.mean, oracle.std_error]))
         assert est.shots == oracle.shots
+
+    @pytest.mark.parametrize("rates", [(0.02, 0.03), (0.2, 0.3), (0.05, 0.0),
+                                       (0.0, 0.05)])
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_block_draws_match_the_per_gate_draw_bit_for_bit(self, arity,
+                                                             rates):
+        circuit = pec_circuit(arity)
+        noise = NoiseModel(*rates)
+        supports = compile_circuit(circuit).supports
+        decompositions = decomposition_for_noise(
+            noise, [len(support) for support in supports])
+        for seed in (1, 2, 3):
+            stream, reference = make_rng(seed), make_rng(seed)
+            kicks, parities = _pec_kicks(supports, noise, decompositions,
+                                        stream, 300)
+            replays = pec_replays(supports, noise, reference, 300)
+            for k, replay in enumerate(replays):
+                expected_kicks, parity = per_gate_pec_draw(
+                    supports, noise, decompositions, replay)
+                assert replay.exhausted
+                assert list(kicks[k]) == expected_kicks
+                assert parities[k] == parity
+            assert stream.bit_generator.state == \
+                reference.bit_generator.state
 
     def test_rejects_three_qubit_gates(self):
         circuit = Circuit(3).exp(PauliString.from_text("X0 X1 X2"), angle=0.2)

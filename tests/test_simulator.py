@@ -15,12 +15,14 @@ from conftest import (
     matrix_gate_apply,
     per_gate_apply,
     per_gate_inverse,
+    per_gate_trajectory,
     per_term_trotter_register,
     power_matrix_qpe,
     random_pauli_string,
     random_state,
     same_bits,
     scatter_apply,
+    trajectory_replays,
 )
 from hartree import simulator
 from hartree.encoding import JW, PARITY, EncodingScheme, encode_operator
@@ -53,6 +55,7 @@ from hartree.simulator import (
     compile_circuit,
     default_window,
     density_matrix_reference,
+    depolarizing_kicks,
     expectation_from_density,
     gate_unitary,
     imaginary_time_evolve,
@@ -64,6 +67,7 @@ from hartree.simulator import (
     run_circuit,
     run_noisy_trajectory,
     sample_expectation,
+    sample_means,
     split_rng,
     trotter_evolve,
 )
@@ -540,6 +544,38 @@ def test_sampling_validation():
         sample_expectation(psi, PauliSum.from_text({"Z0": 1j}), 10, make_rng(0))
 
 
+@pytest.mark.parametrize("shots", [1, 7, 300])
+def test_sample_means_match_sample_expectation_on_the_same_counts(shots):
+    # Replay each run's counts into sample_expectation: run k's mean must
+    # be its mean bit for bit, and the stream must end where it would.
+    psi = StateVector(random_state(make_rng(5), 3), 3)
+    h = PauliSum.from_text({"I": -0.4, "Z0": 0.7, "X1 Y2": 0.3,
+                            "Z0 Z1 Z2": -1.1, "Y0": 0.05})
+    stream, reference = make_rng(11), make_rng(11)
+    means = sample_means(psi, h, shots, stream, 25)
+    terms = [string for string in h.strings() if not string.is_identity]
+    assert means.shape == (25,)
+    blocks = []
+    for string in terms:
+        exact = np.vdot(psi.amplitudes, string.apply(psi.amplitudes)).real
+        p_plus = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
+        blocks.append(reference.binomial(shots, p_plus, size=25))
+    assert stream.bit_generator.state == reference.bit_generator.state
+
+    class Counts:
+        def __init__(self, column):
+            self.column = list(column)
+
+        def binomial(self, n, p):
+            return self.column.pop(0)
+
+    for k in range(25):
+        replay = Counts(block[k] for block in blocks)
+        expected = sample_expectation(psi, h, shots, replay)
+        assert not replay.column
+        assert same_bits(np.array([means[k]]), np.array([expected.mean]))
+
+
 # ----------------------------------------------------------------------- noise
 
 
@@ -608,24 +644,6 @@ def test_fixed_seed_reproduces_everything():
         sample_expectation(psi, h, 300, make_rng(4))
 
 
-def per_gate_trajectory(circuit, theta, noise, rng, psi0=None):
-    """Reference: evolve gate by gate, drawing each gate's error as it runs."""
-    psi = StateVector.zero(circuit.n_qubits) if psi0 is None else psi0.copy()
-    for gate in circuit.gates:
-        psi = apply_gate(psi, gate, theta)
-        support = gate.support()
-        rate = noise.rate_for(len(support))
-        if rate > 0.0 and rng.random() < rate:
-            code = int(rng.integers(1, 4 ** len(support)))
-            x = z = 0
-            for q in support:
-                digit, code = code & 3, code >> 2
-                x |= (digit in (1, 3)) << q
-                z |= (digit in (2, 3)) << q
-            psi = StateVector(PauliString(x, z).apply(psi.amplitudes), psi.n)
-    return psi.renormalized()
-
-
 def mixed_circuit() -> Circuit:
     return (Circuit(3).h(0).cnot(0, 1).rx(2, slot=0).t(1)
             .exp(PauliString.from_text("X0 Y1 Z2"), slot=1).cz(1, 2)
@@ -639,24 +657,42 @@ def test_trajectory_engine_matches_per_gate_loop_bit_for_bit(p, start):
     noise = NoiseModel(p1=p, p2=p)
     psi0 = None if start is None else \
         StateVector(random_state(make_rng(99), 3), 3)
+    supports = compile_circuit(circuit).supports
     for seed in (1, 2, 3):
-        streams = split_rng(make_rng(seed), 40)
+        stream = make_rng(seed)
         finals = {}
-        for members, psi in noisy_states(circuit, theta, noise, streams, psi0):
+        for members, psi in noisy_states(circuit, theta, noise, stream, 40,
+                                         psi0):
             finals.update(dict.fromkeys(members, psi.amplitudes))
         assert sorted(finals) == list(range(40))
-        for k, reference in enumerate(split_rng(make_rng(seed), 40)):
-            expected = per_gate_trajectory(circuit, theta, noise, reference,
-                                           psi0)
+        kicks = depolarizing_kicks(supports, noise, make_rng(seed), 40)
+        reference = make_rng(seed)
+        replays = trajectory_replays(circuit, noise, reference, 40)
+        for k, replay in enumerate(replays):
+            expected_kicks, expected = per_gate_trajectory(
+                circuit, theta, noise, replay, psi0)
+            assert replay.exhausted
+            assert list(kicks[k]) == expected_kicks
             assert np.array_equal(finals[k], expected.amplitudes)
-            # Later draws from the stream, as reductions make, match too.
-            assert streams[k].bit_generator.state == \
-                reference.bit_generator.state
+        # Later draws from the stream, as reductions make, match too.
+        assert stream.bit_generator.state == reference.bit_generator.state
         single = run_noisy_trajectory(circuit, theta, noise,
                                       make_rng(seed), psi0)
-        expected = per_gate_trajectory(circuit, theta, noise, make_rng(seed),
-                                       psi0)
+        (replay,) = trajectory_replays(circuit, noise, make_rng(seed), 1)
+        _, expected = per_gate_trajectory(circuit, theta, noise, replay, psi0)
         assert np.array_equal(single.amplitudes, expected.amplitudes)
+
+
+def test_error_free_trajectories_share_one_empty_kick_list():
+    supports = compile_circuit(mixed_circuit()).supports
+    kicks = depolarizing_kicks(supports, NoiseModel(p1=0.05, p2=0.05),
+                               make_rng(4), 200)
+    empty = [events for events in kicks if not events]
+    assert empty and all(events is empty[0] for events in empty)
+    assert any(len(events) > 1 for events in kicks)
+    for events in kicks:
+        gates = [index for index, _ in events]
+        assert gates == sorted(gates)
 
 
 def test_trajectory_engine_applies_kicks_in_order():
@@ -680,8 +716,8 @@ def test_error_free_share_is_binomial():
     circuit, theta = mixed_circuit(), [0.3, -0.7]
     noise = NoiseModel(p1=0.02, p2=0.05)
     trials = 4000
-    groups = list(noisy_states(circuit, theta, noise,
-                               split_rng(make_rng(20261018), trials)))
+    groups = list(noisy_states(circuit, theta, noise, make_rng(20261018),
+                               trials))
     assert sorted(k for members, _ in groups for k in members) == \
         list(range(trials))
     # Every trajectory with an error ends in a state of its own; the
