@@ -35,7 +35,6 @@ from .pipeline import (
     SPECTRUM,
     TECHNIQUES,
     VQE,
-    CurveResult,
     RunConfig,
     StageFailure,
     dissociation_curve,

@@ -21,10 +21,12 @@ from ..pauli import (
     NonHermitian,
     PauliSum,
     check_bytes,
+    matrix_bytes,
     to_csr,
     to_matrix,
     x_masks,
 )
+from ..simulator import EIGH_MATRICES
 
 LANCZOS_SEED = 20180830
 DENSE_DIMENSION = 1 << 8
@@ -48,12 +50,12 @@ def takes_dense(dim: int, k: int) -> bool:
 
 def solve_bytes(masks: int, n: int, k: int) -> int:
     """Bytes the solve of a sum with ``masks`` distinct X masks on n qubits
-    holds at once: the dense matrix and its eigenvectors, or the CSR entries
+    holds at once: the dense eigh's ``EIGH_MATRICES``, or the CSR entries
     (all of them, as stacked before the zeros are dropped) and the Lanczos
     basis."""
     dim = 1 << n
     if takes_dense(dim, k):
-        return 2 * dim * dim * AMPLITUDE_BYTES
+        return EIGH_MATRICES * matrix_bytes(n)
     return dim * (masks * CSR_ENTRY_BYTES + lanczos_size(dim, k) * AMPLITUDE_BYTES)
 
 

@@ -29,6 +29,7 @@ from ..fermion import (
 )
 from ..mitigation import (
     check_scales,
+    decomposition_for_noise,
     extrapolate_exponential,
     extrapolate_linear,
     noise_scaled_series,
@@ -215,16 +216,6 @@ def _estimate_document(estimate: ShotEstimate) -> dict:
             "shots": int(estimate.shots)}
 
 
-def _uccsd_ansatz(ints: MolecularIntegrals, scheme: EncodingScheme,
-                  layers: int = 1) -> Ansatz:
-    """UCCSD over every excitation out of the Hartree-Fock reference."""
-    reference = hf_occupation(ints)
-    occupied = reference.occupied()
-    virtual = [p for p in range(ints.m) if p not in occupied]
-    return build_uccsd(uccsd_generators(ints.m, occupied, virtual), scheme,
-                       reference, trotter_steps=layers)
-
-
 def _build_ansatz(config: RunConfig, ints: MolecularIntegrals,
                   scheme: EncodingScheme, ferm: FermionSum,
                   n: int) -> Ansatz:
@@ -232,8 +223,12 @@ def _build_ansatz(config: RunConfig, ints: MolecularIntegrals,
         raise ValueError("tapered registers support the hardware-efficient "
                          "family only; rerun without --taper or with "
                          f"ansatz={HARDWARE_EFFICIENT!r}")
-    if config.ansatz == UCCSD:
-        return _uccsd_ansatz(ints, scheme, config.layers)
+    if config.ansatz == UCCSD:  # every excitation out of the HF reference
+        reference = hf_occupation(ints)
+        occupied = reference.occupied()
+        virtual = [p for p in range(ints.m) if p not in occupied]
+        return build_uccsd(uccsd_generators(ints.m, occupied, virtual),
+                           scheme, reference, trotter_steps=config.layers)
     if config.ansatz == HARDWARE_EFFICIENT:
         return build_hardware_efficient(n, config.layers)
     if config.ansatz == HAMILTONIAN_VARIATIONAL:
@@ -353,11 +348,13 @@ def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
     ansatz = _build_ansatz(config, ints, scheme, ferm, h.n_qubits)
     record("ansatz", family=config.ansatz, parameters=ansatz.n_params,
            gates=len(ansatz.combined().gates))
-    if config.technique == PEC and any(
-            len(support) > 2 for support in ansatz.compiled().supports):
-        raise ValueError("probabilistic cancellation covers gates on at most "
-                         "two qubits, and this ansatz has wider ones; use the "
-                         "hardware-efficient or ldca ansatz")
+    if config.technique == PEC:
+        arities = [len(s) for s in ansatz.compiled().supports if s]
+        if max(arities, default=0) > 2:
+            raise ValueError("probabilistic cancellation covers gates on at "
+                             "most two qubits, and this ansatz has wider "
+                             "ones; use the hardware-efficient or ldca ansatz")
+        decomposition_for_noise(noise, arities)  # refuses 4r/3 >= 1 untuned
     master = make_rng(config.seed)
     optimizer_rng, raw_rng, technique_rng = split_rng(master, 3)
     ground = _exact_ground(config, h)  # refuses an oversized solve untuned
@@ -498,7 +495,7 @@ class CurveResult:
 
 
 def dissociation_curve(methods: Sequence[str] = ("hf", "fci"),
-                       points: Sequence[tuple[float, str]] | None = None,
+                       points: Sequence[tuple[float, str]] = tuple(H2_CURVE),
                        encoding: str = JW,
                        optimizer: OptimizerConfig | None = None,
                        seed: int | None = None) -> CurveResult:
@@ -506,33 +503,32 @@ def dissociation_curve(methods: Sequence[str] = ("hf", "fci"),
 
     ``points`` pairs a bond length in Ångström with a fixture name; the
     default sweeps the shipped H2 minimal-basis series. Methods: "hf"
-    (mean-field reference), "fci" (dense oracle), "vqe" (exact-mode UCCSD).
+    (mean-field reference), and "fci" (exact oracle) and "vqe" (exact-mode
+    UCCSD, ``optimizer`` or the pipeline's default) as one run per point.
     """
     for method in methods:
         if method not in CURVE_METHODS:
             raise ValueError(f"unknown curve method {method!r}")
-    if points is None:
-        points = H2_CURVE
-    if optimizer is None:
-        optimizer = OptimizerConfig(seed=seed)
     rows = []
     for method in methods:
         for length, fixture in points:
-            ints = load_problem(fixture)
-            metadata = {"fixture": fixture, "spin_orbitals": ints.m}
             if method == "hf":
-                energy = hf_energy(ints)
-            else:
-                scheme = EncodingScheme(encoding, ints.m)
-                h = encode_operator(build_molecular_hamiltonian(ints), scheme)
-                metadata["pauli_terms"] = len(h)
-                if method == "fci":
-                    energy = float(exact_eigensolve(h, k=1,
-                                                    n_qubits=scheme.m)[0])
-                else:
-                    result = optimize(_uccsd_ansatz(ints, scheme), h,
-                                      optimizer, rng=make_rng(seed))
-                    energy = float(result.best_energy)
-                    metadata["converged"] = bool(result.converged)
-            rows.append((length, method, float(energy), metadata))
+                ints = load_problem(fixture)
+                rows.append((length, method, hf_energy(ints),
+                             {"fixture": fixture, "spin_orbitals": ints.m}))
+                continue
+            document = run_pipeline(RunConfig(
+                fixture=fixture, encoding=encoding,
+                method=EXACT if method == "fci" else VQE, k=1,
+                optimizer=optimizer, seed=seed))
+            stages = {stage["stage"]: stage for stage in document["stages"]}
+            result = document["result"]
+            metadata = {"fixture": fixture,
+                        "spin_orbitals": stages["ingest"]["spin_orbitals"],
+                        "pauli_terms": stages["encode"]["pauli_terms"]}
+            if method == VQE:
+                metadata["converged"] = result["converged"]
+            rows.append((length, method,
+                         result["ground" if method == "fci" else "energy"],
+                         metadata))
     return CurveResult(tuple(rows))

@@ -239,10 +239,16 @@ def pec_decompose_depolarizing(p: float, arity: int) -> QuasiProbDecomposition:
 
 def decomposition_for_noise(noise: NoiseModel, arities: Sequence[int]
                             ) -> dict[int, QuasiProbDecomposition]:
-    """Matching decompositions; insertion rate r maps to p = 4r/3 per qubit."""
-    return {arity: pec_decompose_depolarizing(4.0 * noise.rate_for(arity) / 3.0,
-                                              arity)
-            for arity in set(arities)}
+    """Matching decompositions; insertion rate r maps to p = 4r/3 per qubit,
+    and a rate whose p reaches 1, where no inverse exists, is refused."""
+    decompositions = {}
+    for arity in set(arities):
+        p = 4.0 * noise.rate_for(arity) / 3.0
+        if p >= 1.0:
+            raise InvalidProbability(f"the {arity}-qubit rate {noise.rate_for(arity)} "
+                                     f"gives 4r/3 = {p}; PEC needs it below 1")
+        decompositions[arity] = pec_decompose_depolarizing(p, arity)
+    return decompositions
 
 
 def _choice_cdf(probabilities: np.ndarray) -> np.ndarray:

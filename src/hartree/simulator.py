@@ -260,11 +260,13 @@ def _exp_kernel(string: PauliString, dim: int) -> Kernel:
 
 
 def _compile_gate(gate: Gate, n: int, ones: Callable[[int], np.ndarray]
-                  ) -> tuple[tuple[int, ...], Kernel, Kernel, Callable | None]:
-    """(support, kernel, inverse kernel, angle resolver or None).
+                  ) -> tuple[tuple[int, ...], Kernel, Kernel, Callable | None,
+                             tuple[float, PauliString] | None]:
+    """(support, kernel, inverse kernel, angle resolver or None, generator).
 
-    Kernels take the resolved angle; ``ones(q)`` is the mask of the basis
-    states whose bit q is set.
+    Kernels take the resolved angle; ``ones(q)`` masks the basis states
+    whose bit q is set. The generator (w, P), with dU/dtheta = i w P U, is
+    set for slotted rotation and exponential gates only.
     """
     support = _checked_support(gate, n)
     kind, dim = gate.kind, 1 << n
@@ -282,21 +284,24 @@ def _compile_gate(gate: Gate, n: int, ones: Callable[[int], np.ndarray]
     elif kind == "t":
         one, undo = ones(target), T_PHASE.conjugate()
         return (support, lambda amps, phi: np.where(one, T_PHASE * amps, amps),
-                lambda amps, phi: np.where(one, undo * amps, amps), None)
+                lambda amps, phi: np.where(one, undo * amps, amps), None, None)
     else:
+        generator = None
         if kind in ROTATIONS:
-            evolve = _exp_kernel(PauliString.single(ROTATIONS[kind], target), dim)
+            string = PauliString.single(ROTATIONS[kind], target)
+            evolve, generator = _exp_kernel(string, dim), (-gate.scale / 2, string)
             kernel = lambda amps, angle: evolve(amps, -angle / 2)
         elif kind == "exp":
-            kernel = _exp_kernel(gate.string, dim)
+            kernel, generator = _exp_kernel(gate.string, dim), (gate.scale, gate.string)
         elif kind == "cexp":
             evolve, control = _exp_kernel(gate.string, dim), ones(gate.targets[0])
             kernel = lambda amps, phi: np.where(control, evolve(amps, phi), amps)
         else:
             raise ValueError(f"unknown gate kind {gate.kind!r}")
         inverse = lambda amps, phi: kernel(amps, -phi)
-        return support, kernel, inverse, gate.resolve_angle
-    return support, kernel, kernel, None
+        return (support, kernel, inverse, gate.resolve_angle,
+                generator if gate.slot is not None else None)
+    return support, kernel, kernel, None, None
 
 
 class CompiledCircuit:
@@ -306,7 +311,7 @@ class CompiledCircuit:
     strings and one bit mask per control or T qubit, shared by the gates on
     it; running resolves the angles against ``theta`` and calls the kernels,
     which read Pauli tables from the shared ``STRING_TABLES``. No kernel
-    modifies its input array.
+    modifies its input array. ``generators`` holds each gate's (w, P) or None.
     """
 
     def __init__(self, gates: Sequence[Gate], n: int):
@@ -315,8 +320,9 @@ class CompiledCircuit:
         ones = functools.cache(lambda q: (np.arange(1 << n) >> q) & 1 == 1)
         compiled = [_compile_gate(gate, n, ones) for gate in self.gates]
         self.supports = tuple(support for support, *_ in compiled)
-        self._kernels = [(kernel, resolve) for _, kernel, _, resolve in compiled]
-        self._inverses = [inverse for _, _, inverse, _ in compiled]
+        self._kernels = [(kernel, resolve) for _, kernel, _, resolve, _ in compiled]
+        self._inverses = [inverse for _, _, inverse, _, _ in compiled]
+        self.generators = tuple(generator for *_, generator in compiled)
 
     def run(self, theta: Sequence[float] | None, amps: np.ndarray,
             start: int = 0, stop: int | None = None) -> np.ndarray:

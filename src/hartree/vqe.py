@@ -36,7 +36,6 @@ from .pauli import (
 from .simulator import (
     Circuit,
     REGISTER_BYTES,
-    ROTATIONS,
     CompiledCircuit,
     Gate,
     NoiseModel,
@@ -68,7 +67,7 @@ METHODS = (NELDER_MEAD, SPSA, GRADIENT_DESCENT)
 
 
 class NotAntiHermitian(ConfigError):
-    """A cluster generator failed the G + G* = 0 check."""
+    """A cluster generator whose qubit image has a real coefficient."""
 
 
 class PartitionIncomplete(ConfigError):
@@ -132,6 +131,7 @@ def preparation_gates(occupation: OccupationVector,
 
 
 def _imaginary_parts(image: PauliSum) -> list[tuple[PauliString, float]]:
+    """(P, Im c) per image term; a real part means G + G* is not zero."""
     pairs = []
     for string, coeff in image.items():
         if abs(coeff.real) > COEFF_TOLERANCE:
@@ -149,12 +149,9 @@ def build_uccsd(generators: Iterable[FermionSum | object],
     """exp(theta_k G_k) per generator, product-expanded in canonical term order."""
     if trotter_steps < 1:
         raise ValueError("trotter_steps must be at least 1")
-    resolved: list[FermionSum] = [getattr(g, "generator", g) for g in generators]
-    for sum_ in resolved:
-        remainder = normal_order(sum_ + sum_.adjoint())
-        if any(abs(term.coeff) > COEFF_TOLERANCE for term in remainder):
-            raise NotAntiHermitian("generator plus its adjoint is not zero")
-    images = [_imaginary_parts(encode_operator(g, scheme)) for g in resolved]
+    images = [_imaginary_parts(encode_operator(getattr(g, "generator", g),
+                                               scheme))
+              for g in generators]
     circuit = Circuit(scheme.m)
     for _ in range(trotter_steps):
         for slot, pairs in enumerate(images):
@@ -340,16 +337,6 @@ def estimate_energy(ansatz: Ansatz, theta: Sequence[float], h: PauliSum,
                              trajectories, shots)
 
 
-def _gate_generator(gate: Gate) -> tuple[float, PauliString]:
-    """(weight, P) with dU/dtheta = i * weight * P * U for a parametrized gate."""
-    if gate.kind == "exp":
-        return gate.scale, gate.string
-    if gate.kind in ROTATIONS:
-        return (-gate.scale / 2.0,
-                PauliString.single(ROTATIONS[gate.kind], gate.targets[0]))
-    raise UnsupportedGate(f"cannot differentiate a parametrized {gate.kind} gate")
-
-
 def analytic_gradient(ansatz: Ansatz, theta: Sequence[float], h: PauliSum,
                       with_energy: bool = False
                       ) -> np.ndarray | tuple[float, np.ndarray]:
@@ -377,9 +364,11 @@ def analytic_gradient(ansatz: Ansatz, theta: Sequence[float], h: PauliSum,
         lam = apply_to_statevector(h, psi)
     gradient = np.zeros(ansatz.n_params)
     for position in range(len(compiled.gates) - 1, -1, -1):
-        gate = compiled.gates[position]
+        gate, generator = compiled.gates[position], compiled.generators[position]
         if gate.slot is not None:
-            weight, string = _gate_generator(gate)
+            if generator is None:
+                raise UnsupportedGate(f"cannot differentiate a parametrized {gate.kind} gate")
+            weight, string = generator
             bracket = np.vdot(lam, string.apply(psi))
             gradient[gate.slot] += 2.0 * (1j * weight * bracket).real
         lam = compiled.undo(position, theta, lam)

@@ -344,7 +344,7 @@ class TestSparseOracle:
         assert oracle.solve_bytes(534, 20, 1) == csr_bytes + basis_bytes
         assert oracle.solve_bytes(534, 20, 1) > BYTE_BUDGET
         assert oracle.solve_bytes(84, 12, 4) < BYTE_BUDGET
-        assert oracle.solve_bytes(1, 8, 1) == 2 * 256 * 256 * 16
+        assert oracle.solve_bytes(1, 8, 1) == 3 * 256 * 256 * 16
 
     def test_byte_guard_refuses_before_building(self, monkeypatch):
         def refuse(*_):
@@ -759,6 +759,21 @@ class TestCli:
                      "--noise-p1", "0.001", "--scales", "2,3"]) == 2
         err = capsys.readouterr().err
         assert "first scale must be 1" in err and "tuning" not in err
+
+    @pytest.mark.parametrize("option,arity", [("--noise-p1", 1),
+                                              ("--noise-p2", 2)])
+    def test_pec_rate_without_inverse_exits_2_before_tuning(
+            self, option, arity, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(pipeline, "optimize",
+                            lambda *args, **kwargs: calls.append(args))
+        assert main(["mitigate", "--fixture", H2_EQUILIBRIUM, "--technique",
+                     "pec", "--ansatz", "hardware-efficient", option, "0.75",
+                     "--seed", "2"]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: solve: ")
+        assert f"the {arity}-qubit rate 0.75 gives 4r/3 = 1.0" in err
 
     def test_parse_failure_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.fcidump"

@@ -212,6 +212,33 @@ def test_compiled_gates_match_per_gate_kernels_bit_for_bit(n):
     assert same_bits(psi, before)
 
 
+@pytest.mark.parametrize("n", range(1, 4))
+def test_generators_of_every_gate_kind(n):
+    """Slotted rotations and exponentials carry (w, P) with dU/dtheta =
+    i w P U, checked by central differences; every other gate has None."""
+    rng = make_rng(600 + n)
+    psi = random_state(rng, n)
+    letters = {"rx": "X", "ry": "Y", "rz": "Z"}
+    for gate in every_gate(n, rng):
+        compiled = CompiledCircuit([gate], n)
+        (generator,) = compiled.generators
+        if gate.slot is None or gate.kind not in (*letters, "exp"):
+            assert generator is None, gate
+            continue
+        weight, string = generator
+        if gate.kind == "exp":
+            assert (weight, string) == (gate.scale, gate.string), gate
+        else:
+            assert weight == -gate.scale / 2, gate
+            assert string == PauliString.single(letters[gate.kind],
+                                                gate.targets[0]), gate
+        theta, step = 0.83, 1e-6
+        slope = (compiled.run([theta + step], psi)
+                 - compiled.run([theta - step], psi)) / (2 * step)
+        derivative = 1j * weight * string.apply(compiled.run([theta], psi))
+        assert np.max(np.abs(slope - derivative)) < 1e-8, gate
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_undo_inverts_every_gate_kind(n):
     rng = make_rng(900 + n)

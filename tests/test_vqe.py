@@ -147,6 +147,13 @@ class TestUccsd:
         with pytest.raises(NotAntiHermitian):
             build_uccsd([bare], scheme, hf_occupation(load_fixture("h2_sto3g_0.7414")))
 
+    def test_rejects_hermitian_generator(self, h2):
+        _, scheme, _, _, _ = h2
+        bare = FermionSum.single([(1, True), (0, False)])
+        with pytest.raises(NotAntiHermitian, match="real coefficient"):
+            build_uccsd([bare + bare.adjoint()], scheme,
+                        hf_occupation(load_fixture("h2_sto3g_0.7414")))
+
     def test_extra_product_steps_match_single_step(self, h2):
         # strings within one generator's image commute, so the split is exact
         ints, scheme, _, _, _ = h2
@@ -391,6 +398,13 @@ class TestGradient:
         ansatz = Ansatz(circuit, [], HARDWARE_EFFICIENT)
         with pytest.raises(UnsupportedGate):
             analytic_gradient(ansatz, [0.1], PauliSum.from_text({"Z0": 1.0}))
+
+    def test_slotted_controlled_exponential_is_unsupported(self):
+        circuit = Circuit(2)
+        circuit.cexp(0, PauliString.single("X", 1), slot=0)
+        ansatz = Ansatz(circuit, [], HARDWARE_EFFICIENT)
+        with pytest.raises(UnsupportedGate, match="parametrized cexp"):
+            analytic_gradient(ansatz, [0.1], PauliSum.from_text({"Z1": 1.0}))
 
     def test_cc_pvdz_uccsd_passes_the_register_guard(self, monkeypatch):
         ansatz, h = jw_uccsd("h2_ccpvdz_0.75")

@@ -68,6 +68,13 @@ EXTRA = (
     ("encode-h2-ccpvdz", ("encode", "--fixture", "h2_ccpvdz_0.75")),
     ("vqe-h2-noisy-shots", ("vqe", *H2, "--noise-p1", "1e-3", "--noise-p2",
                             "1e-3", "--shots", "1000", "--max-evals", "4")),
+    ("vqe-h2-ldca-gradient", ("vqe", *H2, "--ansatz", "ldca", "--optimizer",
+                              "gradient-descent", "--max-evals", "100")),
+    ("vqe-h2-hv-gradient", ("vqe", *H2, "--ansatz",
+                            "hamiltonian-variational", "--layers", "2",
+                            "--optimizer", "gradient-descent",
+                            "--max-evals", "100")),
+    ("curve-fci-vqe", ("curve", "--method", "fci", "--method", "vqe")),
 )
 
 
