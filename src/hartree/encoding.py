@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -286,18 +286,32 @@ def encode_operator(s: FermionSum, scheme: EncodingScheme) -> PauliSum:
     per-product loop over raw masks gave, bit for bit. Masks are uint64, so
     a register wider than MASK_MODES is refused before anything is built.
     """
+    return encode_operators([s], scheme)[0]
+
+
+def encode_operators(sums: Sequence[FermionSum], scheme: EncodingScheme
+                     ) -> list[PauliSum]:
+    """``encode_operator`` of every sum, all multiplied out in one pass.
+
+    The terms of all the sums are read as one list, so short sums share
+    their runs and blocks, and each string is keyed by its sum as well as
+    its masks. A string's products are added in term order from zero as in
+    the sum's own call, so every image has that call's bits.
+    """
     m = scheme.m
     if m > MASK_MODES:
         raise IndexOutOfRange(
             f"a uint64 mask holds {MASK_MODES} modes, not {m}")
     images = _image_arrays(scheme.variant, m)
-    slots: dict[tuple[int, int], int] = {}
+    terms = [term for s in sums for term in s.terms]
+    owners = np.repeat(np.arange(len(sums)), [len(s.terms) for s in sums])
+    slots: dict[tuple[int, int, int], int] = {}
     total = np.zeros(0, dtype=complex)
-    for first, pairs, coeffs in arity_runs(s.terms):
+    for first, pairs, coeffs in arity_runs(terms):
         bad = ((pairs[..., 0] >= m).any(axis=1)
                | ~np.isfinite(coeffs)).nonzero()[0]
         if bad.size:
-            term = s.terms[first + bad[0]]
+            term = terms[first + bad[0]]
             if term.max_mode() >= m:
                 raise IndexOutOfRange(
                     f"mode {term.max_mode()} outside register of {m}")
@@ -307,20 +321,24 @@ def encode_operator(s: FermionSum, scheme: EncodingScheme) -> PauliSum:
             block = slice(start, start + size)
             x, z, c, kept = _multiply_out(images, pairs[block], coeffs[block])
             # each term's strings, terms in order
-            kept = kept.T
-            x = np.repeat(x, z.shape[0])[kept.ravel()]
-            at = [slots.setdefault(key, len(slots))
-                  for key in zip(x.tolist(), z.T[kept].tolist())]
+            kept = kept.T.ravel()
+            owner = np.repeat(owners[first + start:][:len(x)], z.shape[0])
+            x = np.repeat(x, z.shape[0])
+            at = [slots.setdefault(key, len(slots)) for key in zip(
+                owner[kept].tolist(), x[kept].tolist(),
+                z.T.ravel()[kept].tolist())]
             if len(slots) > len(total):
                 total = np.concatenate((total, np.zeros(
                     len(slots) - len(total), dtype=complex)))
-            np.add.at(total, at, c.T[kept])
+            np.add.at(total, at, c.T.ravel()[kept])
     # PauliSum drops |c| < DROP_TOLERANCE itself; dropping those first
     # spares it their strings
     kept = (np.hypot(total.real, total.imag) >= DROP_TOLERANCE).tolist()
-    return PauliSum({PauliString(x, z): coeff for (x, z), coeff, keep
-                     in zip(slots, total.tolist(), kept) if keep},
-                    n_qubits=m)
+    strings: list[dict[PauliString, complex]] = [{} for _ in sums]
+    for (owner, x, z), coeff, keep in zip(slots, total.tolist(), kept):
+        if keep:
+            strings[owner][PauliString(x, z)] = coeff
+    return [PauliSum(image, n_qubits=m) for image in strings]
 
 
 def encode_state(f: OccupationVector, scheme: EncodingScheme) -> OccupationVector:

@@ -120,7 +120,7 @@ def noisy_expectation(circuit: Circuit, theta: Sequence[float] | None,
     """Trajectory-averaged expectation with its empirical standard error;
     ``shots`` samples each trajectory's terms instead. Trajectories, then
     shots, draw from ``rng``: the shots of trajectories that share a final
-    state are drawn as one block per term."""
+    state are drawn as one (terms, trajectories) block."""
     means = np.empty(trajectories)
     for members, psi in noisy_states(circuit, theta, noise, rng,
                                      trajectories):

@@ -11,7 +11,9 @@ amplitude i reads input amplitude i ^ x and picks up a sign from the parity of
 (i ^ x) & z. The gather index and sign vector of a string are computed once
 per register width and kept in one shared cache of at most ``TABLE_BYTES``;
 a sum keeps the stacked tables of all its terms on itself when they fit
-under the same ceiling. Tables larger than the ceiling are computed per call.
+under the same ceiling, weighted by the coefficients for S psi and unweighted
+for reading each term's expectation. Tables larger than the ceiling are
+computed per call.
 
 A matrix realisation groups the terms by X mask: every term with mask x
 lands on the entries (i, i ^ x), so each distinct mask gives one vector of
@@ -79,6 +81,12 @@ def _tables(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, _PHASES[2 * (np.bitwise_count(idx & z) & 1)]
 
 
+def _phased_tables(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and i^|x & z|-phased signs: P psi = phased * psi[idx]."""
+    idx, signs = _tables(x, z, dim)
+    return idx, (1j ** (x & z).bit_count()) * signs
+
+
 class _TableCache:
     """Gather index and phased sign vector per (x, z, width), holding at most
     ``limit`` bytes of tables; the oldest entries make room for new ones."""
@@ -98,8 +106,7 @@ class _TableCache:
         tables = self._entries.get(key)
         if tables is not None:
             return tables
-        idx, signs = _tables(x, z, dim)
-        tables = idx, (1j ** (x & z).bit_count()) * signs
+        tables = _phased_tables(x, z, dim)
         cost = dim * TABLE_ITEM_BYTES
         if cost > self.limit:
             return tables
@@ -242,10 +249,11 @@ class PauliSum:
     Construction merges duplicates, drops |coeff| < tol and fixes a
     deterministic term order (lexicographic on the textual string form).
     Instances are immutable; arithmetic returns new sums. Each instance keeps
-    the stacked tables of its H*psi per register width it was applied to.
+    the stacked tables of its H*psi, and of its strings alone once sampled,
+    per register width it was used on.
     """
 
-    __slots__ = ("_terms", "_n_qubits", "_tables")
+    __slots__ = ("_terms", "_n_qubits", "_tables", "_string_tables")
 
     def __init__(self,
                  terms: Mapping[PauliString, complex] | Iterable[PauliTerm] | None = None,
@@ -268,6 +276,7 @@ class PauliSum:
             raise DimensionMismatch(f"declared {n_qubits} qubits, terms need {inferred}")
         object.__setattr__(self, "_n_qubits", n_qubits if n_qubits is not None else inferred)
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_string_tables", {})
 
     def __setattr__(self, *_):
         raise AttributeError("PauliSum is immutable")
@@ -355,29 +364,34 @@ def canonicalize(s: PauliSum, tol: float = DROP_TOLERANCE) -> PauliSum:
     return PauliSum(dict(s.items()), n_qubits=s.n_qubits or None, tol=tol)
 
 
-def _term_weights(string: PauliString, coeff: complex, dim: int
+def _term_weights(string: PauliString, coeff: complex | None, dim: int
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index i ^ x and weights coeff * i^k * signs of one term."""
+    """Gather index i ^ x and weights coeff * i^k * signs of one term; for
+    coeff None, the string's phased signs."""
     if (string.x | string.z) >= dim:
         raise DimensionMismatch(f"term {string} exceeds {dim}-dim state")
+    if coeff is None:
+        return _phased_tables(string.x, string.z, dim)
     idx, signs = _tables(string.x, string.z, dim)
     return idx, (coeff * 1j ** (string.x & string.z).bit_count()) * signs
 
 
-def _sum_tables(s: PauliSum, dim: int
+def _sum_tables(s: PauliSum, dim: int, weighted: bool = True
                 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Stacked (terms, dim) gather indices and weights, kept on the instance;
-    None when they would exceed TABLE_BYTES."""
-    kept = s._tables
+    """Stacked (terms, dim) gather indices and weights, or, unweighted, each
+    string's own phased signs (``PauliString.tables``), kept on the
+    instance; None when they would exceed TABLE_BYTES."""
+    kept = s._tables if weighted else s._string_tables
     if dim in kept:
         return kept[dim]
     if len(s) * dim * TABLE_ITEM_BYTES > TABLE_BYTES:
         return None
     index = np.empty((len(s), dim), dtype=np.intp)
-    weights = np.empty((len(s), dim), dtype=complex)
+    values = np.empty((len(s), dim), dtype=complex)
     for t, (string, coeff) in enumerate(s.items()):
-        index[t], weights[t] = _term_weights(string, coeff, dim)
-    kept[dim] = index, weights
+        index[t], values[t] = _term_weights(string, coeff if weighted
+                                            else None, dim)
+    kept[dim] = index, values
     return kept[dim]
 
 
@@ -400,6 +414,21 @@ def apply_to_statevector(s: PauliSum, psi: np.ndarray) -> np.ndarray:
     # Reducing over the leading axis of a C-ordered block adds whole rows one
     # after another, the same additions as the per-term loop above.
     return np.add.reduce(weights * psi[index], axis=0, initial=0j)
+
+
+def string_actions(s: PauliSum, psi: np.ndarray
+                   ) -> np.ndarray | Iterator[np.ndarray]:
+    """P_t|psi> for every string of s in term order, coefficients left out.
+
+    Below TABLE_BYTES all of them come from one gather on the sum's stacked
+    unweighted tables, as (terms, dim) rows; above it each string is applied
+    per call. Either way row t holds the bits of ``P_t.apply(psi)``.
+    """
+    tables = _sum_tables(s, psi.shape[0], weighted=False)
+    if tables is None:
+        return (string.apply(psi) for string in s.strings())
+    index, phased = tables
+    return phased * psi[index]
 
 
 def x_masks(s: PauliSum) -> list[int]:

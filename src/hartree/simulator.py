@@ -13,7 +13,8 @@ Rotation gates follow the convention R_O(theta) = exp(-i theta O / 2). Pauli
 exponential gates apply exp(i phi P) with the caller supplying the sign of phi.
 Every gate acts through the shared Pauli gather tables: rotations as Pauli
 exponentials, H as (X + Z)/sqrt 2, controlled gates and T as masks over the
-basis index.
+basis index. A noiseless run applies each stretch of parametrized exponentials
+of commuting strings on one X mask as a single kernel (``CommutingRun``).
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from .pauli import (
     PauliSum,
     TooLarge,
     check_bytes,
+    commutes,
     expectation,
     matrix_bytes,
+    string_actions,
     to_matrix,
 )
 
@@ -55,10 +58,23 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 # The Pauli letter each rotation exponentiates.
 ROTATIONS = {"rx": "X", "ry": "Y", "rz": "Z"}
 T_PHASE = cmath.exp(1j * math.pi / 4)
+# At most this many independent z differences per run of commuting exp
+# gates, so its sign table has at most 2^RUN_RANK distinct rows and each
+# amplitude names its row in one byte.
+RUN_RANK = 8
+# An amplitude names its row of a run's sign table by a native index while
+# those indices take at most this many bytes (10 qubits), because indexing
+# by a byte casts it first (13-17 % of a gradient call on 4 and 8 qubits);
+# wider registers keep one byte per amplitude.
+NATIVE_ROWS_BYTES = 8 << 10
 
 
 class BadTarget(ConfigError):
     """Gate addresses a qubit outside the register or repeats a target."""
+
+
+class NonCommutingRun(ConfigError):
+    """Strings put in one run whose sign ratios are not +-1."""
 
 
 class ZeroOverlap(NumericalError):
@@ -304,6 +320,145 @@ def _compile_gate(gate: Gate, n: int, ones: Callable[[int], np.ndarray]
     return support, kernel, kernel, None, None
 
 
+def _gf2_coordinates(vectors: Sequence[int]) -> tuple[list[int], list[int]]:
+    """A GF(2) basis of the vectors' span, chosen among them, and each
+    vector's coordinates in that basis as a bit mask."""
+    basis: list[int] = []
+    echelon: dict[int, tuple[int, int]] = {}  # leading bit -> row, coords
+    coordinates = []
+    for vector in vectors:
+        row, coords = vector, 0
+        while row and (top := row.bit_length() - 1) in echelon:
+            row ^= echelon[top][0]
+            coords ^= echelon[top][1]
+        if row:
+            bit = 1 << len(basis)
+            basis.append(vector)
+            echelon[row.bit_length() - 1] = row, coords ^ bit
+            coords = bit
+        coordinates.append(coords)
+    return basis, coordinates
+
+
+class CommutingRun:
+    """Consecutive slotted ``exp`` gates whose strings share one X mask and
+    commute, applied as one kernel.
+
+    Each string is P_k = S_k P_0 with S_k diagonal, S[j, k] = phased_k[j] /
+    phased_0[j], so the run is exp(i Phi P_0) = cos Phi + i sin Phi P_0,
+    with Phi = S (scales * theta[slots]) per amplitude. The entries are
+    S[j, k] = e_k (-1)^|(j ^ x) & (z_k ^ z_0)| with e_k = i^(|x & z_k| -
+    |x & z_0|), which is +-1 exactly when P_k commutes with P_0; a run is
+    refused with ``NonCommutingRun`` otherwise. Row j of S depends on j only
+    through the parities of j ^ x with a GF(2) basis of the z differences,
+    at most RUN_RANK of them, so S is kept as its distinct rows and the
+    row index of each amplitude, built on first use (``build_rows``).
+    """
+
+    def __init__(self, gates: Sequence[Gate], start: int, n: int):
+        first = gates[0].string
+        self.start, self.stop, self.n = start, start + len(gates), n
+        self.string = first
+        self.slots = np.array([gate.slot for gate in gates], dtype=np.intp)
+        self._top_slot = max(gate.slot for gate in gates)
+        self.scales = np.array([gate.scale for gate in gates])
+        signs = []
+        for gate in gates:
+            turns = ((first.x & gate.string.z).bit_count()
+                     - (first.x & first.z).bit_count())
+            if gate.string.x != first.x or turns % 2:
+                raise NonCommutingRun(
+                    f"{gate.string} and {first} have a sign ratio of +-i")
+            signs.append(1 - turns % 4)
+        self._basis, coordinates = _gf2_coordinates(
+            [gate.string.z ^ first.z for gate in gates])
+        parities = np.bitwise_count(np.arange(1 << len(self._basis))[:, None]
+                                    & np.array(coordinates)) & 1
+        self.rows = np.array(signs) * (1.0 - 2.0 * parities)
+        self.row_of: np.ndarray | None = None
+
+    def _row_type(self) -> np.dtype:
+        native = np.dtype(np.intp)
+        return native if native.itemsize << self.n <= NATIVE_ROWS_BYTES \
+            else np.dtype(np.uint8)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the sign table: its rows and the row of each amplitude."""
+        return self.rows.nbytes + (self._row_type().itemsize << self.n)
+
+    def build_rows(self) -> None:
+        """The row of S that each amplitude j reads: bit b is the parity of
+        (j ^ x) with the b-th basis mask."""
+        flipped = np.arange(1 << self.n) ^ self.string.x
+        row_of = np.zeros(1 << self.n, dtype=self._row_type())
+        for b, mask in enumerate(self._basis):
+            row_of |= (np.bitwise_count(flipped & mask) & 1) << b
+        self.row_of = row_of
+
+    def angles(self, theta: Sequence[float] | None) -> np.ndarray:
+        """Phi on each distinct row of S."""
+        if theta is None or self._top_slot >= len(theta):
+            raise ValueError(f"gate needs parameter slot {self._top_slot}")
+        phis = self.scales * np.asarray(theta, dtype=float)[self.slots]
+        return self.rows @ phis
+
+    def evolve(self, amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
+        """cos Phi * amps + i sin Phi * P_0 amps, Phi = ``angles`` per row."""
+        idx, phased = self.string.tables(amps.shape[0])
+        return (np.cos(angles)[self.row_of] * amps
+                + (1j * np.sin(angles))[self.row_of] * (phased * amps[idx]))
+
+    def brackets(self, lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """<lam|P_k|psi> per string: S^T (conj(lam) * P_0 psi), summed per
+        row of S first."""
+        idx, phased = self.string.tables(psi.shape[0])
+        products = lam.conj() * (phased * psi[idx])
+        count = len(self.rows)
+        sums = (np.bincount(self.row_of, products.real, count)
+                + 1j * np.bincount(self.row_of, products.imag, count))
+        return sums @ self.rows
+
+
+def _spans(gates: Sequence[Gate], n: int) -> tuple[int | CommutingRun, ...]:
+    """The gates in order: each maximal stretch of two or more consecutive
+    slotted ``exp`` gates on strings that share an X mask and commute is
+    one CommutingRun, every other gate its position. With one X mask,
+    commuting with the first string is commuting pairwise. A stretch whose
+    z differences would span more than RUN_RANK masks is cut there."""
+    spans: list[int | CommutingRun] = []
+    stretch: list[int] = []
+    echelon: dict[int, int] = {}
+
+    def close():
+        if len(stretch) > 1:
+            spans.append(CommutingRun([gates[p] for p in stretch],
+                                      stretch[0], n))
+        else:
+            spans.extend(stretch)
+        stretch.clear()
+        echelon.clear()
+
+    for position, gate in enumerate(gates):
+        if gate.kind != "exp" or gate.slot is None:
+            close()
+            spans.append(position)
+            continue
+        if stretch:
+            first = gates[stretch[0]].string
+            new = gate.string.z ^ first.z
+            while new and (top := new.bit_length() - 1) in echelon:
+                new ^= echelon[top]
+            if (gate.string.x != first.x or not commutes(gate.string, first)
+                    or (new and len(echelon) == RUN_RANK)):
+                close()
+            elif new:
+                echelon[new.bit_length() - 1] = new
+        stretch.append(position)
+    close()
+    return tuple(spans)
+
+
 class CompiledCircuit:
     """Gates resolved once into kernels over an n-qubit register.
 
@@ -312,6 +467,13 @@ class CompiledCircuit:
     it; running resolves the angles against ``theta`` and calls the kernels,
     which read Pauli tables from the shared ``STRING_TABLES``. No kernel
     modifies its input array. ``generators`` holds each gate's (w, P) or None.
+
+    ``spans`` lists the kernels ``run`` applies: a gate position, for the
+    gate's own kernel, or a CommutingRun, for a stretch of commuting ``exp``
+    gates applied as one phase-and-gather. The runs are grouped, and their
+    sign tables built, on first use, after the tables' bytes are checked
+    against BYTE_BUDGET. Noisy trajectories apply every gate on its own,
+    because kicks land between gates, and never group runs.
     """
 
     def __init__(self, gates: Sequence[Gate], n: int):
@@ -324,11 +486,27 @@ class CompiledCircuit:
         self._inverses = [inverse for _, _, inverse, _, _ in compiled]
         self.generators = tuple(generator for *_, generator in compiled)
 
-    def run(self, theta: Sequence[float] | None, amps: np.ndarray,
-            start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Amplitudes after gates start..stop-1, starting from ``amps``."""
-        for kernel, resolve in self._kernels[start:stop]:
-            amps = kernel(amps, resolve and resolve(theta))
+    @functools.cached_property
+    def spans(self) -> tuple[int | CommutingRun, ...]:
+        """The kernels ``run`` applies (``_spans``), grouped on first use,
+        with every run's sign table built once their bytes are checked."""
+        spans = _spans(self.gates, self.n)
+        runs = [span for span in spans if isinstance(span, CommutingRun)]
+        check_bytes(sum(run.nbytes for run in runs),
+                    f"the sign tables of {len(runs)} gate runs on "
+                    f"{self.n} qubits")
+        for run in runs:
+            run.build_rows()
+        return spans
+
+    def run(self, theta: Sequence[float] | None, amps: np.ndarray) -> np.ndarray:
+        """Amplitudes after every gate, starting from ``amps``."""
+        for span in self.spans:
+            if isinstance(span, CommutingRun):
+                amps = span.evolve(amps, span.angles(theta))
+            else:
+                kernel, resolve = self._kernels[span]
+                amps = kernel(amps, resolve and resolve(theta))
         return amps
 
     def undo(self, index: int, theta: Sequence[float] | None,
@@ -337,6 +515,13 @@ class CompiledCircuit:
         resolve = self._kernels[index][1]
         return self._inverses[index](amps, resolve and resolve(theta))
 
+    def _run_gates(self, theta: Sequence[float] | None, amps: np.ndarray,
+                   start: int, stop: int | None = None) -> np.ndarray:
+        """Amplitudes after gates start..stop-1, each by its own kernel."""
+        for kernel, resolve in self._kernels[start:stop]:
+            amps = kernel(amps, resolve and resolve(theta))
+        return amps
+
     def trajectories(self, theta: Sequence[float] | None,
                      kicks: Sequence[Sequence[tuple[int, PauliString]]],
                      psi0: StateVector | None = None
@@ -344,10 +529,10 @@ class CompiledCircuit:
         """Final state of every trajectory, given its kicks in circuit order.
 
         A kick (g, P) applies the Pauli P right after gate g. One noiseless
-        sweep runs the circuit; a trajectory branches off it at the gate of
-        its first kick and runs the rest of the circuit on its own, and all
-        error-free trajectories share the sweep's final state. Yields
-        (trajectory indices, state) once per distinct final state.
+        sweep runs the circuit gate by gate; a trajectory branches off it at
+        the gate of its first kick and runs the rest of the circuit on its
+        own, and all error-free trajectories share the sweep's final state.
+        Yields (trajectory indices, state) once per distinct final state.
         """
         branching: dict[int | None, list[int]] = {}
         for k, events in enumerate(kicks):
@@ -359,9 +544,11 @@ class CompiledCircuit:
             for k in branching.get(first, ()):
                 branch, at = amps, first
                 for index, error in kicks[k]:
-                    branch = error.apply(self.run(theta, branch, at + 1, index + 1))
+                    branch = error.apply(
+                        self._run_gates(theta, branch, at + 1, index + 1))
                     at = index
-                yield [k], StateVector(self.run(theta, branch, at + 1), self.n)
+                yield [k], StateVector(self._run_gates(theta, branch, at + 1),
+                                       self.n)
         if None in branching:
             yield branching[None], StateVector(amps, self.n)
 
@@ -489,19 +676,26 @@ class ShotEstimate:
 
 
 def _term_probabilities(psi: StateVector, h: PauliSum, shots_per_term: int
-                        ) -> Iterator[tuple[float, float | None]]:
-    """(weight, P(+1)) per term of h in term order, None for the identity."""
+                        ) -> list[tuple[float, float | None]]:
+    """(weight, P(+1)) per term of h in term order, None for the identity;
+    every <P_t> is read off one block of products (``string_actions``)."""
     if shots_per_term < 1:
         raise ValueError("shots_per_term must be at least 1")
     if not h.is_hermitian():
         raise NonHermitian("sampling requires a Hermitian sum")
     amps = psi.amplitudes
-    for string, coeff in h.items():
+    out = []
+    for (string, coeff), action in zip(h.items(), string_actions(h, amps)):
         if string.is_identity:
-            yield coeff.real, None
+            out.append((coeff.real, None))
         else:
-            exact = np.vdot(amps, string.apply(amps)).real
-            yield coeff.real, min(max((1.0 + exact) / 2.0, 0.0), 1.0)
+            exact = np.vdot(amps, action).real
+            out.append((coeff.real, min(max((1.0 + exact) / 2.0, 0.0), 1.0)))
+    return out
+
+
+def _measured(terms: list[tuple[float, float | None]]) -> list[float]:
+    return [p_plus for _, p_plus in terms if p_plus is not None]
 
 
 def sample_expectation(psi: StateVector, h: PauliSum, shots_per_term: int,
@@ -510,16 +704,20 @@ def sample_expectation(psi: StateVector, h: PauliSum, shots_per_term: int,
 
     Each non-identity term is measured in its own rotated basis; a bitstring
     sample maps to an eigenvalue +-1 with P(+1) = (1 + <P>)/2, so the counts
-    are drawn from the exactly equivalent binomial law.
+    are drawn from the exactly equivalent binomial law, one draw for all
+    terms in term order.
     """
+    terms = _term_probabilities(psi, h, shots_per_term)
+    measured = _measured(terms)
+    counts = iter(rng.binomial(shots_per_term, measured).tolist()
+                  if measured else ())
     mean = 0.0
     variance = 0.0
-    for weight, p_plus in _term_probabilities(psi, h, shots_per_term):
+    for weight, p_plus in terms:
         if p_plus is None:
             mean += weight
             continue
-        ups = int(rng.binomial(shots_per_term, p_plus))
-        term_mean = 2.0 * ups / shots_per_term - 1.0
+        term_mean = 2.0 * next(counts) / shots_per_term - 1.0
         mean += weight * term_mean
         if shots_per_term > 1:
             sample_var = ((1.0 - term_mean ** 2)
@@ -532,17 +730,22 @@ def sample_means(psi: StateVector, h: PauliSum, shots_per_term: int,
                  rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` independent ``sample_expectation`` means on one state.
 
-    Each term draws its counts for all ``count`` runs as one binomial block,
-    and the means are accumulated in term order, so run k's mean equals
-    ``sample_expectation``'s mean for run k's counts bit for bit.
+    The counts of every term and run are drawn as one (terms, count)
+    binomial block, term-major, and the means are accumulated in term
+    order, so run k's mean equals ``sample_expectation``'s mean for run k's
+    counts bit for bit.
     """
+    terms = _term_probabilities(psi, h, shots_per_term)
+    measured = _measured(terms)
+    blocks = iter(rng.binomial(shots_per_term, np.array(measured)[:, None],
+                               size=(len(measured), count))
+                  if measured else ())
     means = np.zeros(count)
-    for weight, p_plus in _term_probabilities(psi, h, shots_per_term):
+    for weight, p_plus in terms:
         if p_plus is None:
             means += weight
             continue
-        ups = rng.binomial(shots_per_term, p_plus, size=count)
-        means += weight * (2.0 * ups / shots_per_term - 1.0)
+        means += weight * (2.0 * next(blocks) / shots_per_term - 1.0)
     return means
 
 

@@ -11,7 +11,7 @@ neighbor pairs.
 
 Gradients are computed analytically on the statevector with a reverse sweep
 that un-computes the state beside H psi and reads one inner product per
-parametrized gate.
+parametrized gate, or one product per run of commuting exponentials.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import EncodingScheme, encode_operator, encode_state
+from .encoding import EncodingScheme, encode_operators, encode_state
 from .errors import ConfigError
 from .fermion import FermionSum, OccupationVector, normal_order
 from .mitigation import DEFAULT_TRAJECTORIES, noisy_expectation
@@ -36,6 +36,7 @@ from .pauli import (
 from .simulator import (
     Circuit,
     REGISTER_BYTES,
+    CommutingRun,
     CompiledCircuit,
     Gate,
     NoiseModel,
@@ -149,9 +150,8 @@ def build_uccsd(generators: Iterable[FermionSum | object],
     """exp(theta_k G_k) per generator, product-expanded in canonical term order."""
     if trotter_steps < 1:
         raise ValueError("trotter_steps must be at least 1")
-    images = [_imaginary_parts(encode_operator(getattr(g, "generator", g),
-                                               scheme))
-              for g in generators]
+    images = [_imaginary_parts(image) for image in encode_operators(
+        [getattr(g, "generator", g) for g in generators], scheme)]
     circuit = Circuit(scheme.m)
     for _ in range(trotter_steps):
         for slot, pairs in enumerate(images):
@@ -222,9 +222,7 @@ class HamiltonianParts:
     def from_fermion(cls, s: FermionSum,
                      scheme: EncodingScheme) -> "HamiltonianParts":
         diagonal, hopping, exchange = partition_hamiltonian(s)
-        return cls(encode_operator(diagonal, scheme),
-                   encode_operator(hopping, scheme),
-                   encode_operator(exchange, scheme))
+        return cls(*encode_operators([diagonal, hopping, exchange], scheme))
 
     def total(self) -> PauliSum:
         return self.diagonal + self.hopping + self.exchange
@@ -340,14 +338,17 @@ def estimate_energy(ansatz: Ansatz, theta: Sequence[float], h: PauliSum,
 def analytic_gradient(ansatz: Ansatz, theta: Sequence[float], h: PauliSum,
                       with_energy: bool = False
                       ) -> np.ndarray | tuple[float, np.ndarray]:
-    """Exact dE/dtheta by a reverse sweep over the circuit.
+    """Exact dE/dtheta by a reverse sweep over the circuit's kernels.
 
-    The circuit runs once to psi_N, and lambda = H psi_N. Walking the gates
-    backwards, the sweep reads 2 Re <lambda| i w_g P_g |psi_g> at each
-    parametrized gate g, then undoes the gate on both lambda and psi, so
-    only those two registers are held (Jones & Gacon, arXiv:2009.02823).
-    Occurrences sharing a parameter slot accumulate into one derivative
-    entry. Raises TooLarge before any register is allocated when
+    The circuit runs once to psi_N, and lambda = H psi_N. Walking the
+    kernels backwards, the sweep reads 2 Re <lambda| i w_g P_g |psi_g> at
+    each parametrized gate g, then undoes the gate on both lambda and psi,
+    so only those two registers are held (Jones & Gacon, arXiv:2009.02823).
+    Every string of a run of commuting exp gates commutes with the whole
+    run, so all of its brackets are read at the run's end from one product,
+    S^T (conj(lambda) * P_0 psi), and the run is undone at -Phi in one
+    step. Occurrences sharing a parameter slot accumulate into one
+    derivative entry. Raises TooLarge before any register is allocated when
     GRADIENT_REGISTERS of them exceed BYTE_BUDGET.
 
     ``with_energy`` returns ``(energy, gradient)``, the energy read as
@@ -363,16 +364,23 @@ def analytic_gradient(ansatz: Ansatz, theta: Sequence[float], h: PauliSum,
     else:
         lam = apply_to_statevector(h, psi)
     gradient = np.zeros(ansatz.n_params)
-    for position in range(len(compiled.gates) - 1, -1, -1):
-        gate, generator = compiled.gates[position], compiled.generators[position]
+    for span in reversed(compiled.spans):
+        if isinstance(span, CommutingRun):
+            brackets = span.brackets(lam, psi)
+            np.add.at(gradient, span.slots,
+                      2.0 * (1j * span.scales * brackets).real)
+            back = -span.angles(theta)
+            lam, psi = span.evolve(lam, back), span.evolve(psi, back)
+            continue
+        gate, generator = compiled.gates[span], compiled.generators[span]
         if gate.slot is not None:
             if generator is None:
                 raise UnsupportedGate(f"cannot differentiate a parametrized {gate.kind} gate")
             weight, string = generator
             bracket = np.vdot(lam, string.apply(psi))
             gradient[gate.slot] += 2.0 * (1j * weight * bracket).real
-        lam = compiled.undo(position, theta, lam)
-        psi = compiled.undo(position, theta, psi)
+        lam = compiled.undo(span, theta, lam)
+        psi = compiled.undo(span, theta, psi)
     return (energy, gradient) if with_energy else gradient
 
 

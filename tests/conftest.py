@@ -255,6 +255,40 @@ def stored_state_gradient(ansatz, theta, h: PauliSum) -> np.ndarray:
     return gradient
 
 
+def per_gate_run(gates, n: int, theta, amps: np.ndarray) -> np.ndarray:
+    """The compiled circuit's run as it was before runs of commuting exp
+    gates became one kernel: every gate by its own compiled kernel."""
+    from hartree.simulator import CompiledCircuit
+
+    for gate in gates:
+        amps = CompiledCircuit([gate], n).run(theta, amps)
+    return amps
+
+
+def per_gate_gradient(ansatz, theta, h: PauliSum) -> np.ndarray:
+    """``analytic_gradient`` as it swept before runs became one kernel:
+    one bracket per parametrized gate, each gate undone on its own."""
+    from hartree.pauli import apply_to_statevector
+    from hartree.simulator import CompiledCircuit
+
+    n = ansatz.n_qubits
+    gates = [CompiledCircuit([gate], n) for gate in ansatz.combined().gates]
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    psi = per_gate_run(ansatz.combined().gates, n, theta, psi)
+    lam = apply_to_statevector(h, psi)
+    gradient = np.zeros(ansatz.n_params)
+    for compiled in reversed(gates):
+        (gate,), (generator,) = compiled.gates, compiled.generators
+        if gate.slot is not None:
+            weight, string = generator
+            bracket = np.vdot(lam, string.apply(psi))
+            gradient[gate.slot] += 2.0 * (1j * weight * bracket).real
+        lam = compiled.undo(0, theta, lam)
+        psi = compiled.undo(0, theta, psi)
+    return gradient
+
+
 def two_call_descent(ansatz, h: PauliSum, config, theta0, noise=None,
                      rng=None, trajectories: int = 512):
     """Gradient descent as it ran before each exact step read its energy off
@@ -280,6 +314,50 @@ def two_call_descent(ansatz, h: PauliSum, config, theta0, noise=None,
         theta = theta - config.learning_rate * analytic_gradient(ansatz,
                                                                  theta, h)
     return trace, best_params, best_energy
+
+
+# --------------------------------------- per-term sampling, kept as oracle
+#
+# The shot samplers as they ran before every term's expectation was read off
+# one block of products and the counts were drawn in one call: each term
+# applied on its own and drawn on its own, in term order.
+
+
+def per_term_probabilities(psi, h: PauliSum):
+    amps = psi.amplitudes
+    for string, coeff in h.items():
+        if string.is_identity:
+            yield coeff.real, None
+        else:
+            exact = np.vdot(amps, string.apply(amps)).real
+            yield coeff.real, min(max((1.0 + exact) / 2.0, 0.0), 1.0)
+
+
+def per_term_sample_expectation(psi, h: PauliSum, shots: int, rng):
+    """(mean, std_error) of ``sample_expectation``, one draw per term."""
+    mean = variance = 0.0
+    for weight, p_plus in per_term_probabilities(psi, h):
+        if p_plus is None:
+            mean += weight
+            continue
+        term_mean = 2.0 * int(rng.binomial(shots, p_plus)) / shots - 1.0
+        mean += weight * term_mean
+        if shots > 1:
+            sample_var = (1.0 - term_mean ** 2) * shots / (shots - 1)
+            variance += weight ** 2 * sample_var / shots
+    return mean, math.sqrt(variance)
+
+
+def per_term_sample_means(psi, h: PauliSum, shots: int, rng, count: int):
+    """``sample_means``, one binomial block of ``count`` draws per term."""
+    means = np.zeros(count)
+    for weight, p_plus in per_term_probabilities(psi, h):
+        if p_plus is None:
+            means += weight
+            continue
+        ups = rng.binomial(shots, p_plus, size=count)
+        means += weight * (2.0 * ups / shots - 1.0)
+    return means
 
 
 # ----------------------------------- second derivations, kept as oracles

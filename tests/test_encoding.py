@@ -26,6 +26,7 @@ from hartree.encoding import (
     _mode_images,
     bk_matrix,
     encode_operator,
+    encode_operators,
     encode_state,
     fenwick_tree,
 )
@@ -35,6 +36,7 @@ from hartree.fermion import (
     OccupationVector,
     apply_to_occupation,
     build_molecular_hamiltonian,
+    hf_occupation,
     number_operator,
     uccsd_generators,
 )
@@ -530,6 +532,36 @@ def test_uccsd_excitations_match_per_factor_sums_bit_for_bit(variant):
     for generator in generators:
         assert same_sum_bits(encode_operator(generator.generator, scheme),
                              per_factor_encode(generator.generator, scheme))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["h2_sto3g_0.7414", "lih_sto3g_1.45"])
+def test_generators_encoded_in_one_call_keep_their_own_bits(name, variant):
+    ints = load_fixture(name)
+    occupied = hf_occupation(ints).occupied()
+    virtual = [p for p in range(ints.m) if p not in occupied]
+    generators = [g.generator for g in
+                  uccsd_generators(ints.m, occupied, virtual)]
+    scheme = EncodingScheme(variant, ints.m)
+    images = encode_operators(generators, scheme)
+    assert len(images) == len(generators)
+    for generator, image in zip(generators, images):
+        assert same_sum_bits(image, encode_operator(generator, scheme))
+        assert same_sum_bits(image, per_factor_encode(generator, scheme))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_TERMS, max_size=5), st.sampled_from(VARIANTS))
+def test_sums_encoded_in_one_call_keep_their_own_bits(sums, variant):
+    # Sums share strings and runs of one arity cross from one sum into the
+    # next; an empty sum keeps its place.
+    sums = [FermionSum(FermionOperator(tuple(factors), coeff)
+                       for factors, coeff in terms) for terms in sums]
+    scheme = EncodingScheme(variant, 6)
+    images = encode_operators(sums, scheme)
+    assert len(images) == len(sums)
+    for s, image in zip(sums, images):
+        assert same_sum_bits(image, per_factor_encode(s, scheme))
 
 
 @pytest.mark.parametrize("name,limit", [("lih_sto3g_1.45", 2 * 0.53),

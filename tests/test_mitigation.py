@@ -12,6 +12,7 @@ from conftest import (
     pec_replays,
     pec_with_decompositions,
     per_gate_pec_draw,
+    per_term_sample_means,
     same_bits,
     series_extrapolate_exponential,
     series_extrapolate_linear,
@@ -129,6 +130,20 @@ class TestSeries:
                              make_rng(3), 50)
         assert est == _mean_estimate(means, shots=40)
         assert est.shots == 40
+
+    def test_noisy_shots_match_the_per_term_loop_bit_for_bit(
+            self, h2_vqe, monkeypatch):
+        import hartree.mitigation as mitigation
+
+        _, h, ansatz, _, theta, _ = h2_vqe
+        noise = NoiseModel(p1=0.02, p2=0.03)
+        got = noisy_expectation(ansatz.combined(), theta, h, noise,
+                                make_rng(5), trajectories=64, shots=100)
+        monkeypatch.setattr(mitigation, "sample_means", per_term_sample_means)
+        want = noisy_expectation(ansatz.combined(), theta, h, noise,
+                                 make_rng(5), trajectories=64, shots=100)
+        assert same_bits(np.array([got.mean, got.std_error]),
+                         np.array([want.mean, want.std_error]))
 
     def test_series_builder_records_requested_scales(self, h2_vqe):
         _, h, ansatz, _, theta, _ = h2_vqe

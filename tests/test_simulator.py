@@ -16,6 +16,8 @@ from conftest import (
     per_gate_apply,
     per_gate_inverse,
     per_gate_trajectory,
+    per_term_sample_expectation,
+    per_term_sample_means,
     per_term_trotter_register,
     power_matrix_qpe,
     random_pauli_string,
@@ -590,17 +592,62 @@ def test_sample_means_match_sample_expectation_on_the_same_counts(shots):
     assert stream.bit_generator.state == reference.bit_generator.state
 
     class Counts:
+        """Hands out run k's counts, one per probability asked for."""
+
         def __init__(self, column):
             self.column = list(column)
 
         def binomial(self, n, p):
-            return self.column.pop(0)
+            return np.array([self.column.pop(0) for _ in p])
 
     for k in range(25):
         replay = Counts(block[k] for block in blocks)
         expected = sample_expectation(psi, h, shots, replay)
         assert not replay.column
         assert same_bits(np.array([means[k]]), np.array([expected.mean]))
+
+
+def sampled_hamiltonians():
+    """H2's JW Hamiltonian, and sums whose identity term comes first, last
+    or not at all, with a sum of the identity alone."""
+    h2 = encode_operator(build_molecular_hamiltonian(
+        load_fixture("h2_sto3g_0.7414")), EncodingScheme(JW, 4))
+    return [h2,
+            PauliSum.from_text({"I": -0.4, "Z0": 0.7, "X1 Y2": 0.3,
+                                "Z0 Z1 Z2": -1.1, "Y0": 0.05}),
+            PauliSum.from_text({"X0 X1": 0.2, "Z3": -0.9, "Y2 Z3": 0.6}),
+            PauliSum.identity(-0.7, n_qubits=2)]
+
+
+@pytest.mark.parametrize("shots", [1, 7, 10_000])
+def test_sampled_estimates_match_the_per_term_loop_bit_for_bit(shots):
+    for k, h in enumerate(sampled_hamiltonians()):
+        n = max(h.n_qubits, 1)
+        for seed in range(20):
+            psi = StateVector(random_state(make_rng(100 * k + seed), n), n)
+            stream, reference = make_rng(seed), make_rng(seed)
+            estimate = sample_expectation(psi, h, shots, stream)
+            mean, std_error = per_term_sample_expectation(psi, h, shots,
+                                                          reference)
+            assert (estimate.mean, estimate.std_error) == (mean, std_error)
+            assert stream.bit_generator.state == reference.bit_generator.state
+            means = sample_means(psi, h, shots, stream, 9)
+            assert same_bits(means, per_term_sample_means(psi, h, shots,
+                                                          reference, 9))
+            assert stream.bit_generator.state == reference.bit_generator.state
+
+
+def test_sampling_above_the_table_ceiling_applies_each_term(monkeypatch):
+    # A ceiling below one term's tables: every string is applied per call.
+    import hartree.pauli as pauli
+
+    monkeypatch.setattr(pauli, "TABLE_BYTES", 16)
+    h = sampled_hamiltonians()[0]
+    psi = StateVector(random_state(make_rng(3), 4), 4)
+    estimate = sample_expectation(psi, h, 1000, make_rng(5))
+    assert h._string_tables == {}
+    assert (estimate.mean, estimate.std_error) == \
+        per_term_sample_expectation(psi, h, 1000, make_rng(5))
 
 
 # ----------------------------------------------------------------------- noise

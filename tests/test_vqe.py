@@ -4,9 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     per_gate_apply,
+    per_gate_gradient,
+    per_gate_run,
+    random_pauli_string,
+    random_state,
     same_bits,
     stored_state_gradient,
     two_call_descent,
@@ -27,13 +33,17 @@ from hartree.pauli import (
     PauliSum,
     TooLarge,
     canonicalize,
+    commutes,
     to_matrix,
 )
 from hartree.reduction import reduce_problem, sector_for, taper_two_qubits
 from hartree.simulator import (
+    RUN_RANK,
     Circuit,
+    CommutingRun,
     CompiledCircuit,
     Gate,
+    NonCommutingRun,
     NoiseModel,
     StateVector,
     make_rng,
@@ -456,14 +466,25 @@ def all_families(h2) -> list[Ansatz]:
             build_ldca(4, 1)]
 
 
+def has_runs(ansatz: Ansatz) -> bool:
+    return any(isinstance(span, CommutingRun)
+               for span in ansatz.compiled().spans)
+
+
 class TestCompiledAnsatz:
     def test_states_match_the_per_gate_loop_bit_for_bit(self, h2):
+        # Bit for bit where every kernel is one gate's; a run of commuting
+        # exp gates sums its angles first, so there the bound is 1e-14.
         for ansatz in all_families(h2):
             theta = make_rng(3).uniform(-1, 1, size=ansatz.n_params)
             amps = StateVector.zero(ansatz.n_qubits).amplitudes
             for gate in ansatz.combined().gates:
                 amps = per_gate_apply(amps, ansatz.n_qubits, gate, theta)
-            assert same_bits(ansatz.state(theta).amplitudes, amps), ansatz.family
+            got = ansatz.state(theta).amplitudes
+            if has_runs(ansatz):
+                assert np.max(np.abs(got - amps)) <= 1e-14, ansatz.family
+            else:
+                assert same_bits(got, amps), ansatz.family
 
     def test_gradients_match_the_stored_state_sweep(self, h2):
         _, _, _, h, _ = h2
@@ -531,6 +552,170 @@ class TestCompiledAnsatz:
         for gate in ansatz.circuit.gates:
             amps = per_gate_apply(amps, 1, gate, [0.2])
         assert same_bits(ansatz.state([0.2]).amplitudes, amps)
+
+
+# --------------------------------------------------------- commuting runs
+
+
+def family_problems(h2) -> dict[str, tuple[Ansatz, PauliSum]]:
+    ints, scheme, ferm, h, _ = h2
+    hf = hf_occupation(ints)
+    occupied = hf.occupied()
+    virtual = [p for p in range(4) if p not in occupied]
+    generators = uccsd_generators(4, occupied, virtual)
+    prep = preparation_gates(hf, scheme)
+    parts = HamiltonianParts.from_fermion(ferm, scheme)
+    return {
+        "uccsd": (build_uccsd(generators, scheme, hf), h),
+        "uccsd-2-steps": (build_uccsd(generators, scheme, hf,
+                                      trotter_steps=2), h),
+        "hamiltonian-variational": (
+            build_hamiltonian_variational(parts, 2, prep), h),
+        "ldca": (build_ldca(4, 2), h),
+        "hardware-efficient": (build_hardware_efficient(4, 2), h),
+        "uccsd-reduced-lih": reduced_lih_uccsd(),
+    }
+
+
+def exp_gates(draws, n: int) -> list[Gate]:
+    """Slotted and fixed exp gates from (x, z, slot, scale) draws, slots
+    renumbered densely in order of first use."""
+    slots: dict[int, int] = {}
+    gates = []
+    for x, z, slot, scale in draws:
+        string = PauliString(x & ((1 << n) - 1), z & ((1 << n) - 1))
+        if slot is None:
+            gates.append(Gate("exp", (), angle=scale, string=string))
+        else:
+            gates.append(Gate("exp", (), slot=slots.setdefault(
+                slot, len(slots)), scale=scale, string=string))
+    return gates
+
+
+# X masks from a small set, so neighbours often share one; z masks often
+# equal or zero, so identity strings and x = 0 diagonal runs occur.
+_EXP_DRAWS = st.lists(st.tuples(
+    st.sampled_from((0, 0, 3, 5)),
+    st.one_of(st.just(0), st.integers(0, 15)),
+    st.one_of(st.none(), st.integers(0, 3), st.integers(0, 3)),
+    st.floats(-2.0, 2.0, allow_nan=False)), min_size=1, max_size=14)
+
+
+class TestCommutingRuns:
+    """Runs of commuting exp gates against the per-gate kernels."""
+
+    @pytest.fixture(scope="class")
+    def problems(self, h2):
+        return family_problems(h2)
+
+    @pytest.mark.parametrize("name", ["uccsd", "uccsd-2-steps",
+                                      "hamiltonian-variational", "ldca",
+                                      "hardware-efficient",
+                                      "uccsd-reduced-lih"])
+    def test_every_family_stays_within_the_bounds(self, problems, name):
+        ansatz, h = problems[name]
+        gates, n = ansatz.combined().gates, ansatz.n_qubits
+        for seed in range(3):
+            theta = make_rng(seed).uniform(-1, 1, size=ansatz.n_params)
+            want = per_gate_run(gates, n, theta,
+                                StateVector.zero(n).amplitudes)
+            assert np.max(np.abs(ansatz.state(theta).amplitudes - want)
+                          ) <= 1e-14
+            assert np.max(np.abs(analytic_gradient(ansatz, theta, h)
+                                 - per_gate_gradient(ansatz, theta, h))
+                          ) <= 1e-12
+
+    def test_kernel_counts_of_the_benchmark_ansatze(self, problems):
+        counts = {name: (len(ansatz.compiled().gates),
+                         len(ansatz.compiled().spans))
+                  for name, (ansatz, _) in problems.items()}
+        assert counts == {"uccsd": (14, 5), "uccsd-2-steps": (26, 8),
+                          "hamiltonian-variational": (44, 7),
+                          "ldca": (34, 22),
+                          "hardware-efficient": (30, 30),
+                          "uccsd-reduced-lih": (86, 17)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), _EXP_DRAWS, st.integers(0, 2 ** 31))
+    def test_random_exp_sequences_match_the_per_gate_kernels(self, n, draws,
+                                                              seed):
+        gates = exp_gates(draws, n)
+        ansatz = Ansatz(Circuit(n, gates), [], HARDWARE_EFFICIENT)
+        rng = make_rng(seed)
+        theta = rng.uniform(-2, 2, size=ansatz.n_params)
+        psi = random_state(rng, n)
+        compiled = ansatz.compiled()
+        assert np.max(np.abs(compiled.run(theta, psi)
+                             - per_gate_run(gates, n, theta, psi))) <= 1e-14
+        h = PauliSum({random_pauli_string(rng, n): rng.normal()
+                      for _ in range(4)}, n_qubits=n)
+        assert np.max(np.abs(analytic_gradient(ansatz, theta, h)
+                             - per_gate_gradient(ansatz, theta, h)),
+                      initial=0.0) <= 1e-12
+        covered = []
+        for span in compiled.spans:
+            if isinstance(span, int):
+                covered.append(span)
+                continue
+            run = gates[span.start:span.stop]
+            assert len(run) > 1 and all(g.slot is not None for g in run)
+            covered.extend(range(span.start, span.stop))
+            first = run[0].string
+            idx, phased = first.tables(1 << n)
+            signs = span.rows[span.row_of]
+            for k, gate in enumerate(run):
+                assert gate.string.x == first.x
+                assert commutes(gate.string, first)
+                # S[j, k] = phased_k[j] / phased_0[j], every entry +-1
+                assert np.array_equal(signs[:, k] * phased,
+                                      gate.string.tables(1 << n)[1])
+        assert covered == list(range(len(gates)))
+
+    def test_neighbours_that_could_join_are_in_one_run(self):
+        gates = exp_gates([(3, 0, 0, 0.5), (3, 3, 1, -1.0), (3, 1, 0, 0.3),
+                           (0, 0, 2, 1.0), (0, 1, 2, 0.7), (0, 3, 1, 0.1),
+                           (3, 1, None, 0.4), (3, 0, 1, 0.2)], 2)
+        spans = CompiledCircuit(gates, 2).spans
+        # X0 X1 and Y0 Y1 commute, Y0 X1 does not; I, Z0 and Z0 Z1 make a
+        # diagonal run; a fixed-angle gate and the gate after it stand alone
+        assert [(s.start, s.stop) if isinstance(s, CommutingRun) else s
+                for s in spans] == [(0, 2), 2, (3, 6), 6, 7]
+
+    def test_rank_past_the_cap_starts_a_new_run(self):
+        n = RUN_RANK + 3
+        gates = exp_gates([(0, 1 << q, q, 0.1 * (q + 1))
+                           for q in range(n)], n)
+        spans = CompiledCircuit(gates, n).spans
+        # Z_q Z_0 for q = 1, 2, ... are independent: the first run holds
+        # RUN_RANK of them beside Z_0
+        assert [(s.start, s.stop) for s in spans] == \
+            [(0, RUN_RANK + 1), (RUN_RANK + 1, n)]
+
+    def test_strings_that_do_not_commute_are_refused(self):
+        x0, y0, z0 = (PauliString.single(letter, 0) for letter in "XYZ")
+        for pair in ((x0, y0), (x0, z0)):
+            with pytest.raises(NonCommutingRun):
+                CommutingRun([Gate("exp", (), slot=0, string=s)
+                              for s in pair], 0, 1)
+
+    def test_sign_tables_are_built_on_the_first_run_under_the_budget(
+            self, problems, monkeypatch):
+        import hartree.pauli as pauli
+
+        ansatz, _ = problems["uccsd-reduced-lih"]
+        gates, n = ansatz.combined().gates, ansatz.n_qubits
+        needed = sum(span.nbytes for span in CompiledCircuit(gates, n).spans
+                     if isinstance(span, CommutingRun))
+        compiled = CompiledCircuit(gates, n)
+        assert "spans" not in vars(compiled)  # compiling groups nothing
+        monkeypatch.setattr(pauli, "BYTE_BUDGET", needed - 1)
+        zero = StateVector.zero(n).amplitudes
+        with pytest.raises(TooLarge, match=f"sign tables .* needs {needed}"):
+            compiled.run(np.zeros(ansatz.n_params), zero)
+        monkeypatch.setattr(pauli, "BYTE_BUDGET", needed)
+        compiled.run(np.zeros(ansatz.n_params), zero)
+        assert all(span.row_of is not None for span in compiled.spans
+                   if isinstance(span, CommutingRun))
 
 
 class TestPenalty:

@@ -75,6 +75,7 @@ EXTRA = (
                             "--optimizer", "gradient-descent",
                             "--max-evals", "100")),
     ("curve-fci-vqe", ("curve", "--method", "fci", "--method", "vqe")),
+    ("vqe-h2-uccsd-2-steps", ("vqe", *H2, "--layers", "2")),
 )
 
 
