@@ -19,9 +19,8 @@ from ..encoding import JW, VARIANTS
 from ..errors import NUMERICAL_EXIT, USAGE_EXIT, HartreeError
 from ..vqe import (
     DEFAULT_TRAJECTORIES,
-    GRADIENT_DESCENT,
+    METHODS as OPTIMIZERS,
     NELDER_MEAD,
-    SPSA,
     OptimizerConfig,
 )
 from .fixtures import H2_CURVE, list_fixtures
@@ -110,7 +109,7 @@ def exact(k, **common):
 @click.option("--layers", type=int, default=1, show_default=True,
               help="Ansatz repetitions (steps, layers, or cycles).")
 @click.option("--optimizer", "opt_method",
-              type=click.Choice([NELDER_MEAD, SPSA, GRADIENT_DESCENT]),
+              type=click.Choice(list(OPTIMIZERS)),
               default=NELDER_MEAD, show_default=True)
 @click.option("--max-evals", type=int, default=2000, show_default=True)
 @click.option("--tolerance", type=float, default=1e-8, show_default=True)
@@ -170,8 +169,8 @@ def spectrum(k, **common):
               help="Cancellation samples or post-selection shots.")
 def mitigate(technique, ansatz, layers, scales, noise_p1, noise_p2,
              trajectories, samples, **common):
-    """Tune the ansatz noiselessly by gradient descent, then compare raw,
-    mitigated, and oracle energies under gate noise."""
+    """Tune the ansatz noiselessly by L-BFGS on the analytic gradient, then
+    compare raw, mitigated, and oracle energies under gate noise."""
     try:
         parsed_scales = tuple(float(s) for s in scales.split(","))
     except ValueError:

@@ -27,6 +27,7 @@ from .fermion import (
 )
 from .errors import ConfigError
 from .pauli import AMPLITUDE_BYTES, PauliString, PauliSum, check_bytes
+from .simulator import EIGH_MATRICES
 
 DEFAULT_LOWER_NOON = 1e-4
 DEFAULT_UPPER_NOON = 1.99
@@ -270,8 +271,8 @@ def _sector_matrix(ints: MolecularIntegrals, masks: list[int]) -> np.ndarray:
 def fci_sector_ground(ints: MolecularIntegrals
                       ) -> tuple[float, np.ndarray, list[int]]:
     """Exact ground state in the fixed (n_up, n_down) determinant sector;
-    TooLarge, before the matrix is built, when it and eigh's vectors would
-    exceed BYTE_BUDGET."""
+    TooLarge, before the matrix is built, when EIGH_MATRICES matrices of
+    its size (it, eigh's vectors and workspace) would exceed BYTE_BUDGET."""
     if ints.ordering != BLOCKED:
         raise InconsistentSpace("spin-blocked integrals required")
     if ints.m > MASK_MODES:
@@ -280,7 +281,7 @@ def fci_sector_ground(ints: MolecularIntegrals
             f"not {ints.m}")
     masks = sector_determinants(ints.m, ints.n_up, ints.n_down)
     dim = len(masks)
-    check_bytes(2 * dim * dim * AMPLITUDE_BYTES,
+    check_bytes(EIGH_MATRICES * dim * dim * AMPLITUDE_BYTES,
                 f"the {dim}-determinant sector matrix")
     values, vectors = np.linalg.eigh(_sector_matrix(ints, masks))
     return float(values[0]), vectors[:, 0], masks

@@ -64,11 +64,16 @@ LDCA = "ldca"
 NELDER_MEAD = "nelder-mead"
 SPSA = "spsa"
 GRADIENT_DESCENT = "gradient-descent"
-METHODS = (NELDER_MEAD, SPSA, GRADIENT_DESCENT)
+L_BFGS = "l-bfgs"
+METHODS = (NELDER_MEAD, SPSA, GRADIENT_DESCENT, L_BFGS)
 
 
 class NotAntiHermitian(ConfigError):
     """A cluster generator whose qubit image has a real coefficient."""
+
+
+class InexactEnergies(ConfigError):
+    """A line-search optimizer asked to run on sampled or noisy energies."""
 
 
 class PartitionIncomplete(ConfigError):
@@ -496,6 +501,15 @@ class _Objective:
                    for k in range(CONVERGENCE_STREAK))
 
 
+def check_exact_energies(config: OptimizerConfig, shots: int | None,
+                         noise: NoiseModel | None) -> None:
+    """InexactEnergies when L-BFGS would see sampled or noisy energies: its
+    line search compares them as if they were exact."""
+    if config.method == L_BFGS and (shots is not None or noise is not None):
+        raise InexactEnergies("l-bfgs needs exact energies for its line "
+                              "search; drop the shots and the noise")
+
+
 def optimize(ansatz: Ansatz, h: PauliSum, config: OptimizerConfig,
              shots: int | None = None, noise: NoiseModel | None = None,
              rng: np.random.Generator | None = None,
@@ -507,7 +521,10 @@ def optimize(ansatz: Ansatz, h: PauliSum, config: OptimizerConfig,
     with converged set to False. Identical configuration and seed reproduce
     the result exactly when no external generator is passed. With a noise
     model every evaluation averages ``trajectories`` noisy trajectories.
+    L-BFGS runs in exact mode only, and is converged only when scipy's
+    L-BFGS-B reports success.
     """
+    check_exact_energies(config, shots, noise)
     master = make_rng(config.seed) if rng is None else rng
     init_rng, sample_rng, search_rng = split_rng(master, 3)
     theta0 = np.array(initial, dtype=float) if initial is not None else \
@@ -516,15 +533,17 @@ def optimize(ansatz: Ansatz, h: PauliSum, config: OptimizerConfig,
                            sample_rng if (shots is not None or noise is not None)
                            else None, config, trajectories)
 
-    if config.method == NELDER_MEAD:
-        _nelder_mead(objective, theta0, config)
-    elif config.method == SPSA:
-        _spsa(objective, theta0, config, search_rng)
+    if config.method == L_BFGS:
+        converged = _lbfgs(objective, theta0, config)
     else:
-        _gradient_descent(objective, theta0, config)
-
-    converged = (objective.converged_streak() or not objective.exhausted()) \
-        and objective.best_params is not None
+        if config.method == NELDER_MEAD:
+            _nelder_mead(objective, theta0, config)
+        elif config.method == SPSA:
+            _spsa(objective, theta0, config, search_rng)
+        else:
+            _gradient_descent(objective, theta0, config)
+        converged = objective.converged_streak() or not objective.exhausted()
+    converged = converged and objective.best_params is not None
     return VqeResult(objective.best_params, objective.best_energy,
                      objective.trace, objective.shots_used, converged)
 
@@ -545,6 +564,36 @@ def _nelder_mead(objective: _Objective, theta0: np.ndarray,
         wrapped, theta0, method="Nelder-Mead",
         options={"maxfev": config.max_evals, "fatol": config.tolerance,
                  "xatol": 1e-8, "adaptive": True})
+
+
+def _lbfgs(objective: _Objective, theta0: np.ndarray,
+           config: OptimizerConfig) -> bool:
+    """L-BFGS-B on the fused energy-and-gradient sweep (Liu & Nocedal 1989);
+    True only when it reports success.
+
+    scipy checks ``maxfun`` between iterations, so a line search could
+    overrun it; the wrapper stops the search instead, at exactly
+    ``max_evals`` evaluations.
+    """
+    import scipy.optimize
+
+    def wrapped(theta):
+        if objective.exhausted():
+            raise StopIteration
+        value, gradient = objective.with_gradient(theta)
+        objective.record(value)
+        return value, gradient
+
+    if theta0.size == 0:
+        objective.record(objective(theta0))
+        return True
+    try:
+        result = scipy.optimize.minimize(
+            wrapped, theta0, jac=True, method="L-BFGS-B", tol=config.tolerance,
+            options={"maxfun": config.max_evals, "maxiter": config.max_evals})
+    except StopIteration:
+        return False
+    return bool(result.success)
 
 
 def _spsa(objective: _Objective, theta0: np.ndarray, config: OptimizerConfig,

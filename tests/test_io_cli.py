@@ -404,6 +404,13 @@ class TestRunConfig:
             RunConfig(fixture=H2_EQUILIBRIUM, **kwargs)
         RunConfig(fixture=H2_EQUILIBRIUM, seed=1, **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"shots": 100},
+                                        {"noise_p2": 1e-3}])
+    def test_quasi_newton_refuses_inexact_energies(self, kwargs):
+        with pytest.raises(ValueError, match="needs exact energies"):
+            RunConfig(fixture=H2_EQUILIBRIUM, method="vqe", seed=1,
+                      optimizer=OptimizerConfig(method="l-bfgs"), **kwargs)
+
     def test_exact_mode_needs_no_seed(self):
         config = RunConfig(fixture=H2_EQUILIBRIUM)
         assert config.seed is None
@@ -679,6 +686,17 @@ class TestCli:
         assert document["config"]["optimizer"]["seed"] == 7
         assert abs(document["result"]["error_to_oracle"]) < 1e-6
 
+    def test_vqe_by_quasi_newton_reaches_the_ground(self, capsys):
+        assert main(["vqe", "--fixture", H2_EQUILIBRIUM, "--optimizer",
+                     "l-bfgs"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert abs(result["error_to_oracle"]) < 1e-8  # perfbench's EXACT_TOL
+
+    def test_vqe_by_quasi_newton_with_shots_exits_2(self, capsys):
+        assert main(["vqe", "--fixture", H2_EQUILIBRIUM, "--optimizer",
+                     "l-bfgs", "--shots", "100", "--seed", "1"]) == 2
+        assert "needs exact energies" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [[], ["--shots", "100"]],
                              ids=["exact", "shots"])
     def test_vqe_repeats_byte_for_byte_in_one_process(self, tmp_path, extra):
@@ -874,11 +892,11 @@ class TestMitigateTuning:
                ansatz="hardware-efficient", samples=1000, noise_p1=1e-3,
                noise_p2=1e-3, seed=11)
 
-    def test_mitigate_defaults_to_capped_gradient_descent(self):
+    def test_mitigate_defaults_to_capped_lbfgs(self):
         config = RunConfig(**self.PEC)
         assert config.optimizer == pipeline.MITIGATE_TUNER
         assert (config.optimizer.method, config.optimizer.max_evals) == (
-            "gradient-descent", 300)
+            "l-bfgs", 300)
         assert RunConfig(fixture=H2_EQUILIBRIUM,
                          method="vqe").optimizer == OptimizerConfig()
 
@@ -888,8 +906,8 @@ class TestMitigateTuning:
         document = json.loads(capsys.readouterr().out)
         optimizer = document["config"]["optimizer"]
         assert (optimizer["method"], optimizer["max_evals"]) == (
-            "gradient-descent", 300)
-        assert document["result"]["tuning"] == {"evaluations": 18,
+            "l-bfgs", 300)
+        assert document["result"]["tuning"] == {"evaluations": 6,
                                                 "converged": True}
 
     def test_oracle_ground_is_the_exact_ground(self):
@@ -905,6 +923,25 @@ class TestMitigateTuning:
                                         optimizer=cut))["result"]
         assert result["tuning"] == {"evaluations": 5, "converged": False}
         assert result["oracle"] - result["oracle_ground"] > 0.1
+
+    def test_cut_off_quasi_newton_reports_not_converged(self):
+        cut = OptimizerConfig(method="l-bfgs", max_evals=5)
+        result = run_pipeline(RunConfig(**self.PEC,
+                                        optimizer=cut))["result"]
+        assert result["tuning"] == {"evaluations": 5, "converged": False}
+
+    # The doc-digest seeds, then the seeds perfbench's noise workload hands
+    # mitigate-pec in its first three passes at workload seed 23.
+    @pytest.mark.parametrize("seed", [3, 11, 29, 2141379151, 1506599001,
+                                      899466980])
+    def test_quasi_newton_tunes_no_worse_than_descent(self, seed):
+        def gap(method):
+            optimizer = OptimizerConfig(method=method, max_evals=300)
+            result = run_pipeline(RunConfig(**{**self.PEC, "seed": seed},
+                                            optimizer=optimizer))["result"]
+            return result["oracle"] - result["oracle_ground"]
+
+        assert gap("l-bfgs") <= gap("gradient-descent") + 1e-10
 
     def test_nelder_mead_reproduces_the_earlier_tuner_bit_for_bit(self):
         # The numbers this job gave while Nelder-Mead at 2000 evaluations

@@ -237,7 +237,7 @@ def test_sector_ground_matches_dense_diagonalization():
 
 def test_sector_guard_refuses_before_building(monkeypatch):
     # Fourteen spatial orbitals with two electrons of each spin: 91^2
-    # determinants, a 1.9 GiB matrix with its eigenvectors.
+    # determinants, 3.1 GiB for the matrix, eigh's vectors and its workspace.
     m = 28
     ints = MolecularIntegrals(m, 4, 2, 0.0, np.zeros((m, m)),
                               np.zeros((m,) * 4))
@@ -247,7 +247,7 @@ def test_sector_guard_refuses_before_building(monkeypatch):
 
     monkeypatch.setattr(reduction, "build_molecular_hamiltonian", refuse)
     monkeypatch.setattr(np, "zeros", refuse)
-    with pytest.raises(TooLarge, match=f"needs {2 * 8281 ** 2 * 16} bytes"):
+    with pytest.raises(TooLarge, match=f"needs {3 * 8281 ** 2 * 16} bytes"):
         fci_sector_ground(ints)
 
 

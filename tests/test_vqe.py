@@ -17,6 +17,7 @@ from conftest import (
     stored_state_gradient,
     two_call_descent,
 )
+from hartree import vqe
 from hartree.encoding import JW, PARITY, EncodingScheme, encode_operator, encode_state
 from hartree.fermion import (
     FermionSum,
@@ -54,12 +55,14 @@ from hartree.vqe import (
     GRADIENT_REGISTERS,
     HAMILTONIAN_VARIATIONAL,
     HARDWARE_EFFICIENT,
+    L_BFGS,
     LDCA,
     NELDER_MEAD,
     SPSA,
     UCCSD,
     Ansatz,
     HamiltonianParts,
+    InexactEnergies,
     NotAntiHermitian,
     OptimizerConfig,
     PartitionIncomplete,
@@ -803,10 +806,60 @@ class TestOptimizers:
         assert result.best_params is not None
         assert np.isfinite(result.best_energy)
 
+    def test_quasi_newton_stops_at_exactly_its_cap(self, h2, monkeypatch):
+        # scipy's own maxfun=5 lets this line search run to 8 evaluations.
+        ansatz = build_hardware_efficient(4, 1)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return analytic_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(vqe, "analytic_gradient", counted)
+        result = optimize(ansatz, h2[3],
+                          OptimizerConfig(method=L_BFGS, max_evals=5),
+                          initial=initial_parameters(ansatz, seed=5))
+        assert len(calls) == result.evaluations == 5
+        assert not result.converged
+        assert result.best_energy == min(e for e, _ in result.trace)
+
+    def test_quasi_newton_converges_only_on_success(self, h2, monkeypatch):
+        # An uphill gradient ends the line search abnormally, under the cap.
+        ansatz = build_hardware_efficient(4, 1)
+
+        def uphill(*args, **kwargs):
+            energy, gradient = analytic_gradient(*args, **kwargs)
+            return energy, -gradient
+
+        monkeypatch.setattr(vqe, "analytic_gradient", uphill)
+        result = optimize(ansatz, h2[3],
+                          OptimizerConfig(method=L_BFGS, max_evals=300),
+                          initial=initial_parameters(ansatz, seed=5))
+        assert result.evaluations < 300
+        assert not result.converged
+
+    @pytest.mark.parametrize("kwargs", [{"shots": 100},
+                                        {"noise": NoiseModel(1e-3, 1e-3)}])
+    def test_quasi_newton_refuses_inexact_energies(self, h2, h2_uccsd,
+                                                   kwargs):
+        with pytest.raises(InexactEnergies, match="needs exact energies"):
+            optimize(h2_uccsd, h2[3], OptimizerConfig(method=L_BFGS),
+                     rng=make_rng(1), **kwargs)
+
+    @pytest.mark.parametrize("method", [NELDER_MEAD, L_BFGS])
+    def test_an_empty_ansatz_is_evaluated_once(self, method):
+        ansatz = Ansatz(Circuit(1), [], HARDWARE_EFFICIENT)
+        h = PauliSum.from_text({"Z0": 1.0})
+        result = optimize(ansatz, h, OptimizerConfig(method=method))
+        assert result.evaluations == 1
+        assert result.best_energy == 1.0
+        assert result.converged
+
     def test_best_energy_is_trace_minimum(self, h2, h2_uccsd):
         _, _, _, h, _ = h2
         for method, kwargs in ((NELDER_MEAD, {}), (SPSA, {"spsa_a": 0.4}),
-                               (GRADIENT_DESCENT, {"learning_rate": 0.2})):
+                               (GRADIENT_DESCENT, {"learning_rate": 0.2}),
+                               (L_BFGS, {})):
             config = OptimizerConfig(method=method, max_evals=120,
                                      tolerance=1e-12, seed=2, **kwargs)
             result = optimize(h2_uccsd, h, config)

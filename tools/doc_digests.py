@@ -76,6 +76,7 @@ EXTRA = (
                             "--max-evals", "100")),
     ("curve-fci-vqe", ("curve", "--method", "fci", "--method", "vqe")),
     ("vqe-h2-uccsd-2-steps", ("vqe", *H2, "--layers", "2")),
+    ("vqe-h2-lbfgs", ("vqe", *H2, "--optimizer", "l-bfgs")),
 )
 
 
