@@ -262,24 +262,45 @@ def apply_to_occupation(op: FermionOperator,
     return phase * op.coeff, OccupationVector(f.m, mask)
 
 
-def build_molecular_hamiltonian(ints: MolecularIntegrals) -> FermionSum:
-    """H = sum h_pq a+_p a_q + 1/2 sum h_pqrs a+_p a+_q a_r a_s + core."""
+def molecular_term_runs(ints: MolecularIntegrals
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The terms of H = core + sum h_pq a+_p a_q + 1/2 sum h_pqrs a+_p a+_q
+    a_r a_s read straight from the integral arrays, in build order: the
+    core, then one-body, then two-body terms, each index tuple in row-major
+    order and only where |coefficient| > COEFF_TOLERANCE. One run per arity
+    present, as ``arity_runs`` cuts them: its (terms, arity, 2) uint64 array
+    of (mode, dagger) per factor and its coefficients, kept in the
+    integrals' own dtype."""
     ints.validate()
-    terms = []
+    runs = []
     if abs(ints.core_energy) > COEFF_TOLERANCE:
-        terms.append(FermionOperator((), ints.core_energy))
-    m = ints.m
-    for p in range(m):
-        for q in range(m):
-            c = ints.h_one[p, q]
-            if abs(c) > COEFF_TOLERANCE:
-                terms.append(FermionOperator(((p, True), (q, False)), c))
-    nonzero = np.argwhere(np.abs(ints.h_two) > COEFF_TOLERANCE)
-    for p, q, r, s in nonzero:
-        terms.append(FermionOperator(
-            ((int(p), True), (int(q), True), (int(r), False), (int(s), False)),
-            0.5 * ints.h_two[p, q, r, s]))
-    return FermionSum(terms)
+        runs.append((np.zeros((1, 0, 2), dtype=np.uint64),
+                     np.array([ints.core_energy])))
+    for tensor, scale, daggers in ((ints.h_one, None, (1, 0)),
+                                   (ints.h_two, 0.5, (1, 1, 0, 0))):
+        index = np.argwhere(np.abs(tensor) > COEFF_TOLERANCE)
+        if not len(index):
+            continue
+        coeffs = tensor[tuple(index.T)]
+        pairs = np.empty(index.shape + (2,), dtype=np.uint64)
+        pairs[..., 0] = index
+        pairs[..., 1] = daggers
+        runs.append((pairs, coeffs if scale is None else scale * coeffs))
+    return runs
+
+
+def run_terms(pairs: np.ndarray, coeffs: np.ndarray) -> list[FermionOperator]:
+    """The FermionOperators of one run of ``arity_runs``' form, each
+    coefficient the run's own scalar."""
+    return [FermionOperator(tuple((p, bool(d)) for p, d in factors.tolist()),
+                            c) for factors, c in zip(pairs, coeffs)]
+
+
+def build_molecular_hamiltonian(ints: MolecularIntegrals) -> FermionSum:
+    """H = sum h_pq a+_p a_q + 1/2 sum h_pqrs a+_p a+_q a_r a_s + core, the
+    terms of ``molecular_term_runs``."""
+    return FermionSum(itertools.chain.from_iterable(
+        run_terms(pairs, coeffs) for pairs, coeffs in molecular_term_runs(ints)))
 
 
 def number_operator(modes: Iterable[int]) -> FermionSum:

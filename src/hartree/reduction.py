@@ -20,17 +20,25 @@ from .encoding import BK, BKTREE, PARITY, EncodingScheme
 from .fermion import (
     BLOCKED,
     MASK_MODES,
-    FermionOperator,
     MolecularIntegrals,
-    arity_runs,
-    build_molecular_hamiltonian,
+    molecular_term_runs,
+    run_terms,
 )
 from .errors import ConfigError
-from .pauli import AMPLITUDE_BYTES, PauliString, PauliSum, check_bytes
+from .pauli import (
+    AMPLITUDE_BYTES,
+    TABLE_BYTES,
+    PauliString,
+    PauliSum,
+    check_bytes,
+)
 from .simulator import EIGH_MATRICES
 
 DEFAULT_LOWER_NOON = 1e-4
 DEFAULT_UPPER_NOON = 1.99
+# The sector matrix is built in blocks of columns whose (column, term)
+# grid of uint64 masks holds at most this many bytes.
+SECTOR_BLOCK_BYTES = TABLE_BYTES >> 5
 
 
 class NotSymmetric(ConfigError):
@@ -202,15 +210,20 @@ def sector_determinants(m: int, n_up: int, n_down: int) -> list[int]:
     return sorted(u | d for u in ups for d in downs)
 
 
-def _ladder(modes: np.ndarray, creates: np.ndarray) -> list[tuple]:
-    """Per factor, rightmost first: its mode's bit, the bits below it, and
-    what the factor needs at that bit (the bit to annihilate, 0 to create).
-    The last axis of ``modes`` and ``creates`` holds the factors left to
-    right."""
-    bits = np.uint64(1) << modes
-    need = np.where(creates, np.uint64(0), bits)
+def _factor_bits(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of each factor in a (..., arity, 2) array of (mode, dagger): its
+    mode's bit, and what it needs at that bit (the bit to annihilate, 0 to
+    create)."""
+    bits = np.uint64(1) << pairs[..., 0]
+    return bits, np.where(pairs[..., 1] == 1, np.uint64(0), bits)
+
+
+def _ladder(pairs: np.ndarray) -> list[tuple]:
+    """Per factor of ``pairs``, rightmost first: ``_factor_bits`` and the
+    bits below the factor's mode."""
+    bits, need = _factor_bits(pairs)
     return [(bits[..., f], bits[..., f] - np.uint64(1), need[..., f])
-            for f in reversed(range(modes.shape[-1]))]
+            for f in reversed(range(pairs.shape[-2]))]
 
 
 def _apply(ladder: list[tuple], masks) -> tuple[np.ndarray, ...]:
@@ -235,36 +248,54 @@ def _rows(masks: np.ndarray, images: np.ndarray) -> np.ndarray:
     return np.where(masks.take(rows, mode="clip") == images, rows, -1)
 
 
-def _outside(term, mask: int, ints: MolecularIntegrals) -> InconsistentSpace:
+def _outside(pairs: np.ndarray, coeffs: np.ndarray, term: int, mask: int,
+             ints: MolecularIntegrals) -> InconsistentSpace:
+    [operator] = run_terms(pairs[term:term + 1], coeffs[term:term + 1])
     return InconsistentSpace(
-        f"term {term} maps determinant {mask:0{ints.m}b} outside the "
+        f"term {operator} maps determinant {mask:0{ints.m}b} outside the "
         f"({ints.n_up}, {ints.n_down}) sector")
 
 
-def _term_runs(terms: list) -> list[tuple]:
-    """The terms in build order, cut into runs of one arity: (position of
-    the run's first term, its ladder, its coefficients)."""
-    return [(first, _ladder(pairs[..., 0], pairs[..., 1] == 1), coeffs)
-            for first, pairs, coeffs in arity_runs(terms)]
-
-
 def _sector_matrix(ints: MolecularIntegrals, masks: list[int]) -> np.ndarray:
-    """Each column applies every Hamiltonian term to its determinant at
-    once; each entry adds its amplitudes in term order."""
-    terms = build_molecular_hamiltonian(ints).terms
+    """The Hamiltonian's terms applied to blocks of columns at once, at most
+    SECTOR_BLOCK_BYTES of (column, term) masks per block.
+
+    Only the pairs whose annihilated modes are all occupied in the column's
+    determinant go on to ``_apply``. A block's entries are gathered in
+    (run, column, term) order, so within one column they come in (run,
+    term) order, and one ``np.add.at`` adds each entry's amplitudes in term
+    order, as a column-by-column loop over the terms does. Of the terms
+    that map a determinant outside the sector, the first in (column, run,
+    term) order is named.
+    """
+    runs = [(pairs, np.bitwise_or.reduce(_factor_bits(pairs)[1], axis=-1),
+             coeffs, coeffs.astype(complex))
+            for pairs, coeffs in molecular_term_runs(ints)]
     sector = np.array(masks, dtype=np.uint64)
     matrix = np.zeros((len(masks), len(masks)), dtype=complex)
-    runs = _term_runs(terms)
-    for column, mask in enumerate(sector):
-        for first, ladder, coeffs in runs:
-            image, odd, alive = _apply(ladder, np.full(len(coeffs), mask))
-            hit = np.flatnonzero(alive)
-            rows = _rows(sector, image[hit])
+    if not runs:
+        return matrix
+    n_terms = sum(len(coeffs) for _, _, coeffs, _ in runs)
+    width = max(1, SECTOR_BLOCK_BYTES // (sector.itemsize * n_terms))
+    for start in range(0, len(masks), width):
+        block = sector[start:start + width]
+        entries, leaks = [], []
+        for run, (pairs, needs, _, amplitudes) in enumerate(runs):
+            column, term = np.nonzero((block[:, None] & needs) == needs)
+            image, odd, alive = _apply(_ladder(pairs[term]), block[column])
+            column, term = column[alive], term[alive]
+            rows = _rows(sector, image[alive])
             if rows.min(initial=0) < 0:
-                raise _outside(terms[first + hit[np.argmin(rows)]],
-                               masks[column], ints)
-            amplitudes = np.where(odd[hit], -coeffs[hit], coeffs[hit])
-            np.add.at(matrix, (rows, column), amplitudes)
+                first = np.argmin(rows)  # in (column, term) order
+                leaks.append((column[first], run, term[first]))
+            entries.append((rows, start + column, np.where(
+                odd[alive], -amplitudes[term], amplitudes[term])))
+        if leaks:
+            column, run, term = min(leaks)
+            pairs, _, coeffs, _ = runs[run]
+            raise _outside(pairs, coeffs, term, masks[start + column], ints)
+        rows, columns, amplitudes = map(np.concatenate, zip(*entries))
+        np.add.at(matrix, (rows, columns), amplitudes)
     return matrix
 
 
@@ -299,17 +330,21 @@ def spin_summed_1rdm(ints: MolecularIntegrals,
     else:
         amplitudes, masks = ground
     ns = ints.m // 2
-    ops = [FermionOperator(((i + s, True), (j + s, False)))
-           for i in range(ns) for j in range(ns) for s in (0, ns)]
-    [(_, ladder, _)] = _term_runs(ops)
+    # a+_(i+s) a_(j+s) for i, j over the spatial orbitals, then s = 0, ns
+    i, j, s = np.meshgrid(np.arange(ns), np.arange(ns), (0, ns),
+                          indexing="ij")
+    pairs = np.empty((2 * ns * ns, 2, 2), dtype=np.uint64)
+    pairs[:, 0, 0], pairs[:, 1, 0] = (i + s).ravel(), (j + s).ravel()
+    pairs[..., 1] = (1, 0)
     sector = np.array(masks, dtype=np.uint64)
-    image, odd, alive = (a.T for a in _apply(ladder, sector[:, None]))
+    image, odd, alive = (a.T for a in _apply(_ladder(pairs), sector[:, None]))
     alive &= np.abs(amplitudes) >= 1e-14
     op, k = np.nonzero(alive)
     rows = _rows(sector, image[op, k])
     if rows.min(initial=0) < 0:
         bad = np.argmin(rows)
-        raise _outside(ops[op[bad]], masks[k[bad]], ints)
+        raise _outside(pairs, np.ones(len(pairs)), op[bad], masks[k[bad]],
+                       ints)
     phases = np.where(odd[op, k], -1.0, 1.0)
     rho = np.zeros((ns, ns))
     np.add.at(rho.reshape(-1), op // 2,
@@ -342,9 +377,9 @@ def reduce_problem(ints: MolecularIntegrals,
     return ReductionResult(reduced, space, noons, rotation)
 
 
-def _drop_bit(mask: int, position: int) -> int:
-    lower = mask & ((1 << position) - 1)
-    return lower | (mask >> position + 1) << position
+def _drop_bit(masks: np.ndarray, position: int) -> np.ndarray:
+    lower = masks & np.uint64((1 << position) - 1)
+    return lower | masks >> np.uint64(position + 1) << np.uint64(position)
 
 
 def taper_two_qubits(h: PauliSum, scheme: EncodingScheme,
@@ -355,6 +390,8 @@ def taper_two_qubits(h: PauliSum, scheme: EncodingScheme,
     parity under the supported schemes with spin-blocked ordering; both are
     acted on only by I or Z in a symmetry-respecting Hamiltonian, so each Z
     becomes a sign and the registers shrink by two with a descending shift.
+    The terms are read as uint64 X and Z mask arrays; where tapered strings
+    merge, their coefficients are added in term order from zero.
     """
     m = scheme.m
     if m < 2 or m % 2:
@@ -365,19 +402,29 @@ def taper_two_qubits(h: PauliSum, scheme: EncodingScheme,
         raise ValueError(f"scheme {scheme.variant!r} has no parity qubits to taper")
     if h.n_qubits > m:
         raise ValueError(f"operator acts on {h.n_qubits} qubits, scheme has {m}")
+    if m > MASK_MODES:
+        raise ValueError(f"a uint64 mask holds {MASK_MODES} qubits, not {m}")
     top, mid = m - 1, m // 2 - 1
-    out: dict[PauliString, complex] = {}
-    for string, coeff in h.items():
-        for qubit in (top, mid):
-            if string.x >> qubit & 1:
-                raise NotSymmetric(
-                    f"term {string} acts on tapered qubit {qubit} with X or Y")
-        if string.z >> top & 1:
-            coeff = coeff * sector.z_total
-        if string.z >> mid & 1:
-            coeff = coeff * sector.z_up
-        x = _drop_bit(_drop_bit(string.x, top), mid)
-        z = _drop_bit(_drop_bit(string.z, top), mid)
-        new = PauliString(x, z)
-        out[new] = out.get(new, 0.0) + coeff
-    return PauliSum(out, n_qubits=m - 2)
+    strings = h.strings()
+    x, z = (np.fromiter((getattr(s, axis) for s in strings), dtype=np.uint64,
+                        count=len(strings)) for axis in ("x", "z"))
+    coeffs = np.array([c for _, c in h.items()], dtype=complex)
+    flipped = np.flatnonzero(x & np.uint64(1 << top | 1 << mid))
+    if flipped.size:
+        string = strings[flipped[0]]
+        qubit = top if string.x >> top & 1 else mid
+        raise NotSymmetric(
+            f"term {string} acts on tapered qubit {qubit} with X or Y")
+    for qubit, sign in ((top, sector.z_total), (mid, sector.z_up)):
+        coeffs = np.where((z & np.uint64(1 << qubit)) != 0, coeffs * sign,
+                          coeffs)
+    x = _drop_bit(_drop_bit(x, top), mid)
+    z = _drop_bit(_drop_bit(z, top), mid)
+    slots: dict[tuple[int, int], int] = {}
+    at = [slots.setdefault(key, len(slots))
+          for key in zip(x.tolist(), z.tolist())]
+    total = np.zeros(len(slots), dtype=complex)
+    np.add.at(total, at, coeffs)
+    return PauliSum({PauliString(*key): coeff
+                     for key, coeff in zip(slots, total.tolist())},
+                    n_qubits=m - 2)

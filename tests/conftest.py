@@ -661,24 +661,44 @@ def expm_imaginary_time(psi, h: PauliSum, tau: float, steps: int) -> np.ndarray:
 
 # --------------------------- restating loops, kept as bit-for-bit oracles
 #
-# The sector loops, the two fit bodies and cancellation with caller-built
+# The molecular Hamiltonian's index loop, the sector loops, the per-term
+# taper, the two fit bodies and cancellation with caller-built
 # decompositions as they were written before each was derived from shared
-# code. The library must match them bit for bit.
+# code or read from arrays. The library must match them bit for bit.
+
+
+def per_index_molecular_hamiltonian(ints):
+    """The molecular FermionSum built one integral index at a time: the
+    core, then h_one in row-major order, then every nonzero h_two entry."""
+    from hartree.fermion import COEFF_TOLERANCE, FermionOperator, FermionSum
+
+    ints.validate()
+    terms = []
+    if abs(ints.core_energy) > COEFF_TOLERANCE:
+        terms.append(FermionOperator((), ints.core_energy))
+    m = ints.m
+    for p in range(m):
+        for q in range(m):
+            c = ints.h_one[p, q]
+            if abs(c) > COEFF_TOLERANCE:
+                terms.append(FermionOperator(((p, True), (q, False)), c))
+    nonzero = np.argwhere(np.abs(ints.h_two) > COEFF_TOLERANCE)
+    for p, q, r, s in nonzero:
+        terms.append(FermionOperator(
+            ((int(p), True), (int(q), True), (int(r), False), (int(s), False)),
+            0.5 * ints.h_two[p, q, r, s]))
+    return FermionSum(terms)
 
 
 def per_determinant_fci_matrix(ints):
     """Sector FCI matrix built column by column, every term applied to a
     fresh OccupationVector; returns (matrix, masks)."""
-    from hartree.fermion import (
-        OccupationVector,
-        apply_to_occupation,
-        build_molecular_hamiltonian,
-    )
+    from hartree.fermion import OccupationVector, apply_to_occupation
     from hartree.reduction import sector_determinants
 
     masks = sector_determinants(ints.m, ints.n_up, ints.n_down)
     index = {mask: i for i, mask in enumerate(masks)}
-    h_sum = build_molecular_hamiltonian(ints)
+    h_sum = per_index_molecular_hamiltonian(ints)
     matrix = np.zeros((len(masks), len(masks)), dtype=complex)
     for j, mask in enumerate(masks):
         f = OccupationVector(ints.m, mask)
@@ -720,6 +740,35 @@ def per_determinant_1rdm(ints, amplitudes, masks) -> np.ndarray:
                               * phase * amplitudes[k]).real
             rho[i_orb, j_orb] = total
     return rho
+
+
+def per_term_taper(h: PauliSum, scheme, sector) -> PauliSum:
+    """``taper_two_qubits`` one term at a time on Python-int masks, after
+    the same register checks."""
+    from hartree.reduction import NotSymmetric
+
+    m = scheme.m
+    top, mid = m - 1, m // 2 - 1
+
+    def drop_bit(mask: int, position: int) -> int:
+        lower = mask & ((1 << position) - 1)
+        return lower | (mask >> position + 1) << position
+
+    out: dict[PauliString, complex] = {}
+    for string, coeff in h.items():
+        for qubit in (top, mid):
+            if string.x >> qubit & 1:
+                raise NotSymmetric(
+                    f"term {string} acts on tapered qubit {qubit} with X or Y")
+        if string.z >> top & 1:
+            coeff = coeff * sector.z_total
+        if string.z >> mid & 1:
+            coeff = coeff * sector.z_up
+        x = drop_bit(drop_bit(string.x, top), mid)
+        z = drop_bit(drop_bit(string.z, top), mid)
+        new = PauliString(x, z)
+        out[new] = out.get(new, 0.0) + coeff
+    return PauliSum(out, n_qubits=m - 2)
 
 
 def _intercept_weights(scales: np.ndarray) -> np.ndarray:

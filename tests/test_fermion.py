@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fermion_matrix, jw_mode_matrix
+from conftest import (
+    FIXTURE_DIR,
+    fermion_matrix,
+    jw_mode_matrix,
+    per_index_molecular_hamiltonian,
+    same_bits,
+)
 from hartree.fermion import (
     BLOCKED,
     INTERLEAVED,
@@ -17,9 +23,11 @@ from hartree.fermion import (
     MolecularIntegrals,
     OccupationVector,
     apply_to_occupation,
+    arity_runs,
     build_molecular_hamiltonian,
     hf_energy,
     hf_occupation,
+    molecular_term_runs,
     normal_order,
     number_operator,
     sums_equal,
@@ -205,6 +213,41 @@ def test_spin_mixing_one_body_rejected():
 def test_shape_mismatch_rejected():
     with pytest.raises(InvalidIntegrals):
         _empty_integrals(2, h_one=np.zeros((3, 3)))
+
+
+def _complex_integrals(m: int, seed: int) -> MolecularIntegrals:
+    """Random complex integrals with every required symmetry, no core."""
+    rng = np.random.default_rng(seed)
+    ns = m // 2
+    block = rng.normal(size=(ns, ns)) + 1j * rng.normal(size=(ns, ns))
+    h_one = np.zeros((m, m), dtype=complex)
+    h_one[:ns, :ns] = h_one[ns:, ns:] = block + block.conj().T
+    h_two = rng.normal(size=(m,) * 4) + 1j * rng.normal(size=(m,) * 4)
+    h_two = h_two + h_two.transpose(1, 0, 3, 2)
+    h_two = h_two + h_two.conj().transpose(3, 2, 1, 0)
+    h_two[np.abs(h_two) < 1.0] = 0.0
+    return MolecularIntegrals(m, 2, 1, 0.0, h_one, h_two)
+
+
+@pytest.mark.parametrize("fixture", sorted(
+    path.stem for path in FIXTURE_DIR.glob("*.fcidump")) + ["complex"])
+def test_molecular_hamiltonian_matches_the_per_index_loop_bit_for_bit(
+        fixture):
+    ints = (_complex_integrals(4, 7) if fixture == "complex"
+            else load_fixture(fixture))
+    built = build_molecular_hamiltonian(ints).terms
+    oracle = per_index_molecular_hamiltonian(ints).terms
+    assert [t.factors for t in built] == [t.factors for t in oracle]
+    assert [str(t) for t in built] == [str(t) for t in oracle]
+    assert same_bits(np.array([t.coeff for t in built], dtype=complex),
+                     np.array([t.coeff for t in oracle], dtype=complex))
+    runs = molecular_term_runs(ints)
+    assert len(runs) == len(list(arity_runs(oracle)))
+    for (pairs, coeffs), (_, oracle_pairs, oracle_coeffs) in zip(
+            runs, arity_runs(oracle)):
+        assert np.array_equal(pairs, oracle_pairs)
+        assert pairs.dtype == oracle_pairs.dtype
+        assert same_bits(coeffs.astype(complex), oracle_coeffs)
 
 
 # Minimal-basis H2 in interleaved labelling (0=bonding up, 1=bonding down,

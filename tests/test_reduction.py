@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from conftest import (
+    FIXTURE_DIR,
     fermion_matrix,
     per_determinant_1rdm,
     per_determinant_fci_matrix,
+    per_term_taper,
     same_bits,
+    same_sum_bits,
 )
 from hartree import reduction
 from hartree.encoding import BK, BKTREE, JW, PARITY, EncodingScheme, encode_operator
-from hartree.fermion import MolecularIntegrals, build_molecular_hamiltonian
+from hartree.fermion import (
+    MolecularIntegrals,
+    build_molecular_hamiltonian,
+    molecular_term_runs,
+)
 from hartree.io_cli import load_fixture
 from hartree.io_cli.cli import exit_code_for
 from hartree.pauli import PauliSum, TooLarge, to_matrix
@@ -235,6 +242,15 @@ def test_sector_ground_matches_dense_diagonalization():
     assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_sector_ground_of_no_terms_is_zero():
+    m = 4
+    ints = MolecularIntegrals(m, 2, 1, 0.0, np.zeros((m, m)),
+                              np.zeros((m,) * 4))
+    energy, _, masks = fci_sector_ground(ints)
+    assert energy == 0.0
+    assert len(masks) == 4
+
+
 def test_sector_guard_refuses_before_building(monkeypatch):
     # Fourteen spatial orbitals with two electrons of each spin: 91^2
     # determinants, 3.1 GiB for the matrix, eigh's vectors and its workspace.
@@ -245,7 +261,7 @@ def test_sector_guard_refuses_before_building(monkeypatch):
     def refuse(*_args):
         raise AssertionError("the sector matrix was built")
 
-    monkeypatch.setattr(reduction, "build_molecular_hamiltonian", refuse)
+    monkeypatch.setattr(reduction, "molecular_term_runs", refuse)
     monkeypatch.setattr(np, "zeros", refuse)
     with pytest.raises(TooLarge, match=f"needs {3 * 8281 ** 2 * 16} bytes"):
         fci_sector_ground(ints)
@@ -315,6 +331,39 @@ def test_term_leaving_the_sector_is_inconsistent():
                        ) as caught:
         fci_sector_ground(ints)
     assert exit_code_for(caught.value) == 2
+
+
+@pytest.mark.parametrize("fixture", ["lih_sto3g_1.45", "h2_ccpvdz_0.75"])
+@pytest.mark.parametrize("width", [1, 7])
+def test_sector_matrix_column_blocks_give_the_same_bits(fixture, width,
+                                                        monkeypatch):
+    ints = load_fixture(fixture)
+    masks = sector_determinants(ints.m, ints.n_up, ints.n_down)
+    default = reduction._sector_matrix(ints, masks)
+    n_terms = sum(len(coeffs) for _, coeffs in molecular_term_runs(ints))
+    monkeypatch.setattr(reduction, "SECTOR_BLOCK_BYTES", width * 8 * n_terms)
+    assert same_bits(reduction._sector_matrix(ints, masks), default)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])
+def test_first_term_leaving_the_sector_in_column_order_is_named(block_bytes,
+                                                                monkeypatch):
+    # Terms 4 and 7, 0.15 * a+_0 a+_1 a-_3 a-_0 and its swap, take
+    # determinant 1001 (column 2) out of the (1, 1) sector; terms 9 and 11,
+    # 0.05 * a+_2 a+_3 a-_2 a-_0 and its swap, take 0101 (column 0) out.
+    h_two = np.zeros((4,) * 4)
+    for (p, q, r, s), value in (((3, 2, 0, 2), 0.1), ((1, 0, 0, 3), 0.3)):
+        for index in [(p, q, r, s), (q, p, s, r), (s, r, q, p), (r, s, p, q)]:
+            h_two[index] = value
+    ints = MolecularIntegrals(4, 2, 1, 0.0, -np.eye(4), h_two)
+    ints.validate()
+    if block_bytes is not None:
+        monkeypatch.setattr(reduction, "SECTOR_BLOCK_BYTES", block_bytes)
+    with pytest.raises(InconsistentSpace) as caught:
+        fci_sector_ground(ints)
+    assert str(caught.value) == (
+        "term 0.05 * a+_2 a+_3 a-_2 a-_0 maps determinant 0101 outside the "
+        "(1, 1) sector")
 
 
 def test_sector_masks_hold_at_most_64_spin_orbitals():
@@ -447,3 +496,45 @@ def test_physical_sector_holds_the_global_ground_state():
                                    sector_for(ints.n_electrons, ints.n_up))
         sector_min = np.linalg.eigvalsh(to_matrix(tapered, ints.m - 2))[0]
         assert abs(full_min - sector_min) < 1e-10
+
+
+SECTORS = [SymmetrySector(z_total, z_up)
+           for z_total in (1, -1) for z_up in (1, -1)]
+
+
+@pytest.mark.parametrize("variant", [PARITY, BK, BKTREE])
+@pytest.mark.parametrize("fixture", sorted(
+    path.stem for path in FIXTURE_DIR.glob("*.fcidump"))
+    + ["lih_sto3g_1.45-reduced"])
+def test_taper_matches_the_per_term_loop_bit_for_bit(fixture, variant):
+    ints = sector_input(fixture)
+    scheme = EncodingScheme(variant, ints.m)
+    if variant == BK and ints.m & (ints.m - 1):
+        with pytest.raises(ValueError, match="power-of-two"):
+            taper_two_qubits(PauliSum.identity(1.0, n_qubits=ints.m), scheme,
+                             SECTORS[0])
+        return
+    h = encode_operator(build_molecular_hamiltonian(ints), scheme)
+    for sector in SECTORS:
+        assert same_sum_bits(taper_two_qubits(h, scheme, sector),
+                             per_term_taper(h, scheme, sector))
+
+
+@pytest.mark.parametrize("terms, qubit", [
+    ({"Z0": 1.0, "X1 Z2": 0.5, "Y3": 0.25, "X1 X3": 0.125}, 3),
+    ({"Z0": 1.0, "X1 Z2": 0.5, "Y3": 0.25}, 1),
+])
+def test_taper_names_the_first_term_on_a_tapered_qubit(terms, qubit):
+    h = PauliSum.from_text(terms, n_qubits=4)
+    scheme = EncodingScheme(PARITY, 4)
+    with pytest.raises(NotSymmetric) as oracle:
+        per_term_taper(h, scheme, sector_for(2, 1))
+    with pytest.raises(NotSymmetric, match=f"tapered qubit {qubit} ") as caught:
+        taper_two_qubits(h, scheme, sector_for(2, 1))
+    assert str(caught.value) == str(oracle.value)
+
+
+def test_taper_masks_hold_at_most_64_qubits():
+    with pytest.raises(ValueError, match="holds 64 qubits, not 66"):
+        taper_two_qubits(PauliSum.identity(1.0, n_qubits=66),
+                         EncodingScheme(PARITY, 66), sector_for(2, 1))

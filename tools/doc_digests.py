@@ -66,6 +66,8 @@ EXTRA = (
     ("vqe-h2-gradient", ("vqe", *H2, "--optimizer", "gradient-descent",
                          "--max-evals", "200")),
     ("encode-h2-ccpvdz", ("encode", "--fixture", "h2_ccpvdz_0.75")),
+    ("encode-h2-ccpvdz-reduce", ("encode", "--fixture", "h2_ccpvdz_0.75",
+                                 "--reduce")),
     ("vqe-h2-noisy-shots", ("vqe", *H2, "--noise-p1", "1e-3", "--noise-p2",
                             "1e-3", "--shots", "1000", "--max-evals", "4")),
     ("vqe-h2-ldca-gradient", ("vqe", *H2, "--ansatz", "ldca", "--optimizer",
