@@ -50,6 +50,13 @@ from .simulator import (
 COEFF_TOLERANCE = 1e-10
 INITIAL_SPREAD = 0.01
 CONVERGENCE_STREAK = 10
+# A sampled Nelder-Mead search starts from theta0 plus this step (rad) along
+# each axis: scipy's own 0.00025 moves H2's energy by at most 9e-5 Ha, a
+# tenth of one estimate's standard error at 10^4 shots.
+SIMPLEX_STEP = 0.1
+# ... and stops once its vertices' energies lie within this many standard
+# errors of the estimate at theta0.
+NOISE_FLOOR = 3.0
 # Registers the gradient sweep holds, whatever the gate count: psi, lambda,
 # a kernel's working arrays, and the per-term tables and products of H psi
 # (tracemalloc, no table cache: 2.2 registers on 644-gate LiH, 2.0 at 16-18
@@ -430,7 +437,12 @@ class OptimizerConfig:
 
 @dataclass
 class VqeResult:
-    """Optimization outcome: best point, trace, and convergence status."""
+    """Optimization outcome: best point, trace, and convergence status.
+
+    With shots, ``best_energy`` is a fresh estimate at ``best_params``, not
+    the lowest draw of the search, and ``shots_used`` counts every
+    measured term's shots of every estimate, that one included.
+    """
 
     best_params: np.ndarray
     best_energy: float
@@ -455,7 +467,9 @@ class _Objective:
         self.trajectories = trajectories
         self.max_evals = config.max_evals
         self.tolerance = config.tolerance
-        self.terms = len(list(h.items()))
+        measured = sum(not string.is_identity for string, _ in h.items())
+        self.shots_per_estimate = 0 if shots is None else \
+            shots * measured * (1 if noise is None else trajectories)
         self.evals = 0
         self.shots_used = 0
         self.best_energy = math.inf
@@ -466,11 +480,16 @@ class _Objective:
         return self.evals >= self.max_evals
 
     def __call__(self, theta: np.ndarray) -> float:
+        return self.estimate(theta).mean
+
+    def estimate(self, theta: np.ndarray) -> ShotEstimate:
+        """One counted evaluation, with its standard error."""
         estimate = estimate_energy(self.ansatz, theta, self.h,
                                    shots=self.shots, noise=self.noise,
                                    rng=self.rng,
                                    trajectories=self.trajectories)
-        return self._counted(theta, estimate.mean)
+        self._counted(theta, estimate.mean)
+        return estimate
 
     def with_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """One evaluation and the exact gradient at theta; in exact mode
@@ -483,8 +502,7 @@ class _Objective:
 
     def _counted(self, theta: np.ndarray, energy: float) -> float:
         self.evals += 1
-        if self.shots is not None:
-            self.shots_used += self.shots * self.terms
+        self.shots_used += self.shots_per_estimate
         if energy < self.best_energy:
             self.best_energy = energy
             self.best_params = np.array(theta, dtype=float)
@@ -522,11 +540,13 @@ def optimize(ansatz: Ansatz, h: PauliSum, config: OptimizerConfig,
     the result exactly when no external generator is passed. With a noise
     model every evaluation averages ``trajectories`` noisy trajectories.
     L-BFGS runs in exact mode only, and is converged only when scipy's
-    L-BFGS-B reports success.
+    L-BFGS-B reports success. Gradient descent whose first gradient is
+    exactly zero never moves, and is not converged. With shots the reported
+    energy is a fresh estimate at the best point, from a stream of its own.
     """
     check_exact_energies(config, shots, noise)
     master = make_rng(config.seed) if rng is None else rng
-    init_rng, sample_rng, search_rng = split_rng(master, 3)
+    init_rng, sample_rng, search_rng, fresh_rng = split_rng(master, 4)
     theta0 = np.array(initial, dtype=float) if initial is not None else \
         initial_parameters(ansatz, seed=int(init_rng.integers(2 ** 31)))
     objective = _Objective(ansatz, h, shots, noise,
@@ -536,34 +556,56 @@ def optimize(ansatz: Ansatz, h: PauliSum, config: OptimizerConfig,
     if config.method == L_BFGS:
         converged = _lbfgs(objective, theta0, config)
     else:
+        moved = True
         if config.method == NELDER_MEAD:
             _nelder_mead(objective, theta0, config)
         elif config.method == SPSA:
             _spsa(objective, theta0, config, search_rng)
         else:
-            _gradient_descent(objective, theta0, config)
-        converged = objective.converged_streak() or not objective.exhausted()
+            moved = _gradient_descent(objective, theta0, config)
+        converged = moved and (objective.converged_streak()
+                               or not objective.exhausted())
     converged = converged and objective.best_params is not None
-    return VqeResult(objective.best_params, objective.best_energy,
-                     objective.trace, objective.shots_used, converged)
+    energy, shots_used = objective.best_energy, objective.shots_used
+    if shots is not None and objective.best_params is not None:
+        energy = estimate_energy(ansatz, objective.best_params, h, shots,
+                                 noise, fresh_rng, trajectories).mean
+        shots_used += objective.shots_per_estimate
+    return VqeResult(objective.best_params, energy, objective.trace,
+                     shots_used, converged)
 
 
 def _nelder_mead(objective: _Objective, theta0: np.ndarray,
                  config: OptimizerConfig):
+    """scipy's adaptive Nelder-Mead. On sampled energies the first simplex
+    steps SIMPLEX_STEP along each axis, and the search stops once the
+    vertices' energies span less than NOISE_FLOOR standard errors of the
+    estimate at theta0; that estimate is the first vertex's evaluation, not
+    an extra draw."""
     import scipy.optimize
 
+    first = []  # an energy already drawn at theta0, for scipy's first call
+
     def wrapped(theta):
-        value = objective(theta)
+        value = first.pop() if first else objective(theta)
         objective.record(value)
         return value
 
     if theta0.size == 0:
         wrapped(theta0)
         return
-    scipy.optimize.minimize(
-        wrapped, theta0, method="Nelder-Mead",
-        options={"maxfev": config.max_evals, "fatol": config.tolerance,
-                 "xatol": 1e-8, "adaptive": True})
+    options = {"maxfev": config.max_evals, "fatol": config.tolerance,
+               "xatol": 1e-8, "adaptive": True}
+    if objective.shots is not None:
+        start = objective.estimate(theta0)
+        first.append(start.mean)
+        options.update(
+            fatol=max(config.tolerance, NOISE_FLOOR * start.std_error),
+            xatol=math.inf,
+            initial_simplex=np.vstack([theta0, theta0 + SIMPLEX_STEP
+                                       * np.eye(theta0.size)]))
+    scipy.optimize.minimize(wrapped, theta0, method="Nelder-Mead",
+                            options=options)
 
 
 def _lbfgs(objective: _Objective, theta0: np.ndarray,
@@ -616,11 +658,17 @@ def _spsa(objective: _Objective, theta0: np.ndarray, config: OptimizerConfig,
 
 
 def _gradient_descent(objective: _Objective, theta0: np.ndarray,
-                      config: OptimizerConfig):
+                      config: OptimizerConfig) -> bool:
+    """Fixed-rate descent; False when the first gradient is exactly zero
+    (Hamiltonian variational at theta = 0), so the search never moved."""
     theta = theta0.copy()
+    moved = True
     while not objective.exhausted():
         value, gradient = objective.with_gradient(theta)
         objective.record(value)
+        if objective.evals == 1:
+            moved = gradient.size == 0 or bool(gradient.any())
         if objective.converged_streak():
             break
         theta = theta - config.learning_rate * gradient
+    return moved

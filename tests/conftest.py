@@ -316,6 +316,33 @@ def two_call_descent(ansatz, h: PauliSum, config, theta0, noise=None,
     return trace, best_params, best_energy
 
 
+def plain_nelder_mead(ansatz, h: PauliSum, config, theta0, noise=None,
+                      rng=None, trajectories: int = 512):
+    """Nelder-Mead as it ran before sampled searches got their own simplex
+    and stop: scipy's default first simplex, ``fatol`` the tolerance and
+    ``xatol`` 1e-8, one ``estimate_energy`` per call. Returns (trace,
+    best_params, best_energy)."""
+    import scipy.optimize
+
+    from hartree.vqe import estimate_energy
+
+    trace, best = [], [None, math.inf]
+
+    def objective(theta):
+        value = estimate_energy(ansatz, theta, h, noise=noise, rng=rng,
+                                trajectories=trajectories).mean
+        trace.append((value, len(trace) + 1))
+        if value < best[1]:
+            best[:] = [np.array(theta, dtype=float), value]
+        return value
+
+    scipy.optimize.minimize(
+        objective, np.array(theta0, dtype=float), method="Nelder-Mead",
+        options={"maxfev": config.max_evals, "fatol": config.tolerance,
+                 "xatol": 1e-8, "adaptive": True})
+    return trace, best[0], best[1]
+
+
 # --------------------------------------- per-term sampling, kept as oracle
 #
 # The shot samplers as they ran before every term's expectation was read off

@@ -1,5 +1,6 @@
 """Ansatz builders, analytic gradients, and the classical optimizers."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     per_gate_apply,
     per_gate_gradient,
     per_gate_run,
+    plain_nelder_mead,
     random_pauli_string,
     random_state,
     same_bits,
@@ -27,7 +29,8 @@ from hartree.fermion import (
     number_operator,
     uccsd_generators,
 )
-from hartree.io_cli import load_fixture
+from hartree.io_cli import H2_EQUILIBRIUM, load_fixture
+from hartree.io_cli.cli import main
 from hartree.pauli import (
     NonHermitian,
     PauliString,
@@ -58,6 +61,8 @@ from hartree.vqe import (
     L_BFGS,
     LDCA,
     NELDER_MEAD,
+    NOISE_FLOOR,
+    SIMPLEX_STEP,
     SPSA,
     UCCSD,
     Ansatz,
@@ -961,6 +966,187 @@ class TestFusedDescentStep:
         skew = PauliSum.from_text({"Z0": 1.0, "X1": 0.5j})
         with pytest.raises(NonHermitian):
             analytic_gradient(h2_uccsd, np.zeros(3), skew, with_energy=True)
+
+
+class CountingRng:
+    """A generator that tallies the trials of every binomial draw it makes
+    (the shots drawn) and hands every other call to the generator it
+    wraps."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.trials = rng, 0
+
+    def binomial(self, n, p, size=None):
+        counts = self.rng.binomial(n, p, size)
+        self.trials += int(np.broadcast_to(n, np.shape(counts)).sum())
+        return counts
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestSampledSearch:
+    """Nelder-Mead on shot-sampled energies starts from a simplex the noise
+    cannot hide and stops at the noise floor; every sampled method reports
+    a fresh estimate at its best point and counts the shots it draws."""
+
+    SHOTS = 10 ** 4
+
+    @pytest.fixture(scope="class")
+    def battery(self, h2, h2_uccsd):
+        """(evaluations, exact energy at the returned theta, reported
+        energy) of the default sampled search at seeds 0-199."""
+        h = h2[3]
+        runs = []
+        for seed in range(200):
+            result = optimize(h2_uccsd, h, OptimizerConfig(),
+                              shots=self.SHOTS, rng=make_rng(seed))
+            exact = estimate_energy(h2_uccsd, result.best_params, h).mean
+            runs.append((result.evaluations, exact, result.best_energy))
+        return runs
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_cli_search_leaves_hartree_fock(self, h2, h2_uccsd, tmp_path,
+                                            seed):
+        h = h2[3]
+        out = tmp_path / "vqe.json"
+        assert main(["vqe", "--fixture", H2_EQUILIBRIUM, "--shots",
+                     str(self.SHOTS), "--seed", str(seed), "--out",
+                     str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        hartree_fock = estimate_energy(h2_uccsd, np.zeros(3), h).mean
+        exact = estimate_energy(h2_uccsd, result["parameters"], h).mean
+        assert exact < hartree_fock - 15e-3
+        assert result["converged"]
+        assert result["evaluations"] < OptimizerConfig().max_evals
+
+    def test_battery_reaches_chemical_accuracy_without_the_budget(
+            self, h2, h2_uccsd, battery):
+        fci = h2[4]
+        hartree_fock = estimate_energy(h2_uccsd, np.zeros(3), h2[3]).mean
+        seeds = battery[:100]
+        assert all(exact < hartree_fock - 1e-3 for _, exact, _ in seeds)
+        assert sum(exact - fci < CHEMICAL_ACCURACY
+                   for _, exact, _ in seeds) >= 70
+        assert max(evals for evals, _, _ in seeds) \
+            < OptimizerConfig().max_evals
+
+    def test_reported_energy_is_unbiased(self, battery):
+        bias = np.array([reported - exact for _, exact, reported in battery])
+        error = bias.std(ddof=1) / np.sqrt(bias.size)
+        assert abs(bias.mean()) < 4 * error
+
+    def test_first_simplex_steps_along_each_axis(self, h2, h2_uccsd,
+                                                 monkeypatch):
+        seen = []
+
+        def spy(ansatz, theta, *args, **kwargs):
+            seen.append(np.array(theta, dtype=float))
+            return estimate_energy(ansatz, theta, *args, **kwargs)
+
+        monkeypatch.setattr(vqe, "estimate_energy", spy)
+        theta0 = np.array([0.3, -0.2, 0.05])
+        result = optimize(h2_uccsd, h2[3], OptimizerConfig(),
+                          shots=self.SHOTS, rng=make_rng(3), initial=theta0)
+        # theta0 is drawn once; the last estimate is the fresh one
+        assert len(seen) == result.evaluations + 1
+        for got, vertex in zip(seen, np.vstack([np.zeros(3), np.eye(3)])):
+            assert same_bits(got, theta0 + SIMPLEX_STEP * vertex)
+        assert same_bits(seen[-1], result.best_params)
+
+    def test_stop_sits_at_the_noise_floor_of_the_first_vertex(
+            self, h2, h2_uccsd, monkeypatch):
+        import scipy.optimize
+
+        options = []
+
+        def spy(*args, **kwargs):
+            options.append(kwargs["options"])
+            return minimize(*args, **kwargs)
+
+        minimize = scipy.optimize.minimize
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        optimize(h2_uccsd, h2[3], OptimizerConfig(), shots=self.SHOTS,
+                 rng=make_rng(3))
+        first = estimate_energy(h2_uccsd, np.zeros(3), h2[3],
+                                shots=self.SHOTS,
+                                rng=split_rng(make_rng(3), 4)[1])
+        (used,) = options
+        assert used["fatol"] == NOISE_FLOOR * first.std_error
+        assert used["xatol"] == np.inf
+
+    @pytest.mark.parametrize("method", [NELDER_MEAD, SPSA, GRADIENT_DESCENT])
+    def test_reported_energy_is_a_fresh_estimate_from_the_fourth_stream(
+            self, h2, h2_uccsd, method):
+        h = h2[3]
+        result = optimize(h2_uccsd, h,
+                          OptimizerConfig(method=method, max_evals=30),
+                          shots=self.SHOTS, rng=make_rng(5))
+        fresh = estimate_energy(h2_uccsd, result.best_params, h,
+                                shots=self.SHOTS,
+                                rng=split_rng(make_rng(5), 4)[3])
+        assert result.best_energy == fresh.mean
+        assert result.evaluations == result.trace[-1][1] <= 30
+
+    def test_fourth_stream_keeps_the_first_three(self):
+        for four, three in zip(split_rng(make_rng(5), 4),
+                               split_rng(make_rng(5), 3)):
+            assert same_bits(four.random(8), three.random(8))
+
+    @pytest.mark.parametrize("method, noise", [
+        (NELDER_MEAD, None), (SPSA, None), (GRADIENT_DESCENT, None),
+        (NELDER_MEAD, NoiseModel(1e-3, 1e-3))], ids=["nelder-mead", "spsa",
+                                                     "descent", "noisy"])
+    def test_shots_used_counts_the_shots_drawn(self, h2, h2_uccsd,
+                                               monkeypatch, method, noise):
+        streams = []
+
+        def counted(rng, count):
+            streams.extend(CountingRng(r) for r in split_rng(rng, count))
+            return streams[-count:]
+
+        monkeypatch.setattr(vqe, "split_rng", counted)
+        result = optimize(h2_uccsd, h2[3],
+                          OptimizerConfig(method=method, max_evals=12),
+                          shots=100, noise=noise, rng=make_rng(2),
+                          trajectories=8)
+        assert result.shots_used == sum(s.trials for s in streams)
+        # 14 measured terms (the identity is not), the fresh estimate too
+        per_estimate = 14 * 100 * (1 if noise is None else 8)
+        assert result.shots_used == per_estimate * (result.evaluations + 1)
+
+    @pytest.mark.parametrize("name", ["uccsd", "hardware-efficient", "noisy"])
+    def test_nelder_mead_without_shots_keeps_its_trace_bit_for_bit(
+            self, h2, h2_uccsd, name):
+        h = h2[3]
+        ansatz, theta0, noise = h2_uccsd, np.zeros(3), None
+        if name == "hardware-efficient":
+            ansatz = build_hardware_efficient(4, 1)
+            theta0 = initial_parameters(ansatz, seed=5)
+        elif name == "noisy":
+            noise = NoiseModel(1e-3, 1e-3)
+        config = OptimizerConfig(max_evals=300 if noise is None else 12)
+        result = optimize(ansatz, h, config, noise=noise, rng=make_rng(7),
+                          initial=theta0, trajectories=8)
+        trace, best_params, best_energy = plain_nelder_mead(
+            ansatz, h, config, theta0, noise=noise,
+            rng=split_rng(make_rng(7), 3)[1], trajectories=8)
+        assert result.trace == trace
+        assert same_bits(result.best_params, best_params)
+        assert result.best_energy == best_energy
+        assert result.shots_used == 0
+
+    def test_descent_that_never_moves_is_not_converged(self, tmp_path):
+        # Hamiltonian variational's gradient at theta = 0 is exactly zero
+        out = tmp_path / "vqe.json"
+        assert main(["vqe", "--fixture", H2_EQUILIBRIUM, "--ansatz",
+                     "hamiltonian-variational", "--optimizer",
+                     "gradient-descent", "--seed", "3", "--out",
+                     str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["parameters"] == [0.0, 0.0, 0.0]
+        assert result["evaluations"] < OptimizerConfig().max_evals
+        assert not result["converged"]
 
 
 class TestEstimateEnergy:

@@ -79,6 +79,8 @@ EXTRA = (
     ("curve-fci-vqe", ("curve", "--method", "fci", "--method", "vqe")),
     ("vqe-h2-uccsd-2-steps", ("vqe", *H2, "--layers", "2")),
     ("vqe-h2-lbfgs", ("vqe", *H2, "--optimizer", "l-bfgs")),
+    ("vqe-h2-631g-shots", ("vqe", "--fixture", "h2_631g_0.7414", "--shots",
+                           "10000")),
 )
 
 
