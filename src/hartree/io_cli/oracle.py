@@ -1,13 +1,20 @@
 """Exact eigensolver for qubit Hamiltonians; the reference every test leans on.
 
 Small problems, up to 2^8 amplitudes, and requests for nearly every level
-take the dense complex ``eigh``. Above that the Hamiltonian is stacked into a
-CSR matrix by X mask (``pauli.to_csr``), held in float64 when every
-imaginary part is exactly zero (as for every molecular Hamiltonian here), and
-its lowest levels come from ARPACK's Lanczos iteration (``eigsh``) started
-from a fixed seeded vector, so repeated calls return the same bits. Before
-anything is built, the bytes the solve would hold (``solve_bytes``) are
-checked against the package's one ``pauli.BYTE_BUDGET``.
+take the dense path, ``simulator.hermitian_eigh``: float64 when every
+imaginary part of the matrix is exactly zero (as for every molecular
+Hamiltonian here), complex otherwise, values alone from ``eigvalsh`` and
+only the k lowest pairs when vectors are asked for. Above that the
+Hamiltonian is stacked into a CSR matrix by X mask (``pauli.to_csr``), held
+in float64 under the same rule, and its lowest levels come from ARPACK's
+Lanczos iteration (``eigsh``) started from a fixed seeded vector, so
+repeated calls return the same bits. Single-vector Lanczos holds one vector
+per degenerate level in exact arithmetic, so the copies of a level beyond
+the first appear only through round-off; each solve is therefore checked
+for levels it missed by Lanczos on H with the levels found shifted out of
+the way, until none is left below the k-th. Before anything is built, the
+bytes the solve would hold (``solve_bytes``) are checked against the
+package's one ``pauli.BYTE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -26,9 +33,15 @@ from ..pauli import (
     to_matrix,
     x_masks,
 )
-from ..simulator import EIGH_MATRICES
+from ..simulator import EIGH_MATRICES, hermitian_eigh
 
 LANCZOS_SEED = 20180830
+# A level the copy check finds counts as missed when it lies this far below
+# the k-th level found; a further copy of the k-th level itself is no miss.
+COPY_TOLERANCE = 1e-10
+# ARPACK's relative residual at which the copy check stops: 104 instead of
+# 176 products on 10-qubit tapered LiH.
+CHECK_TOLERANCE = 1e-8
 DENSE_DIMENSION = 1 << 8
 # A stored CSR entry: its complex value, its float64 copy when the matrix is
 # real, and its column index.
@@ -42,6 +55,12 @@ def lanczos_size(dim: int, k: int) -> int:
     return min(dim, max(2 * k + 1, 20))
 
 
+def check_size(dim: int, k: int) -> int:
+    """Vectors in the copy check's Lanczos basis: what is left of the first
+    basis beside the k levels' vectors and the check's start, at least 10."""
+    return lanczos_size(dim, k) - k - 1
+
+
 def takes_dense(dim: int, k: int) -> bool:
     """Dense eigh for small matrices and where the Lanczos basis would span
     the whole space anyway."""
@@ -51,30 +70,69 @@ def takes_dense(dim: int, k: int) -> bool:
 def solve_bytes(masks: int, n: int, k: int) -> int:
     """Bytes the solve of a sum with ``masks`` distinct X masks on n qubits
     holds at once: the dense eigh's ``EIGH_MATRICES``, or the CSR entries
-    (all of them, as stacked before the zeros are dropped) and the Lanczos
-    basis."""
+    (all of them, as stacked before the zeros are dropped) and the larger
+    of the Lanczos basis and the copy check's vectors (the k deflated
+    levels, its start and its own basis)."""
     dim = 1 << n
     if takes_dense(dim, k):
         return EIGH_MATRICES * matrix_bytes(n)
-    return dim * (masks * CSR_ENTRY_BYTES + lanczos_size(dim, k) * AMPLITUDE_BYTES)
+    vectors = max(lanczos_size(dim, k), k + 1 + check_size(dim, k))
+    return dim * (masks * CSR_ENTRY_BYTES + vectors * AMPLITUDE_BYTES)
+
+
+def _shifted_out(matrix, vectors: np.ndarray, shift: float
+                 ) -> scipy.sparse.linalg.LinearOperator:
+    """H + shift * V V^H, V the columns of ``vectors``, as an operator."""
+    adjoint = vectors.conj().T
+    return scipy.sparse.linalg.LinearOperator(
+        matrix.shape, dtype=matrix.dtype,
+        matvec=lambda x: matrix @ x + shift * (vectors @ (adjoint @ x)))
 
 
 def sparse_eigensolve(h: PauliSum, k: int, n: int, with_vectors: bool = False):
     """k lowest levels of h on n qubits by Lanczos on its CSR matrix, ascending;
-    (values, complex vectors as columns) when ``with_vectors`` is set."""
+    (values, complex vectors as columns) when ``with_vectors`` is set.
+
+    The copy check runs Lanczos for the lowest level of H + shift * V V^H,
+    V the k vectors found and the shift above twice the largest absolute
+    row sum of H, which lifts their levels above every level of H. It
+    starts from the next vector of the seeded stream made orthogonal to V:
+    the first start's component on a missed copy already lies in V. It
+    stops at CHECK_TOLERANCE, since its lowest Ritz value bounds the lowest
+    level from above: a value below the k-th level by more than
+    COPY_TOLERANCE proves a missed level. That level is then solved to full
+    precision from the vector found, takes its place in sorted order, and
+    the check repeats until it finds none.
+    """
     matrix = to_csr(h, n)
     if not matrix.data.imag.any():
         matrix = scipy.sparse.csr_array(
             (matrix.data.real.copy(), matrix.indices, matrix.indptr),
             shape=matrix.shape)
-    start = np.random.default_rng(LANCZOS_SEED).standard_normal(1 << n)
-    found = scipy.sparse.linalg.eigsh(matrix, k=k, which="SA", v0=start,
-                                      return_eigenvectors=with_vectors)
-    if not with_vectors:
-        return np.sort(found)
-    values, vectors = found
+    dim = 1 << n
+    stream = np.random.default_rng(LANCZOS_SEED)
+    values, vectors = scipy.sparse.linalg.eigsh(
+        matrix, k=k, which="SA", v0=stream.standard_normal(dim))
     order = np.argsort(values)
-    return values[order], vectors[:, order].astype(complex)
+    values, vectors = values[order], vectors[:, order]
+    shift = 2.0 * float(abs(matrix).sum(axis=1).max()) + 1.0
+    while True:
+        start = stream.standard_normal(dim)
+        start = start - vectors @ (vectors.conj().T @ start)
+        operator = _shifted_out(matrix, vectors, shift)
+        [level], found = scipy.sparse.linalg.eigsh(
+            operator, k=1, which="SA", v0=start, ncv=check_size(dim, k),
+            tol=CHECK_TOLERANCE)
+        if not level < values[-1] - COPY_TOLERANCE:
+            break
+        [level], found = scipy.sparse.linalg.eigsh(
+            operator, k=1, which="SA", v0=found[:, 0], ncv=check_size(dim, k))
+        at = np.searchsorted(values, level, side="right")
+        values = np.insert(values, at, level)[:k]
+        vectors = np.insert(vectors, [at], found, axis=1)[:, :k]
+    if not with_vectors:
+        return values
+    return values, vectors.astype(complex)
 
 
 def exact_eigensolve(h: PauliSum,
@@ -97,11 +155,11 @@ def exact_eigensolve(h: PauliSum,
                 f"the exact solve on {n} qubits", hint)
     if not takes_dense(1 << n, k):
         return sparse_eigensolve(h, k, n, with_vectors)
-    values, vectors = np.linalg.eigh(to_matrix(h, n))
-    values, vectors = values[:k], vectors[:, :k]
+    found = hermitian_eigh(to_matrix(h, n), k, with_vectors)
     if with_vectors:
-        return values, vectors
-    return values
+        values, vectors = found
+        return values, vectors.astype(complex)
+    return found
 
 
 def ground_state(h: PauliSum, n_qubits: int | None = None,

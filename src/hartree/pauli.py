@@ -440,14 +440,33 @@ def _mask_weights(s: PauliSum, dim: int) -> Iterator[tuple[int, np.ndarray]]:
     """(x, weights) per distinct X mask in order of first appearance:
     weights[i] is entry (i, i ^ x), the ``_term_weights`` of the terms with
     mask x added in term order from zero, so every entry takes the additions
-    of a term-wise scatter. One mask group is built at a time."""
-    groups: dict[int, list[tuple[PauliString, complex]]] = {}
+    of a term-wise scatter.
+
+    A group's terms are formed as one (terms, dim) block below a row holding
+    the sum so far (zero at first), at most TABLE_BYTES of block at a time,
+    and the block's rows are reduced in order. Each term's weight is its
+    phased coefficient or its negation; the product with a +-1 sign that
+    ``_term_weights`` forms differs from it only in the signs of zero parts,
+    which a sum started from +0 never keeps, so the bits are the same."""
+    groups: dict[int, list[tuple[int, complex]]] = {}
     for string, coeff in s.items():
-        groups.setdefault(string.x, []).append((string, coeff))
+        if (string.x | string.z) >= dim:
+            raise DimensionMismatch(f"term {string} exceeds {dim}-dim state")
+        groups.setdefault(string.x, []).append(
+            (string.z, coeff * 1j ** (string.x & string.z).bit_count()))
+    rows = max(1, TABLE_BYTES // (dim * AMPLITUDE_BYTES) - 1)
+    columns = np.arange(dim)
     for x, terms in groups.items():
+        idx = columns ^ x
         weights = np.zeros(dim, dtype=complex)
-        for string, coeff in terms:
-            weights += _term_weights(string, coeff, dim)[1]
+        for start in range(0, len(terms), rows):
+            z, scales = (np.array(part) for part in
+                         zip(*terms[start:start + rows]))
+            odd = np.bitwise_count(idx & z[:, None]) & 1 == 1
+            block = np.empty((len(z) + 1, dim), dtype=complex)
+            block[0] = weights
+            block[1:] = np.where(odd, -scales[:, None], scales[:, None])
+            weights = np.add.reduce(block, axis=0)
         yield x, weights
 
 

@@ -32,7 +32,7 @@ from .pauli import (
     PauliSum,
     check_bytes,
 )
-from .simulator import EIGH_MATRICES
+from .simulator import EIGH_MATRICES, hermitian_eigh
 
 DEFAULT_LOWER_NOON = 1e-4
 DEFAULT_UPPER_NOON = 1.99
@@ -264,23 +264,25 @@ def _sector_matrix(ints: MolecularIntegrals, masks: list[int]) -> np.ndarray:
     determinant go on to ``_apply``. A block's entries are gathered in
     (run, column, term) order, so within one column they come in (run,
     term) order, and one ``np.add.at`` adds each entry's amplitudes in term
-    order, as a column-by-column loop over the terms does. Of the terms
-    that map a determinant outside the sector, the first in (column, run,
-    term) order is named.
+    order, as a column-by-column loop over the terms does. The matrix takes
+    the coefficients' dtype, float64 for real integrals, whose real part
+    holds the same bits as a complex build. Of the terms that map a
+    determinant outside the sector, the first in (column, run, term) order
+    is named.
     """
     runs = [(pairs, np.bitwise_or.reduce(_factor_bits(pairs)[1], axis=-1),
-             coeffs, coeffs.astype(complex))
-            for pairs, coeffs in molecular_term_runs(ints)]
+             coeffs) for pairs, coeffs in molecular_term_runs(ints)]
     sector = np.array(masks, dtype=np.uint64)
-    matrix = np.zeros((len(masks), len(masks)), dtype=complex)
+    dtype = np.result_type(float, *(coeffs for _, _, coeffs in runs))
+    matrix = np.zeros((len(masks), len(masks)), dtype=dtype)
     if not runs:
         return matrix
-    n_terms = sum(len(coeffs) for _, _, coeffs, _ in runs)
+    n_terms = sum(len(coeffs) for _, _, coeffs in runs)
     width = max(1, SECTOR_BLOCK_BYTES // (sector.itemsize * n_terms))
     for start in range(0, len(masks), width):
         block = sector[start:start + width]
         entries, leaks = [], []
-        for run, (pairs, needs, _, amplitudes) in enumerate(runs):
+        for run, (pairs, needs, amplitudes) in enumerate(runs):
             column, term = np.nonzero((block[:, None] & needs) == needs)
             image, odd, alive = _apply(_ladder(pairs[term]), block[column])
             column, term = column[alive], term[alive]
@@ -292,7 +294,7 @@ def _sector_matrix(ints: MolecularIntegrals, masks: list[int]) -> np.ndarray:
                 odd[alive], -amplitudes[term], amplitudes[term])))
         if leaks:
             column, run, term = min(leaks)
-            pairs, _, coeffs, _ = runs[run]
+            pairs, _, coeffs = runs[run]
             raise _outside(pairs, coeffs, term, masks[start + column], ints)
         rows, columns, amplitudes = map(np.concatenate, zip(*entries))
         np.add.at(matrix, (rows, columns), amplitudes)
@@ -301,9 +303,12 @@ def _sector_matrix(ints: MolecularIntegrals, masks: list[int]) -> np.ndarray:
 
 def fci_sector_ground(ints: MolecularIntegrals
                       ) -> tuple[float, np.ndarray, list[int]]:
-    """Exact ground state in the fixed (n_up, n_down) determinant sector;
-    TooLarge, before the matrix is built, when EIGH_MATRICES matrices of
-    its size (it, eigh's vectors and workspace) would exceed BYTE_BUDGET."""
+    """Exact ground state in the fixed (n_up, n_down) determinant sector:
+    (energy, amplitudes, masks). Only the lowest pair is asked of LAPACK,
+    in real arithmetic for real integrals (``hermitian_eigh``). TooLarge,
+    before the matrix is built, when EIGH_MATRICES complex matrices of its
+    size (it, eigh's vectors and workspace), an upper bound for the real
+    solve, would exceed BYTE_BUDGET."""
     if ints.ordering != BLOCKED:
         raise InconsistentSpace("spin-blocked integrals required")
     if ints.m > MASK_MODES:
@@ -314,7 +319,7 @@ def fci_sector_ground(ints: MolecularIntegrals
     dim = len(masks)
     check_bytes(EIGH_MATRICES * dim * dim * AMPLITUDE_BYTES,
                 f"the {dim}-determinant sector matrix")
-    values, vectors = np.linalg.eigh(_sector_matrix(ints, masks))
+    values, vectors = hermitian_eigh(_sector_matrix(ints, masks), k=1)
     return float(values[0]), vectors[:, 0], masks
 
 

@@ -7,7 +7,8 @@ re-run at many parameter points. Noise is per-gate stochastic Pauli insertion;
 averaging trajectories reproduces the uniform depolarizing channel, for which a
 dense density-matrix oracle is provided at small width. Phase estimation is
 simulated with an explicit ancilla register read out by an FFT. Dense evolution,
-exact QPE powers and imaginary time alike, is diagonal in one ``eigh`` basis.
+exact QPE powers and imaginary time alike, is diagonal in one ``eigh`` basis,
+solved in real arithmetic when the generator's matrix is real.
 
 Rotation gates follow the convention R_O(theta) = exp(-i theta O / 2). Pauli
 exponential gates apply exp(i phi P) with the caller supplying the sign of phi.
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, NumericalError
 from .pauli import (
@@ -90,6 +92,29 @@ def split_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]
     its own; the trajectories, shots or samples of one estimate share its
     stream and draw their randomness from it in blocks."""
     return rng.spawn(count)
+
+
+def hermitian_eigh(matrix: np.ndarray, k: int | None = None,
+                   with_vectors: bool = True):
+    """The k lowest levels of a dense Hermitian matrix, every level for k
+    None, ascending: (values, unit vectors as columns), or the values alone
+    without ``with_vectors``.
+
+    The solve runs in float64 when every imaginary part is exactly 0 (its
+    vectors are then real) and in complex otherwise. Values alone come from
+    ``eigvalsh``; k pairs short of the whole spectrum from LAPACK's
+    ``syevr``/``heevr`` restricted to the k lowest, every pair from ``eigh``.
+    """
+    if np.iscomplexobj(matrix) and not matrix.imag.any():
+        matrix = matrix.real
+    dim = matrix.shape[0]
+    k = dim if k is None else min(k, dim)
+    if not with_vectors:
+        return np.linalg.eigvalsh(matrix)[:k]
+    if k < dim:
+        return scipy.linalg.eigh(matrix, subset_by_index=[0, k - 1],
+                                 check_finite=False)
+    return np.linalg.eigh(matrix)
 
 
 # ----------------------------------------------------------------- statevector
@@ -645,7 +670,7 @@ def imaginary_time_evolve(psi: StateVector, h: PauliSum, tau: float,
         raise NonHermitian("imaginary-time generator must be Hermitian")
     check_bytes(EIGH_MATRICES * matrix_bytes(psi.n),
                 f"the {psi.n}-qubit imaginary-time eigenbasis")
-    energies, vectors = np.linalg.eigh(to_matrix(h, psi.n))
+    energies, vectors = hermitian_eigh(to_matrix(h, psi.n))
     decay = np.exp(-energies * (tau / steps))
     amps = vectors.conj().T @ psi.amplitudes
     for _ in range(steps):
@@ -956,7 +981,7 @@ def qpe_distribution(psi: StateVector, h: PauliSum, n_ancilla: int,
     dim_a = 1 << n_ancilla
     rows = np.arange(dim_a)
     if trotter_steps == 0:
-        phases, vectors = np.linalg.eigh(to_matrix(scaled, n_sys))
+        phases, vectors = hermitian_eigh(to_matrix(scaled, n_sys))
         components = vectors.conj().T @ psi.amplitudes / math.sqrt(dim_a)
         joint = np.exp(-2j * math.pi * np.outer(rows, phases)) * components
     else:

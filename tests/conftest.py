@@ -115,6 +115,12 @@ _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 _T_PHASES = {"t": _T_PHASE, "tdg": _T_PHASE.conjugate()}
 
 
+def complex_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: every level of a Hermitian matrix by complex ``eigh``, as the
+    dense solves ran before they took real arithmetic and level subsets."""
+    return np.linalg.eigh(np.asarray(matrix, dtype=complex))
+
+
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape and identical IEEE bits, signed zeros included."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)

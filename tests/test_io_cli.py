@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 import hartree
-from conftest import random_pauli_string
+from conftest import complex_eigh, random_pauli_string
 from hartree.encoding import JW, PARITY, VARIANTS, EncodingScheme, encode_operator
 from hartree.errors import ConfigError, HartreeError, NumericalError
 from hartree.fermion import build_molecular_hamiltonian
@@ -52,7 +53,7 @@ from hartree.pauli import (
     x_masks,
 )
 from hartree.reduction import reduce_problem, sector_for, taper_two_qubits
-from hartree.simulator import ZeroOverlap, qpe_bytes
+from hartree.simulator import ZeroOverlap, hermitian_eigh, qpe_bytes
 from hartree.spectra import AlphaTooSmall, DegenerateSubspace
 from hartree.vqe import SPSA, OptimizerConfig
 
@@ -283,6 +284,60 @@ def assert_eigenpairs(h: PauliSum, values, vectors):
         assert np.linalg.norm(matrix @ vector - value * vector) <= 1e-10
 
 
+# Every problem on at most 8 qubits: each fixture of up to 8 modes and the
+# two 8-mode active spaces of the documents, in all four encodings, and
+# tapered in the three that have parity qubits to taper.
+DENSE_PROBLEMS = [
+    (name, variant, reduce, taper)
+    for name, reduce in [*((name, False) for name in list_fixtures()
+                           if load_fixture(name).m <= 8),
+                         ("lih_sto3g_1.45", True), ("h2_631g_0.7414", True)]
+    for variant in VARIANTS
+    for taper in ((False,) if variant == JW else (False, True))
+]
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("name,variant,reduce,taper", DENSE_PROBLEMS)
+    def test_real_solves_match_the_complex_eigh(self, name, variant, reduce,
+                                                taper):
+        h = encoded(name, variant, reduce, taper)
+        matrix = to_matrix(h)
+        assert not matrix.imag.any()
+        levels, vectors = complex_eigh(matrix)
+        for k in (len(levels), 4):
+            values = exact_eigensolve(h, k=k)
+            assert np.max(np.abs(values - levels[:k])) < 1e-12
+        values, lowest = exact_eigensolve(h, k=4, with_vectors=True)
+        assert np.max(np.abs(values - levels[:4])) < 1e-12
+        assert abs(abs(np.vdot(vectors[:, 0], lowest[:, 0])) - 1.0) < 1e-12
+        assert_eigenpairs(h, values, lowest)
+
+    def test_matrix_with_an_imaginary_part_takes_the_complex_path(
+            self, rng, monkeypatch):
+        seen = []
+        for module, name in ((np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
+            solve = getattr(module, name)
+
+            def spy(matrix, *args, solve=solve, **options):
+                seen.append(matrix.dtype)
+                return solve(matrix, *args, **options)
+
+            monkeypatch.setattr(module, name, spy)
+        odd = to_matrix(odd_y_sum(6, rng))
+        assert odd.imag.any()
+        levels, vectors = complex_eigh(odd)
+        assert np.max(np.abs(hermitian_eigh(odd, with_vectors=False)
+                             - levels)) < 1e-12
+        values, lowest = hermitian_eigh(odd, k=3)
+        assert np.max(np.abs(values - levels[:3])) < 1e-12
+        assert abs(abs(np.vdot(vectors[:, 0], lowest[:, 0])) - 1.0) < 1e-12
+        assert lowest.dtype == np.complex128
+        assert hermitian_eigh(to_matrix(h2_hamiltonian()), k=1)[1].dtype \
+            == np.float64
+        assert seen == [np.complex128, np.complex128, np.float64]
+
+
 class TestSparseOracle:
     @pytest.mark.parametrize("name,variant,reduce,taper", SMALL_PROBLEMS)
     def test_lanczos_matches_dense_eigh(self, name, variant, reduce, taper):
@@ -306,18 +361,34 @@ class TestSparseOracle:
         eigsh = scipy.sparse.linalg.eigsh
 
         def spy(matrix, **options):
-            seen.append(matrix.dtype)
+            seen[-1].append(matrix.dtype)
             return eigsh(matrix, **options)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
         molecular = encoded("lih_sto3g_1.45", PARITY, taper=True)
         odd = odd_y_sum(9, rng)
         for h in (molecular, odd):
+            seen.append([])
             values, vectors = exact_eigensolve(h, k=3, with_vectors=True)
             dense = np.linalg.eigvalsh(to_matrix(h))[:3]
             assert np.max(np.abs(values - dense)) < 1e-12
             assert_eigenpairs(h, values, vectors)
-        assert seen == [np.float64, np.complex128]
+        # Every Lanczos run of a solve, the copy check's included, takes
+        # the dtype of that solve's matrix.
+        for calls, dtype in zip(seen, (np.float64, np.complex128), strict=True):
+            assert calls and all(call == dtype for call in calls)
+
+    def test_lanczos_keeps_every_copy_of_a_threefold_level(self, tmp_path):
+        # Single-vector Lanczos reaches the copies of -7.75661 beyond the
+        # first only through round-off; the copy check must find all three.
+        out = tmp_path / "exact.json"
+        assert main(["exact", "--fixture", "lih_sto3g_1.45", "--encoding",
+                     "jw", "--k", "6", "--out", str(out)]) == 0
+        energies = json.loads(out.read_text())["result"]["energies"]
+        dense = np.linalg.eigvalsh(
+            to_csr(encoded("lih_sto3g_1.45")).real.toarray())
+        assert np.max(np.abs(np.array(energies) - dense[:6])) < 1e-12
+        assert np.ptp(dense[3:6]) < 1e-12 < dense[6] - dense[5]
 
     def test_every_level_above_the_dense_dimension(self, rng):
         h = odd_y_sum(9, rng)

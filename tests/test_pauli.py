@@ -269,6 +269,22 @@ def test_mask_grouped_matrices_match_the_scatter_loop_bit_for_bit(
     assert same_bits(csr.toarray(), expected)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_mask_group_split_across_blocks_keeps_its_bits(rows, rng,
+                                                        monkeypatch):
+    # Sixteen terms share X mask 0b0010; a block of `rows` terms at a time
+    # carries the sum so far into the next block's first row.
+    entries = {PauliString(0b0010, z): complex(*rng.normal(size=2))
+               for z in range(16)}
+    entries[PauliString(0b0101, 0b0001)] = 0.5
+    s = PauliSum(entries, n_qubits=4)
+    monkeypatch.setattr(pauli, "TABLE_BYTES",
+                        (rows + 1) * 16 * pauli.AMPLITUDE_BYTES)
+    expected = scatter_to_matrix(s, 4)
+    assert same_bits(to_matrix(s, 4), expected)
+    assert same_bits(to_csr(s, 4).toarray(), expected)
+
+
 def test_csr_drops_the_entries_that_cancel():
     # Under each X mask the Z0 term cancels the I and X1 Z0 cancels X1 on
     # the rows with qubit 0 set, so half of the stacked entries are zero.

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     FIXTURE_DIR,
+    complex_eigh,
     fermion_matrix,
     per_determinant_1rdm,
     per_determinant_fci_matrix,
@@ -21,7 +22,7 @@ from hartree.fermion import (
     build_molecular_hamiltonian,
     molecular_term_runs,
 )
-from hartree.io_cli import load_fixture
+from hartree.io_cli import list_fixtures, load_fixture
 from hartree.io_cli.cli import exit_code_for
 from hartree.pauli import PauliSum, TooLarge, to_matrix
 from hartree.reduction import (
@@ -282,20 +283,36 @@ def sector_input(name: str) -> MolecularIntegrals:
 def test_sector_loops_match_per_determinant_oracles_bit_for_bit(fixture,
                                                                monkeypatch):
     ints = sector_input(fixture)
-    eigh, matrices = np.linalg.eigh, []
+    build, matrices = reduction._sector_matrix, []
 
-    def recording_eigh(matrix):
-        matrices.append(matrix.copy())
-        return eigh(matrix)
+    def recording_build(*args):
+        matrices.append(build(*args))
+        return matrices[-1].copy()
 
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(reduction, "_sector_matrix", recording_build)
     _, amplitudes, masks = fci_sector_ground(ints)
     monkeypatch.undo()
     matrix, oracle_masks = per_determinant_fci_matrix(ints)
     assert masks == oracle_masks
-    assert same_bits(matrices[0], matrix)
+    # Real integrals build a float64 matrix: the oracle's real part, bit for
+    # bit, with every imaginary part zero.
+    assert not matrix.imag.any()
+    assert same_bits(matrices[0], matrix.real)
     rdm = spin_summed_1rdm(ints, (amplitudes, masks))
     assert same_bits(rdm.rho, per_determinant_1rdm(ints, amplitudes, masks))
+
+
+@pytest.mark.parametrize("fixture", [*list_fixtures(),
+                                     "lih_sto3g_1.45-reduced"])
+def test_real_sector_solve_matches_the_complex_eigh(fixture):
+    ints = sector_input(fixture)
+    energy, amplitudes, masks = fci_sector_ground(ints)
+    levels, vectors = complex_eigh(reduction._sector_matrix(ints, masks))
+    assert abs(energy - levels[0]) < 1e-12
+    assert abs(abs(np.vdot(vectors[:, 0], amplitudes)) - 1.0) < 1e-12
+    rho = spin_summed_1rdm(ints, (amplitudes, masks)).rho
+    oracle = spin_summed_1rdm(ints, (vectors[:, 0], masks)).rho
+    assert np.max(np.abs(rho - oracle)) < 1e-12
 
 
 # tracemalloc peaks of the per-determinant loop, one term and one

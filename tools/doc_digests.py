@@ -50,6 +50,8 @@ EXTRA = (
     ("exact-h2-631g-reduce", ("exact", "--fixture", "h2_631g_0.7414",
                               "--reduce", "--taper", "--encoding", "parity")),
     ("exact-lih-jw", ("exact", "--fixture", "lih_sto3g_1.45", "--k", "4")),
+    ("exact-lih-jw-k6", ("exact", "--fixture", "lih_sto3g_1.45", "--encoding",
+                         "jw", "--k", "6")),
     ("qpe-h2-trotter", ("qpe", *H2, "--encoding", "parity", "--taper",
                         "--ancillas", "6", "--trotter-steps", "3")),
     ("qpe-h2-16-ancillas", ("qpe", *H2, "--encoding", "parity", "--taper",
