@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .fermion import MASK_MODES, FermionSum, OccupationVector, arity_runs
-from .pauli import DROP_TOLERANCE, DimensionMismatch, PauliString, PauliSum
+from .pauli import DROP_TOLERANCE, DimensionMismatch, PauliSum
 
 JW = "jw"
 PARITY = "parity"
@@ -148,33 +148,26 @@ def _gf2_inverse_unitriangular(beta: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(aug[:, m:])
 
 
-def _mask(indices: Iterable[int]) -> int:
-    out = 0
-    for k in indices:
-        out |= 1 << k
-    return out
+def _row_masks(bits: np.ndarray) -> np.ndarray:
+    """The uint64 mask of each row of a 0/1 array, column k at bit k."""
+    return np.bitwise_or.reduce(bits.astype(np.uint64) << np.arange(
+        bits.shape[-1], dtype=np.uint64), axis=-1)
 
 
 @lru_cache(maxsize=None)
 def _mode_images(variant: str, m: int) -> tuple[tuple[PauliSum, PauliSum], ...]:
-    """Per mode: (annihilator, creator) as two-string PauliSums, built from
-    the update, flip and parity sets read off beta and its GF(2) inverse."""
+    """Per mode j: (annihilator, creator) as two-string PauliSums of c_j and
+    d_j, their masks read off beta and its GF(2) inverse: the update set
+    below beta's diagonal, the flip set below the inverse's."""
     beta = _encoding_matrix(EncodingScheme(variant, m))
     inverse = _gf2_inverse_unitriangular(beta)
-    prefix = np.tril(np.ones((m, m), dtype=np.uint8), k=-1)
-    parity_rows = (prefix @ inverse) % 2
-    images = []
-    for j in range(m):
-        update = _mask(k for k in range(j + 1, m) if beta[k, j])
-        flip = _mask(k for k in range(j) if inverse[j, k])
-        parity = _mask(int(k) for k in np.flatnonzero(parity_rows[j]))
-        x_mask = 1 << j | update
-        c = PauliString(x_mask, parity)
-        d = PauliString(x_mask, parity ^ flip ^ 1 << j)
-        lower = PauliSum({c: 0.5, d: 0.5j}, n_qubits=m)
-        raiser = PauliSum({c: 0.5, d: -0.5j}, n_qubits=m)
-        images.append((lower, raiser))
-    return tuple(images)
+    own = np.uint64(1) << np.arange(m, dtype=np.uint64)
+    x = own | _row_masks(np.tril(beta, -1).T)
+    parity = _row_masks(np.tril(np.ones((m, m), dtype=np.uint8), -1) @ inverse % 2)
+    d = parity ^ _row_masks(np.tril(inverse, -1)) ^ own
+    return tuple(tuple(PauliSum.from_masks((xj, xj), (cj, dj), (0.5, 0.5j * sign),
+                                           n_qubits=m) for sign in (1, -1))
+                 for xj, cj, dj in zip(x, parity, d))
 
 
 @lru_cache(maxsize=None)
@@ -184,14 +177,9 @@ def _image_arrays(variant: str, m: int) -> tuple[np.ndarray, ...]:
     2 * mode + dagger, the others at string * 2m + 2 * mode + dagger. A
     mode's two images hold the same two strings in the same order, which
     differ in z alone."""
-    x = np.zeros((m, 2, 2), dtype=np.uint64)
-    z = np.zeros((m, 2, 2), dtype=np.uint64)
-    coeffs = np.zeros((m, 2, 2), dtype=complex)
-    for j, pair in enumerate(_mode_images(variant, m)):
-        for dagger, image in enumerate(pair):
-            for k, (string, coeff) in enumerate(image.items()):
-                x[j, dagger, k], z[j, dagger, k] = string.x, string.z
-                coeffs[j, dagger, k] = coeff
+    x, z, coeffs = (np.array([[getattr(image, a) for image in pair]
+                              for pair in _mode_images(variant, m)])
+                    for a in ("x", "z", "coeffs"))
     return (x[..., 0].ravel(), *(np.moveaxis(a, 2, 0).ravel() for a in (
         z, np.bitwise_count(x & z), coeffs)))
 
@@ -331,14 +319,10 @@ def encode_operators(sums: Sequence[FermionSum], scheme: EncodingScheme
                 total = np.concatenate((total, np.zeros(
                     len(slots) - len(total), dtype=complex)))
             np.add.at(total, at, c.T.ravel()[kept])
-    # PauliSum drops |c| < DROP_TOLERANCE itself; dropping those first
-    # spares it their strings
-    kept = (np.hypot(total.real, total.imag) >= DROP_TOLERANCE).tolist()
-    strings: list[dict[PauliString, complex]] = [{} for _ in sums]
-    for (owner, x, z), coeff, keep in zip(slots, total.tolist(), kept):
-        if keep:
-            strings[owner][PauliString(x, z)] = coeff
-    return [PauliSum(image, n_qubits=m) for image in strings]
+    keys = np.array(list(slots), dtype=np.uint64).reshape(-1, 3)
+    del slots  # before the merges, which hold their own
+    return [PauliSum.from_masks(*keys[owned, 1:].T, total[owned], n_qubits=m)
+            for owned in (keys[:, 0] == k for k in range(len(sums)))]
 
 
 def encode_state(f: OccupationVector, scheme: EncodingScheme) -> OccupationVector:
@@ -348,4 +332,4 @@ def encode_state(f: OccupationVector, scheme: EncodingScheme) -> OccupationVecto
     beta = _encoding_matrix(scheme)
     f_vec = np.array([f.bit(q) for q in range(scheme.m)], dtype=np.uint8)
     q_vec = (beta @ f_vec) % 2
-    return OccupationVector(scheme.m, _mask(int(j) for j in np.flatnonzero(q_vec)))
+    return OccupationVector(scheme.m, sum(1 << int(j) for j in np.flatnonzero(q_vec)))

@@ -19,6 +19,12 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..fermion import BLOCKED, MolecularIntegrals, spatial_of, spin_of
+from ..pauli import check_bytes
+
+# Bytes held per two-body entry (tracemalloc): the float64 values and a bool
+# of which were read while parsing, the float64 tensor when expanding.
+PARSE_ENTRY_BYTES = 9
+EXPAND_ENTRY_BYTES = 8
 
 
 class ParseError(ConfigError):
@@ -74,6 +80,8 @@ def parse_fcidump_spatial(text: str) -> SpatialIntegrals:
             f"NELEC + MS2 must be even, |MS2| at most NELEC and each spin "
             f"count (NELEC +- MS2)/2 at most NORB")
 
+    check_bytes(PARSE_ENTRY_BYTES * norb ** 4,
+                f"the NORB={norb} two-body tensor")
     core, t, v = np.zeros(()), np.zeros((norb,) * 2), np.zeros((norb,) * 4)
     core_set, t_set, v_set = (np.zeros(a.shape, dtype=bool) for a in (core, t, v))
 
@@ -126,6 +134,8 @@ def to_spin_orbitals(spatial: SpatialIntegrals, ordering: str = BLOCKED) -> Mole
     the spatial parts.
     """
     m = 2 * spatial.norb
+    check_bytes(EXPAND_ENTRY_BYTES * m ** 4,
+                f"the {m}-spin-orbital two-body tensor")
     spin_idx = np.array([spin_of(p, m, ordering) for p in range(m)])
     spatial_idx = np.array([spatial_of(p, m, ordering) for p in range(m)])
 
@@ -135,7 +145,8 @@ def to_spin_orbitals(spatial: SpatialIntegrals, ordering: str = BLOCKED) -> Mole
     # h_two[p, q, r, s] = (P S | Q R) * delta(sp, ss) * delta(sq, sr)
     v_pqrs = spatial.v.transpose(0, 2, 3, 1)  # (PS|QR) -> index order P,Q,R,S
     h_two = v_pqrs[np.ix_(spatial_idx, spatial_idx, spatial_idx, spatial_idx)]
-    h_two = h_two * same_spin[:, None, None, :] * same_spin[None, :, :, None]
+    h_two *= same_spin[:, None, None, :]
+    h_two *= same_spin[None, :, :, None]
 
     n_up = (spatial.nelec + spatial.ms2) // 2
     return MolecularIntegrals(

@@ -4,7 +4,8 @@ A Pauli string is stored as a pair of bitmasks (x, z): bit q of ``x`` set means
 the letter on qubit q contains an X factor, bit q of ``z`` a Z factor, both set
 mean Y. Qubit 0 is the rightmost / least-significant position throughout.
 Multiplication, commutation and state application then reduce to integer
-bit operations with an i^k phase bookkeeping.
+bit operations with an i^k phase bookkeeping. A sum holds its terms as
+arrays: uint64 x and z masks, so at most 64 qubits, and complex coefficients.
 
 Applying a string to a register of ``dim`` amplitudes is a gather: output
 amplitude i reads input amplitude i ^ x and picks up a sign from the parity of
@@ -23,7 +24,6 @@ stacks into a sparse one.
 
 from __future__ import annotations
 
-import cmath
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -75,16 +75,15 @@ class NotReal(NumericalError, ArithmeticError):
     """An expectation value kept an imaginary part."""
 
 
-def _tables(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index i ^ x and the sign (-1)^|(i ^ x) & z| of output amplitude i."""
-    idx = np.arange(dim) ^ x
-    return idx, _PHASES[2 * (np.bitwise_count(idx & z) & 1)]
-
-
-def _phased_tables(x: int, z: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index and i^|x & z|-phased signs: P psi = phased * psi[idx]."""
-    idx, signs = _tables(x, z, dim)
-    return idx, (1j ** (x & z).bit_count()) * signs
+def _tables(x, z, dim: int, coeffs=None) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index i ^ x and i^|x & z|-phased signs (-1)^|(i ^ x) & z| of
+    output amplitude i, times ``coeffs`` when given: P psi = phased *
+    psi[idx]. Masks x and z as (terms, 1) columns give (terms, dim) rows."""
+    index = np.arange(dim) ^ x
+    phases = _PHASES[np.bitwise_count(x & z) & 3]
+    if coeffs is not None:
+        phases = coeffs * phases
+    return index, phases * _PHASES[2 * (np.bitwise_count(index & z) & 1)]
 
 
 class _TableCache:
@@ -106,7 +105,7 @@ class _TableCache:
         tables = self._entries.get(key)
         if tables is not None:
             return tables
-        tables = _phased_tables(x, z, dim)
+        tables = _tables(x, z, dim)
         cost = dim * TABLE_ITEM_BYTES
         if cost > self.limit:
             return tables
@@ -138,7 +137,9 @@ class PauliString:
 
     @classmethod
     def from_text(cls, text: str) -> "PauliString":
-        """Parse forms like ``"X0 Z2 Y5"``; ``"I"`` or ``""`` is the identity."""
+        """Parse forms like ``"X0 Z2 Y5"``; ``"I"`` or ``""`` is the identity.
+        A negative qubit is a ValueError, and so is a qubit named twice: X0 Z0
+        is -i Y0, a phase no string holds."""
         x = z = 0
         text = text.strip()
         if text in ("", "I"):
@@ -147,6 +148,8 @@ class PauliString:
             letter, qubit = token[0].upper(), int(token[1:])
             if letter not in "XYZ":
                 raise ValueError(f"bad Pauli letter in {token!r}")
+            if qubit < 0 or (x | z) >> qubit & 1:
+                raise ValueError(f"qubit {qubit} in {text!r} is negative or named twice")
             if letter in "XY":
                 x |= 1 << qubit
             if letter in "ZY":
@@ -244,39 +247,62 @@ def commutes(a: PauliString, b: PauliString) -> bool:
 
 
 class PauliSum:
-    """Canonical linear combination of Pauli strings.
-
-    Construction merges duplicates, drops |coeff| < tol and fixes a
-    deterministic term order (lexicographic on the textual string form).
-    Instances are immutable; arithmetic returns new sums. Each instance keeps
-    the stacked tables of its H*psi, and of its strings alone once sampled,
-    per register width it was used on.
+    """Canonical linear combination of Pauli strings: read-only uint64 mask
+    arrays ``x`` and ``z`` and complex ``coeffs`` in term order, beside each
+    term's PauliString for callers that iterate. Every sum comes from one
+    merge, ``from_masks``, which fixes a deterministic term order
+    (lexicographic on the textual string form). Instances are immutable;
+    arithmetic returns new sums. Each instance keeps the stacked tables of
+    its H*psi, and of its strings alone once sampled, per register width it
+    was used on.
     """
 
-    __slots__ = ("_terms", "_n_qubits", "_tables", "_string_tables")
+    __slots__ = ("x", "z", "coeffs", "_strings", "_n_qubits", "_tables",
+                 "_string_tables")
 
-    def __init__(self,
-                 terms: Mapping[PauliString, complex] | Iterable[PauliTerm] | None = None,
-                 n_qubits: int | None = None,
-                 tol: float = DROP_TOLERANCE):
-        merged: dict[PauliString, complex] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else (
-                (t.string, t.coeff) for t in terms)
-            for string, coeff in items:
-                coeff = complex(coeff)
-                if not cmath.isfinite(coeff):
-                    raise ValueError(f"non-finite coefficient for {string}")
-                merged[string] = merged.get(string, 0.0) + coeff
-        kept = {s: c for s, c in merged.items() if abs(c) >= tol}
-        ordered = sorted(kept, key=str)
-        object.__setattr__(self, "_terms", {s: kept[s] for s in ordered})
-        inferred = max((s.n_qubits for s in kept), default=0)
+    def __new__(cls, terms: Mapping[PauliString, complex] | Iterable[PauliTerm] | None = None,
+                n_qubits: int | None = None, tol: float = DROP_TOLERANCE) -> "PauliSum":
+        pairs = list(terms.items() if isinstance(terms, Mapping) else
+                     ((t.string, t.coeff) for t in terms or ()))
+        return cls.from_masks([s.x for s, _ in pairs], [s.z for s, _ in pairs],
+                              [c for _, c in pairs], n_qubits, tol)
+
+    @classmethod
+    def from_masks(cls, x, z, coeffs, n_qubits: int | None = None,
+                   tol: float = DROP_TOLERANCE) -> "PauliSum":
+        """The sum of the terms coeffs[t] * (x[t], z[t]): each (x, z) slot's
+        coefficients are added into np.zeros in input order (the bits of
+        ``merged.get(s, 0.0) + c``), hypot(re, im) >= tol (Python's abs(complex)
+        to the last bit) keeps a slot, and the kept strings sort by text."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        slots: dict[tuple[int, int], int] = {}
+        at = np.array([slots.setdefault(key, len(slots)) for key in zip(
+            *(np.asarray(a, dtype=np.uint64).tolist() for a in (x, z)))],
+            dtype=np.intp)
+        slots = list(slots)  # each slot's (x, z); the dict is freed
+        strings = [PauliString(*key) for key in slots]
+        finite = np.isfinite(coeffs)
+        if not finite.all():
+            raise ValueError(f"non-finite coefficient for {strings[at[finite.argmin()]]}")
+        total = np.zeros(len(slots), dtype=complex)
+        np.add.at(total, at, coeffs)
+        order = sorted((np.hypot(total.real, total.imag) >= tol).nonzero()[0]
+                       .tolist(), key=lambda t: str(strings[t]))
+        x, z = np.array([slots[t] for t in order],
+                        dtype=np.uint64).reshape(-1, 2).T
+        inferred = int(np.bitwise_or.reduce(x | z)).bit_length()
         if n_qubits is not None and n_qubits < inferred:
             raise DimensionMismatch(f"declared {n_qubits} qubits, terms need {inferred}")
-        object.__setattr__(self, "_n_qubits", n_qubits if n_qubits is not None else inferred)
-        object.__setattr__(self, "_tables", {})
-        object.__setattr__(self, "_string_tables", {})
+        coeffs = total[order]
+        for array in (x, z, coeffs):
+            array.flags.writeable = False
+        out = object.__new__(cls)
+        for name, value in (("x", x), ("z", z), ("coeffs", coeffs),
+                            ("_strings", [strings[t] for t in order]),
+                            ("_n_qubits", inferred if n_qubits is None else n_qubits),
+                            ("_tables", {}), ("_string_tables", {})):
+            object.__setattr__(out, name, value)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("PauliSum is immutable")
@@ -294,30 +320,30 @@ class PauliSum:
         return self._n_qubits
 
     def items(self) -> list[tuple[PauliString, complex]]:
-        return list(self._terms.items())
+        return list(zip(self._strings, self.coeffs.tolist()))
 
     def coeff(self, string: PauliString | str) -> complex:
         if isinstance(string, str):
             string = PauliString.from_text(string)
-        return self._terms.get(string, 0.0)
+        at = np.flatnonzero((self.x == string.x) & (self.z == string.z))
+        return self.coeffs[at[0]].item() if at.size else 0.0
 
     def strings(self) -> list[PauliString]:
-        return list(self._terms)
+        return list(self._strings)
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+        return bool(np.all(np.abs(self.coeffs.imag) <= tol))
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.coeffs)
 
     def __iter__(self) -> Iterator[PauliTerm]:
-        return (PauliTerm(s, c) for s, c in self._terms.items())
+        return (PauliTerm(s, c) for s, c in self.items())
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
-        merged = dict(self._terms)
-        for s, c in other._terms.items():
-            merged[s] = merged.get(s, 0.0) + c
-        return PauliSum(merged, n_qubits=max(self._n_qubits, other._n_qubits) or None)
+        return PauliSum.from_masks(*map(np.concatenate, zip(
+            (self.x, self.z, self.coeffs), (other.x, other.z, other.coeffs))),
+            n_qubits=max(self._n_qubits, other._n_qubits) or None)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1.0) * other
@@ -326,30 +352,31 @@ class PauliSum:
         return (-1.0) * self
 
     def __rmul__(self, scalar: complex) -> "PauliSum":
-        return PauliSum({s: scalar * c for s, c in self._terms.items()},
-                        n_qubits=self._n_qubits or None)
+        return PauliSum.from_masks(self.x, self.z, scalar * self.coeffs,
+                                   n_qubits=self._n_qubits or None)
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
-            out: dict[PauliString, complex] = {}
-            for s1, c1 in self._terms.items():
-                for s2, c2 in other._terms.items():
-                    phase, s3 = mul_strings(s1, s2)
-                    out[s3] = out.get(s3, 0.0) + c1 * c2 * phase
-            return PauliSum(out, n_qubits=max(self._n_qubits, other._n_qubits) or None)
+            products = [(mul_masks(a.x, a.z, b.x, b.z), ca * cb)
+                        for a, ca in self.items() for b, cb in other.items()]
+            return PauliSum.from_masks(
+                [x for (_, x, _), _ in products], [z for (_, _, z), _ in products],
+                [c * phase for (phase, _, _), c in products],
+                n_qubits=max(self._n_qubits, other._n_qubits) or None)
         return self.__rmul__(other)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PauliSum) and self._terms == other._terms
+        return isinstance(other, PauliSum) and all(map(np.array_equal, (
+            self.x, self.z, self.coeffs), (other.x, other.z, other.coeffs)))
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not len(self):
             return "0"
-        return " + ".join(f"({c:.12g}) * {s}" for s, c in self._terms.items())
+        return " + ".join(f"({c:.12g}) * {s}" for s, c in self.items())
 
     def to_json_terms(self) -> list[dict]:
         return [{"string": str(s), "re": c.real, "im": c.imag}
-                for s, c in self._terms.items()]
+                for s, c in self.items()]
 
     @classmethod
     def from_json_terms(cls, entries: list[dict]) -> "PauliSum":
@@ -361,38 +388,29 @@ def canonicalize(s: PauliSum, tol: float = DROP_TOLERANCE) -> PauliSum:
     """Re-canonicalize with an explicit drop tolerance. Idempotent."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    return PauliSum(dict(s.items()), n_qubits=s.n_qubits or None, tol=tol)
+    return PauliSum.from_masks(s.x, s.z, s.coeffs, n_qubits=s.n_qubits or None,
+                               tol=tol)
 
 
-def _term_weights(string: PauliString, coeff: complex | None, dim: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index i ^ x and weights coeff * i^k * signs of one term; for
-    coeff None, the string's phased signs."""
-    if (string.x | string.z) >= dim:
-        raise DimensionMismatch(f"term {string} exceeds {dim}-dim state")
-    if coeff is None:
-        return _phased_tables(string.x, string.z, dim)
-    idx, signs = _tables(string.x, string.z, dim)
-    return idx, (coeff * 1j ** (string.x & string.z).bit_count()) * signs
+def _term_tables(s: PauliSum, terms: slice | int, dim: int,
+                 weighted: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """``_tables`` of the terms of s in a slice, as (terms, dim) rows, or of
+    term ``terms``, weighted by the coefficients or not (``PauliString.tables``)."""
+    x, z = s.x[terms, None], s.z[terms, None]
+    if (x | z).max(initial=0) >= dim:
+        raise DimensionMismatch(f"a term of the {s.n_qubits}-qubit sum exceeds a {dim}-dim state")
+    return _tables(x.astype(np.intp), z.astype(np.intp), dim,
+                   s.coeffs[terms, None] if weighted else None)
 
 
 def _sum_tables(s: PauliSum, dim: int, weighted: bool = True
                 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Stacked (terms, dim) gather indices and weights, or, unweighted, each
-    string's own phased signs (``PauliString.tables``), kept on the
-    instance; None when they would exceed TABLE_BYTES."""
+    """``_term_tables`` of all the terms, kept on the instance; None when
+    they would exceed TABLE_BYTES."""
     kept = s._tables if weighted else s._string_tables
-    if dim in kept:
-        return kept[dim]
-    if len(s) * dim * TABLE_ITEM_BYTES > TABLE_BYTES:
-        return None
-    index = np.empty((len(s), dim), dtype=np.intp)
-    values = np.empty((len(s), dim), dtype=complex)
-    for t, (string, coeff) in enumerate(s.items()):
-        index[t], values[t] = _term_weights(string, coeff if weighted
-                                            else None, dim)
-    kept[dim] = index, values
-    return kept[dim]
+    if dim not in kept and len(s) * dim * TABLE_ITEM_BYTES <= TABLE_BYTES:
+        kept[dim] = _term_tables(s, slice(None), dim, weighted)
+    return kept.get(dim)
 
 
 def apply_to_statevector(s: PauliSum, psi: np.ndarray) -> np.ndarray:
@@ -406,9 +424,9 @@ def apply_to_statevector(s: PauliSum, psi: np.ndarray) -> np.ndarray:
     tables = _sum_tables(s, dim)
     if tables is None:
         out = np.zeros(dim, dtype=complex)
-        for string, coeff in s.items():
-            idx, weights = _term_weights(string, coeff, dim)
-            out += weights * psi[idx]
+        for t in range(len(s)):
+            index, weights = _term_tables(s, t, dim)
+            out += weights * psi[index]
         return out
     index, weights = tables
     # Reducing over the leading axis of a C-ordered block adds whole rows one
@@ -426,46 +444,42 @@ def string_actions(s: PauliSum, psi: np.ndarray
     """
     tables = _sum_tables(s, psi.shape[0], weighted=False)
     if tables is None:
-        return (string.apply(psi) for string in s.strings())
+        return (phased * psi[index] for index, phased in (
+            _term_tables(s, t, psi.shape[0], False) for t in range(len(s))))
     index, phased = tables
     return phased * psi[index]
 
 
 def x_masks(s: PauliSum) -> list[int]:
     """The distinct X masks of s, in order of first appearance."""
-    return list(dict.fromkeys(string.x for string in s.strings()))
+    return list(dict.fromkeys(s.x.tolist()))
 
 
 def _mask_weights(s: PauliSum, dim: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(x, weights) per distinct X mask in order of first appearance:
-    weights[i] is entry (i, i ^ x), the ``_term_weights`` of the terms with
-    mask x added in term order from zero, so every entry takes the additions
-    of a term-wise scatter.
+    """(x, weights) per distinct X mask in order of first appearance, for a
+    register that holds every term: weights[i] is entry (i, i ^ x), the
+    ``_term_tables`` weights of the terms with mask x added in term order
+    from zero, so every entry takes the additions of a term-wise scatter.
 
     A group's terms are formed as one (terms, dim) block below a row holding
     the sum so far (zero at first), at most TABLE_BYTES of block at a time,
     and the block's rows are reduced in order. Each term's weight is its
     phased coefficient or its negation; the product with a +-1 sign that
-    ``_term_weights`` forms differs from it only in the signs of zero parts,
+    ``_term_tables`` forms differs from it only in the signs of zero parts,
     which a sum started from +0 never keeps, so the bits are the same."""
-    groups: dict[int, list[tuple[int, complex]]] = {}
-    for string, coeff in s.items():
-        if (string.x | string.z) >= dim:
-            raise DimensionMismatch(f"term {string} exceeds {dim}-dim state")
-        groups.setdefault(string.x, []).append(
-            (string.z, coeff * 1j ** (string.x & string.z).bit_count()))
+    scales = s.coeffs * _PHASES[np.bitwise_count(s.x & s.z) & 3]
     rows = max(1, TABLE_BYTES // (dim * AMPLITUDE_BYTES) - 1)
-    columns = np.arange(dim)
-    for x, terms in groups.items():
+    columns = np.arange(dim, dtype=np.uint64)
+    for x in x_masks(s):
+        group = np.flatnonzero(s.x == x)
         idx = columns ^ x
         weights = np.zeros(dim, dtype=complex)
-        for start in range(0, len(terms), rows):
-            z, scales = (np.array(part) for part in
-                         zip(*terms[start:start + rows]))
-            odd = np.bitwise_count(idx & z[:, None]) & 1 == 1
-            block = np.empty((len(z) + 1, dim), dtype=complex)
+        for start in range(0, len(group), rows):
+            part = group[start:start + rows]
+            odd = np.bitwise_count(idx & s.z[part, None]) & 1 == 1
+            block = np.empty((len(part) + 1, dim), dtype=complex)
             block[0] = weights
-            block[1:] = np.where(odd, -scales[:, None], scales[:, None])
+            block[1:] = np.where(odd, -scales[part, None], scales[part, None])
             weights = np.add.reduce(block, axis=0)
         yield x, weights
 

@@ -28,7 +28,6 @@ from .errors import ConfigError
 from .pauli import (
     AMPLITUDE_BYTES,
     TABLE_BYTES,
-    PauliString,
     PauliSum,
     check_bytes,
 )
@@ -395,8 +394,9 @@ def taper_two_qubits(h: PauliSum, scheme: EncodingScheme,
     parity under the supported schemes with spin-blocked ordering; both are
     acted on only by I or Z in a symmetry-respecting Hamiltonian, so each Z
     becomes a sign and the registers shrink by two with a descending shift.
-    The terms are read as uint64 X and Z mask arrays; where tapered strings
-    merge, their coefficients are added in term order from zero.
+    The sum's X and Z mask arrays are tapered and merged again
+    (``PauliSum.from_masks``): where tapered strings meet, their coefficients
+    are added in term order from zero.
     """
     m = scheme.m
     if m < 2 or m % 2:
@@ -410,26 +410,15 @@ def taper_two_qubits(h: PauliSum, scheme: EncodingScheme,
     if m > MASK_MODES:
         raise ValueError(f"a uint64 mask holds {MASK_MODES} qubits, not {m}")
     top, mid = m - 1, m // 2 - 1
-    strings = h.strings()
-    x, z = (np.fromiter((getattr(s, axis) for s in strings), dtype=np.uint64,
-                        count=len(strings)) for axis in ("x", "z"))
-    coeffs = np.array([c for _, c in h.items()], dtype=complex)
-    flipped = np.flatnonzero(x & np.uint64(1 << top | 1 << mid))
+    flipped = np.flatnonzero(h.x & np.uint64(1 << top | 1 << mid))
     if flipped.size:
-        string = strings[flipped[0]]
+        string = h.strings()[flipped[0]]
         qubit = top if string.x >> top & 1 else mid
         raise NotSymmetric(
             f"term {string} acts on tapered qubit {qubit} with X or Y")
+    coeffs = h.coeffs
     for qubit, sign in ((top, sector.z_total), (mid, sector.z_up)):
-        coeffs = np.where((z & np.uint64(1 << qubit)) != 0, coeffs * sign,
+        coeffs = np.where((h.z & np.uint64(1 << qubit)) != 0, coeffs * sign,
                           coeffs)
-    x = _drop_bit(_drop_bit(x, top), mid)
-    z = _drop_bit(_drop_bit(z, top), mid)
-    slots: dict[tuple[int, int], int] = {}
-    at = [slots.setdefault(key, len(slots))
-          for key in zip(x.tolist(), z.tolist())]
-    total = np.zeros(len(slots), dtype=complex)
-    np.add.at(total, at, coeffs)
-    return PauliSum({PauliString(*key): coeff
-                     for key, coeff in zip(slots, total.tolist())},
-                    n_qubits=m - 2)
+    x, z = (_drop_bit(_drop_bit(masks, top), mid) for masks in (h.x, h.z))
+    return PauliSum.from_masks(x, z, coeffs, n_qubits=m - 2)

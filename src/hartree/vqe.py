@@ -467,7 +467,7 @@ class _Objective:
         self.trajectories = trajectories
         self.max_evals = config.max_evals
         self.tolerance = config.tolerance
-        measured = sum(not string.is_identity for string, _ in h.items())
+        measured = np.count_nonzero(h.x | h.z)
         self.shots_per_estimate = 0 if shots is None else \
             shots * measured * (1 if noise is None else trajectories)
         self.evals = 0

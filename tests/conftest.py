@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hartree.pauli import PauliString, PauliSum, to_matrix
+from hartree.pauli import (
+    DROP_TOLERANCE,
+    DimensionMismatch,
+    PauliString,
+    PauliSum,
+    to_matrix,
+)
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -887,8 +894,40 @@ def per_factor_encode(s, scheme) -> PauliSum:
 
 
 def same_sum_bits(a: PauliSum, b: PauliSum) -> bool:
-    """Same width, same strings in the same order, identical coefficient bits."""
-    return a.n_qubits == b.n_qubits and \
-        [(s.x, s.z) for s in a.strings()] == [(s.x, s.z) for s in b.strings()] \
-        and same_bits(np.array([c for _, c in a.items()], dtype=complex),
-                      np.array([c for _, c in b.items()], dtype=complex))
+    """Same width, same strings in the same order and identical coefficient
+    bits, in the mask arrays of both sums and in the strings and items each
+    one serves."""
+    arrays = [(s.x, s.z, s.coeffs) for s in (a, b)] + [
+        (np.array([p.x for p in s.strings()], dtype=np.uint64),
+         np.array([p.z for p in s.strings()], dtype=np.uint64),
+         np.array([c for _, c in s.items()], dtype=complex)) for s in (a, b)]
+    return a.n_qubits == b.n_qubits and all(
+        all(map(same_bits, arrays[0], other)) for other in arrays[1:])
+
+
+# ------------------------------------------- the dict-merged sum, an oracle
+#
+# PauliSum as it was built before it held mask arrays: a dict merge of
+# PauliStrings in input order from zero, abs(c) >= tol, then sorted by text.
+
+
+def dict_pauli_sum(terms, n_qubits=None, tol=DROP_TOLERANCE):
+    """(x, z, coeffs, n_qubits) of the sum of ``terms``, a mapping of
+    PauliStrings to coefficients or PauliTerms, as arrays."""
+    merged: dict[PauliString, complex] = {}
+    items = terms.items() if isinstance(terms, Mapping) else (
+        (t.string, t.coeff) for t in terms)
+    for string, coeff in items:
+        coeff = complex(coeff)
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"non-finite coefficient for {string}")
+        merged[string] = merged.get(string, 0.0) + coeff
+    kept = {s: c for s, c in merged.items() if abs(c) >= tol}
+    ordered = sorted(kept, key=str)
+    inferred = max((s.n_qubits for s in kept), default=0)
+    if n_qubits is not None and n_qubits < inferred:
+        raise DimensionMismatch(f"declared {n_qubits} qubits, terms need {inferred}")
+    return (np.array([s.x for s in ordered], dtype=np.uint64),
+            np.array([s.z for s in ordered], dtype=np.uint64),
+            np.array([kept[s] for s in ordered], dtype=complex),
+            inferred if n_qubits is None else n_qubits)

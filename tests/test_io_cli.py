@@ -42,6 +42,12 @@ from hartree.io_cli import (
 )
 from hartree.io_cli import oracle, pipeline
 from hartree.io_cli.cli import exit_code_for, main
+from hartree.io_cli.fcidump import (
+    EXPAND_ENTRY_BYTES,
+    PARSE_ENTRY_BYTES,
+    SpatialIntegrals,
+    to_spin_orbitals,
+)
 from hartree.mitigation import SignInconsistent
 from hartree.pauli import (
     BYTE_BUDGET,
@@ -178,6 +184,30 @@ class TestParsing:
         path.write_text(text)
         assert main(["exact", "--fcidump", str(path), "--reduce"]) == 2
         assert "fit no determinant" in capsys.readouterr().err
+
+    def test_spatial_tensor_over_the_budget_refused_before_allocating(
+            self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the parser allocated its tensors")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(TooLarge, match=f"needs {PARSE_ENTRY_BYTES * 120 ** 4} bytes"):
+            parse_fcidump_spatial("&FCI NORB=120,NELEC=2,MS2=0,\n&END\n")
+
+    def test_spin_orbital_tensor_over_the_budget_refused_before_allocating(self):
+        # Broadcast views stand in for the 100-orbital tensors, which fit
+        # the budget; their 200-spin-orbital expansion does not.
+        spatial = SpatialIntegrals(100, 2, 0, 0.0, np.broadcast_to(0.0, (100,) * 2),
+                                   np.broadcast_to(0.0, (100,) * 4))
+        with pytest.raises(TooLarge, match=f"needs {EXPAND_ENTRY_BYTES * 200 ** 4} bytes"):
+            to_spin_orbitals(spatial)
+
+    @pytest.mark.parametrize("norb", [100, 120])
+    def test_oversized_fcidump_exits_2(self, norb, tmp_path, capsys):
+        path = tmp_path / "large.fcidump"
+        path.write_text(f"&FCI NORB={norb},NELEC=2,MS2=0,\n&END\n 0.75 0 0 0 0\n")
+        assert main(["exact", "--fcidump", str(path)]) == 2
+        assert "two-body tensor needs" in capsys.readouterr().err
 
     def test_load_problem_wants_exactly_one_source(self, tmp_path):
         with pytest.raises(ValueError, match="exactly one"):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hartree import pauli
 from hartree.pauli import (
     BYTE_BUDGET,
+    DROP_TOLERANCE,
     STRING_TABLES,
     TABLE_BYTES,
     TABLE_ITEM_BYTES,
@@ -30,6 +32,7 @@ from hartree.pauli import (
 )
 
 from conftest import (
+    dict_pauli_sum,
     kron_string_matrix,
     kron_sum_matrix,
     random_pauli_string,
@@ -146,9 +149,10 @@ class TestToMatrix:
         def refuse(*_args, **_kwargs):
             raise AssertionError("to_matrix allocated its matrix")
 
+        s = PauliSum.from_text({"Z0": 1.0})
         monkeypatch.setattr(np, "zeros", refuse)
         with pytest.raises(TooLarge, match=f"needs {4 ** 14 * 16} bytes"):
-            to_matrix(PauliSum.from_text({"Z0": 1.0}), 14)
+            to_matrix(s, 14)
 
     def test_matches_kron_oracle(self, rng):
         for _ in range(25):
@@ -355,3 +359,76 @@ def test_textual_round_trip():
     again = PauliSum.from_json_terms(s.to_json_terms())
     assert again == s
     assert str(PauliString.from_text("X0 Z2 Y5")) == "X0 Z2 Y5"
+
+
+@pytest.mark.parametrize("text, qubit", [
+    ("X0 Z0", 0), ("X0 X0", 0), ("Z3 Y1 X3", 3), ("X-1", -1), ("Y2 Z-4", -4),
+])
+def test_text_naming_a_qubit_twice_or_a_negative_one_is_refused(text, qubit):
+    # X0 Z0 would be -i Y0 and X0 X0 the identity: no string holds either.
+    with pytest.raises(ValueError, match=f"qubit {qubit} in "):
+        PauliString.from_text(text)
+    with pytest.raises(ValueError, match=f"qubit {qubit} in "):
+        PauliSum.from_text({text: 1.0})
+
+
+@given(st.integers(0, 2 ** 70 - 1), st.integers(0, 2 ** 70 - 1))
+@settings(max_examples=200, deadline=None)
+def test_text_round_trip_property(x, z):
+    string = PauliString(x, z)
+    assert PauliString.from_text(str(string)) == string
+
+
+# Magnitudes at the drop tolerance, on the axes, where |c| is exact, and at
+# any angle, where Python's abs(complex) and np.abs may round apart.
+EDGE = st.sampled_from([DROP_TOLERANCE * (1 + k * 2.0 ** -52) for k in (-1, 0, 1)])
+coefficients = st.one_of(
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    EDGE.flatmap(lambda r: st.sampled_from(
+        [complex(r, 0.0), complex(0.0, -r), complex(-r, -0.0)])),
+    st.builds(lambda r, angle: complex(r * math.cos(angle), r * math.sin(angle)),
+              EDGE, st.floats(0.0, 2 * math.pi)))
+
+
+@st.composite
+def mask_terms(draw):
+    """(width, [((x, z), coeff)]): a few strings of up to 64 qubits drawn
+    over and over, and, when asked, each term followed by its negation."""
+    n = draw(st.integers(1, 64))
+    mask = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=4))
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), coefficients),
+                          max_size=12))
+    if draw(st.booleans()):
+        terms = [t for key, c in terms for t in ((key, c), (key, -c))]
+    return n, terms
+
+
+@given(mask_terms(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_mask_merge_matches_the_dict_merge_bit_for_bit(drawn, declared):
+    n, terms = drawn
+    n_qubits = n if declared else None
+    x, z, coeffs, width = dict_pauli_sum(
+        [PauliTerm(PauliString(*key), c) for key, c in terms], n_qubits)
+    masks = [key for key, _ in terms]
+    arrays = ([k[0] for k in masks], [k[1] for k in masks],
+              [c for _, c in terms])
+    for s in (PauliSum.from_masks(*arrays, n_qubits=n_qubits),
+              PauliSum([PauliTerm(PauliString(*key), c) for key, c in terms],
+                       n_qubits=n_qubits)):
+        assert s.n_qubits == width
+        assert same_bits(s.x, x) and same_bits(s.z, z)
+        assert same_bits(s.coeffs, coeffs)
+
+
+def test_merge_drops_at_the_tolerance_as_abs_complex_does():
+    # On the circle |c| = DROP_TOLERANCE, np.abs rounds apart from Python's
+    # abs(complex) for some angles; the merge keeps what abs(c) >= tol keeps.
+    angles = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    coeffs = DROP_TOLERANCE * (np.cos(angles) + 1j * np.sin(angles))
+    terms = [PauliTerm(PauliString(q, 0), c) for q, c in enumerate(coeffs)]
+    x, z, kept, width = dict_pauli_sum(terms)
+    s = PauliSum.from_masks(range(64), [0] * 64, coeffs)
+    assert 0 < len(kept) < 64
+    assert same_bits(s.x, x) and same_bits(s.coeffs, kept)

@@ -83,6 +83,12 @@ EXTRA = (
     ("vqe-h2-lbfgs", ("vqe", *H2, "--optimizer", "l-bfgs")),
     ("vqe-h2-631g-shots", ("vqe", "--fixture", "h2_631g_0.7414", "--shots",
                            "10000")),
+    # 12-qubit LiH: term order beyond qubit 9 (X10 sorts before X2) in the
+    # per-term H psi above TABLE_BYTES and in the UCCSD gate order.
+    ("spectrum-lih-jw", ("spectrum", "--fixture", "lih_sto3g_1.45", "--k",
+                         "2")),
+    ("vqe-lih-jw-lbfgs", ("vqe", "--fixture", "lih_sto3g_1.45", "--optimizer",
+                          "l-bfgs", "--max-evals", "3")),
 )
 
 
