@@ -4,8 +4,8 @@ A Pauli string is stored as a pair of bitmasks (x, z): bit q of ``x`` set means
 the letter on qubit q contains an X factor, bit q of ``z`` a Z factor, both set
 mean Y. Qubit 0 is the rightmost / least-significant position throughout.
 Multiplication, commutation and state application then reduce to integer
-bit operations with an i^k phase bookkeeping. A sum holds its terms as
-arrays: uint64 x and z masks, so at most 64 qubits, and complex coefficients.
+bit operations with an i^k phase bookkeeping. A sum is only its arrays:
+uint64 x and z masks, so at most 64 qubits, and complex coefficients.
 
 Applying a string to a register of ``dim`` amplitudes is a gather: output
 amplitude i reads input amplitude i ^ x and picks up a sign from the parity of
@@ -137,24 +137,7 @@ class PauliString:
 
     @classmethod
     def from_text(cls, text: str) -> "PauliString":
-        """Parse forms like ``"X0 Z2 Y5"``; ``"I"`` or ``""`` is the identity.
-        A negative qubit is a ValueError, and so is a qubit named twice: X0 Z0
-        is -i Y0, a phase no string holds."""
-        x = z = 0
-        text = text.strip()
-        if text in ("", "I"):
-            return cls()
-        for token in text.split():
-            letter, qubit = token[0].upper(), int(token[1:])
-            if letter not in "XYZ":
-                raise ValueError(f"bad Pauli letter in {token!r}")
-            if qubit < 0 or (x | z) >> qubit & 1:
-                raise ValueError(f"qubit {qubit} in {text!r} is negative or named twice")
-            if letter in "XY":
-                x |= 1 << qubit
-            if letter in "ZY":
-                z |= 1 << qubit
-        return cls(x, z)
+        return cls(*_text_masks(text))
 
     @classmethod
     def single(cls, letter: str, qubit: int) -> "PauliString":
@@ -210,7 +193,41 @@ class PauliString:
         return f"PauliString({str(self)!r})"
 
 
-IDENTITY = PauliString()
+def _text_masks(text: str) -> tuple[int, int]:
+    """(x, z) of forms like ``"X0 Z2 Y5"``; ``"I"`` or ``""`` is the identity.
+    A negative qubit is a ValueError, and so is a qubit named twice: X0 Z0
+    is -i Y0, a phase no string holds."""
+    x = z = 0
+    text = text.strip()
+    for token in ([] if text == "I" else text.split()):
+        letter, qubit = token[0].upper(), int(token[1:])
+        if letter not in "XYZ":
+            raise ValueError(f"bad Pauli letter in {token!r}")
+        if qubit < 0 or (x | z) >> qubit & 1:
+            raise ValueError(f"qubit {qubit} in {text!r} is negative or named twice")
+        if letter in "XY":
+            x |= 1 << qubit
+        if letter in "ZY":
+            z |= 1 << qubit
+    return x, z
+
+
+# Each qubit number's rank among the 64 compared as text ("10" < "2"), and a
+# token's rank, letter first (X < Y < Z), by its x + 2z bits; -1 is no token.
+_TEXT_RANK = np.argsort(sorted(range(64), key=str))
+_TOKEN_RANK = np.array([np.full(64, -1), _TEXT_RANK, 128 + _TEXT_RANK,
+                        64 + _TEXT_RANK])
+
+
+def _text_order(x: np.ndarray, z: np.ndarray, width: int) -> np.ndarray:
+    """The permutation to ``sorted(key=str)`` order of strings (x, z) on
+    ``width`` qubits: texts compare token by token, and a space or the end
+    sorts below any letter or digit, so token ranks in qubit order do."""
+    qubits = np.arange(max(1, width), dtype=np.uint64)
+    letters = (x[:, None] >> qubits & 1) + 2 * (z[:, None] >> qubits & 1)
+    ranks = np.take_along_axis(_TOKEN_RANK[letters, qubits], np.argsort(
+        letters == 0, axis=1, kind="stable"), axis=1)
+    return np.lexsort(ranks.T[::-1])
 
 
 @dataclass(frozen=True)
@@ -248,17 +265,15 @@ def commutes(a: PauliString, b: PauliString) -> bool:
 
 class PauliSum:
     """Canonical linear combination of Pauli strings: read-only uint64 mask
-    arrays ``x`` and ``z`` and complex ``coeffs`` in term order, beside each
-    term's PauliString for callers that iterate. Every sum comes from one
-    merge, ``from_masks``, which fixes a deterministic term order
-    (lexicographic on the textual string form). Instances are immutable;
-    arithmetic returns new sums. Each instance keeps the stacked tables of
-    its H*psi, and of its strings alone once sampled, per register width it
-    was used on.
+    arrays ``x`` and ``z`` and complex ``coeffs``; PauliStrings are made only
+    when asked. Every sum comes from one merge, ``from_masks``, which puts the
+    terms in the text order of their strings, ranked off the masks token by
+    token (``_text_order``: letter X < Y < Z, then qubit number as digits).
+    Instances are immutable; arithmetic returns new sums. Each keeps the
+    stacked tables of its H*psi, and of its strings alone, per register width.
     """
 
-    __slots__ = ("x", "z", "coeffs", "_strings", "_n_qubits", "_tables",
-                 "_string_tables")
+    __slots__ = ("x", "z", "coeffs", "_n_qubits", "_tables", "_string_tables")
 
     def __new__(cls, terms: Mapping[PauliString, complex] | Iterable[PauliTerm] | None = None,
                 n_qubits: int | None = None, tol: float = DROP_TOLERANCE) -> "PauliSum":
@@ -275,30 +290,31 @@ class PauliSum:
         ``merged.get(s, 0.0) + c``), hypot(re, im) >= tol (Python's abs(complex)
         to the last bit) keeps a slot, and the kept strings sort by text."""
         coeffs = np.asarray(coeffs, dtype=complex)
+        try:
+            x, z = (np.asarray(a, dtype=np.uint64) for a in (x, z))
+        except OverflowError:
+            raise DimensionMismatch("a term names a qubit past 63, beyond the "
+                                    "64 a uint64 mask holds") from None
         slots: dict[tuple[int, int], int] = {}
         at = np.array([slots.setdefault(key, len(slots)) for key in zip(
-            *(np.asarray(a, dtype=np.uint64).tolist() for a in (x, z)))],
-            dtype=np.intp)
-        slots = list(slots)  # each slot's (x, z); the dict is freed
-        strings = [PauliString(*key) for key in slots]
+            x.tolist(), z.tolist())], dtype=np.intp)
         finite = np.isfinite(coeffs)
         if not finite.all():
-            raise ValueError(f"non-finite coefficient for {strings[at[finite.argmin()]]}")
+            bad = PauliString(*list(slots)[at[finite.argmin()]])
+            raise ValueError(f"non-finite coefficient for {bad}")
         total = np.zeros(len(slots), dtype=complex)
         np.add.at(total, at, coeffs)
-        order = sorted((np.hypot(total.real, total.imag) >= tol).nonzero()[0]
-                       .tolist(), key=lambda t: str(strings[t]))
-        x, z = np.array([slots[t] for t in order],
-                        dtype=np.uint64).reshape(-1, 2).T
+        kept = np.hypot(total.real, total.imag) >= tol
+        x, z = np.array(list(slots), dtype=np.uint64).reshape(-1, 2)[kept].T
         inferred = int(np.bitwise_or.reduce(x | z)).bit_length()
+        order = _text_order(x, z, inferred)
+        x, z, coeffs = x[order], z[order], total[kept][order]
         if n_qubits is not None and n_qubits < inferred:
             raise DimensionMismatch(f"declared {n_qubits} qubits, terms need {inferred}")
-        coeffs = total[order]
         for array in (x, z, coeffs):
             array.flags.writeable = False
         out = object.__new__(cls)
         for name, value in (("x", x), ("z", z), ("coeffs", coeffs),
-                            ("_strings", [strings[t] for t in order]),
                             ("_n_qubits", inferred if n_qubits is None else n_qubits),
                             ("_tables", {}), ("_string_tables", {})):
             object.__setattr__(out, name, value)
@@ -309,27 +325,31 @@ class PauliSum:
 
     @classmethod
     def identity(cls, coeff: complex = 1.0, n_qubits: int | None = None) -> "PauliSum":
-        return cls({IDENTITY: coeff}, n_qubits=n_qubits)
+        return cls.from_masks([0], [0], [coeff], n_qubits)
 
     @classmethod
-    def from_text(cls, entries: Mapping[str, complex], n_qubits: int | None = None) -> "PauliSum":
-        return cls({PauliString.from_text(t): c for t, c in entries.items()}, n_qubits=n_qubits)
+    def from_text(cls, entries: Mapping[str, complex] | Iterable[tuple[str, complex]],
+                  n_qubits: int | None = None) -> "PauliSum":
+        """Texts that name one string, as "Z0" and "z0" do, add in order."""
+        pairs = list(entries.items() if isinstance(entries, Mapping) else entries)
+        x, z = zip(*[_text_masks(t) for t, _ in pairs]) if pairs else ((), ())
+        return cls.from_masks(x, z, [c for _, c in pairs], n_qubits)
 
     @property
     def n_qubits(self) -> int:
         return self._n_qubits
 
     def items(self) -> list[tuple[PauliString, complex]]:
-        return list(zip(self._strings, self.coeffs.tolist()))
+        return list(zip(self.strings(), self.coeffs.tolist()))
 
     def coeff(self, string: PauliString | str) -> complex:
-        if isinstance(string, str):
-            string = PauliString.from_text(string)
-        at = np.flatnonzero((self.x == string.x) & (self.z == string.z))
+        x, z = (_text_masks(string) if isinstance(string, str)
+                else (string.x, string.z))
+        at = np.flatnonzero((self.x == x) & (self.z == z))
         return self.coeffs[at[0]].item() if at.size else 0.0
 
     def strings(self) -> list[PauliString]:
-        return list(self._strings)
+        return list(map(PauliString, self.x.tolist(), self.z.tolist()))
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return bool(np.all(np.abs(self.coeffs.imag) <= tol))
@@ -357,8 +377,10 @@ class PauliSum:
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
-            products = [(mul_masks(a.x, a.z, b.x, b.z), ca * cb)
-                        for a, ca in self.items() for b, cb in other.items()]
+            a, b = (list(zip(s.x.tolist(), s.z.tolist(), s.coeffs.tolist()))
+                    for s in (self, other))
+            products = [(mul_masks(ax, az, bx, bz), ca * cb)
+                        for ax, az, ca in a for bx, bz, cb in b]
             return PauliSum.from_masks(
                 [x for (_, x, _), _ in products], [z for (_, _, z), _ in products],
                 [c * phase for (phase, _, _), c in products],
@@ -380,8 +402,8 @@ class PauliSum:
 
     @classmethod
     def from_json_terms(cls, entries: list[dict]) -> "PauliSum":
-        return cls({PauliString.from_text(e["string"]): e["re"] + 1j * e["im"]
-                    for e in entries})
+        return cls.from_text([(e["string"], e["re"] + 1j * e["im"])
+                              for e in entries])
 
 
 def canonicalize(s: PauliSum, tol: float = DROP_TOLERANCE) -> PauliSum:

@@ -28,6 +28,7 @@ from .errors import ConfigError
 from .pauli import (
     AMPLITUDE_BYTES,
     TABLE_BYTES,
+    PauliString,
     PauliSum,
     check_bytes,
 )
@@ -412,10 +413,9 @@ def taper_two_qubits(h: PauliSum, scheme: EncodingScheme,
     top, mid = m - 1, m // 2 - 1
     flipped = np.flatnonzero(h.x & np.uint64(1 << top | 1 << mid))
     if flipped.size:
-        string = h.strings()[flipped[0]]
-        qubit = top if string.x >> top & 1 else mid
-        raise NotSymmetric(
-            f"term {string} acts on tapered qubit {qubit} with X or Y")
+        x, z = int(h.x[flipped[0]]), int(h.z[flipped[0]])
+        raise NotSymmetric(f"term {PauliString(x, z)} acts on tapered qubit "
+                           f"{top if x >> top & 1 else mid} with X or Y")
     coeffs = h.coeffs
     for qubit, sign in ((top, sector.z_total), (mid, sector.z_up)):
         coeffs = np.where((h.z & np.uint64(1 << qubit)) != 0, coeffs * sign,

@@ -700,27 +700,28 @@ class ShotEstimate:
             raise ValueError("standard error cannot be negative")
 
 
-def _term_probabilities(psi: StateVector, h: PauliSum, shots_per_term: int
-                        ) -> list[tuple[float, float | None]]:
-    """(weight, P(+1)) per term of h in term order, None for the identity;
-    every <P_t> is read off one block of products (``string_actions``)."""
+def _sampled_means(psi: StateVector, h: PauliSum, shots_per_term: int,
+                   rng: np.random.Generator, count: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Means of ``count`` sampled runs of <h>, and the (terms, count) +-1
+    means of its terms, exactly 1 for an identity term (no mask bits). Every
+    <P_t> is read off one block of products (``string_actions``); the counts
+    of every measured term and run are one draw, term-major."""
     if shots_per_term < 1:
         raise ValueError("shots_per_term must be at least 1")
     if not h.is_hermitian():
         raise NonHermitian("sampling requires a Hermitian sum")
     amps = psi.amplitudes
-    out = []
-    for (string, coeff), action in zip(h.items(), string_actions(h, amps)):
-        if string.is_identity:
-            out.append((coeff.real, None))
-        else:
-            exact = np.vdot(amps, action).real
-            out.append((coeff.real, min(max((1.0 + exact) / 2.0, 0.0), 1.0)))
-    return out
-
-
-def _measured(terms: list[tuple[float, float | None]]) -> list[float]:
-    return [p_plus for _, p_plus in terms if p_plus is not None]
+    measured = (h.x | h.z) != 0
+    p_plus = np.clip([(1.0 + np.vdot(amps, action).real) / 2.0 for action, m
+                      in zip(string_actions(h, amps), measured) if m], 0.0, 1.0)
+    ups = rng.binomial(shots_per_term, np.repeat(p_plus, count))
+    term_means = np.ones((len(h), count))
+    term_means[measured] = 2.0 * ups.reshape(-1, count) / shots_per_term - 1.0
+    # Running sums add the rows one by one from 0.0; a reduction may pair them.
+    weighted = np.zeros((len(h) + 1, count))
+    weighted[1:] = h.coeffs.real[:, None] * term_means
+    return np.cumsum(weighted, axis=0)[-1], term_means
 
 
 def sample_expectation(psi: StateVector, h: PauliSum, shots_per_term: int,
@@ -730,48 +731,25 @@ def sample_expectation(psi: StateVector, h: PauliSum, shots_per_term: int,
     Each non-identity term is measured in its own rotated basis; a bitstring
     sample maps to an eigenvalue +-1 with P(+1) = (1 + <P>)/2, so the counts
     are drawn from the exactly equivalent binomial law, one draw for all
-    terms in term order.
+    terms (``_sampled_means``); an identity term's mean 1 adds no variance.
     """
-    terms = _term_probabilities(psi, h, shots_per_term)
-    measured = _measured(terms)
-    counts = iter(rng.binomial(shots_per_term, measured).tolist()
-                  if measured else ())
-    mean = 0.0
+    means, term_means = _sampled_means(psi, h, shots_per_term, rng, 1)
     variance = 0.0
-    for weight, p_plus in terms:
-        if p_plus is None:
-            mean += weight
-            continue
-        term_mean = 2.0 * next(counts) / shots_per_term - 1.0
-        mean += weight * term_mean
-        if shots_per_term > 1:
+    if shots_per_term > 1:
+        for weight, term_mean in zip(h.coeffs.real.tolist(),
+                                     term_means[:, 0].tolist()):
             sample_var = ((1.0 - term_mean ** 2)
                           * shots_per_term / (shots_per_term - 1))
             variance += weight ** 2 * sample_var / shots_per_term
-    return ShotEstimate(mean, math.sqrt(variance), shots_per_term)
+    return ShotEstimate(means.item(), math.sqrt(variance), shots_per_term)
 
 
 def sample_means(psi: StateVector, h: PauliSum, shots_per_term: int,
                  rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` independent ``sample_expectation`` means on one state.
-
-    The counts of every term and run are drawn as one (terms, count)
-    binomial block, term-major, and the means are accumulated in term
-    order, so run k's mean equals ``sample_expectation``'s mean for run k's
-    counts bit for bit.
-    """
-    terms = _term_probabilities(psi, h, shots_per_term)
-    measured = _measured(terms)
-    blocks = iter(rng.binomial(shots_per_term, np.array(measured)[:, None],
-                               size=(len(measured), count))
-                  if measured else ())
-    means = np.zeros(count)
-    for weight, p_plus in terms:
-        if p_plus is None:
-            means += weight
-            continue
-        means += weight * (2.0 * next(blocks) / shots_per_term - 1.0)
-    return means
+    """``count`` independent ``sample_expectation`` means on one state: run
+    k's mean equals ``sample_expectation``'s mean for run k's counts bit for
+    bit, since both are accumulated by ``_sampled_means``."""
+    return _sampled_means(psi, h, shots_per_term, rng, count)[0]
 
 
 # ----------------------------------------------------------------------- noise
@@ -930,8 +908,8 @@ class EnergyWindow:
 
 def default_window(h: PauliSum) -> EnergyWindow:
     """Gershgorin-style bound: identity coefficient plus the 1-norm of the rest."""
-    center = h.coeff(PauliString()).real
-    radius = sum(abs(c) for s, c in h.items() if not s.is_identity)
+    center = h.coeff("I").real
+    radius = sum(map(abs, h.coeffs[(h.x | h.z) != 0].tolist()))
     if radius == 0.0:
         return EnergyWindow(center - 0.5, center + 0.5)
     return EnergyWindow(center - radius, center + radius + 1e-9 * radius)

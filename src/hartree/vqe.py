@@ -253,7 +253,7 @@ def build_hamiltonian_variational(parts: HamiltonianParts, steps: int,
         raise ValueError("need at least one step")
     if full is not None:
         residue = parts.total() - full
-        if any(abs(c) > COEFF_TOLERANCE for _, c in residue.items()):
+        if (np.hypot(residue.coeffs.real, residue.coeffs.imag) > COEFF_TOLERANCE).any():
             raise PartitionIncomplete("groups do not sum to the full Hamiltonian")
     n = parts.total().n_qubits
     for gate in reference_prep:

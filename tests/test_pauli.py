@@ -7,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hartree import pauli
+from hartree.encoding import JW, EncodingScheme, encode_operator
+from hartree.errors import ConfigError
+from hartree.fermion import build_molecular_hamiltonian
+from hartree.io_cli import load_fixture
 from hartree.pauli import (
     BYTE_BUDGET,
     DROP_TOLERANCE,
@@ -432,3 +436,89 @@ def test_merge_drops_at_the_tolerance_as_abs_complex_does():
     s = PauliSum.from_masks(range(64), [0] * 64, coeffs)
     assert 0 < len(kept) < 64
     assert same_bits(s.x, x) and same_bits(s.coeffs, kept)
+
+
+@st.composite
+def sparse_strings(draw):
+    """20 to 60 distinct strings of at most 3 letters on 1 to 64 qubits (a
+    narrow register holds fewer), so "X1 Z3" meets "X10" and "X10" "X2"."""
+    n = draw(st.integers(1, 64))
+    letter = st.tuples(st.integers(0, n - 1), st.integers(1, 3))
+
+    def masks(tokens):
+        return (sum((code & 1) << q for q, code in tokens),
+                sum((code >> 1) << q for q, code in tokens))
+
+    return draw(st.lists(st.lists(letter, max_size=3).map(masks),
+                         min_size=min(20, 4 ** n // 2), max_size=60,
+                         unique=True))
+
+
+@given(sparse_strings(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_text_order_matches_sorted_text(keys, shuffle):
+    x, z = (np.array(column, dtype=np.uint64) for column in zip(*keys))
+    texts = [str(PauliString(*key)) for key in keys]
+    width = int(np.bitwise_or.reduce(x | z)).bit_length()
+    assert [texts[t] for t in pauli._text_order(x, z, width)] == sorted(texts)
+    shuffle.shuffle(keys)
+    s = PauliSum.from_masks([k[0] for k in keys], [k[1] for k in keys],
+                            np.ones(len(keys)))
+    assert [str(p) for p in s.strings()] == sorted(texts)
+
+
+def test_text_order_puts_qubit_numbers_in_digit_order():
+    texts = ["I", "X1 Z3", "X10", "X2", "Y0", "Z63"]
+    s = PauliSum.from_text({t: 1.0 for t in reversed(texts)})
+    assert [str(p) for p in s.strings()] == texts
+    assert pauli._text_order(s.x, s.z, 64).tolist() == list(range(len(texts)))
+
+
+def test_a_sum_holds_only_its_arrays():
+    assert set(PauliSum.__slots__) == {"x", "z", "coeffs", "_n_qubits",
+                                       "_tables", "_string_tables"}
+
+
+def test_building_the_lih_sum_makes_and_renders_no_string(monkeypatch):
+    ints = load_fixture("lih_sto3g_1.45")
+    h, scheme = build_molecular_hamiltonian(ints), EncodingScheme(JW, ints.m)
+    calls = []
+
+    def counted(name):
+        original = getattr(PauliString, name)
+
+        def method(self, *args):
+            calls.append(name)
+            return original(self, *args)
+        return method
+
+    for name in ("__init__", "__str__"):
+        monkeypatch.setattr(PauliString, name, counted(name))
+    s = encode_operator(h, scheme)
+    assert len(s) == 631 and calls == []
+    assert len(s + s) == 631 and len(s * 2.0) == 631 and calls == []
+    assert len(PauliSum.from_text({"X0 Z1": 1.0, "Y2": 0.5})
+               * PauliSum.identity(2.0)) == 2 and calls == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PauliSum.from_text({"X64": 1.0}),
+    lambda: PauliSum({PauliString(0, 1 << 64): 1.0}),
+    lambda: PauliSum.from_masks([1 << 70], [0], [1.0]),
+], ids=["from_text", "mapping", "from_masks"])
+def test_a_qubit_past_63_is_a_config_error_naming_the_mask(build):
+    with pytest.raises(ConfigError, match="64 a uint64 mask holds"):
+        build()
+
+
+def test_repeated_texts_add_in_input_order():
+    s = PauliSum.from_text({"Z0": 0.1, "z0": 0.2, "X1 Z0": 1.0, "Z0  X1": -1.0})
+    assert len(s) == 1 and s.coeff("Z0") == 0.1 + 0.2
+
+
+def test_repeated_json_strings_add_in_input_order():
+    s = PauliSum.from_json_terms([
+        {"string": "Z0", "re": 0.1, "im": 0.0},
+        {"string": "Y1", "re": 1.0, "im": 0.0},
+        {"string": "Z0", "re": 0.2, "im": -0.5}])
+    assert s.coeff("Z0") == complex(0.1 + 0.2, -0.5) and s.coeff("Y1") == 1.0
