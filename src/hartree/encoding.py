@@ -19,14 +19,14 @@ is (c_j + i d_j)/2 and the creator (c_j - i d_j)/2.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
-from .fermion import MASK_MODES, FermionSum, OccupationVector, arity_runs
+from .fermion import MASK_MODES, FermionSum, IndexOutOfRange, OccupationVector
 from .pauli import DROP_TOLERANCE, DimensionMismatch, PauliSum
 
 JW = "jw"
@@ -38,10 +38,6 @@ VARIANTS = (JW, PARITY, BK, BKTREE)
 # encode_operator multiplies out at most this many strings at once, so its
 # working arrays stay bounded however long the sum.
 BLOCK_PRODUCTS = 1 << 11
-
-
-class IndexOutOfRange(ConfigError):
-    """A mode index does not fit the scheme's register."""
 
 
 @dataclass(frozen=True)
@@ -213,15 +209,15 @@ def _multiply_out(images: tuple[np.ndarray, ...], pairs: np.ndarray,
     the two; only those two products meet, so their order does not matter.
 
     Each product is c1 * c2 * phase, the phase i^k counted as
-    ``pauli.mul_masks`` counts it. Every c2 (0.5 or +-0.5i) and every phase
-    has a zero real or imaginary part, so each part of a product is one
-    rounded real product, or its negation, plus a signed zero: numpy's
-    complex product, which may fuse a multiply and an add, gives Python's
-    bits up to the signs of zeros. The first factor meets the identity,
-    whose phase is 1, which would change only such signs. Each sum starts
-    from 0.0, as a PauliSum merges, which makes every zero +0.0; a string
-    dropped to zero stays in its slot as a zero, which adds nothing to the
-    strings it meets.
+    ``pauli.mul_masks`` counts it; a real c1 enters as c1 + 0j. Every c2
+    (0.5 or +-0.5i) and every phase has a zero real or imaginary part, so
+    each part of a product is one rounded real product, or its negation,
+    plus a signed zero: numpy's complex product, which may fuse a multiply
+    and an add, gives Python's bits up to the signs of zeros. The first
+    factor meets the identity, whose phase is 1, which would change only
+    such signs. Each sum starts from 0.0, as a PauliSum merges, which makes
+    every zero +0.0; a string dropped to zero stays in its slot as a zero,
+    which adds nothing to the strings it meets.
     """
     n, arity = pairs.shape[:2]
     c, kept = _drop(coeffs[None] + 0.0)
@@ -264,11 +260,20 @@ def _multiply_out(images: tuple[np.ndarray, ...], pairs: np.ndarray,
     return x[-1], z, c, kept
 
 
+def _joined_runs(sums: Sequence[FermionSum]) -> Iterator[tuple[np.ndarray, ...]]:
+    """The sums' runs in order, with the sum each term belongs to; runs of
+    one arity that follow each other, in one sum or across sums, joined."""
+    runs = ((pairs, coeffs, np.full(len(coeffs), k))
+            for k, s in enumerate(sums) for pairs, coeffs in s.runs)
+    for _, group in itertools.groupby(runs, key=lambda run: run[0].shape[1]):
+        yield tuple(map(np.concatenate, zip(*group)))
+
+
 def encode_operator(s: FermionSum, scheme: EncodingScheme) -> PauliSum:
     """Qubit operator acting on encoded states exactly as s acts on modes.
 
-    The terms are read in order into runs of one arity and multiplied out
-    in blocks of at most BLOCK_PRODUCTS strings (``_multiply_out``),
+    The sum's runs of one arity are read in order and multiplied out in
+    blocks of at most BLOCK_PRODUCTS strings (``_multiply_out``),
     dropping |c| < DROP_TOLERANCE after every factor; each term's strings
     are then added into the total in term order. The result is the one the
     per-product loop over raw masks gave, bit for bit. Masks are uint64, so
@@ -281,36 +286,34 @@ def encode_operators(sums: Sequence[FermionSum], scheme: EncodingScheme
                      ) -> list[PauliSum]:
     """``encode_operator`` of every sum, all multiplied out in one pass.
 
-    The terms of all the sums are read as one list, so short sums share
-    their runs and blocks, and each string is keyed by its sum as well as
-    its masks. A string's products are added in term order from zero as in
-    the sum's own call, so every image has that call's bits.
+    Runs of one arity are joined across neighbouring sums
+    (``_joined_runs``), so short sums share their blocks; each string is
+    keyed by its sum as well as its masks. A string's products
+    are added in term order from zero as in the sum's own call, so every
+    image has that call's bits.
     """
     m = scheme.m
     if m > MASK_MODES:
         raise IndexOutOfRange(
             f"a uint64 mask holds {MASK_MODES} modes, not {m}")
     images = _image_arrays(scheme.variant, m)
-    terms = [term for s in sums for term in s.terms]
-    owners = np.repeat(np.arange(len(sums)), [len(s.terms) for s in sums])
     slots: dict[tuple[int, int, int], int] = {}
     total = np.zeros(0, dtype=complex)
-    for first, pairs, coeffs in arity_runs(terms):
+    for pairs, coeffs, owners in _joined_runs(sums):
         bad = ((pairs[..., 0] >= m).any(axis=1)
                | ~np.isfinite(coeffs)).nonzero()[0]
         if bad.size:
-            term = terms[first + bad[0]]
-            if term.max_mode() >= m:
-                raise IndexOutOfRange(
-                    f"mode {term.max_mode()} outside register of {m}")
-            raise ValueError(f"non-finite coefficient {term.coeff}")
+            mode = int(pairs[bad[0], :, 0].max(initial=0))
+            if mode >= m:
+                raise IndexOutOfRange(f"mode {mode} outside register of {m}")
+            raise ValueError(f"non-finite coefficient {coeffs[bad[0]].item()}")
         size = max(1, BLOCK_PRODUCTS >> pairs.shape[1])
         for start in range(0, len(coeffs), size):
             block = slice(start, start + size)
             x, z, c, kept = _multiply_out(images, pairs[block], coeffs[block])
             # each term's strings, terms in order
             kept = kept.T.ravel()
-            owner = np.repeat(owners[first + start:][:len(x)], z.shape[0])
+            owner = np.repeat(owners[block], z.shape[0])
             x = np.repeat(x, z.shape[0])
             at = [slots.setdefault(key, len(slots)) for key in zip(
                 owner[kept].tolist(), x[kept].tolist(),

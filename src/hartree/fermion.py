@@ -2,7 +2,9 @@
 
 Molecular Hamiltonian assembly from integrals, fermionic normal ordering,
 action on occupation vectors and UCC generator construction. Operators obey
-{a_p, a+_q} = delta_pq, {a_p, a_q} = {a+_p, a+_q} = 0.
+{a_p, a+_q} = delta_pq, {a_p, a_q} = {a+_p, a+_q} = 0. A FermionSum is held
+as arrays, read straight off the integrals for the Hamiltonian, and makes
+FermionOperators only when a caller iterates it.
 
 Spin-orbital ordering is spin-blocked by default (indices 0..M/2-1 spin-up,
 M/2..M-1 spin-down); the interleaved alternative (up, down, up, down) is
@@ -14,7 +16,7 @@ within each block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,6 +33,10 @@ MASK_MODES = 64
 
 class InvalidIntegrals(ConfigError):
     """Integral tensors violate the required index symmetries."""
+
+
+class IndexOutOfRange(ConfigError):
+    """A mode index is negative or does not fit the scheme's register."""
 
 
 def spin_of(index: int, m: int, ordering: str = BLOCKED) -> int:
@@ -134,17 +140,6 @@ class FermionOperator:
     factors: tuple[tuple[int, bool], ...]
     coeff: complex = 1.0
 
-    @classmethod
-    def from_spec(cls, spec: Sequence[tuple[int, bool]], coeff: complex = 1.0):
-        return cls(tuple((int(p), bool(d)) for p, d in spec), complex(coeff))
-
-    def adjoint(self) -> "FermionOperator":
-        flipped = tuple((p, not d) for p, d in reversed(self.factors))
-        return FermionOperator(flipped, self.coeff.conjugate())
-
-    def max_mode(self) -> int:
-        return max((p for p, _ in self.factors), default=-1)
-
     def __str__(self) -> str:
         if not self.factors:
             return f"{self.coeff} * 1"
@@ -153,57 +148,71 @@ class FermionOperator:
 
 
 class FermionSum:
-    """Linear combination of ladder-operator products."""
+    """Linear combination of ladder-operator products: the terms in order,
+    in runs of one arity, each a (terms, arity, 2) uint64 array of (mode,
+    dagger) per factor and its coefficients. Iteration makes the terms."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("runs",)
 
-    def __init__(self, terms: Iterable[FermionOperator] = ()):
-        self.terms = list(terms)
+    def __init__(self, runs: Iterable[tuple[np.ndarray, np.ndarray]] = ()):
+        checked = []
+        for pairs, coeffs in runs:
+            if (pairs[..., 0] < 0).any():
+                raise IndexOutOfRange(f"mode {pairs[..., 0].min()} is negative")
+            if len(coeffs):
+                checked.append((pairs.astype(np.uint64, copy=False), coeffs))
+        self.runs = tuple(checked)
 
     @classmethod
     def single(cls, spec: Sequence[tuple[int, bool]], coeff: complex = 1.0) -> "FermionSum":
-        return cls([FermionOperator.from_spec(spec, coeff)])
+        return cls([(np.array(spec, dtype=np.int64).reshape(1, len(spec), 2),
+                     np.array([complex(coeff)]))])
 
     def adjoint(self) -> "FermionSum":
-        return FermionSum([t.adjoint() for t in self.terms])
+        return FermionSum((pairs[:, ::-1] ^ np.uint64([0, 1]), coeffs.conj())
+                          for pairs, coeffs in self.runs)
 
     def max_mode(self) -> int:
-        return max((t.max_mode() for t in self.terms), default=-1)
+        return max((int(pairs[..., 0].max()) for pairs, _ in self.runs
+                    if pairs.shape[1]), default=-1)
+
+    @property
+    def terms(self) -> list[FermionOperator]:
+        return list(self)
 
     def __add__(self, other: "FermionSum") -> "FermionSum":
-        return FermionSum(self.terms + other.terms)
+        return FermionSum(self.runs + other.runs)
 
     def __sub__(self, other: "FermionSum") -> "FermionSum":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "FermionSum":
-        return FermionSum([replace(t, coeff=scalar * t.coeff) for t in self.terms])
+        # Python's products: numpy's may fuse a multiply and an add
+        return FermionSum((pairs, np.array([scalar * c for c in c_run.tolist()]))
+                          for pairs, c_run in self.runs)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return sum(len(coeffs) for _, coeffs in self.runs)
 
-    def __iter__(self):
-        return iter(self.terms)
+    def __iter__(self) -> Iterator[FermionOperator]:
+        for pairs, coeffs in self.runs:
+            for factors, c in zip(pairs.tolist(), coeffs.tolist()):
+                yield FermionOperator(tuple((p, bool(d)) for p, d in factors), c)
 
     def __str__(self) -> str:
-        return " + ".join(str(t) for t in self.terms) if self.terms else "0"
+        return " + ".join(map(str, self)) or "0"
 
 
-def arity_runs(terms: Sequence[FermionOperator]
-               ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The terms in order, cut into runs of one arity: (position of the
-    run's first term, its (terms, arity, 2) uint64 array of (mode, dagger)
-    per factor, its complex coefficients)."""
-    first = 0
+def arity_runs(terms: Iterable[FermionOperator]) -> FermionSum:
+    """The sum of ``terms`` in order: each run of one arity read into its
+    factor array and its coefficients, in the coefficients' own dtype."""
+    runs = []
     for arity, run in itertools.groupby(terms, key=lambda t: len(t.factors)):
         run = list(run)
-        flat = np.fromiter(itertools.chain.from_iterable(
-            itertools.chain.from_iterable(t.factors) for t in run),
-            dtype=np.uint64, count=2 * arity * len(run))
-        coeffs = np.fromiter((t.coeff for t in run), dtype=complex,
-                             count=len(run))
-        yield first, flat.reshape(len(run), arity, 2), coeffs
-        first += len(run)
+        runs.append((np.array([t.factors for t in run], dtype=np.int64)
+                     .reshape(len(run), arity, 2),
+                     np.array([t.coeff for t in run])))
+    return FermionSum(runs)
 
 
 def normal_order(s: FermionSum, tol: float = COEFF_TOLERANCE) -> FermionSum:
@@ -214,7 +223,7 @@ def normal_order(s: FermionSum, tol: float = COEFF_TOLERANCE) -> FermionSum:
     ladder operators annihilate the term.
     """
     merged: dict[tuple, complex] = {}
-    stack = [(t.coeff, list(t.factors)) for t in s.terms]
+    stack = [(t.coeff, list(t.factors)) for t in s]
     while stack:
         coeff, factors = stack.pop()
         for i in range(len(factors) - 1):
@@ -235,8 +244,8 @@ def normal_order(s: FermionSum, tol: float = COEFF_TOLERANCE) -> FermionSum:
         else:
             key = tuple(factors)
             merged[key] = merged.get(key, 0.0) + coeff
-    kept = [FermionOperator(k, c) for k, c in sorted(merged.items()) if abs(c) > tol]
-    return FermionSum(kept)
+    return arity_runs(FermionOperator(k, c) for k, c in sorted(merged.items())
+                      if abs(c) > tol)
 
 
 def sums_equal(a: FermionSum, b: FermionSum, tol: float = 1e-10) -> bool:
@@ -268,8 +277,8 @@ def molecular_term_runs(ints: MolecularIntegrals
     a_r a_s read straight from the integral arrays, in build order: the
     core, then one-body, then two-body terms, each index tuple in row-major
     order and only where |coefficient| > COEFF_TOLERANCE. One run per arity
-    present, as ``arity_runs`` cuts them: its (terms, arity, 2) uint64 array
-    of (mode, dagger) per factor and its coefficients, kept in the
+    present, as a FermionSum holds its runs: the (terms, arity, 2) uint64
+    array of (mode, dagger) per factor and the coefficients, kept in the
     integrals' own dtype."""
     ints.validate()
     runs = []
@@ -289,22 +298,14 @@ def molecular_term_runs(ints: MolecularIntegrals
     return runs
 
 
-def run_terms(pairs: np.ndarray, coeffs: np.ndarray) -> list[FermionOperator]:
-    """The FermionOperators of one run of ``arity_runs``' form, each
-    coefficient the run's own scalar."""
-    return [FermionOperator(tuple((p, bool(d)) for p, d in factors.tolist()),
-                            c) for factors, c in zip(pairs, coeffs)]
-
-
 def build_molecular_hamiltonian(ints: MolecularIntegrals) -> FermionSum:
-    """H = sum h_pq a+_p a_q + 1/2 sum h_pqrs a+_p a+_q a_r a_s + core, the
-    terms of ``molecular_term_runs``."""
-    return FermionSum(itertools.chain.from_iterable(
-        run_terms(pairs, coeffs) for pairs, coeffs in molecular_term_runs(ints)))
+    """H = sum h_pq a+_p a_q + 1/2 sum h_pqrs a+_p a+_q a_r a_s + core, over
+    the runs of ``molecular_term_runs``."""
+    return FermionSum(molecular_term_runs(ints))
 
 
 def number_operator(modes: Iterable[int]) -> FermionSum:
-    return FermionSum([FermionOperator(((p, True), (p, False)), 1.0) for p in modes])
+    return arity_runs(FermionOperator(((p, True), (p, False)), 1.0) for p in modes)
 
 
 def hf_occupation(ints: MolecularIntegrals) -> OccupationVector:

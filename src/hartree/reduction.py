@@ -20,9 +20,9 @@ from .encoding import BK, BKTREE, PARITY, EncodingScheme
 from .fermion import (
     BLOCKED,
     MASK_MODES,
+    FermionSum,
     MolecularIntegrals,
     molecular_term_runs,
-    run_terms,
 )
 from .errors import ConfigError
 from .pauli import (
@@ -250,7 +250,7 @@ def _rows(masks: np.ndarray, images: np.ndarray) -> np.ndarray:
 
 def _outside(pairs: np.ndarray, coeffs: np.ndarray, term: int, mask: int,
              ints: MolecularIntegrals) -> InconsistentSpace:
-    [operator] = run_terms(pairs[term:term + 1], coeffs[term:term + 1])
+    operator = FermionSum([(pairs[term:term + 1], coeffs[term:term + 1])])
     return InconsistentSpace(
         f"term {operator} maps determinant {mask:0{ints.m}b} outside the "
         f"({ints.n_up}, {ints.n_down}) sector")

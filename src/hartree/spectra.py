@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .encoding import EncodingScheme, encode_operator
+from .encoding import EncodingScheme, encode_operators
 from .errors import NumericalError
 from .fermion import FermionSum
 from .pauli import PauliString, PauliSum, apply_to_statevector
@@ -156,13 +156,9 @@ def qse_solve(state: StateVector, h: PauliSum,
 def excitation_expansion(scheme: EncodingScheme
                          ) -> tuple[list[PauliSum], list[str]]:
     """Identity plus all encoded single excitations a+_i a_j."""
-    operators: list[PauliSum] = [PauliSum.identity(1.0)]
-    labels = ["I"]
-    for i in range(scheme.m):
-        for j in range(scheme.m):
-            if i == j:
-                continue
-            operators.append(encode_operator(
-                FermionSum.single([(i, True), (j, False)]), scheme))
-            labels.append(f"a+{i} a{j}")
-    return operators, labels
+    pairs = [(i, j) for i in range(scheme.m) for j in range(scheme.m)
+             if i != j]
+    operators = encode_operators([FermionSum.single([(i, True), (j, False)])
+                                  for i, j in pairs], scheme)
+    return ([PauliSum.identity(1.0), *operators],
+            ["I", *(f"a+{i} a{j}" for i, j in pairs)])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .encoding import EncodingScheme, encode_operators, encode_state
 from .errors import ConfigError
-from .fermion import FermionSum, OccupationVector, normal_order
+from .fermion import FermionSum, OccupationVector, arity_runs, normal_order
 from .mitigation import DEFAULT_TRAJECTORIES, noisy_expectation
 from .pauli import (
     PauliString,
@@ -219,7 +219,7 @@ def partition_hamiltonian(s: FermionSum
             hopping.append(term)
         else:
             exchange.append(term)
-    return FermionSum(diagonal), FermionSum(hopping), FermionSum(exchange)
+    return arity_runs(diagonal), arity_runs(hopping), arity_runs(exchange)
 
 
 @dataclass(frozen=True)

@@ -710,7 +710,7 @@ def expm_imaginary_time(psi, h: PauliSum, tau: float, steps: int) -> np.ndarray:
 def per_index_molecular_hamiltonian(ints):
     """The molecular FermionSum built one integral index at a time: the
     core, then h_one in row-major order, then every nonzero h_two entry."""
-    from hartree.fermion import COEFF_TOLERANCE, FermionOperator, FermionSum
+    from hartree.fermion import COEFF_TOLERANCE, FermionOperator, arity_runs
 
     ints.validate()
     terms = []
@@ -727,7 +727,7 @@ def per_index_molecular_hamiltonian(ints):
         terms.append(FermionOperator(
             ((int(p), True), (int(q), True), (int(r), False), (int(s), False)),
             0.5 * ints.h_two[p, q, r, s]))
-    return FermionSum(terms)
+    return arity_runs(terms)
 
 
 def per_determinant_fci_matrix(ints):
@@ -869,6 +869,56 @@ def pec_with_decompositions(circuit, theta, observable, noise, decompositions,
     return _mean_estimate(values, gamma_total)
 
 
+# ------------------------------ the FermionOperator-list sum, an oracle
+#
+# FermionSum as it was before it held arity runs: a list of FermionOperators,
+# every operation made term by term in Python arithmetic.
+
+
+class ListFermionSum:
+    def __init__(self, terms=()):
+        self.terms = list(terms)
+
+    def adjoint(self) -> "ListFermionSum":
+        from hartree.fermion import FermionOperator
+
+        return ListFermionSum(
+            FermionOperator(tuple((p, not d) for p, d in reversed(t.factors)),
+                            t.coeff.conjugate()) for t in self.terms)
+
+    def max_mode(self) -> int:
+        return max((p for t in self.terms for p, _ in t.factors), default=-1)
+
+    def __add__(self, other: "ListFermionSum") -> "ListFermionSum":
+        return ListFermionSum(self.terms + other.terms)
+
+    def __sub__(self, other: "ListFermionSum") -> "ListFermionSum":
+        return self + (-1.0) * other
+
+    def __rmul__(self, scalar: complex) -> "ListFermionSum":
+        from hartree.fermion import FermionOperator
+
+        return ListFermionSum(FermionOperator(t.factors, scalar * t.coeff)
+                              for t in self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def __str__(self) -> str:
+        return " + ".join(str(t) for t in self.terms) if self.terms else "0"
+
+
+def same_terms(a, b) -> bool:
+    """The same factors term by term and identical coefficient bits."""
+    a, b = list(a), list(b)
+    return [t.factors for t in a] == [t.factors for t in b] and same_bits(
+        np.array([t.coeff for t in a], dtype=complex),
+        np.array([t.coeff for t in b], dtype=complex))
+
+
 # --------------------------------------- the per-factor encoder, an oracle
 #
 # encode_operator as it ran before it multiplied raw masks: every ladder
@@ -882,9 +932,9 @@ def per_factor_encode(s, scheme) -> PauliSum:
     images = _mode_images(scheme.variant, scheme.m)
     total: dict[PauliString, complex] = {}
     for term in s:
-        if term.max_mode() >= scheme.m:
-            raise IndexOutOfRange(
-                f"mode {term.max_mode()} outside register of {scheme.m}")
+        top = max((p for p, _ in term.factors), default=-1)
+        if top >= scheme.m:
+            raise IndexOutOfRange(f"mode {top} outside register of {scheme.m}")
         acc = PauliSum.identity(term.coeff, n_qubits=scheme.m)
         for p, dagger in term.factors:
             acc = acc * images[p][1 if dagger else 0]

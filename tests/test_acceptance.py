@@ -30,6 +30,7 @@ from hartree.fermion import (
     FermionOperator,
     FermionSum,
     OccupationVector,
+    arity_runs,
     build_molecular_hamiltonian,
     hf_occupation,
     uccsd_generators,
@@ -137,9 +138,9 @@ def random_number_conserving_sum(rng: np.random.Generator,
             p, q, r, s = rng.integers(0, m, size=4)
             factors = [(int(p), True), (int(q), True),
                        (int(r), False), (int(s), False)]
-        terms.append(FermionOperator.from_spec(
-            factors, complex(rng.normal(), rng.normal())))
-    s = FermionSum(terms)
+        terms.append(FermionOperator(
+            tuple(factors), complex(rng.normal(), rng.normal())))
+    s = arity_runs(terms)
     return s + s.adjoint()
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     kron_sum_matrix,
     per_factor_encode,
+    per_index_molecular_hamiltonian,
     same_bits,
     same_sum_bits,
     tree_encode_mask,
@@ -35,12 +36,14 @@ from hartree.fermion import (
     FermionSum,
     OccupationVector,
     apply_to_occupation,
+    arity_runs,
     build_molecular_hamiltonian,
     hf_occupation,
     number_operator,
     uccsd_generators,
 )
 from hartree.io_cli import list_fixtures, load_fixture
+from hartree.io_cli.cli import exit_code_for
 from hartree.pauli import (
     DROP_TOLERANCE,
     DimensionMismatch,
@@ -48,6 +51,7 @@ from hartree.pauli import (
     apply_to_statevector,
     to_matrix,
 )
+from hartree.reduction import sector_for, taper_two_qubits
 
 BETA_8 = np.array([
     [1, 0, 0, 0, 0, 0, 0, 0],
@@ -264,8 +268,8 @@ def test_encoded_operators_act_as_ladder_operators(variant):
         scheme = EncodingScheme(variant, m)
         for p in range(m):
             for dagger in (False, True):
-                op = FermionOperator.from_spec([(p, dagger)])
-                image = encode_operator(FermionSum([op]), scheme)
+                op = FermionOperator(((p, dagger),))
+                image = encode_operator(arity_runs([op]), scheme)
                 for mask in range(1 << m):
                     f = OccupationVector(m, mask)
                     vec = basis_vector(encode_state(f, scheme).mask, m)
@@ -306,9 +310,9 @@ def random_number_conserving_sum(rng: np.random.Generator, m: int) -> FermionSum
         else:
             p, q, r, s = rng.integers(0, m, size=4)
             factors = [(int(p), True), (int(q), True), (int(r), False), (int(s), False)]
-        terms.append(FermionOperator.from_spec(factors,
-                                               complex(rng.normal(), rng.normal())))
-    s = FermionSum(terms)
+        terms.append(FermionOperator(tuple(factors),
+                                     complex(rng.normal(), rng.normal())))
+    s = arity_runs(terms)
     return s + s.adjoint()
 
 
@@ -424,7 +428,7 @@ _TERMS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(_TERMS, st.sampled_from(VARIANTS))
 def test_raw_products_match_per_factor_sums_bit_for_bit(terms, variant):
-    s = FermionSum(FermionOperator(tuple(factors), coeff)
+    s = arity_runs(FermionOperator(tuple(factors), coeff)
                    for factors, coeff in terms)
     scheme = EncodingScheme(variant, 6)
     assert same_sum_bits(encode_operator(s, scheme),
@@ -466,10 +470,15 @@ _WIDE_TERMS = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(_WIDE_TERMS, st.sampled_from(VARIANTS))
-def test_mixed_arity_runs_match_per_factor_sums_bit_for_bit(terms, variant):
-    s = FermionSum(FermionOperator(tuple(factors), coeff)
-                   for factors, coeff in terms)
+@given(_WIDE_TERMS, _WIDE_TERMS, st.sampled_from(("list", "sum", "adjoint")),
+       st.sampled_from(VARIANTS))
+def test_mixed_arity_runs_match_per_factor_sums_bit_for_bit(terms, more, built,
+                                                            variant):
+    # A sum read from a term list, or made from two by + or by adjoint and -
+    # on the runs.
+    s, t = (arity_runs(FermionOperator(tuple(factors), coeff)
+                       for factors, coeff in spec) for spec in (terms, more))
+    s = {"list": s, "sum": s + t, "adjoint": s.adjoint() - t}[built]
     scheme = EncodingScheme(variant, 24)
     assert same_sum_bits(encode_operator(s, scheme),
                          per_factor_encode(s, scheme))
@@ -487,7 +496,7 @@ def _top_bit_sum() -> FermionSum:
         (((0, True), (62, False)), -0.5),
         (((63, False), (31, True), (63, True), (32, False)), 1.5 - 0.25j),
     ]
-    return FermionSum(FermionOperator(factors, coeff)
+    return arity_runs(FermionOperator(factors, coeff)
                       for factors, coeff in spec)
 
 
@@ -555,7 +564,7 @@ def test_generators_encoded_in_one_call_keep_their_own_bits(name, variant):
 def test_sums_encoded_in_one_call_keep_their_own_bits(sums, variant):
     # Sums share strings and runs of one arity cross from one sum into the
     # next; an empty sum keeps its place.
-    sums = [FermionSum(FermionOperator(tuple(factors), coeff)
+    sums = [arity_runs(FermionOperator(tuple(factors), coeff)
                        for factors, coeff in terms) for terms in sums]
     scheme = EncodingScheme(variant, 6)
     images = encode_operators(sums, scheme)
@@ -592,9 +601,41 @@ def test_the_first_bad_term_in_order_is_named(bad, error, named):
     # The later bad terms share a run with one of the first ones.
     later = [FermionOperator(((8, True), (0, False)), 1.0),
              FermionOperator(((1, True),), float("nan"))]
-    s = FermionSum([FermionOperator((), 1.0), bad, *later])
+    s = arity_runs([FermionOperator((), 1.0), bad, *later])
     with pytest.raises(error, match=named):
         encode_operator(s, EncodingScheme(JW, 4))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", list_fixtures())
+def test_molecular_runs_encode_as_the_object_path_bit_for_bit(name, variant):
+    # The object path: one FermionOperator per integral index, read back
+    # into runs with complex coefficients, as the encoder once read every
+    # term, then encoded (and tapered where the scheme has parity qubits).
+    ints = load_fixture(name)
+    scheme = EncodingScheme(variant, ints.m)
+    image = encode_operator(build_molecular_hamiltonian(ints), scheme)
+    oracle = encode_operator(FermionSum(
+        (pairs, coeffs.astype(complex)) for pairs, coeffs
+        in per_index_molecular_hamiltonian(ints).runs), scheme)
+    assert same_sum_bits(image, oracle)
+    if variant != JW and not (variant == BK and ints.m & (ints.m - 1)):
+        sector = sector_for(ints.n_electrons, ints.n_up)
+        assert same_sum_bits(taper_two_qubits(image, scheme, sector),
+                             taper_two_qubits(oracle, scheme, sector))
+
+
+def test_a_negative_mode_is_out_of_range_in_every_constructor():
+    with pytest.raises(IndexOutOfRange, match="mode -1 is negative"):
+        FermionSum.single([(-1, True), (0, False)])
+    with pytest.raises(IndexOutOfRange, match="mode -2 is negative"):
+        arity_runs([FermionOperator(((0, True), (-2, False)), 1.0)])
+    with pytest.raises(IndexOutOfRange, match="mode -3 is negative"):
+        FermionSum([(np.array([[[-3, 1]]]), np.ones(1))])
+    with pytest.raises(IndexOutOfRange, match="mode -1 is negative") as caught:
+        encode_operator(FermionSum.single([(-1, True), (0, False)]),
+                        EncodingScheme(JW, 4))
+    assert exit_code_for(caught.value) == 2
 
 
 def test_non_finite_coefficient_rejected():

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_DIR,
+    ListFermionSum,
     fermion_matrix,
     jw_mode_matrix,
     per_index_molecular_hamiltonian,
     same_bits,
+    same_terms,
 )
 from hartree.fermion import (
     BLOCKED,
@@ -65,7 +67,7 @@ def test_mode_matrix_anticommutation():
 
 
 def test_creation_phase_counts_lower_bits():
-    op = FermionOperator.from_spec([(1, True)])
+    op = FermionOperator(((1, True),))
     result = apply_to_occupation(op, OccupationVector.from_string("001"))
     assert result is not None
     phase, out = result
@@ -74,12 +76,12 @@ def test_creation_phase_counts_lower_bits():
 
 
 def test_annihilating_empty_mode_returns_none():
-    op = FermionOperator.from_spec([(0, False)])
+    op = FermionOperator(((0, False),))
     assert apply_to_occupation(op, OccupationVector.from_string("000")) is None
 
 
 def test_number_operator_counts_occupation():
-    op = FermionOperator.from_spec([(1, True), (1, False)])
+    op = FermionOperator(((1, True), (1, False)))
     result = apply_to_occupation(op, OccupationVector.from_string("011"))
     assert result is not None
     phase, out = result
@@ -93,8 +95,8 @@ def test_apply_matches_matrix_action(rng):
         n_factors = rng.integers(1, 4)
         spec = [(int(rng.integers(0, m)), bool(rng.integers(0, 2)))
                 for _ in range(n_factors)]
-        op = FermionOperator.from_spec(spec)
-        matrix = fermion_matrix(FermionSum([op]), m)
+        op = FermionOperator(tuple(spec))
+        matrix = fermion_matrix(arity_runs([op]), m)
         for mask in range(1 << m):
             column = matrix @ basis_vector(mask, m)
             result = apply_to_occupation(op, OccupationVector(m, mask))
@@ -111,7 +113,7 @@ def test_apply_matches_matrix_action(rng):
 
 def test_normal_order_contracts_same_mode_pair():
     s = FermionSum.single([(0, False), (0, True)])
-    expected = FermionSum([
+    expected = arity_runs([
         FermionOperator((), 1.0),
         FermionOperator(((0, True), (0, False)), -1.0),
     ])
@@ -133,7 +135,7 @@ def test_normal_order_nilpotency():
 
 
 def test_normal_order_is_idempotent_and_sorted():
-    s = FermionSum([
+    s = arity_runs([
         FermionOperator(((0, False), (2, True), (1, True)), 2.0),
         FermionOperator(((1, True), (0, False)), -0.5j),
     ])
@@ -160,7 +162,7 @@ def fermion_sums(draw):
             for _ in range(n_factors))
         coeff = complex(draw(st.integers(-3, 3)), draw(st.integers(-2, 2)))
         terms.append(FermionOperator(factors, coeff))
-    return FermionSum(terms)
+    return arity_runs(terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,7 +189,7 @@ def test_single_diagonal_integral_becomes_number_term():
     h_one[0, 0] = eps
     ints = _empty_integrals(2, h_one=h_one)
     h = build_molecular_hamiltonian(ints)
-    assert sums_equal(h, FermionSum([FermionOperator(((0, True), (0, False)), eps)]))
+    assert sums_equal(h, arity_runs([FermionOperator(((0, True), (0, False)), eps)]))
 
 
 def test_non_hermitian_one_body_rejected():
@@ -242,12 +244,14 @@ def test_molecular_hamiltonian_matches_the_per_index_loop_bit_for_bit(
     assert same_bits(np.array([t.coeff for t in built], dtype=complex),
                      np.array([t.coeff for t in oracle], dtype=complex))
     runs = molecular_term_runs(ints)
-    assert len(runs) == len(list(arity_runs(oracle)))
-    for (pairs, coeffs), (_, oracle_pairs, oracle_coeffs) in zip(
-            runs, arity_runs(oracle)):
+    oracle_runs = arity_runs(oracle).runs
+    assert len(runs) == len(oracle_runs)
+    for (pairs, coeffs), (oracle_pairs, oracle_coeffs) in zip(
+            runs, oracle_runs):
         assert np.array_equal(pairs, oracle_pairs)
         assert pairs.dtype == oracle_pairs.dtype
-        assert same_bits(coeffs.astype(complex), oracle_coeffs)
+        assert same_bits(coeffs.astype(complex),
+                         oracle_coeffs.astype(complex))
 
 
 # Minimal-basis H2 in interleaved labelling (0=bonding up, 1=bonding down,
@@ -277,7 +281,7 @@ def test_h2_hamiltonian_term_structure():
     assert by_rank[2] == {((p, True), (p, False)) for p in range(4)}
     expected_quartics = set()
     for factors in H2_QUARTIC_PRODUCTS:
-        normalized = normal_order(FermionSum([FermionOperator(factors)]))
+        normalized = normal_order(arity_runs([FermionOperator(factors)]))
         assert len(normalized) == 1
         expected_quartics.add(normalized.terms[0].factors)
     assert by_rank[4] == expected_quartics
@@ -389,3 +393,35 @@ def test_uccsd_count_matches_exhaustive_enumeration():
     matrices = [fermion_matrix(g.generator, m) for g in gens]
     for i, j in itertools.combinations(range(len(matrices)), 2):
         assert np.max(np.abs(matrices[i] - matrices[j])) > 1e-9
+
+
+# ------------------------------ run-backed sums against the operator list
+
+_COEFFS = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+_OPERATORS = st.lists(st.builds(
+    FermionOperator,
+    st.lists(st.tuples(st.integers(0, 11), st.booleans()),
+             max_size=4).map(tuple),
+    _COEFFS), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPERATORS, _OPERATORS, st.one_of(st.floats(-3.0, 3.0), _COEFFS))
+def test_run_algebra_matches_the_operator_list_bit_for_bit(first, second,
+                                                           scalar):
+    a, b = arity_runs(first), FermionSum()
+    for term in second:  # one run per term
+        b = b + FermionSum.single(term.factors, term.coeff)
+    list_a, list_b = ListFermionSum(first), ListFermionSum(second)
+    cases = [
+        (a, list_a), (b, list_b), (a + b, list_a + list_b),
+        (a - b, list_a - list_b), (scalar * a, scalar * list_a),
+        (a.adjoint(), list_a.adjoint()),
+        ((b - scalar * a).adjoint(), (list_b - scalar * list_a).adjoint()),
+    ]
+    for built, oracle in cases:
+        assert same_terms(built, oracle)
+        assert same_terms(built.terms, oracle)
+        assert len(built) == len(oracle)
+        assert built.max_mode() == oracle.max_mode()
+        assert str(built) == str(oracle)

@@ -18,7 +18,7 @@ import hartree
 from conftest import complex_eigh, random_pauli_string
 from hartree.encoding import JW, PARITY, VARIANTS, EncodingScheme, encode_operator
 from hartree.errors import ConfigError, HartreeError, NumericalError
-from hartree.fermion import build_molecular_hamiltonian
+from hartree.fermion import FermionOperator, build_molecular_hamiltonian
 from hartree.io_cli import (
     H2_CURVE,
     H2_EQUILIBRIUM,
@@ -586,6 +586,38 @@ class TestPipeline:
         assert by_name["taper"]["qubits"] == 6
         assert by_name["taper"]["pauli_terms"] == 95
         assert abs(document["result"]["ground"] - LIH_ACTIVE_GROUND) < 1e-10
+
+    @pytest.mark.parametrize("fixture, options", [
+        ("lih_sto3g_1.45", {"encoding": "parity", "taper": True}),
+        ("h2_631g_0.7414", {}),
+        ("h2_ccpvdz_0.75", {}),
+    ])
+    def test_encode_stage_builds_no_fermion_operator(self, monkeypatch,
+                                                     fixture, options):
+        stages, built = [], []
+        init, run_stage = FermionOperator.__init__, pipeline._run_stage
+
+        def counted_init(self, *args, **kwargs):
+            built.extend(stages[-1:])
+            init(self, *args, **kwargs)
+
+        def named_stage(stage, action):
+            stages.append(stage)
+            try:
+                return run_stage(stage, action)
+            finally:
+                stages.pop()
+
+        monkeypatch.setattr(FermionOperator, "__init__", counted_init)
+        monkeypatch.setattr(pipeline, "_run_stage", named_stage)
+        document = run_pipeline(RunConfig(fixture=fixture, method="encode",
+                                          **options))
+        assert built.count("encode") == 0
+        # the count sees the operators that iterating a sum makes
+        n_terms = document["stages"][1]["fermion_terms"]
+        pipeline._run_stage("encode", lambda: list(
+            build_molecular_hamiltonian(load_fixture(fixture))))
+        assert built.count("encode") == n_terms > 0
 
     def test_vqe_run_matches_the_oracle(self):
         config = RunConfig(fixture=H2_EQUILIBRIUM, method="vqe",

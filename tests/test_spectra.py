@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from hartree.encoding import JW, PARITY, EncodingScheme, encode_operator
-from hartree.fermion import build_molecular_hamiltonian
+from conftest import same_sum_bits
+from hartree.encoding import (
+    JW,
+    PARITY,
+    VARIANTS,
+    EncodingScheme,
+    encode_operator,
+)
+from hartree.fermion import FermionSum, build_molecular_hamiltonian
 from hartree.io_cli import load_fixture
 from hartree.pauli import PauliString, PauliSum, to_matrix
 from hartree.reduction import sector_for, taper_two_qubits
@@ -252,3 +259,14 @@ class TestSubspaceExpansion:
         problem = subspace_problem(ground, h, operators, labels)
         values = solve_subspace(problem)
         assert values[0] == pytest.approx(evals[0], abs=1e-8)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_excitation_images_keep_their_own_bits(self, variant):
+        # All m(m-1) excitations come from one encoder call.
+        scheme = EncodingScheme(variant, 6)
+        operators, labels = excitation_expansion(scheme)
+        pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
+        assert labels == ["I", *(f"a+{i} a{j}" for i, j in pairs)]
+        for operator, (i, j) in zip(operators[1:], pairs, strict=True):
+            assert same_sum_bits(operator, encode_operator(
+                FermionSum.single([(i, True), (j, False)]), scheme))

@@ -52,6 +52,12 @@ EXTRA = (
     ("exact-lih-jw", ("exact", "--fixture", "lih_sto3g_1.45", "--k", "4")),
     ("exact-lih-jw-k6", ("exact", "--fixture", "lih_sto3g_1.45", "--encoding",
                          "jw", "--k", "6")),
+    # LiH under the two Bravyi-Kitaev maps; the jobs above cover JW and
+    # parity only.
+    ("exact-lih-bk", ("exact", "--fixture", "lih_sto3g_1.45", "--encoding",
+                      "bk", "--k", "2")),
+    ("exact-lih-bktree", ("exact", "--fixture", "lih_sto3g_1.45",
+                          "--encoding", "bktree", "--k", "2")),
     ("qpe-h2-trotter", ("qpe", *H2, "--encoding", "parity", "--taper",
                         "--ancillas", "6", "--trotter-steps", "3")),
     ("qpe-h2-16-ancillas", ("qpe", *H2, "--encoding", "parity", "--taper",
