@@ -165,7 +165,7 @@ class FermionSum:
 
     @classmethod
     def single(cls, spec: Sequence[tuple[int, bool]], coeff: complex = 1.0) -> "FermionSum":
-        return cls([(np.array(spec, dtype=np.int64).reshape(1, len(spec), 2),
+        return cls([(_factor_array([spec], len(spec)),
                      np.array([complex(coeff)]))])
 
     def adjoint(self) -> "FermionSum":
@@ -203,14 +203,25 @@ class FermionSum:
         return " + ".join(map(str, self)) or "0"
 
 
+def _factor_array(factors: list, arity: int) -> np.ndarray:
+    """The (terms, arity, 2) int64 array of each term's (mode, dagger)
+    factors. A mode outside int64 raises IndexOutOfRange here, where numpy's
+    cast would raise OverflowError."""
+    for term in factors:
+        for p, _ in term:
+            if not 0 <= p < 1 << 63:
+                raise IndexOutOfRange(f"mode {p} is negative" if p < 0 else
+                                      f"mode {p} does not fit a 64-bit index")
+    return np.array(factors, dtype=np.int64).reshape(len(factors), arity, 2)
+
+
 def arity_runs(terms: Iterable[FermionOperator]) -> FermionSum:
     """The sum of ``terms`` in order: each run of one arity read into its
     factor array and its coefficients, in the coefficients' own dtype."""
     runs = []
     for arity, run in itertools.groupby(terms, key=lambda t: len(t.factors)):
         run = list(run)
-        runs.append((np.array([t.factors for t in run], dtype=np.int64)
-                     .reshape(len(run), arity, 2),
+        runs.append((_factor_array([t.factors for t in run], arity),
                      np.array([t.coeff for t in run])))
     return FermionSum(runs)
 

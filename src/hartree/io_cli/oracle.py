@@ -20,8 +20,6 @@ package's one ``pauli.BYTE_BUDGET``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from ..pauli import (
     AMPLITUDE_BYTES,
@@ -83,6 +81,8 @@ def solve_bytes(masks: int, n: int, k: int) -> int:
 def _shifted_out(matrix, vectors: np.ndarray, shift: float
                  ) -> scipy.sparse.linalg.LinearOperator:
     """H + shift * V V^H, V the columns of ``vectors``, as an operator."""
+    import scipy.sparse.linalg
+
     adjoint = vectors.conj().T
     return scipy.sparse.linalg.LinearOperator(
         matrix.shape, dtype=matrix.dtype,
@@ -104,6 +104,9 @@ def sparse_eigensolve(h: PauliSum, k: int, n: int, with_vectors: bool = False):
     precision from the vector found, takes its place in sorted order, and
     the check repeats until it finds none.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     matrix = to_csr(h, n)
     if not matrix.data.imag.any():
         matrix = scipy.sparse.csr_array(

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-import scipy.sparse
 
 from .errors import ConfigError, NumericalError
 
@@ -528,6 +527,8 @@ def to_csr(s: PauliSum, n: int | None = None) -> scipy.sparse.csr_array:
     where the mask's terms cancel to zero. All M * 2^n entries are stacked
     first and the exact zeros dropped after: a row sum that starts at +0.0
     never becomes -0.0, so a stored zero changes no matrix-vector product."""
+    import scipy.sparse
+
     if n is None:
         n = s.n_qubits
     if n < s.n_qubits:

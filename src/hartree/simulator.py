@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, NumericalError
 from .pauli import (
@@ -112,6 +111,8 @@ def hermitian_eigh(matrix: np.ndarray, k: int | None = None,
     if not with_vectors:
         return np.linalg.eigvalsh(matrix)[:k]
     if k < dim:
+        import scipy.linalg
+
         return scipy.linalg.eigh(matrix, subset_by_index=[0, k - 1],
                                  check_finite=False)
     return np.linalg.eigh(matrix)

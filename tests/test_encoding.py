@@ -638,6 +638,19 @@ def test_a_negative_mode_is_out_of_range_in_every_constructor():
     assert exit_code_for(caught.value) == 2
 
 
+@pytest.mark.parametrize("mode, named", [(1 << 63, "does not fit"),
+                                         (1 << 64, "does not fit"),
+                                         (-(1 << 63) - 1, "is negative")])
+def test_a_mode_beyond_int64_is_out_of_range_in_every_constructor(mode, named):
+    for make in (lambda: FermionSum.single([(mode, True), (0, False)]),
+                 lambda: arity_runs([FermionOperator(((0, True), (mode, False)),
+                                                     1.0)])):
+        with pytest.raises(IndexOutOfRange, match=f"mode {mode} {named}") as caught:
+            make()
+        assert exit_code_for(caught.value) == 2
+    assert FermionSum.single([((1 << 63) - 1, True)]).max_mode() == (1 << 63) - 1
+
+
 def test_non_finite_coefficient_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         encode_operator(FermionSum.single([(0, True)], float("nan")),

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -1106,3 +1110,79 @@ class TestMitigateTuning:
                      "--seed", "1"]) == 2
         err = capsys.readouterr().err
         assert "too many bytes" in err and "tuning" not in err
+
+
+SCIPY_SUBMODULES = ("scipy.sparse", "scipy.linalg", "scipy.optimize")
+SRC = Path(hartree.__file__).resolve().parents[1]
+
+
+def scipy_after(code: str) -> tuple[object, list[str]]:
+    """Run ``code`` in a fresh interpreter importing this hartree; the value
+    it leaves in ``result`` and the scipy submodules it loaded."""
+    report = (f"\nimport sys\nprint(repr((result, [m for m in "
+              f"{SCIPY_SUBMODULES!r} if m in sys.modules])))")
+    done = subprocess.run([sys.executable, "-c", code + report],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def import_time_imports(tree: ast.Module):
+    """The import statements a module runs when imported: those outside
+    function bodies."""
+    queue = list(tree.body)
+    for node in queue:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        queue.extend(ast.iter_child_nodes(node))
+
+
+def is_scipy(node: ast.Import | ast.ImportFrom) -> bool:
+    names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+             else [alias.name for alias in node.names])
+    return any(name.split(".")[0] == "scipy" for name in names)
+
+
+class TestStartup:
+    def test_importing_the_cli_loads_no_scipy_submodule(self):
+        # A subprocess: this test module itself imports scipy.
+        assert scipy_after("import hartree.io_cli\n"
+                           "import hartree.io_cli.cli\nresult = None") \
+            == (None, [])
+
+    @pytest.mark.parametrize("argv, loads", [
+        pytest.param(["encode", "--fixture", H2_EQUILIBRIUM], (), id="encode"),
+        pytest.param(["exact", "--fixture", H2_EQUILIBRIUM, "--k", "4"], (),
+                     id="exact-dense"),
+        pytest.param(["spectrum", "--fixture", H2_EQUILIBRIUM, "--encoding",
+                      "parity", "--taper"], (), id="spectrum"),
+        pytest.param(["curve", "--method", "hf", "--method", "fci"], (),
+                     id="curve"),
+        # Lanczos above the dense limit.
+        pytest.param(["exact", "--fixture", "lih_sto3g_1.45", "--encoding",
+                      "parity", "--taper", "--k", "4"], ("scipy.sparse",),
+                     id="exact-lanczos"),
+        # The noiseless L-BFGS tuning before every mitigation.
+        pytest.param(["mitigate", "--fixture", H2_EQUILIBRIUM, "--technique",
+                      "exponential", "--noise-p1", "1e-3", "--noise-p2", "1e-3",
+                      "--trajectories", "200", "--seed", "7"],
+                     ("scipy.optimize",), id="mitigate"),
+    ])
+    def test_a_command_loads_only_the_scipy_it_calls(self, argv, loads,
+                                                     tmp_path):
+        argv = argv + ["--out", str(tmp_path / "out")]
+        code, loaded = scipy_after("from hartree.io_cli import cli\n"
+                                   f"result = cli.main({argv!r})")
+        assert code == 0
+        assert set(loaded) >= set(loads)
+        assert loads or loaded == []
+
+    def test_no_module_imports_scipy_at_import_time(self):
+        found = [f"{path.relative_to(SRC)}:{node.lineno}"
+                 for path in sorted((SRC / "hartree").rglob("*.py"))
+                 for node in import_time_imports(ast.parse(path.read_text()))
+                 if is_scipy(node)]
+        assert not found, ("scipy imported at module level, move it into "
+                           "the function that calls it: " + ", ".join(found))
