@@ -262,8 +262,10 @@ def _multiply_out(images: tuple[np.ndarray, ...], pairs: np.ndarray,
 
 def _joined_runs(sums: Sequence[FermionSum]) -> Iterator[tuple[np.ndarray, ...]]:
     """The sums' runs in order, with the sum each term belongs to; runs of
-    one arity that follow each other, in one sum or across sums, joined."""
-    runs = ((pairs, coeffs, np.full(len(coeffs), k))
+    one arity that follow each other, in one sum or across sums, joined.
+    The sum's index is held in the narrowest type that fits it."""
+    owner = np.min_scalar_type(len(sums))
+    runs = ((pairs, coeffs, np.full(len(coeffs), k, dtype=owner))
             for k, s in enumerate(sums) for pairs, coeffs in s.runs)
     for _, group in itertools.groupby(runs, key=lambda run: run[0].shape[1]):
         yield tuple(map(np.concatenate, zip(*group)))
@@ -288,17 +290,34 @@ def encode_operators(sums: Sequence[FermionSum], scheme: EncodingScheme
 
     Runs of one arity are joined across neighbouring sums
     (``_joined_runs``), so short sums share their blocks; each string is
-    keyed by its sum as well as its masks. A string's products
-    are added in term order from zero as in the sum's own call, so every
-    image has that call's bits.
+    keyed by its sum as well as its masks. The kept products of every block
+    are gathered (``_products``) and slotted by one sort on (sum, x, z)
+    (``_slots``), and one ``np.add.at`` in product order adds each string's
+    products in term order from zero as in the sum's own call. The merge
+    orders the strings by text, so every image has that call's bits.
     """
     m = scheme.m
     if m > MASK_MODES:
         raise IndexOutOfRange(
             f"a uint64 mask holds {MASK_MODES} modes, not {m}")
-    images = _image_arrays(scheme.variant, m)
-    slots: dict[tuple[int, int, int], int] = {}
-    total = np.zeros(0, dtype=complex)
+    *keys, c = _products(sums, _image_arrays(scheme.variant, m))
+    at, (owner, x, z) = _slots(keys)
+    total = np.zeros(len(x), dtype=complex)
+    np.add.at(total, at, c)
+    del at, c  # before the merges, which hold their own
+    # slots in (sum, x, z) order: each sum's are one stretch
+    bounds = np.searchsorted(owner, np.arange(len(sums) + 1))
+    return [PauliSum.from_masks(x[lo:hi], z[lo:hi], total[lo:hi], n_qubits=m)
+            for lo, hi in itertools.pairwise(bounds.tolist())]
+
+
+def _products(sums: Sequence[FermionSum], images: tuple[np.ndarray, ...]
+              ) -> list[np.ndarray]:
+    """Every kept product of the sums' terms, terms in order, each term's
+    strings in order: its sum, x mask, z mask and coefficient. Blocks of at
+    most BLOCK_PRODUCTS strings are multiplied out (``_multiply_out``)."""
+    m = len(images[0]) // 2
+    columns = [[], [], [], []]
     for pairs, coeffs, owners in _joined_runs(sums):
         bad = ((pairs[..., 0] >= m).any(axis=1)
                | ~np.isfinite(coeffs)).nonzero()[0]
@@ -313,19 +332,39 @@ def encode_operators(sums: Sequence[FermionSum], scheme: EncodingScheme
             x, z, c, kept = _multiply_out(images, pairs[block], coeffs[block])
             # each term's strings, terms in order
             kept = kept.T.ravel()
-            owner = np.repeat(owners[block], z.shape[0])
-            x = np.repeat(x, z.shape[0])
-            at = [slots.setdefault(key, len(slots)) for key in zip(
-                owner[kept].tolist(), x[kept].tolist(),
-                z.T.ravel()[kept].tolist())]
-            if len(slots) > len(total):
-                total = np.concatenate((total, np.zeros(
-                    len(slots) - len(total), dtype=complex)))
-            np.add.at(total, at, c.T.ravel()[kept])
-    keys = np.array(list(slots), dtype=np.uint64).reshape(-1, 3)
-    del slots  # before the merges, which hold their own
-    return [PauliSum.from_masks(*keys[owned, 1:].T, total[owned], n_qubits=m)
-            for owned in (keys[:, 0] == k for k in range(len(sums)))]
+            strings = z.shape[0]
+            key = (np.repeat(owners[block], strings)[kept],
+                   np.repeat(x, strings)[kept], z.T.ravel()[kept])
+            for column, part in zip(columns, (*key, c.T.ravel()[kept])):
+                column.append(part)
+    joined = []
+    for column, dtype in zip(columns, (np.uint64,) * 3 + (complex,)):
+        joined.append(np.concatenate(column) if column else np.zeros(0, dtype))
+        column.clear()  # not to hold the products twice
+    return joined
+
+
+def _slots(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(slot of each product, the keys of each slot) for products keyed by
+    ``keys``, the slots in key order, from one sort. The list is emptied
+    once read, before the slot array is made."""
+    # any order that sorts the keys: np.add.at, not the sort, keeps each
+    # slot's products in product order
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    del ordered, key
+    first = order[new]
+    slots = [key[first] for key in keys]
+    keys.clear()
+    slot = np.cumsum(new)
+    slot -= 1
+    at = np.empty_like(order)
+    at[order] = slot
+    return at, slots
 
 
 def encode_state(f: OccupationVector, scheme: EncodingScheme) -> OccupationVector:

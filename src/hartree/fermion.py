@@ -157,7 +157,7 @@ class FermionSum:
     def __init__(self, runs: Iterable[tuple[np.ndarray, np.ndarray]] = ()):
         checked = []
         for pairs, coeffs in runs:
-            if (pairs[..., 0] < 0).any():
+            if pairs.dtype.kind != "u" and (pairs[..., 0] < 0).any():
                 raise IndexOutOfRange(f"mode {pairs[..., 0].min()} is negative")
             if len(coeffs):
                 checked.append((pairs.astype(np.uint64, copy=False), coeffs))
@@ -357,8 +357,9 @@ def uccsd_generators(m: int,
 
     One generator per distinct single a+_v a_o and double a+_v a+_w a_p a_o
     excitation (strict pair enumeration, so no duplicates arise under
-    anticommutation). ``spins`` assigns 0/1 per mode; by default it follows
-    the ordering rule for ``m`` modes.
+    anticommutation), held as one run of two terms, T and T+. ``spins``
+    assigns 0/1 per mode; by default it follows the ordering rule for ``m``
+    modes.
     """
     occ = sorted(occ)
     virt = sorted(virt)
@@ -367,21 +368,34 @@ def uccsd_generators(m: int,
     if spins is None:
         spins = [spin_of(p, m, ordering) for p in range(m)]
 
-    generators = []
-    for o in occ:
-        for v in virt:
-            if spin_conserving and spins[o] != spins[v]:
-                continue
-            t = FermionSum.single([(v, True), (o, False)])
-            generators.append(UccGenerator(f"s:{o}->{v}", t - t.adjoint()))
-    for i, o1 in enumerate(occ):
-        for o2 in occ[i + 1:]:
-            for j, v1 in enumerate(virt):
-                for v2 in virt[j + 1:]:
-                    if spin_conserving and (
-                            spins[v1] + spins[v2] != spins[o1] + spins[o2]):
-                        continue
-                    t = FermionSum.single([(v2, True), (v1, True), (o2, False), (o1, False)])
-                    generators.append(
-                        UccGenerator(f"d:{o1},{o2}->{v1},{v2}", t - t.adjoint()))
-    return generators
+    singles = [(o, v) for o in occ for v in virt
+               if not spin_conserving or spins[o] == spins[v]]
+    doubles = [(o1, o2, v1, v2) for o1, o2 in itertools.combinations(occ, 2)
+               for v1, v2 in itertools.combinations(virt, 2)
+               if not spin_conserving
+               or spins[v1] + spins[v2] == spins[o1] + spins[o2]]
+    labels = [f"s:{o}->{v}" for o, v in singles] + [
+        f"d:{o1},{o2}->{v1},{v2}" for o1, o2, v1, v2 in doubles]
+    runs = [*_t_minus_adjoint([[(v, 1), (o, 0)] for o, v in singles], 2),
+            *_t_minus_adjoint([[(v2, 1), (v1, 1), (o2, 0), (o1, 0)]
+                               for o1, o2, v1, v2 in doubles], 4)]
+    return [UccGenerator(label, FermionSum([(pairs, _T_MINUS_ADJOINT)]))
+            for label, pairs in zip(labels, runs)]
+
+
+# The coefficients of T and T+ in T - T+, the bits of FermionSum's own
+# ``t - t.adjoint()``: 1+0j, and -1.0 * (1-0j) = -1+0j.
+_T_MINUS_ADJOINT = np.array([1 + 0j, -1 + 0j])
+_T_MINUS_ADJOINT.flags.writeable = False
+
+
+def _t_minus_adjoint(excitations: list[list], arity: int) -> np.ndarray:
+    """The factors of T and T+ for each excitation T: a read-only uint64
+    [excitation, term, factor, (mode, dagger)] array, every mode checked as
+    ``_factor_array`` checks it."""
+    terms = [term for t in excitations
+             for term in (t, [(p, 1 - dagger) for p, dagger in reversed(t)])]
+    pairs = _factor_array(terms, arity).reshape(-1, 2, arity, 2).astype(
+        np.uint64)
+    pairs.flags.writeable = False
+    return pairs

@@ -36,8 +36,8 @@ from .simulator import EIGH_MATRICES, hermitian_eigh
 
 DEFAULT_LOWER_NOON = 1e-4
 DEFAULT_UPPER_NOON = 1.99
-# The sector matrix is built in blocks of columns whose (column, term)
-# grid of uint64 masks holds at most this many bytes.
+# The sector matrix is built in blocks of terms whose entries, a matrix
+# position and an amplitude each, take about this many bytes.
 SECTOR_BLOCK_BYTES = TABLE_BYTES >> 5
 
 
@@ -218,11 +218,15 @@ def _factor_bits(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits, np.where(pairs[..., 1] == 1, np.uint64(0), bits)
 
 
-def _ladder(pairs: np.ndarray) -> list[tuple]:
+def _ladder(pairs: np.ndarray, on=True) -> list[tuple]:
     """Per factor of ``pairs``, rightmost first: ``_factor_bits`` and the
-    bits below the factor's mode."""
+    bits below the factor's mode. A factor where ``on`` is False gets bit,
+    below and need 0, which ``_apply`` passes over."""
     bits, need = _factor_bits(pairs)
-    return [(bits[..., f], bits[..., f] - np.uint64(1), need[..., f])
+    zero = np.uint64(0)
+    below = np.where(on, bits - np.uint64(1), zero)
+    bits, need = np.where(on, bits, zero), np.where(on, need, zero)
+    return [(bits[..., f], below[..., f], need[..., f])
             for f in reversed(range(pairs.shape[-2]))]
 
 
@@ -256,48 +260,127 @@ def _outside(pairs: np.ndarray, coeffs: np.ndarray, term: int, mask: int,
         f"({ints.n_up}, {ints.n_down}) sector")
 
 
-def _sector_matrix(ints: MolecularIntegrals, masks: list[int]) -> np.ndarray:
-    """The Hamiltonian's terms applied to blocks of columns at once, at most
-    SECTOR_BLOCK_BYTES of (column, term) masks per block.
+@dataclass(frozen=True, eq=False)
+class _SpinPart:
+    """A run's factors on one spin, applied to that spin's strings once per
+    distinct sequence of them. ``which[t]`` is term t's sequence; per
+    sequence, ``count`` live strings from ``start`` in the flat ``cell``
+    (its (row, column) part of a matrix position) and ``odd`` arrays, the
+    first live string's rank, and whether its images leave the string
+    list, as a sequence that changes the spin's electron count does."""
 
-    Only the pairs whose annihilated modes are all occupied in the column's
-    determinant go on to ``_apply``. A block's entries are gathered in
-    (run, column, term) order, so within one column they come in (run,
-    term) order, and one ``np.add.at`` adds each entry's amplitudes in term
-    order, as a column-by-column loop over the terms does. The matrix takes
-    the coefficients' dtype, float64 for real integrals, whose real part
-    holds the same bits as a complex build. Of the terms that map a
-    determinant outside the sector, the first in (column, run, term) order
-    is named.
+    which: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    cell: np.ndarray
+    odd: np.ndarray
+    first: np.ndarray
+    moves: np.ndarray
+
+
+def _spin_part(pairs: np.ndarray, on: np.ndarray, strings: np.ndarray,
+               row: int, column: int) -> _SpinPart:
+    """``_SpinPart`` of the factors of ``pairs`` where ``on`` holds, on
+    ``strings`` (sorted masks); a live string's cell is row * (rank of its
+    image) + column * (its own rank)."""
+    # Each term's sequence packed into one uint64 key, 8 bits a factor (its
+    # mode, below 64, and dagger, plus one): an arity of at most 8, which
+    # the molecular runs' 0, 2 and 4 keep.
+    code = (pairs[..., 0] << np.uint64(1) | pairs[..., 1]) + np.uint64(1)
+    place = (np.cumsum(on, axis=1) - on).astype(np.uint64) << np.uint64(3)
+    key = np.bitwise_or.reduce(np.where(on, code << place, np.uint64(0)),
+                               axis=1)
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    image, odd, alive = _apply(_ladder(pairs[first, None], on[first, None]),
+                               strings[None])
+    images = _rows(strings, image)
+    sequence, rank = np.nonzero(alive)
+    count = alive.sum(axis=1)
+    return _SpinPart(which, np.cumsum(count) - count, count,
+                     row * images[sequence, rank] + column * rank,
+                     odd[sequence, rank], alive.argmax(axis=1),
+                     (alive & (images < 0)).any(axis=1))
+
+
+def _counted(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each c of ``counts``, one after another."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts,
+                                                               counts)
+
+
+def _sector_matrix(ints: MolecularIntegrals, masks: list[int]) -> np.ndarray:
+    """The Hamiltonian's terms applied to the sector's spin strings.
+
+    Under BLOCKED ordering the determinant in column rank(beta) * n_alpha +
+    rank(alpha) is a pair of spin strings (``sector_determinants``). A
+    run's factors on one spin act on that spin's strings alone, so each
+    distinct sequence of them is applied once, to all of that spin's
+    strings (``_spin_part``). A term's entries are the outer product of its
+    live alpha and beta strings, and its sign is the two strings' parities
+    and a constant of the term: the alpha electrons each beta factor
+    passes, n_up plus or minus the alpha factors applied before it.
+
+    Entries are emitted run by run and term by term, in blocks of terms
+    whose entries (matrix position and amplitude) take about
+    SECTOR_BLOCK_BYTES, one term's more at most. One ``np.add.at`` a block
+    adds each cell's amplitudes in (run, term) order from +0.0, as a
+    column-by-column loop over the terms does. The matrix takes the
+    coefficients' dtype, float64 for real integrals, whose real part holds
+    the same bits as a complex build. Of the terms that map a determinant
+    outside the sector, those that change a spin's electron count, the
+    first in (column, run, term) order is named.
     """
-    runs = [(pairs, np.bitwise_or.reduce(_factor_bits(pairs)[1], axis=-1),
-             coeffs) for pairs, coeffs in molecular_term_runs(ints)]
+    runs = molecular_term_runs(ints)
+    ns, dim = ints.m // 2, len(masks)
     sector = np.array(masks, dtype=np.uint64)
-    dtype = np.result_type(float, *(coeffs for _, _, coeffs in runs))
-    matrix = np.zeros((len(masks), len(masks)), dtype=dtype)
-    if not runs:
+    low = np.uint64((1 << ns) - 1)
+    alphas, betas = np.unique(sector & low), np.unique(sector & ~low)
+    n_alpha = len(alphas)
+    dtype = np.result_type(float, *(coeffs for _, coeffs in runs))
+    matrix = np.zeros((dim, dim), dtype=dtype)
+    if not dim:
         return matrix
-    n_terms = sum(len(coeffs) for _, _, coeffs in runs)
-    width = max(1, SECTOR_BLOCK_BYTES // (sector.itemsize * n_terms))
-    for start in range(0, len(masks), width):
-        block = sector[start:start + width]
-        entries, leaks = [], []
-        for run, (pairs, needs, amplitudes) in enumerate(runs):
-            column, term = np.nonzero((block[:, None] & needs) == needs)
-            image, odd, alive = _apply(_ladder(pairs[term]), block[column])
-            column, term = column[alive], term[alive]
-            rows = _rows(sector, image[alive])
-            if rows.min(initial=0) < 0:
-                first = np.argmin(rows)  # in (column, term) order
-                leaks.append((column[first], run, term[first]))
-            entries.append((rows, start + column, np.where(
-                odd[alive], -amplitudes[term], amplitudes[term])))
-        if leaks:
-            column, run, term = min(leaks)
-            pairs, _, coeffs = runs[run]
-            raise _outside(pairs, coeffs, term, masks[start + column], ints)
-        rows, columns, amplitudes = map(np.concatenate, zip(*entries))
-        np.add.at(matrix, (rows, columns), amplitudes)
+    parts, leaks = [], []
+    for run, (pairs, coeffs) in enumerate(runs):
+        up = pairs[..., 0] < np.uint64(ns)
+        alpha = _spin_part(pairs, up, alphas, dim, 1)
+        beta = _spin_part(pairs, ~up, betas, n_alpha * dim, n_alpha)
+        a, b = alpha.which, beta.which
+        leaking = ((alpha.moves[a] | beta.moves[b]) & (alpha.count[a] > 0)
+                   & (beta.count[b] > 0)).nonzero()[0]
+        if leaking.size:
+            columns = (beta.first[b] * n_alpha + alpha.first[a])[leaking]
+            leaks.append((columns.min(), run, leaking[columns.argmin()]))
+        # the alpha electrons below each beta factor, odd or even: n_up,
+        # and one more or less for each alpha factor to its right
+        after = np.cumsum(up[:, ::-1], axis=1)[:, ::-1] - up
+        crossing = (~up * (ints.n_up + after)).sum(axis=1) % 2 == 1
+        parts.append((alpha, beta, crossing, coeffs))
+    if leaks:
+        column, run, term = min(leaks)
+        raise _outside(*runs[run], term, masks[column], ints)
+    flat = matrix.reshape(-1)
+    entry_bytes = np.dtype(np.intp).itemsize + matrix.itemsize
+    budget = max(1, SECTOR_BLOCK_BYTES // entry_bytes)
+    for alpha, beta, crossing, coeffs in parts:
+        n_alpha_live = alpha.count[alpha.which]
+        n_beta_live = beta.count[beta.which]
+        ends = np.cumsum(n_alpha_live * n_beta_live)
+        cuts = np.searchsorted(ends, np.arange(budget, ends[-1], budget)) + 1
+        for lo, hi in itertools.pairwise([0, *np.unique(cuts).tolist(),
+                                          len(ends)]):
+            # each term's live beta strings, then each one's alpha strings
+            term = np.repeat(np.arange(lo, hi), n_beta_live[lo:hi])
+            j = beta.start[beta.which[term]] + _counted(n_beta_live[lo:hi])
+            width = n_alpha_live[term]
+            i = np.repeat(alpha.start[alpha.which[term]], width) \
+                + _counted(width)
+            sign = np.repeat(beta.odd[j] ^ crossing[term], width) \
+                ^ alpha.odd[i]
+            amplitude = np.repeat(coeffs[term], width)
+            np.add.at(flat, np.repeat(beta.cell[j], width) + alpha.cell[i],
+                      np.where(sign, -amplitude, amplitude))
     return matrix
 
 

@@ -782,6 +782,82 @@ def per_determinant_1rdm(ints, amplitudes, masks) -> np.ndarray:
     return rho
 
 
+def column_block_sector_matrix(ints, masks: list[int]) -> np.ndarray:
+    """The sector matrix built in blocks of columns, each block screening
+    its (column, term) pairs as a uint64 grid of at most 256 KiB, applying
+    the survivors and finding each image's row by ``searchsorted``; entries
+    gathered in (run, column, term) order, one ``np.add.at`` a block. The
+    first leaking term in (column, run, term) order is named."""
+    from hartree.fermion import molecular_term_runs
+    from hartree.pauli import TABLE_BYTES
+    from hartree.reduction import _apply, _factor_bits, _ladder, _outside, _rows
+
+    runs = [(pairs, np.bitwise_or.reduce(_factor_bits(pairs)[1], axis=-1),
+             coeffs) for pairs, coeffs in molecular_term_runs(ints)]
+    sector = np.array(masks, dtype=np.uint64)
+    dtype = np.result_type(float, *(coeffs for _, _, coeffs in runs))
+    matrix = np.zeros((len(masks), len(masks)), dtype=dtype)
+    if not runs:
+        return matrix
+    n_terms = sum(len(coeffs) for _, _, coeffs in runs)
+    width = max(1, (TABLE_BYTES >> 5) // (sector.itemsize * n_terms))
+    for start in range(0, len(masks), width):
+        block = sector[start:start + width]
+        entries, leaks = [], []
+        for run, (pairs, needs, amplitudes) in enumerate(runs):
+            column, term = np.nonzero((block[:, None] & needs) == needs)
+            image, odd, alive = _apply(_ladder(pairs[term]), block[column])
+            column, term = column[alive], term[alive]
+            rows = _rows(sector, image[alive])
+            if rows.min(initial=0) < 0:
+                first = np.argmin(rows)
+                leaks.append((column[first], run, term[first]))
+            entries.append((rows, start + column, np.where(
+                odd[alive], -amplitudes[term], amplitudes[term])))
+        if leaks:
+            column, run, term = min(leaks)
+            pairs, _, coeffs = runs[run]
+            raise _outside(pairs, coeffs, term, masks[start + column], ints)
+        rows, columns, amplitudes = map(np.concatenate, zip(*entries))
+        np.add.at(matrix, (rows, columns), amplitudes)
+    return matrix
+
+
+def dict_slot_encode_operators(sums, scheme) -> list[PauliSum]:
+    """``encode_operators`` slotting every kept product through a dict keyed
+    by (sum, x, z) in product order, the slots' totals grown as they fill
+    and one ``np.add.at`` a block."""
+    from hartree.encoding import (
+        BLOCK_PRODUCTS,
+        _image_arrays,
+        _joined_runs,
+        _multiply_out,
+    )
+
+    m = scheme.m
+    images = _image_arrays(scheme.variant, m)
+    slots: dict[tuple[int, int, int], int] = {}
+    total = np.zeros(0, dtype=complex)
+    for pairs, coeffs, owners in _joined_runs(sums):
+        size = max(1, BLOCK_PRODUCTS >> pairs.shape[1])
+        for start in range(0, len(coeffs), size):
+            block = slice(start, start + size)
+            x, z, c, kept = _multiply_out(images, pairs[block], coeffs[block])
+            kept = kept.T.ravel()
+            owner = np.repeat(owners[block], z.shape[0])
+            x = np.repeat(x, z.shape[0])
+            at = [slots.setdefault(key, len(slots)) for key in zip(
+                owner[kept].tolist(), x[kept].tolist(),
+                z.T.ravel()[kept].tolist())]
+            if len(slots) > len(total):
+                total = np.concatenate((total, np.zeros(
+                    len(slots) - len(total), dtype=complex)))
+            np.add.at(total, at, c.T.ravel()[kept])
+    keys = np.array(list(slots), dtype=np.uint64).reshape(-1, 3)
+    return [PauliSum.from_masks(*keys[owned, 1:].T, total[owned], n_qubits=m)
+            for owned in (keys[:, 0] == k for k in range(len(sums)))]
+
+
 def per_term_taper(h: PauliSum, scheme, sector) -> PauliSum:
     """``taper_two_qubits`` one term at a time on Python-int masks, after
     the same register checks."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dict_slot_encode_operators,
     kron_sum_matrix,
     per_factor_encode,
     per_index_molecular_hamiltonian,
@@ -25,6 +26,7 @@ from hartree.encoding import (
     FenwickTree,
     IndexOutOfRange,
     _mode_images,
+    _slots,
     bk_matrix,
     encode_operator,
     encode_operators,
@@ -649,6 +651,89 @@ def test_a_mode_beyond_int64_is_out_of_range_in_every_constructor(mode, named):
             make()
         assert exit_code_for(caught.value) == 2
     assert FermionSum.single([((1 << 63) - 1, True)]).max_mode() == (1 << 63) - 1
+
+
+# ------------------------------------ sort slotting against the dict slotting
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", list_fixtures())
+def test_sorted_slots_give_the_dict_slots_bits(name, variant):
+    ints = load_fixture(name)
+    h = build_molecular_hamiltonian(ints)
+    scheme = EncodingScheme(variant, ints.m)
+    image = encode_operator(h, scheme)
+    [oracle] = dict_slot_encode_operators([h], scheme)
+    assert same_sum_bits(image, oracle)
+    if variant != JW and not (variant == BK and ints.m & (ints.m - 1)):
+        sector = sector_for(ints.n_electrons, ints.n_up)
+        assert same_sum_bits(taper_two_qubits(image, scheme, sector),
+                             taper_two_qubits(oracle, scheme, sector))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["lih_sto3g_1.45", "h2_ccpvdz_0.75"])
+def test_uccsd_sums_keep_the_dict_slots_bits(name, variant):
+    # The generators build_uccsd encodes in one call, one sum each.
+    ints = load_fixture(name)
+    occupied = hf_occupation(ints).occupied()
+    virtual = [p for p in range(ints.m) if p not in occupied]
+    generators = [g.generator for g in
+                  uccsd_generators(ints.m, occupied, virtual)]
+    scheme = EncodingScheme(variant, ints.m)
+    images = encode_operators(generators, scheme)
+    oracles = dict_slot_encode_operators(generators, scheme)
+    assert len(images) == len(oracles) == len(generators)
+    assert all(map(same_sum_bits, images, oracles))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sums_whose_products_all_cancel_encode_to_nothing(variant):
+    t = FermionSum.single([(3, True), (1, True), (2, False), (0, False)],
+                          0.25 - 0.5j)
+    cancelled = t - t
+    scheme = EncodingScheme(variant, 4)
+    sums = [cancelled, number_operator(range(4)), FermionSum(), cancelled]
+    images = encode_operators(sums, scheme)
+    assert [len(image) for image in images] == [0, len(images[1]), 0, 0]
+    assert all(image.n_qubits == 4 for image in images)
+    assert all(map(same_sum_bits, images,
+                   dict_slot_encode_operators(sums, scheme)))
+    assert encode_operators([], scheme) == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("m", [31, 32, 64])
+def test_top_modes_of_wide_registers_keep_the_dict_slots_bits(m, variant):
+    # The masks' top bits in use, alone and with a second sum.
+    top = m - 1
+    spec = [((), 0.25), (((top, True), (top - 1, False)), 0.5),
+            (((top, True), (top - 1, True), (1, False), (0, False)), 0.125j),
+            (((top - 1, True), (top, True), (top, False), (top - 1, False)),
+             2.0),
+            (((0, True), (top, False)), -0.5)]
+    s = arity_runs(FermionOperator(factors, coeff) for factors, coeff in spec)
+    scheme = EncodingScheme(variant, m)
+    for sums in ([s], [s, s.adjoint()]):
+        images = encode_operators(sums, scheme)
+        assert all(map(same_sum_bits, images,
+                       dict_slot_encode_operators(sums, scheme)))
+        assert same_sum_bits(images[0], per_factor_encode(s, scheme))
+
+
+_KEYS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_KEYS)
+def test_slots_are_the_distinct_keys_in_order(keys):
+    distinct = sorted(set(keys))
+    pairs = np.array(keys, dtype=np.uint64).reshape(-1, 2)
+    columns = [pairs[:, 0].copy(), pairs[:, 1].copy()]
+    at, slots = _slots(columns)
+    assert at.tolist() == [distinct.index(key) for key in keys]
+    assert columns == []
+    assert list(zip(*(a.tolist() for a in slots))) == distinct
 
 
 def test_non_finite_coefficient_rejected():

@@ -14,13 +14,16 @@ from conftest import (
     jw_mode_matrix,
     per_index_molecular_hamiltonian,
     same_bits,
+    same_sum_bits,
     same_terms,
 )
+from hartree.encoding import VARIANTS, EncodingScheme, encode_operators
 from hartree.fermion import (
     BLOCKED,
     INTERLEAVED,
     FermionOperator,
     FermionSum,
+    IndexOutOfRange,
     InvalidIntegrals,
     MolecularIntegrals,
     OccupationVector,
@@ -393,6 +396,40 @@ def test_uccsd_count_matches_exhaustive_enumeration():
     matrices = [fermion_matrix(g.generator, m) for g in gens]
     for i, j in itertools.combinations(range(len(matrices)), 2):
         assert np.max(np.abs(matrices[i] - matrices[j])) > 1e-9
+
+
+def excitation(label: str) -> FermionSum:
+    """T of a generator's label, s:o->v or d:o1,o2->v1,v2."""
+    occupied, virtual = (list(map(int, side.split(","))) for side in
+                         label[2:].split("->"))
+    return FermionSum.single([(v, True) for v in reversed(virtual)]
+                             + [(o, False) for o in reversed(occupied)])
+
+
+@pytest.mark.parametrize("name", ["lih_sto3g_1.45", "h2_ccpvdz_0.75"])
+def test_generators_are_one_run_with_the_bits_of_t_minus_its_adjoint(name):
+    ints = load_fixture(name)
+    occupied = hf_occupation(ints).occupied()
+    virtual = [p for p in range(ints.m) if p not in occupied]
+    generators = uccsd_generators(ints.m, occupied, virtual)
+    assert generators
+    built = []
+    for g in generators:
+        t = excitation(g.label)
+        built.append(t - t.adjoint())
+        [(pairs, coeffs)] = g.generator.runs
+        assert pairs.shape[0] == 2
+        assert same_terms(g.generator, built[-1])
+    for variant in VARIANTS:
+        scheme = EncodingScheme(variant, ints.m)
+        assert all(map(same_sum_bits, encode_operators(
+            [g.generator for g in generators], scheme),
+            encode_operators(built, scheme)))
+
+
+def test_generator_modes_are_checked_as_single_terms_are():
+    with pytest.raises(IndexOutOfRange, match="mode -1 is negative"):
+        uccsd_generators(4, occ=[-1], virt=[1], spins=[0, 0, 0, 0])
 
 
 # ------------------------------ run-backed sums against the operator list

@@ -446,8 +446,9 @@ def sparse_strings(draw):
     letter = st.tuples(st.integers(0, n - 1), st.integers(1, 3))
 
     def masks(tokens):
-        return (sum((code & 1) << q for q, code in tokens),
-                sum((code >> 1) << q for q, code in tokens))
+        letters = dict(tokens)  # one letter a qubit: no carry past bit 63
+        return (sum((code & 1) << q for q, code in letters.items()),
+                sum((code >> 1) << q for q, code in letters.items()))
 
     return draw(st.lists(st.lists(letter, max_size=3).map(masks),
                          min_size=min(20, 4 ** n // 2), max_size=60,

@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_DIR,
+    column_block_sector_matrix,
     complex_eigh,
     fermion_matrix,
     per_determinant_1rdm,
@@ -381,6 +384,81 @@ def test_first_term_leaving_the_sector_in_column_order_is_named(block_bytes,
     assert str(caught.value) == (
         "term 0.05 * a+_2 a+_3 a-_2 a-_0 maps determinant 0101 outside the "
         "(1, 1) sector")
+
+
+@pytest.mark.parametrize("fixture", [*list_fixtures(),
+                                     "lih_sto3g_1.45-reduced"])
+def test_spin_string_build_matches_the_column_blocks_bit_for_bit(fixture):
+    ints = sector_input(fixture)
+    masks = sector_determinants(ints.m, ints.n_up, ints.n_down)
+    assert same_bits(reduction._sector_matrix(ints, masks),
+                     column_block_sector_matrix(ints, masks))
+
+
+def random_spin_blocked_integrals(ns: int, n_up: int, n_down: int,
+                                  seed: int, complex_valued: bool,
+                                  two_body: str) -> MolecularIntegrals:
+    """Valid Hermitian integrals on 2 * ns spin-blocked modes, about half
+    their entries zero. The one-body block keeps each spin. The two-body
+    terms a+_p a+_q a_r a_s are Coulomb-like (p and s of one spin, q and r
+    of one spin), keep each spin's count in any order of their factors
+    ("counts"), or are any at all, electrons moved between spins too."""
+    rng = np.random.default_rng(seed)
+    m = 2 * ns
+
+    def draw(shape):
+        values = rng.normal(size=shape) * (rng.random(shape) < 0.5)
+        if complex_valued:
+            values = values + 1j * rng.normal(size=shape) * (rng.random(shape)
+                                                            < 0.5)
+        return values
+
+    spin = np.arange(m) >= ns
+    h_one = draw((m, m)) * (spin[:, None] == spin[None, :])
+    h_one = h_one + h_one.conj().T
+    p, q, r, s = (spin.reshape(np.roll((-1, 1, 1, 1), k)).astype(int)
+                  for k in range(4))
+    # each mask is kept by both index symmetries below
+    keep = {"coulomb": (p == s) & (q == r), "counts": p + q == r + s,
+            "any": True}[two_body]
+    a = draw((m,) * 4) * keep
+    a = a + a.transpose(1, 0, 3, 2)
+    h_two = a + a.conj().transpose(3, 2, 1, 0)
+    return MolecularIntegrals(m, n_up + n_down, n_up, rng.normal(), h_one,
+                              h_two)
+
+
+@st.composite
+def sector_problems(draw):
+    ns = draw(st.integers(1, 3))
+    return (ns, draw(st.integers(0, ns)), draw(st.integers(0, ns)),
+            draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()),
+            draw(st.sampled_from(("coulomb", "counts", "any"))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sector_problems(), st.sampled_from((None, 1, 200)))
+def test_spin_strings_build_the_column_blocks_matrix_bit_for_bit(problem,
+                                                                 block_bytes):
+    # Real and complex integrals, every electron count from empty to a full
+    # shell of each spin, two-body terms whose factors take the spins in
+    # every order, and terms that move electrons between spins: the same
+    # bits, or the same leaking term named.
+    ints = random_spin_blocked_integrals(*problem)
+    masks = sector_determinants(ints.m, ints.n_up, ints.n_down)
+    try:
+        oracle = column_block_sector_matrix(ints, masks)
+    except InconsistentSpace as leak:
+        oracle = leak
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bytes is not None:
+            patch.setattr(reduction, "SECTOR_BLOCK_BYTES", block_bytes)
+        if isinstance(oracle, InconsistentSpace):
+            with pytest.raises(InconsistentSpace) as caught:
+                reduction._sector_matrix(ints, masks)
+            assert str(caught.value) == str(oracle)
+        else:
+            assert same_bits(reduction._sector_matrix(ints, masks), oracle)
 
 
 def test_sector_masks_hold_at_most_64_spin_orbitals():
