@@ -276,10 +276,11 @@ def encode_operator(s: FermionSum, scheme: EncodingScheme) -> PauliSum:
 
     The sum's runs of one arity are read in order and multiplied out in
     blocks of at most BLOCK_PRODUCTS strings (``_multiply_out``),
-    dropping |c| < DROP_TOLERANCE after every factor; each term's strings
-    are then added into the total in term order. The result is the one the
-    per-product loop over raw masks gave, bit for bit. Masks are uint64, so
-    a register wider than MASK_MODES is refused before anything is built.
+    dropping |c| < DROP_TOLERANCE after every factor; the kept products
+    then go, in term order, to the one merge, ``PauliSum.from_masks``. The
+    result is the one the per-product loop over raw masks gave, bit for bit.
+    Masks are uint64, so a register wider than MASK_MODES is refused before
+    anything is built.
     """
     return encode_operators([s], scheme)[0]
 
@@ -289,33 +290,30 @@ def encode_operators(sums: Sequence[FermionSum], scheme: EncodingScheme
     """``encode_operator`` of every sum, all multiplied out in one pass.
 
     Runs of one arity are joined across neighbouring sums
-    (``_joined_runs``), so short sums share their blocks; each string is
-    keyed by its sum as well as its masks. The kept products of every block
-    are gathered (``_products``) and slotted by one sort on (sum, x, z)
-    (``_slots``), and one ``np.add.at`` in product order adds each string's
-    products in term order from zero as in the sum's own call. The merge
-    orders the strings by text, so every image has that call's bits.
+    (``_joined_runs``), so short sums share their blocks. The kept products
+    of every block are gathered with the sum each belongs to
+    (``_products``); each sum's products are one stretch, which
+    ``PauliSum.from_masks`` merges as it merges any list of terms, in
+    product order from zero, so every image has the bits of the sum's own
+    call.
     """
     m = scheme.m
     if m > MASK_MODES:
         raise IndexOutOfRange(
             f"a uint64 mask holds {MASK_MODES} modes, not {m}")
-    *keys, c = _products(sums, _image_arrays(scheme.variant, m))
-    at, (owner, x, z) = _slots(keys)
-    total = np.zeros(len(x), dtype=complex)
-    np.add.at(total, at, c)
-    del at, c  # before the merges, which hold their own
-    # slots in (sum, x, z) order: each sum's are one stretch
-    bounds = np.searchsorted(owner, np.arange(len(sums) + 1))
-    return [PauliSum.from_masks(x[lo:hi], z[lo:hi], total[lo:hi], n_qubits=m)
-            for lo, hi in itertools.pairwise(bounds.tolist())]
+    owner, x, z, c = _products(sums, _image_arrays(scheme.variant, m))
+    bounds = np.searchsorted(owner, np.arange(len(sums) + 1)).tolist()
+    del owner  # before the merges, which hold their own
+    return [PauliSum.from_masks(x[lo:hi], z[lo:hi], c[lo:hi], n_qubits=m)
+            for lo, hi in itertools.pairwise(bounds)]
 
 
 def _products(sums: Sequence[FermionSum], images: tuple[np.ndarray, ...]
               ) -> list[np.ndarray]:
-    """Every kept product of the sums' terms, terms in order, each term's
-    strings in order: its sum, x mask, z mask and coefficient. Blocks of at
-    most BLOCK_PRODUCTS strings are multiplied out (``_multiply_out``)."""
+    """Every kept product of the sums' terms, unmerged, terms in order, each
+    term's strings in order: its sum, x mask, z mask and coefficient. The
+    sums are walked in order, so the sum column never decreases. Blocks of
+    at most BLOCK_PRODUCTS strings are multiplied out (``_multiply_out``)."""
     m = len(images[0]) // 2
     columns = [[], [], [], []]
     for pairs, coeffs, owners in _joined_runs(sums):
@@ -342,29 +340,6 @@ def _products(sums: Sequence[FermionSum], images: tuple[np.ndarray, ...]
         joined.append(np.concatenate(column) if column else np.zeros(0, dtype))
         column.clear()  # not to hold the products twice
     return joined
-
-
-def _slots(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(slot of each product, the keys of each slot) for products keyed by
-    ``keys``, the slots in key order, from one sort. The list is emptied
-    once read, before the slot array is made."""
-    # any order that sorts the keys: np.add.at, not the sort, keeps each
-    # slot's products in product order
-    order = np.lexsort(keys[::-1])
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        ordered = key[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    del ordered, key
-    first = order[new]
-    slots = [key[first] for key in keys]
-    keys.clear()
-    slot = np.cumsum(new)
-    slot -= 1
-    at = np.empty_like(order)
-    at[order] = slot
-    return at, slots
 
 
 def encode_state(f: OccupationVector, scheme: EncodingScheme) -> OccupationVector:

@@ -229,6 +229,49 @@ def _text_order(x: np.ndarray, z: np.ndarray, width: int) -> np.ndarray:
     return np.lexsort(ranks.T[::-1])
 
 
+def _mask_array(masks) -> np.ndarray:
+    """``masks`` as uint64. A negative mask, or one past bit 63, is a
+    DimensionMismatch; masks that are not integers are a ValueError."""
+    if isinstance(masks, np.ndarray) or not all(type(m) is int for m in masks):
+        array = np.asarray(masks)
+        if array.dtype.kind not in "iu" and array.size:
+            raise ValueError(f"masks are integers, not {array.dtype}")
+        negative = array.dtype.kind == "i" and (array < 0).any()
+    else:  # Python ints, which np.asarray mixes to float64 about 2^63
+        array, negative = masks, min(masks, default=0) < 0
+    if negative:
+        raise DimensionMismatch("a term has a negative mask, which names no "
+                                "qubits")
+    try:
+        return np.asarray(array, dtype=np.uint64)
+    except OverflowError:
+        raise DimensionMismatch("a term names a qubit past 63, beyond the "
+                                "64 a uint64 mask holds") from None
+
+
+def _slots(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(slot of each row, the keys of each slot) for rows keyed by ``keys``,
+    the slots in key order, from one sort. The list is emptied once read,
+    before the slot array is made."""
+    # any order that sorts the keys: np.add.at, not the sort, keeps each
+    # slot's rows in input order
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    del ordered, key
+    first = order[new]
+    slots = [key[first] for key in keys]
+    keys.clear()
+    slot = np.cumsum(new)
+    slot -= 1
+    at = np.empty_like(order)
+    at[order] = slot
+    return at, slots
+
+
 @dataclass(frozen=True)
 class PauliTerm:
     string: PauliString
@@ -284,30 +327,32 @@ class PauliSum:
     @classmethod
     def from_masks(cls, x, z, coeffs, n_qubits: int | None = None,
                    tol: float = DROP_TOLERANCE) -> "PauliSum":
-        """The sum of the terms coeffs[t] * (x[t], z[t]): each (x, z) slot's
-        coefficients are added into np.zeros in input order (the bits of
-        ``merged.get(s, 0.0) + c``), hypot(re, im) >= tol (Python's abs(complex)
-        to the last bit) keeps a slot, and the kept strings sort by text."""
+        """The sum of the terms coeffs[t] * (x[t], z[t]), repeated strings
+        and all: one sort slots the (x, z) keys (``_slots``), one
+        ``np.add.at`` adds each slot's coefficients into np.zeros in input
+        order (the bits of ``merged.get(s, 0.0) + c``), hypot(re, im) >= tol
+        (Python's abs(complex) to the last bit) keeps a slot, and the kept
+        strings sort by text. The three inputs must have one length and the
+        masks be non-negative integers."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        try:
-            x, z = (np.asarray(a, dtype=np.uint64) for a in (x, z))
-        except OverflowError:
-            raise DimensionMismatch("a term names a qubit past 63, beyond the "
-                                    "64 a uint64 mask holds") from None
-        slots: dict[tuple[int, int], int] = {}
-        at = np.array([slots.setdefault(key, len(slots)) for key in zip(
-            x.tolist(), z.tolist())], dtype=np.intp)
+        if not len(x) == len(z) == len(coeffs):
+            raise ValueError(f"{len(x)} x masks, {len(z)} z masks and "
+                             f"{len(coeffs)} coefficients; need one length")
+        x, z = _mask_array(x), _mask_array(z)
         finite = np.isfinite(coeffs)
         if not finite.all():
-            bad = PauliString(*list(slots)[at[finite.argmin()]])
-            raise ValueError(f"non-finite coefficient for {bad}")
-        total = np.zeros(len(slots), dtype=complex)
+            t = finite.argmin()
+            raise ValueError("non-finite coefficient for "
+                             f"{PauliString(int(x[t]), int(z[t]))}")
+        at, (x, z) = _slots([x, z])
+        total = np.zeros(len(x), dtype=complex)
         np.add.at(total, at, coeffs)
+        del at, coeffs, finite
         kept = np.hypot(total.real, total.imag) >= tol
-        x, z = np.array(list(slots), dtype=np.uint64).reshape(-1, 2)[kept].T
+        x, z, total = x[kept], z[kept], total[kept]
         inferred = int(np.bitwise_or.reduce(x | z)).bit_length()
         order = _text_order(x, z, inferred)
-        x, z, coeffs = x[order], z[order], total[kept][order]
+        x, z, coeffs = x[order], z[order], total[order]
         if n_qubits is not None and n_qubits < inferred:
             raise DimensionMismatch(f"declared {n_qubits} qubits, terms need {inferred}")
         for array in (x, z, coeffs):

@@ -26,7 +26,6 @@ from hartree.encoding import (
     FenwickTree,
     IndexOutOfRange,
     _mode_images,
-    _slots,
     bk_matrix,
     encode_operator,
     encode_operators,
@@ -50,6 +49,7 @@ from hartree.pauli import (
     DROP_TOLERANCE,
     DimensionMismatch,
     PauliSum,
+    _slots,
     apply_to_statevector,
     to_matrix,
 )

@@ -11,6 +11,7 @@ from hartree.encoding import JW, EncodingScheme, encode_operator
 from hartree.errors import ConfigError
 from hartree.fermion import build_molecular_hamiltonian
 from hartree.io_cli import load_fixture
+from hartree.io_cli.cli import exit_code_for
 from hartree.pauli import (
     BYTE_BUDGET,
     DROP_TOLERANCE,
@@ -394,17 +395,36 @@ coefficients = st.one_of(
               EDGE, st.floats(0.0, 2 * math.pi)))
 
 
+# What a cancelled slot is left holding: exactly 0, or less than the
+# tolerance on an axis or at an angle.
+RESIDUES = st.sampled_from([0.0, 0.5 * DROP_TOLERANCE,
+                            complex(0.0, -DROP_TOLERANCE * (1 - 2.0 ** -52)),
+                            DROP_TOLERANCE * (0.6 - 0.7j)])
+
+
 @st.composite
 def mask_terms(draw):
     """(width, [((x, z), coeff)]): a few strings of up to 64 qubits drawn
-    over and over, and, when asked, each term followed by its negation."""
+    over and over, the first with bit 63 set when asked, and, when asked,
+    each term followed by its negation; then a few slots cancelled to what
+    ``RESIDUES`` holds."""
     n = draw(st.integers(1, 64))
     mask = st.integers(0, (1 << n) - 1)
     pool = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        n, top = 64, draw(st.sampled_from([(1, 0), (0, 1), (1, 1)]))
+        pool[0] = tuple(m | bit << 63 for m, bit in zip(pool[0], top))
     terms = draw(st.lists(st.tuples(st.sampled_from(pool), coefficients),
                           max_size=12))
     if draw(st.booleans()):
         terms = [t for key, c in terms for t in ((key, c), (key, -c))]
+    for key, residue in draw(st.lists(st.tuples(st.sampled_from(pool),
+                                                RESIDUES), max_size=2)):
+        total = 0.0  # the slot so far, added as the merge adds it
+        for k, c in terms:
+            if k == key:
+                total = total + complex(c)
+        terms += [(key, -total), (key, residue)]
     return n, terms
 
 
@@ -510,6 +530,58 @@ def test_building_the_lih_sum_makes_and_renders_no_string(monkeypatch):
 def test_a_qubit_past_63_is_a_config_error_naming_the_mask(build):
     with pytest.raises(ConfigError, match="64 a uint64 mask holds"):
         build()
+
+
+@pytest.mark.parametrize("x, z, coeffs", [
+    ([1], [0, 3], [1.0]),
+    ([1, 2], [0, 0], [1.0]),
+    ([1, 2], [0], [float("nan"), 1.0]),
+    (np.array([-1, 3]), [0], [1.0, 1.0]),
+], ids=["z-longer", "one-coeff", "before-nan", "before-negative"])
+def test_unequal_lengths_are_refused_naming_all_three(x, z, coeffs):
+    with pytest.raises(ValueError, match=f"{len(x)} x masks, {len(z)} z masks "
+                       f"and {len(coeffs)} coefficients") as caught:
+        PauliSum.from_masks(x, z, coeffs)
+    assert exit_code_for(caught.value) == 2
+
+
+@pytest.mark.parametrize("x, z", [
+    (np.array([-1]), [0]),
+    ([-1], [0]),
+    ([1], np.array([0, -(1 << 40)])[1:]),
+    ([3, -(1 << 63)], [0, 0]),
+], ids=["int64-array", "python-int", "z-array-view", "int64-min"])
+def test_a_negative_mask_is_refused_as_negative(x, z):
+    with pytest.raises(DimensionMismatch, match="negative") as caught:
+        PauliSum.from_masks(x, z, np.ones(len(z)))
+    assert exit_code_for(caught.value) == 2
+
+
+@pytest.mark.parametrize("x, z", [
+    ([1.5], [0]),
+    (np.array([2.0]), [0]),
+    ([1], [True]),
+    ([1], np.array(["1"])),
+], ids=["python-float", "float-array", "bool", "text"])
+def test_masks_that_are_not_integers_are_refused(x, z):
+    with pytest.raises(ValueError, match="masks are integers") as caught:
+        PauliSum.from_masks(x, z, [1.0])
+    assert exit_code_for(caught.value) == 2
+
+
+@pytest.mark.parametrize("x, z", [([], []), ((), ()), (np.zeros(0), np.zeros(0))],
+                         ids=["list", "tuple", "float-array"])
+def test_empty_masks_of_any_type_make_the_empty_sum(x, z):
+    s = PauliSum.from_masks(x, z, [], n_qubits=3)
+    assert len(s) == 0 and s.n_qubits == 3
+    assert s.x.dtype == s.z.dtype == np.uint64
+
+
+def test_the_first_non_finite_coefficient_in_input_order_is_named():
+    # X1 sorts after X0, but its coefficient comes first.
+    with pytest.raises(ValueError, match="non-finite coefficient for X1$"):
+        PauliSum.from_masks([2, 1, 2], [0, 0, 0],
+                            [float("nan"), float("inf"), 1.0])
 
 
 def test_repeated_texts_add_in_input_order():

@@ -4,6 +4,8 @@ Each kernel runs once to warm its caches, then ``--repeats`` times; the
 table gives the best and the median run in milliseconds. The kernels:
 
   * ``encode_operator`` of the molecular Hamiltonian under parity,
+  * ``PauliSum.from_masks``, the one merge, on the raw kept products of
+    the LiH parity encode and on the first of them alone,
   * ``fci_sector_ground``, the sector matrix build and its one-pair solve,
   * ``exact_eigensolve``, the lowest level of the JW Hamiltonian,
   * H psi (``apply_to_statevector``) on a seeded random state,
@@ -31,7 +33,14 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from hartree.encoding import JW, PARITY, EncodingScheme, encode_operator  # noqa: E402
+from hartree.encoding import (  # noqa: E402
+    JW,
+    PARITY,
+    EncodingScheme,
+    _image_arrays,
+    _products,
+    encode_operator,
+)
 from hartree.fermion import (  # noqa: E402
     build_molecular_hamiltonian,
     hf_occupation,
@@ -39,7 +48,7 @@ from hartree.fermion import (  # noqa: E402
 )
 from hartree.io_cli import load_fixture  # noqa: E402
 from hartree.io_cli.oracle import exact_eigensolve  # noqa: E402
-from hartree.pauli import apply_to_statevector  # noqa: E402
+from hartree.pauli import PauliSum, apply_to_statevector  # noqa: E402
 from hartree.reduction import fci_sector_ground  # noqa: E402
 from hartree.vqe import analytic_gradient, build_uccsd, estimate_energy  # noqa: E402
 
@@ -56,6 +65,13 @@ def kernels():
         scheme = EncodingScheme(PARITY, ints.m)
         out.append(("encode_operator parity", fixture,
                     lambda h=h, scheme=scheme: encode_operator(h, scheme)))
+    ints = load_fixture(LIH)
+    _, x, z, c = _products([build_molecular_hamiltonian(ints)],
+                           _image_arrays(PARITY, ints.m))
+    for name, rows in ((f"from_masks {len(c)} products", slice(None)),
+                       ("from_masks one term", slice(1))):
+        out.append((name, LIH, lambda rows=rows: PauliSum.from_masks(
+            x[rows], z[rows], c[rows], n_qubits=ints.m)))
     for fixture in (LIH, CCPVDZ):
         ints = load_fixture(fixture)
         out.append(("fci_sector_ground", fixture,
@@ -95,8 +111,8 @@ def main() -> int:
             start = time.perf_counter()
             run()
             times.append((time.perf_counter() - start) * 1e3)
-        print(f"{name:32} {fixture:16} {min(times):9.2f} "
-              f"{statistics.median(times):10.2f}")
+        print(f"{name:32} {fixture:16} {min(times):9.3f} "
+              f"{statistics.median(times):10.3f}")
     return 0
 
 
