@@ -1,7 +1,7 @@
 """Second-quantised operator algebra.
 
 Molecular Hamiltonian assembly from integrals, fermionic normal ordering,
-action on occupation vectors and UCC generator construction. Operators obey
+occupation vectors and UCC generator construction. Operators obey
 {a_p, a+_q} = delta_pq, {a_p, a_q} = {a+_p, a+_q} = 0. A FermionSum is held
 as arrays, read straight off the integrals for the Hamiltonian, and makes
 FermionOperators only when a caller iterates it.
@@ -257,29 +257,6 @@ def normal_order(s: FermionSum, tol: float = COEFF_TOLERANCE) -> FermionSum:
             merged[key] = merged.get(key, 0.0) + coeff
     return arity_runs(FermionOperator(k, c) for k, c in sorted(merged.items())
                       if abs(c) > tol)
-
-
-def sums_equal(a: FermionSum, b: FermionSum, tol: float = 1e-10) -> bool:
-    diff = normal_order(a - b, tol=tol)
-    return len(diff) == 0
-
-
-def apply_to_occupation(op: FermionOperator,
-                        f: OccupationVector) -> tuple[complex, OccupationVector] | None:
-    """Apply the factors right-to-left; None when the state is annihilated.
-
-    Each a_p / a+_p contributes the sign (-1)^(sum of occupations below p).
-    """
-    mask = f.mask
-    phase = 1
-    for p, dagger in reversed(op.factors):
-        bit = 1 << p
-        if dagger == bool(mask & bit):
-            return None
-        if (mask & (bit - 1)).bit_count() % 2:
-            phase = -phase
-        mask ^= bit
-    return phase * op.coeff, OccupationVector(f.m, mask)
 
 
 def molecular_term_runs(ints: MolecularIntegrals

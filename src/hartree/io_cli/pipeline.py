@@ -166,6 +166,8 @@ class RunConfig:
                 raise ValueError(f"{name} must not be negative")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be positive when given")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must not be negative")
         noise = self.noise_model()  # rejects probabilities outside [0, 1]
         if self.method == VQE:
             check_exact_energies(self.optimizer, self.shots, noise)

@@ -45,8 +45,7 @@ _UNIT_PHASES = tuple(complex(p) for p in _PHASES)
 
 
 class TooLarge(ConfigError):
-    """A matrix, register or solve would hold more than BYTE_BUDGET, or a
-    density oracle would exceed its qubit ceiling."""
+    """A matrix, register or solve would hold more than BYTE_BUDGET."""
 
 
 def check_bytes(needed: int, what: str, hint: str = "") -> None:
@@ -251,8 +250,7 @@ def _mask_array(masks) -> np.ndarray:
 
 def _slots(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """(slot of each row, the keys of each slot) for rows keyed by ``keys``,
-    the slots in key order, from one sort. The list is emptied once read,
-    before the slot array is made."""
+    the slots in key order, from one sort."""
     # any order that sorts the keys: np.add.at, not the sort, keeps each
     # slot's rows in input order
     order = np.lexsort(keys[::-1])
@@ -264,7 +262,6 @@ def _slots(keys: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     del ordered, key
     first = order[new]
     slots = [key[first] for key in keys]
-    keys.clear()
     slot = np.cumsum(new)
     slot -= 1
     at = np.empty_like(order)
@@ -439,15 +436,6 @@ class PauliSum:
         if not len(self):
             return "0"
         return " + ".join(f"({c:.12g}) * {s}" for s, c in self.items())
-
-    def to_json_terms(self) -> list[dict]:
-        return [{"string": str(s), "re": c.real, "im": c.imag}
-                for s, c in self.items()]
-
-    @classmethod
-    def from_json_terms(cls, entries: list[dict]) -> "PauliSum":
-        return cls.from_text([(e["string"], e["re"] + 1j * e["im"])
-                              for e in entries])
 
 
 def canonicalize(s: PauliSum, tol: float = DROP_TOLERANCE) -> PauliSum:

@@ -232,9 +232,9 @@ def _ladder(pairs: np.ndarray, on=True) -> list[tuple]:
 
 def _apply(ladder: list[tuple], masks) -> tuple[np.ndarray, ...]:
     """(image, odd, alive) of determinant ``masks`` under ladder products,
-    as ``fermion.apply_to_occupation`` applies one: a factor on the wrong
-    occupation kills the product, and each contributes the sign
-    (-1)^(occupations below its mode). Shapes broadcast."""
+    as ``apply_to_occupation`` in ``tests/conftest.py`` applies one: a
+    factor on the wrong occupation kills the product, and each contributes
+    the sign (-1)^(occupations below its mode). Shapes broadcast."""
     image = masks
     counts = np.zeros(np.shape(masks), dtype=np.uint8)
     alive = np.ones(np.shape(masks), dtype=bool)

@@ -4,11 +4,10 @@ Amplitudes are indexed with qubit 0 as the least-significant bit, matching the
 Pauli-mask convention. Circuits are lists of small gate records whose rotation
 angles resolve against an external parameter vector, so the same circuit can be
 re-run at many parameter points. Noise is per-gate stochastic Pauli insertion;
-averaging trajectories reproduces the uniform depolarizing channel, for which a
-dense density-matrix oracle is provided at small width. Phase estimation is
-simulated with an explicit ancilla register read out by an FFT. Dense evolution,
-exact QPE powers and imaginary time alike, is diagonal in one ``eigh`` basis,
-solved in real arithmetic when the generator's matrix is real.
+averaging trajectories reproduces the uniform depolarizing channel. Phase
+estimation is simulated with an explicit ancilla register read out by an FFT.
+Dense evolution, exact QPE powers and imaginary time alike, is diagonal in one
+``eigh`` basis, solved in real arithmetic when the generator's matrix is real.
 
 Rotation gates follow the convention R_O(theta) = exp(-i theta O / 2). Pauli
 exponential gates apply exp(i phi P) with the caller supplying the sign of phi.
@@ -34,7 +33,6 @@ from .pauli import (
     NonHermitian,
     PauliString,
     PauliSum,
-    TooLarge,
     check_bytes,
     commutes,
     expectation,
@@ -43,9 +41,6 @@ from .pauli import (
     to_matrix,
 )
 
-# The density oracle makes 15 dense kicks per two-qubit gate, so its ceiling
-# bounds time; its memory is far under the byte budget.
-DENSITY_QUBIT_LIMIT = 4
 # A register holds its state and the two working arrays a gate kernel makes
 # beside it (tracemalloc, 16 qubits, Pauli tables cached: every gate kind and
 # its inverse peak at 2.0 states beyond their input, x, y and z at 1.0).
@@ -591,34 +586,12 @@ def apply_gate(psi: StateVector, gate: Gate,
                        psi.n)
 
 
-def apply_pauli_exponential(psi: StateVector, string: PauliString,
-                            phi: float) -> StateVector:
-    """exp(i phi P)|psi>, exact: cos(phi) I + i sin(phi) P."""
-    if string.n_qubits > psi.n:
-        raise BadTarget(f"{string} exceeds register of {psi.n}")
-    return StateVector(_exp_kernel(string, 1 << psi.n)(psi.amplitudes, phi), psi.n)
-
-
 def run_circuit(circuit: Circuit, theta: Sequence[float] | None = None,
                 psi0: StateVector | None = None) -> StateVector:
     """Noiseless execution starting from |0...0> or a supplied state."""
     psi = StateVector.zero(circuit.n_qubits) if psi0 is None else psi0.copy()
     return StateVector(compile_circuit(circuit, psi.n).run(theta, psi.amplitudes),
                        psi.n)
-
-
-def gate_unitary(gate: Gate, n: int,
-                 theta: Sequence[float] | None = None) -> np.ndarray:
-    """Dense 2^n x 2^n realisation, column by column; TooLarge when the
-    matrix and two registers working on its columns exceed BYTE_BUDGET."""
-    check_bytes(matrix_bytes(n) + 2 * (REGISTER_BYTES << n),
-                f"the dense unitary of a gate on {n} qubits")
-    compiled = CompiledCircuit([gate], n)
-    dim = 1 << n
-    out = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        out[:, j] = compiled.run(theta, StateVector.basis(n, j).amplitudes)
-    return out
 
 
 # ------------------------------------------------------------- time evolution
@@ -847,39 +820,6 @@ def run_noisy_trajectory(circuit: Circuit, theta: Sequence[float] | None,
     """One stochastic-unravelling sample of the depolarized circuit."""
     ((_, psi),) = noisy_states(circuit, theta, noise, rng, 1, psi0)
     return psi
-
-
-def density_matrix_reference(circuit: Circuit,
-                             theta: Sequence[float] | None,
-                             noise: NoiseModel,
-                             psi0: StateVector | None = None) -> np.ndarray:
-    """Exact depolarizing-channel evolution; the trajectory average's oracle."""
-    n = circuit.n_qubits
-    if n > DENSITY_QUBIT_LIMIT:
-        raise TooLarge(
-            f"{n} qubits exceeds the density-matrix limit of {DENSITY_QUBIT_LIMIT}")
-    start = StateVector.zero(n) if psi0 is None else psi0
-    rho = np.outer(start.amplitudes, start.amplitudes.conj())
-    for gate in circuit.gates:
-        u = gate_unitary(gate, n, theta)
-        rho = u @ rho @ u.conj().T
-        support = gate.support()
-        rate = noise.rate_for(len(support))
-        if rate > 0.0:
-            kicked = np.zeros_like(rho)
-            count = 4 ** len(support) - 1
-            for code in range(1, count + 1):
-                string = PauliSum({_error_string(support, code): 1.0})
-                p_mat = to_matrix(string, n)
-                kicked += p_mat @ rho @ p_mat.conj().T
-            rho = (1.0 - rate) * rho + (rate / count) * kicked
-    return rho
-
-
-def expectation_from_density(rho: np.ndarray, h: PauliSum) -> float:
-    n = int(round(math.log2(rho.shape[0])))
-    value = np.trace(to_matrix(h, n) @ rho)
-    return float(value.real)
 
 
 # ------------------------------------------------------------ phase estimation

@@ -429,10 +429,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must not be negative")
 
 
 @dataclass
@@ -543,6 +545,8 @@ def optimize(ansatz: Ansatz, h: PauliSum, config: OptimizerConfig,
     L-BFGS-B reports success. Gradient descent whose first gradient is
     exactly zero never moves, and is not converged. With shots the reported
     energy is a fresh estimate at the best point, from a stream of its own.
+    An ansatz without parameters is evaluated and recorded once, whatever
+    the method, and is converged.
     """
     check_exact_energies(config, shots, noise)
     master = make_rng(config.seed) if rng is None else rng
@@ -553,7 +557,10 @@ def optimize(ansatz: Ansatz, h: PauliSum, config: OptimizerConfig,
                            sample_rng if (shots is not None or noise is not None)
                            else None, config, trajectories)
 
-    if config.method == L_BFGS:
+    if theta0.size == 0:
+        objective.record(objective(theta0))
+        converged = True
+    elif config.method == L_BFGS:
         converged = _lbfgs(objective, theta0, config)
     else:
         moved = True
@@ -591,9 +598,6 @@ def _nelder_mead(objective: _Objective, theta0: np.ndarray,
         objective.record(value)
         return value
 
-    if theta0.size == 0:
-        wrapped(theta0)
-        return
     options = {"maxfev": config.max_evals, "fatol": config.tolerance,
                "xatol": 1e-8, "adaptive": True}
     if objective.shots is not None:
@@ -626,9 +630,6 @@ def _lbfgs(objective: _Objective, theta0: np.ndarray,
         objective.record(value)
         return value, gradient
 
-    if theta0.size == 0:
-        objective.record(objective(theta0))
-        return True
     try:
         result = scipy.optimize.minimize(
             wrapped, theta0, jac=True, method="L-BFGS-B", tol=config.tolerance,
@@ -667,7 +668,7 @@ def _gradient_descent(objective: _Objective, theta0: np.ndarray,
         value, gradient = objective.with_gradient(theta)
         objective.record(value)
         if objective.evals == 1:
-            moved = gradient.size == 0 or bool(gradient.any())
+            moved = bool(gradient.any())
         if objective.converged_streak():
             break
         theta = theta - config.learning_rate * gradient

@@ -699,6 +699,92 @@ def expm_imaginary_time(psi, h: PauliSum, tau: float, steps: int) -> np.ndarray:
     return amps
 
 
+# ------------------------------ dense density matrices, per-determinant action
+#
+# The exact depolarizing channel, every gate a dense unitary, is the oracle
+# the trajectory averages are checked against; one ladder product applied to
+# one determinant is the oracle the sector loops are checked against.
+
+# The density oracle makes 15 dense kicks per two-qubit gate, so its ceiling
+# bounds time; its memory is far under the byte budget.
+DENSITY_QUBIT_LIMIT = 4
+
+
+def gate_unitary(gate, n: int, theta=None) -> np.ndarray:
+    """Dense 2^n x 2^n realisation, column by column; TooLarge when the
+    matrix and two registers working on its columns exceed BYTE_BUDGET."""
+    from hartree.pauli import check_bytes, matrix_bytes
+    from hartree.simulator import REGISTER_BYTES, CompiledCircuit, StateVector
+
+    check_bytes(matrix_bytes(n) + 2 * (REGISTER_BYTES << n),
+                f"the dense unitary of a gate on {n} qubits")
+    compiled = CompiledCircuit([gate], n)
+    dim = 1 << n
+    out = np.empty((dim, dim), dtype=complex)
+    for j in range(dim):
+        out[:, j] = compiled.run(theta, StateVector.basis(n, j).amplitudes)
+    return out
+
+
+def density_matrix_reference(circuit, theta, noise, psi0=None) -> np.ndarray:
+    """Exact depolarizing-channel evolution; the trajectory average's oracle."""
+    from hartree.pauli import TooLarge
+    from hartree.simulator import StateVector, _error_string
+
+    n = circuit.n_qubits
+    if n > DENSITY_QUBIT_LIMIT:
+        raise TooLarge(
+            f"{n} qubits exceeds the density-matrix limit of {DENSITY_QUBIT_LIMIT}")
+    start = StateVector.zero(n) if psi0 is None else psi0
+    rho = np.outer(start.amplitudes, start.amplitudes.conj())
+    for gate in circuit.gates:
+        u = gate_unitary(gate, n, theta)
+        rho = u @ rho @ u.conj().T
+        support = gate.support()
+        rate = noise.rate_for(len(support))
+        if rate > 0.0:
+            kicked = np.zeros_like(rho)
+            count = 4 ** len(support) - 1
+            for code in range(1, count + 1):
+                string = PauliSum({_error_string(support, code): 1.0})
+                p_mat = to_matrix(string, n)
+                kicked += p_mat @ rho @ p_mat.conj().T
+            rho = (1.0 - rate) * rho + (rate / count) * kicked
+    return rho
+
+
+def expectation_from_density(rho: np.ndarray, h: PauliSum) -> float:
+    n = int(round(math.log2(rho.shape[0])))
+    value = np.trace(to_matrix(h, n) @ rho)
+    return float(value.real)
+
+
+def apply_to_occupation(op, f):
+    """Apply the factors right-to-left; None when the state is annihilated.
+
+    Each a_p / a+_p contributes the sign (-1)^(sum of occupations below p).
+    """
+    from hartree.fermion import OccupationVector
+
+    mask = f.mask
+    phase = 1
+    for p, dagger in reversed(op.factors):
+        bit = 1 << p
+        if dagger == bool(mask & bit):
+            return None
+        if (mask & (bit - 1)).bit_count() % 2:
+            phase = -phase
+        mask ^= bit
+    return phase * op.coeff, OccupationVector(f.m, mask)
+
+
+def sums_equal(a, b, tol: float = 1e-10) -> bool:
+    from hartree.fermion import normal_order
+
+    diff = normal_order(a - b, tol=tol)
+    return len(diff) == 0
+
+
 # --------------------------- restating loops, kept as bit-for-bit oracles
 #
 # The molecular Hamiltonian's index loop, the sector loops, the per-term
@@ -733,7 +819,7 @@ def per_index_molecular_hamiltonian(ints):
 def per_determinant_fci_matrix(ints):
     """Sector FCI matrix built column by column, every term applied to a
     fresh OccupationVector; returns (matrix, masks)."""
-    from hartree.fermion import OccupationVector, apply_to_occupation
+    from hartree.fermion import OccupationVector
     from hartree.reduction import sector_determinants
 
     masks = sector_determinants(ints.m, ints.n_up, ints.n_down)
@@ -754,11 +840,7 @@ def per_determinant_fci_matrix(ints):
 def per_determinant_1rdm(ints, amplitudes, masks) -> np.ndarray:
     """Spin-summed 1-RDM with a fresh OccupationVector per (operator,
     determinant), small amplitudes skipped before the operator is applied."""
-    from hartree.fermion import (
-        FermionOperator,
-        OccupationVector,
-        apply_to_occupation,
-    )
+    from hartree.fermion import FermionOperator, OccupationVector
 
     index = {mask: i for i, mask in enumerate(masks)}
     ns = ints.m // 2

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from conftest import (
     FIXTURE_DIR,
     ListFermionSum,
+    apply_to_occupation,
     fermion_matrix,
     jw_mode_matrix,
     per_index_molecular_hamiltonian,
     same_bits,
     same_sum_bits,
     same_terms,
+    sums_equal,
 )
 from hartree.encoding import VARIANTS, EncodingScheme, encode_operators
 from hartree.fermion import (
@@ -27,7 +29,6 @@ from hartree.fermion import (
     InvalidIntegrals,
     MolecularIntegrals,
     OccupationVector,
-    apply_to_occupation,
     arity_runs,
     build_molecular_hamiltonian,
     hf_energy,
@@ -35,7 +36,6 @@ from hartree.fermion import (
     molecular_term_runs,
     normal_order,
     number_operator,
-    sums_equal,
     uccsd_generators,
 )
 from hartree.io_cli import load_fixture

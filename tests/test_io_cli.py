@@ -491,6 +491,7 @@ class TestRunConfig:
         ("shots", 0, "shots must be positive"),
         ("noise_p1", 1.5, "must lie in"),
         ("noise_p2", -0.1, "must lie in"),
+        ("seed", -1, "seed must not be negative"),
     ])
     def test_bad_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -829,6 +830,37 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)["result"]
         assert abs(result["error_to_oracle"]) < 1e-8  # perfbench's EXACT_TOL
 
+    @pytest.mark.parametrize("optimizer", ["nelder-mead", "l-bfgs", "spsa",
+                                           "gradient-descent"])
+    def test_vqe_without_excitations_evaluates_once(self, optimizer,
+                                                    tmp_path, capsys):
+        # Four electrons fill H2's four spin-orbitals: UCCSD has no
+        # excitation, so the search has no parameters.
+        text = fixture_text(H2_EQUILIBRIUM).replace("NELEC=  2", "NELEC=  4")
+        path = tmp_path / "h2_filled.fcidump"
+        path.write_text(text)
+        assert main(["vqe", "--fcidump", str(path), "--optimizer", optimizer,
+                     "--seed", "1"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["parameters"] == []
+        assert result["evaluations"] == 1
+        assert len(result["trace"]) == 1
+        assert result["converged"]
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--fixture", H2_EQUILIBRIUM],
+        ["vqe", "--fixture", H2_EQUILIBRIUM],
+        ["mitigate", "--fixture", H2_EQUILIBRIUM],
+    ], ids=["exact", "vqe", "mitigate"])
+    def test_negative_seed_exits_2_before_ingest(self, argv, monkeypatch,
+                                                 capsys):
+        calls = []
+        monkeypatch.setattr(pipeline, "load_problem",
+                            lambda *args, **kwargs: calls.append(args))
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert calls == []
+        assert "error: seed must not be negative" in capsys.readouterr().err
+
     def test_vqe_by_quasi_newton_with_shots_exits_2(self, capsys):
         assert main(["vqe", "--fixture", H2_EQUILIBRIUM, "--optimizer",
                      "l-bfgs", "--shots", "100", "--seed", "1"]) == 2
@@ -900,6 +932,8 @@ class TestCli:
         ["mitigate", "--fixture", H2_EQUILIBRIUM, "--seed", "1",
          "--scales", "1,two,3"],
         ["exact", "--no-such-flag"],
+        ["vqe", "--fixture", H2_EQUILIBRIUM, "--tolerance", "nan"],
+        ["vqe", "--fixture", H2_EQUILIBRIUM, "--tolerance", "inf"],
     ])
     def test_usage_problems_exit_2(self, argv, capsys):
         assert main(argv) == 2

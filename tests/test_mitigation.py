@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    density_matrix_reference,
+    expectation_from_density,
     fan_postselect,
     letter_product_coefficients,
     pec_replays,
@@ -54,8 +56,6 @@ from hartree.simulator import (
     NoiseModel,
     ShotEstimate,
     compile_circuit,
-    density_matrix_reference,
-    expectation_from_density,
     make_rng,
     run_circuit,
     sample_means,

@@ -359,13 +359,6 @@ class TestTables:
             PauliString.from_text("X3").apply(np.ones(8))
 
 
-def test_textual_round_trip():
-    s = PauliSum.from_text({"X0 Z2 Y5": 1.5 - 0.5j, "I": 2.0})
-    again = PauliSum.from_json_terms(s.to_json_terms())
-    assert again == s
-    assert str(PauliString.from_text("X0 Z2 Y5")) == "X0 Z2 Y5"
-
-
 @pytest.mark.parametrize("text, qubit", [
     ("X0 Z0", 0), ("X0 X0", 0), ("Z3 Y1 X3", 3), ("X-1", -1), ("Y2 Z-4", -4),
 ])
@@ -588,10 +581,3 @@ def test_repeated_texts_add_in_input_order():
     s = PauliSum.from_text({"Z0": 0.1, "z0": 0.2, "X1 Z0": 1.0, "Z0  X1": -1.0})
     assert len(s) == 1 and s.coeff("Z0") == 0.1 + 0.2
 
-
-def test_repeated_json_strings_add_in_input_order():
-    s = PauliSum.from_json_terms([
-        {"string": "Z0", "re": 0.1, "im": 0.0},
-        {"string": "Y1", "re": 1.0, "im": 0.0},
-        {"string": "Z0", "re": 0.2, "im": -0.5}])
-    assert s.coeff("Z0") == complex(0.1 + 0.2, -0.5) and s.coeff("Y1") == 1.0

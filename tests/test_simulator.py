@@ -10,7 +10,10 @@ from scipy.optimize import minimize_scalar
 
 from conftest import (
     dense_fourier_readout,
+    density_matrix_reference,
+    expectation_from_density,
     expm_imaginary_time,
+    gate_unitary,
     kron_string_matrix,
     matrix_gate_apply,
     per_gate_apply,
@@ -53,13 +56,9 @@ from hartree.simulator import (
     ZeroOverlap,
     adiabatic_prepare,
     apply_gate,
-    apply_pauli_exponential,
     compile_circuit,
     default_window,
-    density_matrix_reference,
     depolarizing_kicks,
-    expectation_from_density,
-    gate_unitary,
     imaginary_time_evolve,
     make_rng,
     noisy_states,
@@ -337,14 +336,16 @@ def test_compile_rejects_unknown_kinds():
 
 def test_exponential_at_zero_is_identity(rng):
     psi = random_state(rng, 3)
-    got = apply_pauli_exponential(StateVector(psi, 3),
-                                  PauliString.from_text("X0 Z2"), 0.0)
+    got = apply_gate(StateVector(psi, 3),
+                     Gate("exp", (), angle=0.0,
+                          string=PauliString.from_text("X0 Z2")))
     assert np.allclose(got.amplitudes, psi)
 
 
 def test_exponential_z_half_pi_is_global_phase():
-    got = apply_pauli_exponential(StateVector.zero(1),
-                                  PauliString.from_text("Z0"), math.pi / 2)
+    got = apply_gate(StateVector.zero(1),
+                     Gate("exp", (), angle=math.pi / 2,
+                          string=PauliString.from_text("Z0")))
     assert got.amplitudes[0] == pytest.approx(1j)
     assert got.probabilities()[0] == pytest.approx(1.0)
 
@@ -356,7 +357,8 @@ def test_exponential_matches_dense_exponential(rng):
         string = PauliString(int(rng.integers(0, 1 << n)),
                              int(rng.integers(0, 1 << n)))
         phi = float(rng.uniform(-3, 3))
-        got = apply_pauli_exponential(StateVector(psi, n), string, phi)
+        got = apply_gate(StateVector(psi, n),
+                         Gate("exp", (), angle=phi, string=string))
         dense = scipy.linalg.expm(
             1j * phi * to_matrix(PauliSum({string: 1.0}), n))
         assert np.max(np.abs(got.amplitudes - dense @ psi)) < 1e-12
@@ -386,14 +388,16 @@ def test_single_excitation_exponential_reaches_h2_ground():
     reference = StateVector.basis(4, 0b0011)
 
     def energy(theta: float) -> float:
-        return apply_pauli_exponential(reference, generator, -theta).expectation(h)
+        return apply_gate(reference, Gate("exp", (), angle=-theta,
+                                          string=generator)).expectation(h)
 
     result = minimize_scalar(energy, bounds=(-1.0, 1.0), method="bounded",
                              options={"xatol": 1e-12})
     exact = np.linalg.eigvalsh(to_matrix(h, 4))[0]
     assert result.fun == pytest.approx(exact, abs=1e-9)
     assert result.fun == pytest.approx(H2_FCI_ENERGY, abs=1e-6)
-    state = apply_pauli_exponential(reference, generator, -result.x).amplitudes
+    state = apply_gate(reference, Gate("exp", (), angle=-result.x,
+                                       string=generator)).amplitudes
     assert state[0b0011].real == pytest.approx(0.9939, abs=5e-3)
     assert state[0b1100].real == pytest.approx(-0.1106, abs=5e-3)
     assert np.max(np.abs(np.delete(state, [0b0011, 0b1100]))) < 1e-12

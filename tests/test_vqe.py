@@ -775,6 +775,12 @@ class TestOptimizers:
             OptimizerConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(max_evals=0)
+        for tolerance in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                OptimizerConfig(tolerance=tolerance)
+        with pytest.raises(ValueError, match="seed must not be negative"):
+            OptimizerConfig(seed=-1)
+        assert OptimizerConfig(seed=0).seed == 0
 
     def test_simplex_solves_single_rotation(self):
         ansatz = toy_rx_ansatz()
@@ -851,12 +857,14 @@ class TestOptimizers:
             optimize(h2_uccsd, h2[3], OptimizerConfig(method=L_BFGS),
                      rng=make_rng(1), **kwargs)
 
-    @pytest.mark.parametrize("method", [NELDER_MEAD, L_BFGS])
+    @pytest.mark.parametrize("method", [NELDER_MEAD, L_BFGS, SPSA,
+                                        GRADIENT_DESCENT])
     def test_an_empty_ansatz_is_evaluated_once(self, method):
         ansatz = Ansatz(Circuit(1), [], HARDWARE_EFFICIENT)
         h = PauliSum.from_text({"Z0": 1.0})
         result = optimize(ansatz, h, OptimizerConfig(method=method))
         assert result.evaluations == 1
+        assert result.trace == [(1.0, 1)]
         assert result.best_energy == 1.0
         assert result.converged
 

@@ -8,9 +8,11 @@ Runs, in-process through ``hartree.io_cli.cli.main``:
   * EXTRA, a short list for paths those two miss, at each seed in SEEDS.
 
 Each output line is ``seed name exit sha256``; ``-`` stands for no seed or
-no document. Every document is written to one fixed path, because a
-document echoes its ``--out``. ``hartree`` is imported from PYTHONPATH, so
-comparing two source trees is
+no document. Every JSON document (all but ``curve``'s CSV) must also parse
+as strict JSON, without ``NaN`` or ``Infinity``; the jobs whose documents
+do not are named on stderr, and the script then exits 1. Every document is
+written to one fixed path, because a document echoes its ``--out``.
+``hartree`` is imported from PYTHONPATH, so comparing two source trees is
 
     PYTHONPATH=<parent>/src python tools/doc_digests.py > a
     PYTHONPATH=src python tools/doc_digests.py > b
@@ -22,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -116,15 +119,26 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
-def digest(argv: list[str]) -> tuple[int, str]:
-    """Exit code of one command and the SHA-256 of the document it wrote."""
+def run_command(argv: list[str]) -> tuple[int, bytes | None]:
+    """Exit code of one command and the document it wrote, if any."""
     OUT.unlink(missing_ok=True)
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli_main(argv + ["--out", str(OUT)])
-    if not OUT.exists():
-        return code, "-"
-    return code, hashlib.sha256(OUT.read_bytes()).hexdigest()
+    return code, OUT.read_bytes() if OUT.exists() else None
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(document: bytes) -> bool:
+    """Whether the document parses as JSON (RFC 8259): no NaN, no Infinity."""
+    try:
+        json.loads(document, parse_constant=_refuse_constant)
+    except ValueError:
+        return False
+    return True
 
 
 def main() -> int:
@@ -138,11 +152,18 @@ def main() -> int:
             runs.append((seed, name, [*argv, "--seed", str(seed)]))
     for index, argv in enumerate(readme_commands()):
         runs.append(("-", f"readme-{index}-{argv[0]}", argv))
+    loose = []
     for seed, name, argv in runs:
-        code, sha = digest(argv)
+        code, document = run_command(argv)
+        sha = "-" if document is None else hashlib.sha256(document).hexdigest()
         print(seed, name, code, sha, flush=True)
+        if document is not None and argv[0] != "curve" \
+                and not strict_json(document):
+            loose.append(f"{seed} {name}")
     OUT.unlink(missing_ok=True)
-    return 0
+    for job in loose:
+        print(f"not strict JSON: {job}", file=sys.stderr)
+    return 1 if loose else 0
 
 
 if __name__ == "__main__":
