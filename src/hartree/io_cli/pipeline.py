@@ -110,6 +110,12 @@ class StageFailure(RuntimeError):
         super().__init__(f"{stage}: {error}")
 
 
+def check_seed(seed: int | None) -> None:
+    """ValueError for a negative seed, raised before any stage or point runs."""
+    if seed is not None and seed < 0:
+        raise ValueError("seed must not be negative")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One pipeline invocation: problem source, transformations, solver."""
@@ -166,8 +172,7 @@ class RunConfig:
                 raise ValueError(f"{name} must not be negative")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be positive when given")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("seed must not be negative")
+        check_seed(self.seed)
         noise = self.noise_model()  # rejects probabilities outside [0, 1]
         if self.method == VQE:
             check_exact_energies(self.optimizer, self.shots, noise)
@@ -515,6 +520,7 @@ def dissociation_curve(methods: Sequence[str] = ("hf", "fci"),
     for method in methods:
         if method not in CURVE_METHODS:
             raise ValueError(f"unknown curve method {method!r}")
+    check_seed(seed)
     rows = []
     for method in methods:
         for length, fixture in points:

@@ -115,7 +115,7 @@ class Ansatz:
 
     @property
     def n_params(self) -> int:
-        return self.circuit.n_params
+        return self.compiled().n_params
 
     def combined(self) -> Circuit:
         return Circuit(self.n_qubits, list(self.reference_prep) + self.circuit.gates)
@@ -130,10 +130,11 @@ class Ansatz:
         return self._compiled
 
     def state(self, theta: Sequence[float]) -> StateVector:
-        if len(theta) != self.n_params:
-            raise ValueError(f"expected {self.n_params} parameters, got {len(theta)}")
+        compiled = self.compiled()
+        if len(theta) != compiled.n_params:
+            raise ValueError(f"expected {compiled.n_params} parameters, got {len(theta)}")
         zero = StateVector.zero(self.n_qubits)
-        return StateVector(self.compiled().run(theta, zero.amplitudes), zero.n)
+        return StateVector(compiled.run(theta, zero.amplitudes), zero.n)
 
 
 def preparation_gates(occupation: OccupationVector,

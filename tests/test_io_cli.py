@@ -851,7 +851,9 @@ class TestCli:
         ["exact", "--fixture", H2_EQUILIBRIUM],
         ["vqe", "--fixture", H2_EQUILIBRIUM],
         ["mitigate", "--fixture", H2_EQUILIBRIUM],
-    ], ids=["exact", "vqe", "mitigate"])
+        ["curve", "--method", "hf"],
+        ["curve", "--method", "fci"],
+    ], ids=["exact", "vqe", "mitigate", "curve-hf", "curve-fci"])
     def test_negative_seed_exits_2_before_ingest(self, argv, monkeypatch,
                                                  capsys):
         calls = []

@@ -196,6 +196,19 @@ class TestExpectation:
         with pytest.raises(DimensionMismatch):
             expectation(PauliSum.from_text({"Z3": 1.0}), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("imag, loose, tight", [(1e-8, 1e-6, 1e-9),
+                                                    (1e-12, 1e-10, 1e-13)])
+    def test_explicit_tolerance_never_reads_the_kept_verdict(self, imag,
+                                                             loose, tight):
+        s = PauliSum.from_text({"Z0": 1.0 + imag * 1j, "X1": 0.5})
+        default = imag <= pauli.HERMITIAN_TOLERANCE
+        for _ in range(2):  # before and after the verdict is kept
+            assert s.is_hermitian() is default
+            assert s.is_hermitian(loose) is True
+            assert s.is_hermitian(tight) is False
+            assert s.is_hermitian(pauli.HERMITIAN_TOLERANCE) is default
+        assert s._hermitian is default
+
     def test_imaginary_residue_raises(self):
         # 5e-11 passes the Hermiticity tolerance; a norm of 10 lifts the
         # residue of <psi|S|psi> to 5e-9, past the realness bound.
@@ -490,7 +503,8 @@ def test_text_order_puts_qubit_numbers_in_digit_order():
 
 def test_a_sum_holds_only_its_arrays():
     assert set(PauliSum.__slots__) == {"x", "z", "coeffs", "_n_qubits",
-                                       "_tables", "_string_tables"}
+                                       "_tables", "_string_tables",
+                                       "_hermitian"}
 
 
 def test_building_the_lih_sum_makes_and_renders_no_string(monkeypatch):

@@ -381,6 +381,24 @@ def test_exponential_kernel_gathers_registers_and_blocks_alike(rng):
             assert np.max(np.abs(single - dense @ psi)) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_every_gate_kernel_acts_on_each_row_of_a_block_bit_for_bit(n):
+    # The trajectory engine runs every gate kind on a (rows, 2^n) block.
+    rng = make_rng(900 + n)
+    block = np.stack([random_state(rng, n) for _ in range(3)])
+    before = block.copy()
+    for gate in every_gate(n, rng):
+        compiled = CompiledCircuit([gate], n)
+        rows = compiled.run([0.83], block)
+        assert rows.shape == block.shape, gate
+        for psi, row in zip(block, rows):
+            assert same_bits(row, compiled.run([0.83], psi)), gate
+    assert same_bits(block, before)
+    for string in (random_pauli_string(rng, n) for _ in range(5)):
+        for psi, row in zip(block, string.apply(block)):
+            assert same_bits(row, string.apply(psi)), string
+
+
 def test_single_excitation_exponential_reaches_h2_ground():
     ints = load_fixture("h2_sto3g_0.7414", ordering="interleaved")
     h = encode_operator(build_molecular_hamiltonian(ints), EncodingScheme(JW, 4))
@@ -788,6 +806,104 @@ def test_trajectory_engine_applies_kicks_in_order():
     assert np.array_equal(groups[0][1].amplitudes, psi.amplitudes)
     assert np.array_equal(groups[1][1].amplitudes,
                           run_circuit(circuit, theta).amplitudes)
+
+
+def per_gate_final(circuit, theta, events, psi0):
+    """One trajectory's final amplitudes by the per-call formulas, each
+    kick scattered right after its gate."""
+    amps = psi0
+    for index, gate in enumerate(circuit.gates):
+        amps = per_gate_apply(amps, circuit.n_qubits, gate, theta)
+        for at, error in events:
+            if at == index:
+                amps = scatter_apply(error, amps)
+    return amps
+
+
+def yield_order(kicks):
+    """The kicked trajectories one by one, by (first-kick gate, index),
+    then the error-free ones as one group."""
+    kicked = sorted((events[0][0], k) for k, events in enumerate(kicks)
+                    if events)
+    free = [k for k, events in enumerate(kicks) if not events]
+    return [[k] for _, k in kicked] + ([free] if free else [])
+
+
+def block_rows(monkeypatch, rows: int, n: int) -> None:
+    """Bound each trajectory block to ``rows`` rows of n qubits."""
+    monkeypatch.setattr(simulator, "TRAJECTORY_BLOCK_BYTES",
+                        rows * (np.dtype(complex).itemsize << n))
+
+
+def random_kicks(circuit, rng, count):
+    """``count`` kick lists of 0-3 kicks each, in circuit order, ties and
+    repeated gates included."""
+    kicks = []
+    for _ in range(count):
+        at = sorted(int(g) for g in rng.integers(0, len(circuit.gates),
+                                                  size=rng.integers(0, 4)))
+        kicks.append([(g, PauliString(int(rng.integers(0, 8)),
+                                      int(rng.integers(0, 8)))) for g in at])
+    return kicks
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_small_trajectory_blocks_keep_bits_and_yield_order(rows, monkeypatch):
+    circuit, theta = mixed_circuit(), [0.3, -0.7]
+    kicks = random_kicks(circuit, make_rng(8), 40)
+    psi0 = random_state(make_rng(99), 3)
+    compiled = compile_circuit(circuit)
+    whole = list(compiled.trajectories(theta, kicks, StateVector(psi0, 3)))
+    block_rows(monkeypatch, rows, 3)
+    groups = list(compiled.trajectories(theta, kicks, StateVector(psi0, 3)))
+    assert [members for members, _ in groups] == yield_order(kicks) == \
+        [members for members, _ in whole]
+    for (members, psi), (_, reference) in zip(groups, whole):
+        assert same_bits(psi.amplitudes, reference.amplitudes), members
+        assert same_bits(psi.amplitudes, per_gate_final(
+            circuit, theta, kicks[members[0]], psi0)), members
+    # The kicked states sit in blocks of at most ``rows`` rows each.
+    kicked = sum(1 for events in kicks if events)
+    assert len({id(psi.amplitudes.base) for _, psi in whole[:-1]}) == 1
+    assert len({id(psi.amplitudes.base) for _, psi in groups[:-1]}) == \
+        -(-kicked // rows)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_yielded_states_survive_later_blocks(rows, monkeypatch):
+    circuit, theta = mixed_circuit(), [0.3, -0.7]
+    kicks = random_kicks(circuit, make_rng(12), 30)
+    block_rows(monkeypatch, rows, 3)
+    seen = [(psi.amplitudes, psi.amplitudes.copy()) for _, psi in
+            compile_circuit(circuit).trajectories(theta, kicks)]
+    assert len(seen) == len(yield_order(kicks))
+    for kept, copy in seen:
+        assert same_bits(kept, copy)
+
+
+@pytest.mark.parametrize("rows", [1, 2, None])
+def test_yield_order_with_kicks_at_the_first_and_last_gates(rows,
+                                                            monkeypatch):
+    circuit, theta = mixed_circuit(), [0.3, -0.7]
+    last = len(circuit.gates) - 1
+    text = PauliString.from_text
+    kicks = [[(last, text("X0"))],
+             [],
+             [(0, text("Z1")), (0, text("X2")), (last, text("Y0"))],
+             [(3, text("Y1")), (3, text("Z1"))],
+             [(0, text("X0"))],
+             [(last, text("Z2")), (last, text("X1"))],
+             []]
+    psi0 = random_state(make_rng(5), 3)
+    if rows is not None:
+        block_rows(monkeypatch, rows, 3)
+    groups = list(compile_circuit(circuit).trajectories(
+        theta, kicks, StateVector(psi0, 3)))
+    assert [members for members, _ in groups] == \
+        [[2], [4], [3], [0], [5], [1, 6]] == yield_order(kicks)
+    for members, psi in groups:
+        assert same_bits(psi.amplitudes, per_gate_final(
+            circuit, theta, kicks[members[0]], psi0)), members
 
 
 def test_error_free_share_is_binomial():

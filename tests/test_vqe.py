@@ -19,7 +19,7 @@ from conftest import (
     stored_state_gradient,
     two_call_descent,
 )
-from hartree import vqe
+from hartree import simulator, vqe
 from hartree.encoding import JW, PARITY, EncodingScheme, encode_operator, encode_state
 from hartree.fermion import (
     FermionSum,
@@ -409,6 +409,27 @@ class TestGradient:
         slope = analytic_gradient(ansatz, [theta], h)[0]
         # E = cos(2 theta), so dE/dtheta = -2 sin(2 theta)
         assert slope == pytest.approx(-2.0 * np.sin(2 * theta), abs=1e-12)
+
+    def test_state_counts_the_slots_once_per_compile(self, monkeypatch):
+        circuit = Circuit(2).ry(0, slot=0).cnot(0, 1).rx(1, slot=1)
+        ansatz = Ansatz(circuit, [Gate("x", (1,))], HARDWARE_EFFICIENT)
+        first = ansatz.state([0.2, -0.4])
+        monkeypatch.setattr(simulator, "_slot_count", lambda gates: 1 / 0)
+        assert ansatz.n_params == 2
+        assert np.array_equal(ansatz.state([0.2, -0.4]).amplitudes,
+                              first.amplitudes)
+        with pytest.raises(ValueError, match="expected 2 parameters"):
+            ansatz.state([0.2])
+
+    def test_state_refuses_slots_that_are_not_dense(self):
+        circuit = Circuit(2).ry(0, slot=0).rx(1, slot=2)
+        ansatz = Ansatz(circuit, [], HARDWARE_EFFICIENT)
+        for _ in range(2):  # a refused count is not kept
+            with pytest.raises(ValueError, match="slots not dense: \\[0, 2\\]"):
+                ansatz.state([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="slots not dense"):
+            estimate_energy(ansatz, [0.1, 0.2, 0.3],
+                            PauliSum.from_text({"Z0": 1.0}))
 
     def test_unsupported_parametrized_gate(self):
         circuit = Circuit(1)

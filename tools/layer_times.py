@@ -10,7 +10,9 @@ table gives the best and the median run in milliseconds. The kernels:
   * ``exact_eigensolve``, the lowest level of the JW Hamiltonian,
   * H psi (``apply_to_statevector``) on a seeded random state,
   * one ``analytic_gradient`` and one optimizer evaluation
-    (``estimate_energy``) of the JW UCCSD ansatz at seeded angles.
+    (``estimate_energy``) of the JW UCCSD ansatz at seeded angles,
+  * one noisy trajectory layer: a 512-trajectory ``noisy_expectation`` of
+    the JW UCCSD circuit at p1 = p2 = 1e-3, each run from one fixed seed.
 
 ``hartree`` is imported from PYTHONPATH, so timing two source trees is
 
@@ -48,8 +50,10 @@ from hartree.fermion import (  # noqa: E402
 )
 from hartree.io_cli import load_fixture  # noqa: E402
 from hartree.io_cli.oracle import exact_eigensolve  # noqa: E402
+from hartree.mitigation import noisy_expectation  # noqa: E402
 from hartree.pauli import PauliSum, apply_to_statevector  # noqa: E402
 from hartree.reduction import fci_sector_ground  # noqa: E402
+from hartree.simulator import NoiseModel, make_rng  # noqa: E402
 from hartree.vqe import analytic_gradient, build_uccsd, estimate_energy  # noqa: E402
 
 LIH = "lih_sto3g_1.45"
@@ -76,25 +80,45 @@ def kernels():
         ints = load_fixture(fixture)
         out.append(("fci_sector_ground", fixture,
                     lambda ints=ints: fci_sector_ground(ints)))
-    ints = load_fixture(LIH)
-    scheme = EncodingScheme(JW, ints.m)
-    h = encode_operator(build_molecular_hamiltonian(ints), scheme)
+    ints, h, ansatz = uccsd_jw(LIH)
     out.append(("exact_eigensolve jw k=1", LIH,
                 lambda: exact_eigensolve(h, k=1, n_qubits=ints.m)))
     rng = np.random.default_rng(7)
     psi = rng.normal(size=1 << ints.m) + 1j * rng.normal(size=1 << ints.m)
     psi /= np.linalg.norm(psi)
     out.append(("H psi jw", LIH, lambda: apply_to_statevector(h, psi)))
-    reference = hf_occupation(ints)
-    occupied = reference.occupied()
-    virtual = [p for p in range(ints.m) if p not in occupied]
-    ansatz = build_uccsd(uccsd_generators(ints.m, occupied, virtual), scheme,
-                         reference)
     theta = rng.uniform(-0.1, 0.1, size=ansatz.n_params)
     out.append(("analytic_gradient uccsd jw", LIH,
                 lambda: analytic_gradient(ansatz, theta, h)))
     out.append(("optimizer evaluation uccsd jw", LIH,
                 lambda: estimate_energy(ansatz, theta, h)))
+    return out + noisy_kernels(rng)
+
+
+def uccsd_jw(fixture: str):
+    """(integrals, JW Hamiltonian, UCCSD ansatz over the HF reference)."""
+    ints = load_fixture(fixture)
+    scheme = EncodingScheme(JW, ints.m)
+    h = encode_operator(build_molecular_hamiltonian(ints), scheme)
+    reference = hf_occupation(ints)
+    occupied = reference.occupied()
+    virtual = [p for p in range(ints.m) if p not in occupied]
+    return ints, h, build_uccsd(uccsd_generators(ints.m, occupied, virtual),
+                                scheme, reference)
+
+
+def noisy_kernels(rng):
+    """One noisy trajectory layer per H2 basis: 512 trajectories of the
+    UCCSD circuit at seeded angles, every run drawn from one fixed seed."""
+    noise = NoiseModel(p1=1e-3, p2=1e-3)
+    out = []
+    for fixture in ("h2_sto3g_0.7414", "h2_631g_0.7414"):
+        _, h, ansatz = uccsd_jw(fixture)
+        theta = rng.uniform(-0.1, 0.1, size=ansatz.n_params)
+        out.append(("noisy_expectation 512 uccsd jw", fixture,
+                    lambda circuit=ansatz.combined(), theta=theta, h=h:
+                    noisy_expectation(circuit, theta, h, noise, make_rng(7),
+                                      512)))
     return out
 
 
