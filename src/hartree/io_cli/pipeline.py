@@ -18,13 +18,21 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..encoding import JW, VARIANTS, EncodingScheme, encode_operator
+from ..encoding import (
+    JW,
+    VARIANTS,
+    EncodingScheme,
+    encode_operator,
+    encode_operators,
+)
 from ..fermion import (
     FermionSum,
     MolecularIntegrals,
     build_molecular_hamiltonian,
     hf_energy,
     hf_occupation,
+    number_operator,
+    spin_of,
     uccsd_generators,
 )
 from ..mitigation import (
@@ -42,6 +50,7 @@ from ..pauli import PauliString, PauliSum
 from ..reduction import (
     DEFAULT_LOWER_NOON,
     DEFAULT_UPPER_NOON,
+    SymmetrySector,
     reduce_problem,
     sector_for,
     taper_two_qubits,
@@ -76,7 +85,7 @@ from ..vqe import (
     preparation_gates,
 )
 from .fixtures import FIXTURES, H2_CURVE, load_problem
-from .oracle import exact_eigensolve, ground_state
+from .oracle import DENSE_DIMENSION, exact_eigensolve, ground_state
 
 ENCODE = "encode"
 EXACT = "exact"
@@ -259,15 +268,31 @@ def _shrink_hint(config: RunConfig) -> str:
             if steps else "")
 
 
-def _exact_ground(config: RunConfig, h: PauliSum) -> float:
+def number_sums(ints: MolecularIntegrals, scheme: EncodingScheme,
+                sector: SymmetrySector | None = None) -> list[PauliSum]:
+    """The electron number N and spin-up number N_up under ``scheme``,
+    tapered to ``sector`` when one is given: the diagonal sums the exact
+    oracle splits a register by."""
+    up = [p for p in range(ints.m) if spin_of(p, ints.m, ints.ordering) == 0]
+    sums = encode_operators([number_operator(range(ints.m)),
+                             number_operator(up)], scheme)
+    if sector is None:
+        return sums
+    return [taper_two_qubits(s, scheme, sector) for s in sums]
+
+
+def _exact_ground(config: RunConfig, h: PauliSum,
+                  conserved: Sequence[PauliSum]) -> float:
     return float(exact_eigensolve(h, k=1, n_qubits=h.n_qubits,
-                                  hint=_shrink_hint(config))[0])
+                                  hint=_shrink_hint(config),
+                                  conserved=conserved)[0])
 
 
-def _solve_exact(config: RunConfig, h: PauliSum) -> dict:
+def _solve_exact(config: RunConfig, h: PauliSum,
+                 conserved: Sequence[PauliSum]) -> dict:
     k = min(config.k, 1 << h.n_qubits)
     values = exact_eigensolve(h, k=k, n_qubits=h.n_qubits,
-                              hint=_shrink_hint(config))
+                              hint=_shrink_hint(config), conserved=conserved)
     return {"method": EXACT,
             "energies": [float(v) for v in values],
             "ground": float(values[0])}
@@ -275,14 +300,14 @@ def _solve_exact(config: RunConfig, h: PauliSum) -> dict:
 
 def _solve_vqe(config: RunConfig, ints: MolecularIntegrals,
                scheme: EncodingScheme, ferm: FermionSum, h: PauliSum,
-               record: Callable) -> dict:
+               conserved: Sequence[PauliSum], record: Callable) -> dict:
     ansatz = _build_ansatz(config, ints, scheme, ferm, h.n_qubits)
     record("ansatz", family=config.ansatz, parameters=ansatz.n_params,
            gates=len(ansatz.combined().gates))
     result = optimize(ansatz, h, config.optimizer, shots=config.shots,
                       noise=config.noise_model(), rng=make_rng(config.seed),
                       trajectories=config.trajectories)
-    oracle = _exact_ground(config, h)
+    oracle = _exact_ground(config, h, conserved)
     return {"method": VQE,
             "family": config.ansatz,
             "energy": float(result.best_energy),
@@ -295,9 +320,11 @@ def _solve_vqe(config: RunConfig, ints: MolecularIntegrals,
             "trace": [[float(e), int(c)] for e, c in result.trace]}
 
 
-def _solve_qpe(config: RunConfig, h: PauliSum) -> dict:
+def _solve_qpe(config: RunConfig, h: PauliSum,
+               conserved: Sequence[PauliSum]) -> dict:
     energy0, vector = ground_state(h, n_qubits=h.n_qubits,
-                                   hint=_shrink_hint(config))
+                                   hint=_shrink_hint(config),
+                                   conserved=conserved)
     window = default_window(h)
     energies, probabilities = qpe_distribution(
         StateVector(vector, h.n_qubits), h, config.n_ancilla,
@@ -329,11 +356,13 @@ def _per_qubit_expansion(n: int) -> list[PauliString]:
     return strings
 
 
-def _solve_spectrum(config: RunConfig, h: PauliSum) -> dict:
+def _solve_spectrum(config: RunConfig, h: PauliSum,
+                    conserved: Sequence[PauliSum]) -> dict:
     n = h.n_qubits
     k = min(config.k, 1 << n)
     exact, vectors = exact_eigensolve(h, k=k, n_qubits=n, with_vectors=True,
-                                      hint=_shrink_hint(config))
+                                      hint=_shrink_hint(config),
+                                      conserved=conserved)
     subspace = qse_solve(StateVector(vectors[:, 0], n), h,
                          _per_qubit_expansion(n))
     return {"method": SPECTRUM,
@@ -344,7 +373,7 @@ def _solve_spectrum(config: RunConfig, h: PauliSum) -> dict:
 
 def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
                     scheme: EncodingScheme, ferm: FermionSum, h: PauliSum,
-                    record: Callable) -> dict:
+                    conserved: Sequence[PauliSum], record: Callable) -> dict:
     if config.technique == POSTSELECT:
         if config.encoding != JW or config.taper:
             raise ValueError("parity post-selection expects the untapered "
@@ -368,10 +397,11 @@ def _solve_mitigate(config: RunConfig, ints: MolecularIntegrals,
         decomposition_for_noise(noise, arities)  # refuses 4r/3 >= 1 untuned
     master = make_rng(config.seed)
     optimizer_rng, raw_rng, technique_rng = split_rng(master, 3)
-    ground = _exact_ground(config, h)  # refuses an oversized solve untuned
+    # refuses an oversized solve untuned
+    ground = _exact_ground(config, h, conserved)
     tuned = optimize(ansatz, h, config.optimizer, rng=optimizer_rng)
     theta = tuned.best_params
-    circuit = ansatz.combined()
+    circuit = ansatz.compiled()
     oracle = float(tuned.best_energy)
 
     document = {"method": MITIGATE, "technique": config.technique,
@@ -445,15 +475,21 @@ def run_pipeline(config: RunConfig) -> dict:
         record("taper", qubits=h.n_qubits, pauli_terms=len(h))
 
     def solve():
+        # the oracle splits registers above its dense size by N and N_up
+        conserved = ()
+        if (1 << h.n_qubits) > DENSE_DIMENSION:
+            conserved = number_sums(ints, scheme, sector_for(
+                ints.n_electrons, ints.n_up) if config.taper else None)
         if config.method == EXACT:
-            return _solve_exact(config, h)
+            return _solve_exact(config, h, conserved)
         if config.method == VQE:
-            return _solve_vqe(config, ints, scheme, ferm, h, record)
+            return _solve_vqe(config, ints, scheme, ferm, h, conserved, record)
         if config.method == QPE:
-            return _solve_qpe(config, h)
+            return _solve_qpe(config, h, conserved)
         if config.method == SPECTRUM:
-            return _solve_spectrum(config, h)
-        return _solve_mitigate(config, ints, scheme, ferm, h, record)
+            return _solve_spectrum(config, h, conserved)
+        return _solve_mitigate(config, ints, scheme, ferm, h, conserved,
+                               record)
 
     # encode reports the register it built and solves nothing
     result = ({"method": ENCODE, "qubits": h.n_qubits, "pauli_terms": len(h)}

@@ -29,6 +29,7 @@ from .errors import ConfigError, NumericalError
 from .pauli import PauliString, PauliSum, commutes
 from .simulator import (
     Circuit,
+    CompiledCircuit,
     NoiseModel,
     ShotEstimate,
     StateVector,
@@ -112,7 +113,8 @@ def _mean_estimate(values: np.ndarray, scale: float = 1.0,
                         n if shots is None else shots)
 
 
-def noisy_expectation(circuit: Circuit, theta: Sequence[float] | None,
+def noisy_expectation(circuit: Circuit | CompiledCircuit,
+                      theta: Sequence[float] | None,
                       h: PauliSum, noise: NoiseModel,
                       rng: np.random.Generator,
                       trajectories: int = DEFAULT_TRAJECTORIES,
@@ -120,7 +122,8 @@ def noisy_expectation(circuit: Circuit, theta: Sequence[float] | None,
     """Trajectory-averaged expectation with its empirical standard error;
     ``shots`` samples each trajectory's terms instead. Trajectories, then
     shots, draw from ``rng``: the shots of trajectories that share a final
-    state are drawn as one (terms, trajectories) block."""
+    state are drawn as one (terms, trajectories) block. A compiled circuit
+    is run as it is."""
     means = np.empty(trajectories)
     for members, psi in noisy_states(circuit, theta, noise, rng,
                                      trajectories):
@@ -131,12 +134,15 @@ def noisy_expectation(circuit: Circuit, theta: Sequence[float] | None,
     return _mean_estimate(means, shots=shots)
 
 
-def noise_scaled_series(circuit: Circuit, theta: Sequence[float] | None,
+def noise_scaled_series(circuit: Circuit | CompiledCircuit,
+                        theta: Sequence[float] | None,
                         h: PauliSum, noise: NoiseModel,
                         scales: Sequence[float], rng: np.random.Generator,
                         trajectories: int = DEFAULT_TRAJECTORIES
                         ) -> NoiseScaledSeries:
-    """Measure the observable at each noise scale with split generators."""
+    """Measure the observable at each noise scale with split generators,
+    the circuit compiled once for all of them."""
+    circuit = compile_circuit(circuit)
     points = []
     for lam, stream in zip(scales, split_rng(rng, len(scales))):
         estimate = noisy_expectation(circuit, theta, h,
@@ -316,7 +322,8 @@ def _pec_kicks(supports: Sequence[tuple[int, ...]], noise: NoiseModel,
                       samples), parities
 
 
-def pec_estimate(circuit: Circuit, theta: Sequence[float] | None,
+def pec_estimate(circuit: Circuit | CompiledCircuit,
+                 theta: Sequence[float] | None,
                  observable: PauliSum, noise: NoiseModel, samples: int,
                  rng: np.random.Generator
                  ) -> tuple[ShotEstimate, dict[int, QuasiProbDecomposition]]:
@@ -378,7 +385,8 @@ def occupation_checks(m: int, n_electrons: int, n_up: int
     ]
 
 
-def stabiliser_postselect(circuit: Circuit, theta: Sequence[float] | None,
+def stabiliser_postselect(circuit: Circuit | CompiledCircuit,
+                          theta: Sequence[float] | None,
                           h: PauliSum, checks: Sequence[StabiliserCheck],
                           noise: NoiseModel, shots: int,
                           rng: np.random.Generator
@@ -399,7 +407,8 @@ def stabiliser_postselect(circuit: Circuit, theta: Sequence[float] | None,
         raise ValueError("need at least one shot")
     if not checks:
         raise ValueError("need at least one check")
-    n = circuit.n_qubits
+    circuit = compile_circuit(circuit)
+    n = circuit.n
     for check in checks:
         if any(not 0 <= q < n for q in check.parity_qubits):
             raise ValueError("check touches a qubit outside the register")

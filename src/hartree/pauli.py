@@ -18,8 +18,8 @@ computed per call.
 
 A matrix realisation groups the terms by X mask: every term with mask x
 lands on the entries (i, i ^ x), so each distinct mask gives one vector of
-weights, which ``to_matrix`` scatters into a dense array and ``to_csr``
-stacks into a sparse one.
+weights, which ``to_matrix`` scatters into a dense array and the exact
+oracle into its symmetry blocks.
 """
 
 from __future__ import annotations
@@ -172,9 +172,7 @@ class PauliString:
         """Return P|psi> for a statevector of matching dimension, or for
         each row of a (rows, dim) block."""
         idx, phased = self.tables(psi.shape[-1])
-        # a state's psi[idx] costs half its take(axis=-1) on a few amplitudes;
-        # on a block take(axis=-1) beats psi[:, idx] at every size measured
-        return phased * (psi[idx] if psi.ndim == 1 else psi.take(idx, axis=-1))
+        return phased * gather(psi, idx)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PauliString) and self.x == other.x and self.z == other.z
@@ -193,6 +191,14 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({str(self)!r})"
+
+
+def gather(amps: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """amps[..., index] for one state or each row of a (rows, dim) block.
+    A state's amps[index] costs half its take(axis=-1) on a few amplitudes
+    (0.37 against 0.82 us at 16); on a block take(axis=-1) beats
+    amps[:, index] at every size measured."""
+    return amps[index] if amps.ndim == 1 else amps.take(index, axis=-1)
 
 
 def _text_masks(text: str) -> tuple[int, int]:
@@ -565,31 +571,6 @@ def to_matrix(s: PauliSum, n: int | None = None) -> np.ndarray:
     for x, weights in _mask_weights(s, dim):
         out[rows, rows ^ x] = weights
     return out
-
-
-def to_csr(s: PauliSum, n: int | None = None) -> scipy.sparse.csr_array:
-    """The nonzero entries of ``to_matrix`` in CSR form: row i stores column
-    i ^ x for every distinct X mask x, in order of first appearance, except
-    where the mask's terms cancel to zero. All M * 2^n entries are stacked
-    first and the exact zeros dropped after: a row sum that starts at +0.0
-    never becomes -0.0, so a stored zero changes no matrix-vector product."""
-    import scipy.sparse
-
-    if n is None:
-        n = s.n_qubits
-    if n < s.n_qubits:
-        raise DimensionMismatch(f"sum acts on {s.n_qubits} qubits, asked for {n}")
-    dim = 1 << n
-    masks = x_masks(s)
-    data = np.empty((dim, len(masks)), dtype=complex)
-    for j, (_, weights) in enumerate(_mask_weights(s, dim)):
-        data[:, j] = weights
-    indices = np.arange(dim)[:, None] ^ np.array(masks, dtype=np.intp)
-    indptr = np.arange(dim + 1) * len(masks)
-    matrix = scipy.sparse.csr_array((data.ravel(), indices.ravel(), indptr),
-                                    shape=(dim, dim))
-    matrix.eliminate_zeros()
-    return matrix
 
 
 def expectation(s: PauliSum, psi: np.ndarray) -> float:

@@ -36,6 +36,7 @@ from .pauli import (
     check_bytes,
     commutes,
     expectation,
+    gather,
     matrix_bytes,
     string_actions,
     to_matrix,
@@ -305,7 +306,7 @@ def _exp_kernel(string: PauliString, dim: int) -> Kernel:
     def apply(amps: np.ndarray, phi: float) -> np.ndarray:
         idx, phased = string.tables(dim)
         return (math.cos(phi) * amps
-                + 1j * math.sin(phi) * (phased * amps.take(idx, axis=-1)))
+                + 1j * math.sin(phi) * (phased * gather(amps, idx)))
     return apply
 
 
@@ -615,8 +616,14 @@ class CompiledCircuit:
             yield error_free, StateVector(amps, self.n)
 
 
-def compile_circuit(circuit: Circuit, n: int | None = None) -> CompiledCircuit:
-    """Compile for an n-qubit register, by default the circuit's own."""
+def compile_circuit(circuit: Circuit | CompiledCircuit,
+                    n: int | None = None) -> CompiledCircuit:
+    """Compile for an n-qubit register, by default the circuit's own; a
+    circuit already compiled for that register is returned as it is."""
+    if isinstance(circuit, CompiledCircuit):
+        if n is None or n == circuit.n:
+            return circuit
+        return CompiledCircuit(circuit.gates, n)
     return CompiledCircuit(circuit.gates, circuit.n_qubits if n is None else n)
 
 
@@ -838,12 +845,15 @@ def kick_lists(rows: Sequence[int], events: Sequence[tuple[int, PauliString]],
     return kicks
 
 
-def noisy_states(circuit: Circuit, theta: Sequence[float] | None,
-                 noise: NoiseModel, rng: np.random.Generator, count: int,
+def noisy_states(circuit: Circuit | CompiledCircuit,
+                 theta: Sequence[float] | None, noise: NoiseModel,
+                 rng: np.random.Generator, count: int,
                  psi0: StateVector | None = None
                  ) -> Iterator[tuple[list[int], StateVector]]:
     """``count`` depolarized trajectories drawn from one stream, as
     (trajectory indices, normalized final state) per distinct final state.
+    A compiled circuit is run as it is (``compile_circuit``), so a caller
+    that estimates one circuit many times compiles it once.
 
     Every trajectory's errors are drawn as one block before any state is
     evolved (``depolarizing_kicks``); the kicked trajectories then advance

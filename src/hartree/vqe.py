@@ -344,7 +344,7 @@ def estimate_energy(ansatz: Ansatz, theta: Sequence[float], h: PauliSum,
         if shots is None:
             return ShotEstimate(psi.expectation(h), 0.0, 1)
         return sample_expectation(psi, h, shots, rng)
-    return noisy_expectation(ansatz.combined(), theta, h, noise, rng,
+    return noisy_expectation(ansatz.compiled(), theta, h, noise, rng,
                              trajectories, shots)
 
 

@@ -79,6 +79,48 @@ def fermion_matrix(fsum, m: int) -> np.ndarray:
     return out
 
 
+def to_csr(s, n=None):
+    """The nonzero entries of ``to_matrix`` in CSR form: row i stores column
+    i ^ x for every distinct X mask x, in order of first appearance, except
+    where the mask's terms cancel to zero. All M * 2^n entries are stacked
+    first and the exact zeros dropped after: a row sum that starts at +0.0
+    never becomes -0.0, so a stored zero changes no matrix-vector product."""
+    import scipy.sparse
+
+    from hartree.pauli import _mask_weights, x_masks
+
+    if n is None:
+        n = s.n_qubits
+    if n < s.n_qubits:
+        raise DimensionMismatch(f"sum acts on {s.n_qubits} qubits, asked for {n}")
+    dim = 1 << n
+    masks = x_masks(s)
+    data = np.empty((dim, len(masks)), dtype=complex)
+    for j, (_, weights) in enumerate(_mask_weights(s, dim)):
+        data[:, j] = weights
+    indices = np.arange(dim)[:, None] ^ np.array(masks, dtype=np.intp)
+    indptr = np.arange(dim + 1) * len(masks)
+    matrix = scipy.sparse.csr_array((data.ravel(), indices.ravel(), indptr),
+                                    shape=(dim, dim))
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def count_compiles(monkeypatch) -> list:
+    """A list that gains one entry per CompiledCircuit built from now on."""
+    from hartree.simulator import CompiledCircuit
+
+    built = []
+    init = CompiledCircuit.__init__
+
+    def counted(self, *args, **options):
+        built.append(args)
+        init(self, *args, **options)
+
+    monkeypatch.setattr(CompiledCircuit, "__init__", counted)
+    return built
+
+
 def random_pauli_string(rng: np.random.Generator, n: int) -> PauliString:
     letters = rng.choice(list("IXYZ"), size=n)
     text = " ".join(f"{letter}{q}" for q, letter in enumerate(letters) if letter != "I")

@@ -19,10 +19,14 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import hartree
-from conftest import complex_eigh, random_pauli_string
+from conftest import complex_eigh, random_pauli_string, to_csr
 from hartree.encoding import JW, PARITY, VARIANTS, EncodingScheme, encode_operator
 from hartree.errors import ConfigError, HartreeError, NumericalError
-from hartree.fermion import FermionOperator, build_molecular_hamiltonian
+from hartree.fermion import (
+    FermionOperator,
+    build_molecular_hamiltonian,
+    number_operator,
+)
 from hartree.io_cli import (
     H2_CURVE,
     H2_EQUILIBRIUM,
@@ -58,11 +62,17 @@ from hartree.pauli import (
     PauliString,
     PauliSum,
     TooLarge,
-    to_csr,
+    apply_to_statevector,
+    matrix_bytes,
     to_matrix,
     x_masks,
 )
-from hartree.reduction import reduce_problem, sector_for, taper_two_qubits
+from hartree.reduction import (
+    NotSymmetric,
+    reduce_problem,
+    sector_for,
+    taper_two_qubits,
+)
 from hartree.simulator import ZeroOverlap, hermitian_eigh, qpe_bytes
 from hartree.spectra import AlphaTooSmall, DegenerateSubspace
 from hartree.vqe import SPSA, OptimizerConfig
@@ -376,7 +386,7 @@ class TestSparseOracle:
     @pytest.mark.parametrize("name,variant,reduce,taper", SMALL_PROBLEMS)
     def test_lanczos_matches_dense_eigh(self, name, variant, reduce, taper):
         h = encoded(name, variant, reduce, taper)
-        values = oracle.sparse_eigensolve(h, 4, h.n_qubits)
+        values = oracle.sparse_eigensolve(to_csr(h), 4)
         dense = np.linalg.eigvalsh(to_matrix(h))[:4]
         assert np.max(np.abs(values - dense)) < 1e-12
 
@@ -401,9 +411,13 @@ class TestSparseOracle:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
         molecular = encoded("lih_sto3g_1.45", PARITY, taper=True)
         odd = odd_y_sum(9, rng)
-        for h in (molecular, odd):
+        assert len(oracle._echelon(x_masks(odd))) == 9  # one 512-state block
+        for h, solve in (
+                (molecular, lambda h: oracle.sparse_eigensolve(
+                    to_csr(h), 3, with_vectors=True)),
+                (odd, lambda h: exact_eigensolve(h, k=3, with_vectors=True))):
             seen.append([])
-            values, vectors = exact_eigensolve(h, k=3, with_vectors=True)
+            values, vectors = solve(h)
             dense = np.linalg.eigvalsh(to_matrix(h))[:3]
             assert np.max(np.abs(values - dense)) < 1e-12
             assert_eigenpairs(h, values, vectors)
@@ -419,10 +433,13 @@ class TestSparseOracle:
         assert main(["exact", "--fixture", "lih_sto3g_1.45", "--encoding",
                      "jw", "--k", "6", "--out", str(out)]) == 0
         energies = json.loads(out.read_text())["result"]["energies"]
-        dense = np.linalg.eigvalsh(
-            to_csr(encoded("lih_sto3g_1.45")).real.toarray())
+        csr = to_csr(encoded("lih_sto3g_1.45"))
+        dense = np.linalg.eigvalsh(csr.real.toarray())
         assert np.max(np.abs(np.array(energies) - dense[:6])) < 1e-12
         assert np.ptp(dense[3:6]) < 1e-12 < dense[6] - dense[5]
+        # the CLI now solves blocks; Lanczos on the whole register as well
+        lanczos = oracle.sparse_eigensolve(csr, 6)
+        assert np.max(np.abs(lanczos - dense[:6])) < 1e-12
 
     def test_every_level_above_the_dense_dimension(self, rng):
         h = odd_y_sum(9, rng)
@@ -444,10 +461,21 @@ class TestSparseOracle:
 
     def test_byte_figure_counts_entries_and_lanczos_basis(self):
         dim = 1 << 20
+        entries = dim * 534 * oracle.ENTRY_BYTES
         csr_bytes = dim * 534 * oracle.CSR_ENTRY_BYTES
         basis_bytes = 20 * dim * oracle.AMPLITUDE_BYTES
-        assert oracle.solve_bytes(534, 20, 1) == csr_bytes + basis_bytes
+        labels = dim * oracle.LABEL_BYTES
+        # one block of the whole register: its kept entries, the block's
+        # selection of them and its CSR, and the Lanczos basis
+        assert oracle.solve_bytes(534, 20, 1) \
+            == labels + entries + 2 * csr_bytes + basis_bytes
         assert oracle.solve_bytes(534, 20, 1) > BYTE_BUDGET
+        # blocks of at most 256 states: a dense row per state and one
+        # stacked LAPACK call's copies
+        dense_rows = dim * 256 * oracle.AMPLITUDE_BYTES
+        stacked = 2 * oracle.TABLE_BYTES
+        assert oracle.solve_bytes(534, 20, 1, largest=256) \
+            == labels + dense_rows + stacked
         assert oracle.solve_bytes(84, 12, 4) < BYTE_BUDGET
         assert oracle.solve_bytes(1, 8, 1) == 3 * 256 * 256 * 16
 
@@ -455,13 +483,137 @@ class TestSparseOracle:
         def refuse(*_):
             raise AssertionError("the oracle built a matrix")
 
-        monkeypatch.setattr(oracle, "to_csr", refuse)
+        monkeypatch.setattr(oracle, "_mask_weights", refuse)
         monkeypatch.setattr(oracle, "to_matrix", refuse)
         h = PauliSum.from_text({f"X{q}": 1.0 for q in range(22)}, n_qubits=22)
         needed = oracle.solve_bytes(len(x_masks(h)), 22, 1)
         with pytest.raises(TooLarge, match=f"needs {needed} bytes.*--reduce"):
             exact_eigensolve(h)
 
+
+def numbers(fixture: str, variant: str, taper: bool) -> list[PauliSum]:
+    """N and N_up as the pipeline passes them to the oracle."""
+    ints = load_fixture(fixture)
+    return pipeline.number_sums(ints, EncodingScheme(variant, ints.m),
+                                sector_for(ints.n_electrons, ints.n_up)
+                                if taper else None)
+
+
+# Every problem above 8 qubits whose full dense solve fits the budget: the
+# 12-qubit fixtures in all four encodings, and tapered where a taper exists
+# (standard BK tapers power-of-two registers only).
+BLOCK_PROBLEMS = [
+    (name, variant, taper)
+    for name in list_fixtures()
+    for variant in VARIANTS
+    for taper in ((False,) if variant == JW else (False, True))
+    for m in [load_fixture(name).m]
+    if not (taper and variant == "bk" and m & (m - 1))
+    and 8 < m - 2 * taper
+    and oracle.EIGH_MATRICES * matrix_bytes(m - 2 * taper) <= BYTE_BUDGET
+]
+
+
+def hopping_sum(n: int, mu: float, rng: np.random.Generator) -> PauliSum:
+    """Random real XX + YY hopping and ZZ terms on n qubits, which conserve
+    the number of set bits, plus mu times that number."""
+    entries: list[tuple[str, float]] = [("I", mu * n / 2)]
+    for q in range(n):
+        entries.append((f"Z{q}", -mu / 2 + 0.3 * rng.normal()))
+        for p in range(q):
+            t = rng.normal()
+            entries += [(f"X{p} X{q}", t), (f"Y{p} Y{q}", t),
+                        (f"Z{p} Z{q}", 0.2 * rng.normal())]
+    return PauliSum.from_text(entries, n_qubits=n)
+
+
+def bit_count_sum(n: int) -> PauliSum:
+    return PauliSum.from_text([("I", n / 2)] + [(f"Z{q}", -0.5)
+                                                for q in range(n)], n_qubits=n)
+
+
+class TestBlockOracle:
+    @pytest.mark.parametrize("name,variant,taper", BLOCK_PROBLEMS)
+    def test_blocks_match_the_full_dense_eigvalsh(self, name, variant, taper):
+        h = encoded(name, variant, taper=taper)
+        dense = np.linalg.eigvalsh(to_csr(h).real.toarray())[:6]
+        conserved = numbers(name, variant, taper)
+        values, vectors = exact_eigensolve(h, k=6, with_vectors=True,
+                                           conserved=conserved)
+        assert np.max(np.abs(values - dense)) < 1e-12
+        assert np.max(np.abs(exact_eigensolve(h, k=6, conserved=conserved)
+                             - dense)) < 1e-12
+        # cosets alone, as a library call without the numbers splits
+        assert np.max(np.abs(exact_eigensolve(h, k=6) - dense)) < 1e-12
+        assert vectors.dtype == np.complex128
+        assert np.allclose(vectors.conj().T @ vectors, np.eye(6), atol=1e-12)
+        for value, vector in zip(values, vectors.T):
+            residual = apply_to_statevector(h, vector) - value * vector
+            assert np.linalg.norm(residual) <= 1e-10
+
+    def test_blocks_are_the_number_sectors_and_cosets(self):
+        h = encoded("lih_sto3g_1.45", PARITY, taper=True)
+        conserved = numbers("lih_sto3g_1.45", PARITY, True)
+        echelon = oracle._echelon(x_masks(h))
+        sizes = np.bincount(oracle._labels(echelon, conserved, h.n_qubits))
+        assert len(echelon) == 8
+        assert (len(sizes), sizes.max()) == (52, 69)
+        assert sizes.sum() == 1 << 10
+
+    def test_a_sum_that_is_not_conserved_is_refused(self):
+        h = encoded("lih_sto3g_1.45")
+        ints = load_fixture("lih_sto3g_1.45")
+        mode = encode_operator(number_operator([0]),
+                               EncodingScheme(JW, ints.m))
+        with pytest.raises(NotSymmetric, match="X mask"):
+            exact_eigensolve(h, k=2, conserved=[mode])
+
+    def test_a_conserved_sum_must_be_diagonal(self):
+        h = encoded("lih_sto3g_1.45")
+        with pytest.raises(ValueError, match="diagonal"):
+            exact_eigensolve(h, k=2, conserved=[PauliSum.from_text({"X0": 1.0},
+                                                                   12)])
+
+    @pytest.mark.parametrize("mu,lanczos", [(0.0, [330, 330, 462, 462]),
+                                            (10.0, [330, 462, 462]),
+                                            (20.0, [])])
+    def test_lanczos_blocks_are_solved_until_their_bound_passes_the_kth(
+            self, mu, lanczos, monkeypatch):
+        # 11 qubits: number sectors of 1, 11, 55, 165, 330 and 462 states;
+        # the four above 256 go to Lanczos unless their Gershgorin bound
+        # lies above the 4th level found, as one does at mu = 10 and all
+        # do at mu = 20.
+        h = hopping_sum(11, mu, np.random.default_rng(5))
+        solved = []
+        solve = oracle.sparse_eigensolve
+
+        def spy(matrix, *args, **options):
+            solved.append(matrix.shape[0])
+            return solve(matrix, *args, **options)
+
+        monkeypatch.setattr(oracle, "sparse_eigensolve", spy)
+        dense = np.linalg.eigvalsh(to_matrix(h).real)[:4]
+        values, vectors = exact_eigensolve(h, k=4, with_vectors=True,
+                                           conserved=[bit_count_sum(11)])
+        assert np.max(np.abs(values - dense)) < 1e-12
+        assert_eigenpairs(h, values, vectors)
+        assert sorted(solved) == lanczos
+
+    def test_the_pipeline_builds_the_numbers_only_above_the_dense_size(
+            self, monkeypatch, tmp_path):
+        built = []
+        number_sums = pipeline.number_sums
+
+        def spy(*args):
+            built.append(args)
+            return number_sums(*args)
+
+        monkeypatch.setattr(pipeline, "number_sums", spy)
+        for fixture, count in ((H2_EQUILIBRIUM, 0), ("lih_sto3g_1.45", 1)):
+            assert main(["exact", "--fixture", fixture, "--encoding",
+                         "parity", "--taper", "--out",
+                         str(tmp_path / "out")]) == 0
+            assert len(built) == count
 
 class TestRunConfig:
     def test_exactly_one_source(self, tmp_path):
@@ -1196,10 +1348,11 @@ class TestStartup:
                       "parity", "--taper"], (), id="spectrum"),
         pytest.param(["curve", "--method", "hf", "--method", "fci"], (),
                      id="curve"),
-        # Lanczos above the dense limit.
+        # Symmetry blocks above the dense limit, each small enough for
+        # numpy's LAPACK.
         pytest.param(["exact", "--fixture", "lih_sto3g_1.45", "--encoding",
-                      "parity", "--taper", "--k", "4"], ("scipy.sparse",),
-                     id="exact-lanczos"),
+                      "parity", "--taper", "--k", "4"], (),
+                     id="exact-blocks"),
         # The noiseless L-BFGS tuning before every mitigation.
         pytest.param(["mitigate", "--fixture", H2_EQUILIBRIUM, "--technique",
                       "exponential", "--noise-p1", "1e-3", "--noise-p2", "1e-3",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    count_compiles,
     density_matrix_reference,
     expectation_from_density,
     fan_postselect,
@@ -111,6 +112,24 @@ class TestSeries:
     def test_scaled_noise_rejects_overflow(self):
         with pytest.raises(ValueError, match="past 1"):
             scaled_noise(NoiseModel(p1=0.6), 2.0)
+
+    def test_a_three_scale_series_compiles_once(self, h2_vqe, monkeypatch):
+        _, h, ansatz, _, theta, _ = h2_vqe
+        circuit = ansatz.combined()
+        noise = NoiseModel(1e-2, 1e-2)
+        built = count_compiles(monkeypatch)
+        series = noise_scaled_series(circuit, theta, h, noise,
+                                     (1.0, 2.0, 3.0), make_rng(4),
+                                     trajectories=32)
+        assert len(built) == 1
+        compiled = compile_circuit(circuit)
+        again = noise_scaled_series(compiled, theta, h, noise,
+                                    (1.0, 2.0, 3.0), make_rng(4),
+                                    trajectories=32)
+        assert len(built) == 2  # the compile above, none in the series
+        for (_, first), (_, second) in zip(series.points, again.points):
+            assert (first.mean, first.std_error) == (second.mean,
+                                                     second.std_error)
 
     def test_noiseless_expectation_has_no_spread(self):
         circuit = Circuit(1).rx(0, angle=np.pi / 3)

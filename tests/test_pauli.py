@@ -31,7 +31,6 @@ from hartree.pauli import (
     matrix_bytes,
     mul_strings,
     mul_terms,
-    to_csr,
     to_matrix,
     x_masks,
 )
@@ -46,6 +45,7 @@ from conftest import (
     scatter_apply,
     scatter_apply_sum,
     scatter_to_matrix,
+    to_csr,
 )
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    count_compiles,
     per_gate_apply,
     per_gate_gradient,
     per_gate_run,
@@ -31,6 +32,7 @@ from hartree.fermion import (
 )
 from hartree.io_cli import H2_EQUILIBRIUM, load_fixture
 from hartree.io_cli.cli import main
+from hartree.mitigation import noisy_expectation
 from hartree.pauli import (
     NonHermitian,
     PauliString,
@@ -1212,6 +1214,20 @@ class TestEstimateEnergy:
                                 rng=make_rng(1), trajectories=64)
         assert noisy.std_error > 0
         assert noisy.shots == 64
+
+    def test_a_noisy_evaluation_reuses_the_compiled_ansatz(
+            self, h2, h2_uccsd, monkeypatch):
+        _, _, _, h, _ = h2
+        theta = np.full(h2_uccsd.n_params, 0.1)  # compiles the ansatz
+        noise = NoiseModel(0.02, 0.02)
+        built = count_compiles(monkeypatch)
+        first = estimate_energy(h2_uccsd, theta, h, noise=noise,
+                                rng=make_rng(3), trajectories=64)
+        assert built == []
+        fresh = noisy_expectation(h2_uccsd.combined(), theta, h, noise,
+                                  make_rng(3), 64)
+        assert len(built) == 1
+        assert (first.mean, first.std_error) == (fresh.mean, fresh.std_error)
 
     def test_parameter_length_checked(self, h2, h2_uccsd):
         _, _, _, h, _ = h2

@@ -7,7 +7,10 @@ table gives the best and the median run in milliseconds. The kernels:
   * ``PauliSum.from_masks``, the one merge, on the raw kept products of
     the LiH parity encode and on the first of them alone,
   * ``fci_sector_ground``, the sector matrix build and its one-pair solve,
-  * ``exact_eigensolve``, the lowest level of the JW Hamiltonian,
+  * ``exact_eigensolve``, the lowest level of the JW Hamiltonian split by
+    cosets alone, and as the pipeline calls it, split by N and N_up as
+    well: the 4 lowest levels of the tapered parity Hamiltonian and the
+    6 lowest of the JW one,
   * H psi (``apply_to_statevector``) on a seeded random state,
   * one ``analytic_gradient`` and one optimizer evaluation
     (``estimate_energy``) of the JW UCCSD ansatz at seeded angles,
@@ -50,9 +53,14 @@ from hartree.fermion import (  # noqa: E402
 )
 from hartree.io_cli import load_fixture  # noqa: E402
 from hartree.io_cli.oracle import exact_eigensolve  # noqa: E402
+from hartree.io_cli.pipeline import number_sums  # noqa: E402
 from hartree.mitigation import noisy_expectation  # noqa: E402
 from hartree.pauli import PauliSum, apply_to_statevector  # noqa: E402
-from hartree.reduction import fci_sector_ground  # noqa: E402
+from hartree.reduction import (  # noqa: E402
+    fci_sector_ground,
+    sector_for,
+    taper_two_qubits,
+)
 from hartree.simulator import NoiseModel, make_rng  # noqa: E402
 from hartree.vqe import analytic_gradient, build_uccsd, estimate_energy  # noqa: E402
 
@@ -83,6 +91,7 @@ def kernels():
     ints, h, ansatz = uccsd_jw(LIH)
     out.append(("exact_eigensolve jw k=1", LIH,
                 lambda: exact_eigensolve(h, k=1, n_qubits=ints.m)))
+    out += oracle_kernels(ints, h)
     rng = np.random.default_rng(7)
     psi = rng.normal(size=1 << ints.m) + 1j * rng.normal(size=1 << ints.m)
     psi /= np.linalg.norm(psi)
@@ -93,6 +102,27 @@ def kernels():
     out.append(("optimizer evaluation uccsd jw", LIH,
                 lambda: estimate_energy(ansatz, theta, h)))
     return out + noisy_kernels(rng)
+
+
+def oracle_kernels(ints, h_jw):
+    """``exact_eigensolve`` with the N and N_up sums the pipeline passes:
+    tapered parity LiH at k = 4 (the exact workload's headline job) and JW
+    LiH at k = 6."""
+    scheme = EncodingScheme(PARITY, ints.m)
+    sector = sector_for(ints.n_electrons, ints.n_up)
+    tapered = taper_two_qubits(
+        encode_operator(build_molecular_hamiltonian(ints), scheme), scheme,
+        sector)
+    out = []
+    for name, h, conserved, k in (
+            ("exact_eigensolve parity taper k=4", tapered,
+             number_sums(ints, scheme, sector), 4),
+            ("exact_eigensolve jw k=6", h_jw,
+             number_sums(ints, EncodingScheme(JW, ints.m)), 6)):
+        out.append((name, LIH, lambda h=h, conserved=conserved, k=k:
+                    exact_eigensolve(h, k=k, n_qubits=h.n_qubits,
+                                     conserved=conserved)))
+    return out
 
 
 def uccsd_jw(fixture: str):
