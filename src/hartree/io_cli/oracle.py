@@ -67,7 +67,7 @@ DENSE_DIMENSION = 1 << 8
 # on the molecular registers here they are round-off, at most 3.4e-17.
 OFF_BLOCK_TOLERANCE = 1e-12
 # A stored sparse entry: its complex value, its float64 copy when the matrix
-# is real, and its column index.
+# is real, and its column index (int32) and the copy's.
 CSR_ENTRY_BYTES = 16 + 8 + 8
 # An entry of a Lanczos block as the split keeps it, beside its X mask: its
 # row index and complex value.
@@ -158,9 +158,11 @@ def sparse_eigensolve(matrix, k: int, with_vectors: bool = False):
     import scipy.sparse.linalg
 
     if not matrix.data.imag.any():
+        # copies of the index arrays too: scipy sorts a matrix's indices in
+        # place, which would scramble the caller's matrix if they were shared
         matrix = scipy.sparse.csr_array(
-            (matrix.data.real.copy(), matrix.indices, matrix.indptr),
-            shape=matrix.shape)
+            (matrix.data.real.copy(), matrix.indices.copy(),
+             matrix.indptr.copy()), shape=matrix.shape)
     dim = matrix.shape[0]
     stream = np.random.default_rng(LANCZOS_SEED)
     values, vectors = scipy.sparse.linalg.eigsh(
@@ -241,7 +243,7 @@ def _block_eigensolve(h: PauliSum, k: int, n: int, with_vectors: bool,
     position[members] = index - np.repeat(starts, sizes)
     dense = np.array([takes_dense(size, k) for size in sizes.tolist()])
     # dense blocks laid out by size, then label, so equal sizes stack
-    layout = np.lexsort((np.arange(len(sizes)), sizes))
+    layout = np.argsort(sizes, kind="stable")
     layout = layout[dense[layout]]
     areas = sizes[layout] ** 2
     offset = np.zeros(len(sizes), dtype=np.intp)

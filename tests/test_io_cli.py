@@ -268,19 +268,30 @@ class TestOracle:
         assert np.real(vector[5] * np.conj(vector[10])) < 0
         assert np.max(np.abs(vector[order[2:]])) < 1e-10
 
-    def test_sparse_path_above_the_dense_limit(self):
+    def test_sparse_path_above_the_dense_limit(self, monkeypatch):
         h = PauliSum.from_text({f"Z{q}": 1.0 for q in range(15)}, n_qubits=15)
         assert abs(exact_eigensolve(h, k=1)[0] - (-15.0)) < 1e-8
+        # an X on every qubit makes the whole register one block, which
+        # only Lanczos solves
+        solved = []
+        solve = oracle.sparse_eigensolve
+        monkeypatch.setattr(oracle, "sparse_eigensolve", lambda matrix, *a:
+                            solved.append(matrix.shape) or solve(matrix, *a))
+        field = h + PauliSum.from_text({f"X{q}": 0.5 for q in range(15)})
+        assert abs(exact_eigensolve(field, k=1)[0]
+                   + 15.0 * np.sqrt(1.25)) < 1e-8
+        assert solved == [(1 << 15, 1 << 15)]
 
     def test_lanczos_start_is_fixed(self):
-        h = PauliSum.from_text({"Z0 Z1": 1.0, "X0": 0.6, "Y13 Y14": 0.3,
-                                "Z14": -0.4, "X7 X8": 0.2}, n_qubits=15)
-        first = exact_eigensolve(h, k=2)
+        h = to_csr(PauliSum.from_text({"Z0 Z1": 1.0, "X0": 0.6,
+                                       "Y13 Y14": 0.3, "Z14": -0.4,
+                                       "X7 X8": 0.2}, n_qubits=15))
+        first = oracle.sparse_eigensolve(h, 2)
         # ARPACK's own start vector comes from a generator that every call
         # without one advances.
         other = scipy.sparse.random(300, 300, density=0.05, random_state=1)
         scipy.sparse.linalg.eigsh(other + other.T, k=2, which="SA")
-        second = exact_eigensolve(h, k=2)
+        second = oracle.sparse_eigensolve(h, 2)
         assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
 
     def test_too_many_qubits_rejected(self):

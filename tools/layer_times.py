@@ -115,7 +115,7 @@ def oracle_kernels(ints, h_jw):
         sector)
     out = []
     for name, h, conserved, k in (
-            ("exact_eigensolve parity taper k=4", tapered,
+            ("exact_eigensolve taper k=4", tapered,
              number_sums(ints, scheme, sector), 4),
             ("exact_eigensolve jw k=6", h_jw,
              number_sums(ints, EncodingScheme(JW, ints.m)), 6)):
